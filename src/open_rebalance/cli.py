@@ -69,7 +69,7 @@ def _load_config(path: Path, expected_command: str) -> dict:
 
 
 def _sanitize(value):
-    """Make a structure JSON-safe: numpy scalars to Python, NaN to None."""
+    """Make a structure JSON-safe: numpy scalars to Python, NaN and +-inf to None."""
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -80,14 +80,14 @@ def _sanitize(value):
         return int(value)
     if isinstance(value, (np.floating,)):
         value = float(value)
-    if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    with open(path, "w") as f:
-        json.dump(_sanitize(obj), f, sort_keys=True, indent=2)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(_sanitize(obj), f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
 

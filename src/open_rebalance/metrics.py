@@ -32,8 +32,6 @@ class MetricsReport:
 
     overall_acc: float
     per_class_acc: np.ndarray
-    group_acc: dict | None = None
-    ood: dict | None = None
 
 
 def accuracy(params: MlpParams, dataset) -> MetricsReport:

@@ -2,7 +2,8 @@
 
 Linear softmax or one hidden rectifier layer, 64-bit floats throughout,
 SGD with momentum and weight decay, and a warmup + step learning-rate
-schedule. Parameter updates are functional: steps return fresh values.
+schedule. Public functions validate and return fresh values; the training
+step calls their unvalidated private cores, updating its own arrays in place.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class OptimState:
     velocity: tuple
     momentum: float = 0.9
     weight_decay: float = 2e-4
-    base_lr: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,10 @@ def init_params(input_dim: int, hidden_dim: int, num_classes: int, rng) -> MlpPa
 
 
 def init_optim_state(
-    params: MlpParams,
-    momentum: float = 0.9,
-    weight_decay: float = 2e-4,
-    base_lr: float = 0.1,
+    params: MlpParams, momentum: float = 0.9, weight_decay: float = 2e-4
 ) -> OptimState:
     vel = tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers)
-    return OptimState(
-        velocity=vel, momentum=momentum, weight_decay=weight_decay, base_lr=base_lr
-    )
+    return OptimState(velocity=vel, momentum=momentum, weight_decay=weight_decay)
 
 
 def _check_batch(params: MlpParams, batch: np.ndarray) -> np.ndarray:
@@ -125,18 +120,51 @@ def _check_batch(params: MlpParams, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _log_counts(prior: ClassPrior) -> np.ndarray:
+    if np.any(prior.counts == 0):
+        raise ValueError("balanced softmax undefined for a zero-count class")
+    return np.log(prior.counts.astype(np.float64))
+
+
+def _check_finite(logits: np.ndarray) -> None:
+    # Training can diverge, so the training step runs this on every batch.
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite logits")
+
+
+def _forward(layers, x):
+    """Logits plus each layer's input, which ``_backward`` reuses."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        x = np.maximum(x @ w + b, 0.0)
+        acts.append(x)
+    w, b = layers[-1]
+    return x @ w + b, acts
+
+
 def forward(params: MlpParams, batch) -> np.ndarray:
     """Logits for a batch: affine(relu(affine(x))) or affine(x) when linear."""
-    h = _check_batch(params, batch)
-    for w, b in params.layers[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
-    w, b = params.layers[-1]
-    return h @ w + b
+    return _forward(params.layers, _check_batch(params, batch))[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _xent(logits, labels, weights=None):
+    # sum / B rounds exactly as np.mean does, without its per-call overhead.
+    logp = _log_softmax(logits)
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    picked = -logp[rows, labels]
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    if weights is None:
+        grad *= 1.0 / batch
+        return float(picked.sum()) / batch, grad
+    grad *= (weights / batch)[:, None]
+    return float((weights * picked).sum()) / batch, grad
 
 
 def softmax_xent(logits, labels, sample_weights=None):
@@ -146,24 +174,19 @@ def softmax_xent(logits, labels, sample_weights=None):
     grad rows are w_b * (softmax_b - onehot_b) / B.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
+    _check_finite(logits)
     batch, k = logits.shape
     if batch == 0:
         raise ValueError("empty batch")
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError("label out of range")
-    w = np.ones(batch) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise ValueError("sample weights must be non-negative")
-    logp = _log_softmax(logits)
-    rows = np.arange(batch)
-    loss = float(np.mean(w * -logp[rows, labels]))
-    grad = np.exp(logp)
-    grad[rows, labels] -= 1.0
-    grad *= (w / batch)[:, None]
-    return loss, grad
+    w = None
+    if sample_weights is not None:
+        w = np.asarray(sample_weights, dtype=np.float64)
+        if np.any(w < 0):
+            raise ValueError("sample weights must be non-negative")
+    return _xent(logits, labels, w)
 
 
 def balanced_softmax_xent(logits, labels, prior: ClassPrior):
@@ -172,10 +195,13 @@ def balanced_softmax_xent(logits, labels, prior: ClassPrior):
     The shift models the train-time label prior; with equal counts it cancels
     inside the softmax and the loss reduces to the standard one.
     """
-    if np.any(prior.counts == 0):
-        raise ValueError("balanced softmax undefined for a zero-count class")
-    adjusted = np.asarray(logits, dtype=np.float64) + np.log(prior.counts.astype(np.float64))
-    return softmax_xent(adjusted, labels)
+    return softmax_xent(np.asarray(logits, dtype=np.float64) + _log_counts(prior), labels)
+
+
+def _prior_xent(logits, prior):
+    logp = _log_softmax(logits)
+    batch = logits.shape[0]
+    return float((-(logp @ prior)).sum()) / batch, (np.exp(logp) - prior) / batch
 
 
 def oe_prior_xent(logits, prior):
@@ -188,15 +214,20 @@ def oe_prior_xent(logits, prior):
     p = np.asarray(prior, dtype=np.float64)
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"prior sums to {p.sum()}, expected 1")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    batch = logits.shape[0]
-    if batch == 0:
+    _check_finite(logits)
+    if logits.shape[0] == 0:
         raise ValueError("empty batch")
-    logp = _log_softmax(logits)
-    loss = float(np.mean(-(logp @ p)))
-    grad = (np.exp(logp) - p) / batch
-    return loss, grad
+    return _prior_xent(logits, p)
+
+
+def _backward(layers, acts, g) -> tuple:
+    # A unit's activation is positive exactly where its pre-activation is.
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        grads[i] = (acts[i].T @ g, g.sum(axis=0))
+        if i > 0:
+            g = (g @ layers[i][0].T) * (acts[i] > 0.0)
+    return tuple(grads)
 
 
 def backward(params: MlpParams, batch, grad_logits) -> tuple:
@@ -208,36 +239,30 @@ def backward(params: MlpParams, batch, grad_logits) -> tuple:
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != (x.shape[0], params.num_classes):
         raise ValueError("grad_logits shape mismatch")
-    acts = [x]
-    pres = []
-    h = x
-    for w, b in params.layers[:-1]:
-        pre = h @ w + b
-        pres.append(pre)
-        h = np.maximum(pre, 0.0)
-        acts.append(h)
-    grads = []
-    g = grad_logits
-    for i in reversed(range(len(params.layers))):
-        w, _ = params.layers[i]
-        grads.append((acts[i].T @ g, g.sum(axis=0)))
-        if i > 0:
-            g = (g @ w.T) * (pres[i - 1] > 0.0)
-    return tuple(reversed(grads))
+    return _backward(params.layers, _forward(params.layers, x)[1], grad_logits)
+
+
+def _sgd_update(layers, grads, state: OptimState, lr: float) -> None:
+    # In place on arrays the caller owns, with the same rounding as
+    # v' = mu*v + (g + wd*theta); theta' = theta - lr*v'.
+    for (w, b), (gw, gb), (vw, vb) in zip(layers, grads, state.velocity):
+        for theta, g, v in ((w, gw, vw), (b, gb, vb)):
+            decayed = state.weight_decay * theta
+            decayed += g
+            v *= state.momentum
+            v += decayed
+            theta -= lr * v
 
 
 def sgd_step(params: MlpParams, grads, state: OptimState, lr: float):
     """One momentum step: g' = g + wd*theta; v = mu*v + g'; theta -= lr*v."""
     if lr < 0:
         raise ValueError("lr must be non-negative")
-    new_layers = []
-    new_vel = []
-    for (w, b), (gw, gb), (vw, vb) in zip(params.layers, grads, state.velocity):
-        vw2 = state.momentum * vw + (gw + state.weight_decay * w)
-        vb2 = state.momentum * vb + (gb + state.weight_decay * b)
-        new_layers.append((w - lr * vw2, b - lr * vb2))
-        new_vel.append((vw2, vb2))
-    return replace(params, layers=tuple(new_layers)), replace(state, velocity=tuple(new_vel))
+    layers = tuple((w.copy(), b.copy()) for w, b in params.layers)
+    velocity = tuple((vw.copy(), vb.copy()) for vw, vb in state.velocity)
+    new_state = replace(state, velocity=velocity)
+    _sgd_update(layers, grads, new_state, lr)
+    return replace(params, layers=layers), new_state
 
 
 def lr_at(schedule: LrSchedule, epoch: int, base_lr: float = 0.1) -> float:
@@ -259,34 +284,21 @@ def grad_check(params: MlpParams, batch, labels, eps: float = 1e-5) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = _check_batch(params, batch)
-    labels = np.asarray(labels, dtype=np.int64)
-
-    def loss_for(layers) -> float:
-        probe = replace(params, layers=layers)
-        return softmax_xent(forward(probe, x), labels)[0]
-
-    _, gl = softmax_xent(forward(params, x), labels)
-    analytic = backward(params, x, gl)
+    layers = tuple((w.copy(), b.copy()) for w, b in params.layers)
+    logits, acts = _forward(layers, x)
+    analytic = _backward(layers, acts, softmax_xent(logits, labels)[1])
     worst = 0.0
-    for li in range(len(params.layers)):
-        for ti in range(2):
-            base = params.layers[li][ti]
-            ga = analytic[li][ti]
-            it = np.nditer(base, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                bumped = [list(pair) for pair in params.layers]
-                plus = base.copy()
-                plus[idx] += eps
-                bumped[li][ti] = plus
-                lp = loss_for(tuple((w, b) for w, b in bumped))
-                minus = base.copy()
-                minus[idx] -= eps
-                bumped[li][ti] = minus
-                lm = loss_for(tuple((w, b) for w, b in bumped))
+    for pair, grads in zip(layers, analytic):
+        for theta, ga in zip(pair, grads):
+            for idx in np.ndindex(theta.shape):
+                orig = theta[idx]
+                theta[idx] = orig + eps
+                lp = softmax_xent(_forward(layers, x)[0], labels)[0]
+                theta[idx] = orig - eps
+                lm = softmax_xent(_forward(layers, x)[0], labels)[0]
+                theta[idx] = orig
                 fd = (lp - lm) / (2.0 * eps)
-                err = abs(ga[idx] - fd) / max(1e-12, abs(ga[idx]) + abs(fd))
-                worst = max(worst, err)
+                worst = max(worst, abs(ga[idx] - fd) / max(1e-12, abs(ga[idx]) + abs(fd)))
     return worst
 
 

@@ -10,7 +10,7 @@ keep ablations bit-comparable: changing one knob touches exactly one stream.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,15 +20,17 @@ from .nn import (
     LrSchedule,
     MlpParams,
     OptimState,
-    backward,
-    balanced_softmax_xent,
-    forward,
+    _backward,
+    _check_batch,
+    _check_finite,
+    _forward,
+    _log_counts,
+    _prior_xent,
+    _sgd_update,
+    _xent,
     init_optim_state,
     init_params,
     lr_at,
-    oe_prior_xent,
-    sgd_step,
-    softmax_xent,
 )
 from .priors import (
     ClassPrior,
@@ -36,6 +38,7 @@ from .priors import (
     LabelDistributionKind,
     cb_effective_weights,
     label_distribution,
+    weights_from_probabilities,
 )
 
 __all__ = [
@@ -108,6 +111,8 @@ class TrainConfig:
             raise ValueError(f"label_dist has no effect for method {self.method!r}")
         if self.alpha is not None and not relabels:
             raise ValueError(f"alpha has no effect for method {self.method!r}")
+        if self.schedule is not None and self.schedule.total_epochs < self.epochs:
+            raise ValueError(f"schedule covers {self.schedule.total_epochs} < {self.epochs} epochs")
 
 
 @dataclass(frozen=True)
@@ -146,15 +151,17 @@ def default_schedule(total_epochs: int) -> LrSchedule:
     )
 
 
+def _draw_labels(cdf: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    labels = np.searchsorted(cdf, rng.random(m), side="right")
+    return np.minimum(labels, cdf.shape[0] - 1)
+
+
 def sample_aux_labels(dist, m: int, rng: np.random.Generator) -> np.ndarray:
     """m i.i.d. label draws from the distribution via inverse-CDF sampling."""
     gammas = np.asarray(getattr(dist, "gammas", dist), dtype=np.float64)
     if m < 1:
         raise ValueError("m must be at least 1")
-    cdf = np.cumsum(gammas)
-    u = rng.random(m)
-    labels = np.searchsorted(cdf, u, side="right")
-    return np.minimum(labels, gammas.shape[0] - 1).astype(np.int64)
+    return _draw_labels(np.cumsum(gammas), m, rng).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -164,14 +171,55 @@ class StepLosses:
     total: float
 
 
-def _combine(base_grads, aux_grads, eta: float):
-    # eta == 0 must reproduce the base update bit-exactly, so skip the add.
-    if eta == 0.0:
-        return base_grads
-    return tuple(
-        (gw + eta * aw, gb + eta * ab)
-        for (gw, gb), (aw, ab) in zip(base_grads, aux_grads)
-    )
+@dataclass(frozen=True)
+class _LossSpec:
+    """A method resolved into CE(train + base_offset; base_weights) + eta * aux.
+
+    base_offset is log n_j for balanced softmax and base_weights the cb-rw
+    class weights. Auxiliary labels are pinned per pool instance, drawn fresh
+    from aux_cdf, or absent (OE); the aux loss is omega-weighted CE, or CE
+    against aux_prior (OE). Weights are non-negative and the OE prior sums to
+    one by construction, so no step re-checks them.
+    """
+
+    eta: float = 0.0
+    base_offset: np.ndarray | None = None
+    base_weights: np.ndarray | None = None
+    aux_pinned: np.ndarray | None = None
+    aux_cdf: np.ndarray | None = None
+    aux_omegas: np.ndarray | None = None
+    aux_prior: np.ndarray | None = None
+
+    def aux_labels(self, aidx: np.ndarray, rng: np.random.Generator):
+        if self.aux_pinned is not None:
+            return self.aux_pinned[aidx]
+        return None if self.aux_cdf is None else _draw_labels(self.aux_cdf, aidx.shape[0], rng)
+
+
+def _step(layers, state: OptimState, spec: _LossSpec, lr: float, bx, by, ax, ay):
+    """One in-place SGD update on the spec's objective; returns (base, aux) losses."""
+    logits, acts = _forward(layers, bx)
+    if spec.base_offset is not None:
+        logits = logits + spec.base_offset
+    _check_finite(logits)
+    weights = None if spec.base_weights is None else spec.base_weights[by]
+    base_loss, g = _xent(logits, by, weights)
+    grads = _backward(layers, acts, g)
+    aux_loss = 0.0
+    if ax is not None:
+        logits, acts = _forward(layers, ax)
+        _check_finite(logits)
+        if spec.aux_prior is not None:
+            aux_loss, g = _prior_xent(logits, spec.aux_prior)
+        else:
+            aux_loss, g = _xent(logits, ay, spec.aux_omegas[ay])
+        # eta == 0 must reproduce the base update bit-exactly, so skip the add.
+        if spec.eta != 0.0:
+            for (gw, gb), (aw, ab) in zip(grads, _backward(layers, acts, g)):
+                gw += spec.eta * aw
+                gb += spec.eta * ab
+    _sgd_update(layers, grads, state, lr)
+    return base_loss, aux_loss
 
 
 def open_sampling_step(
@@ -192,37 +240,53 @@ def open_sampling_step(
     Auxiliary labels are drawn fresh from ``dist`` unless ``aux_labels`` pins
     them (the fixed-label variant). Returns (params, state, StepLosses).
     """
-    train_x = np.asarray(train_x, dtype=np.float64)
-    aux_x = np.asarray(aux_x, dtype=np.float64)
+    train_x = _check_batch(params, train_x)
+    aux_x = _check_batch(params, aux_x)
+    k = params.num_classes
     if train_x.shape[0] == 0 or aux_x.shape[0] == 0:
         raise ValueError("empty batch")
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
+    if eta < 0 or lr < 0:
+        raise ValueError("eta and lr must be non-negative")
     if aux_labels is None:
         if rng is None:
             raise ValueError("need an rng to draw auxiliary labels")
         aux_labels = sample_aux_labels(dist, aux_x.shape[0], rng)
-    else:
-        aux_labels = np.asarray(aux_labels, dtype=np.int64)
-    base_loss, gl = softmax_xent(forward(params, train_x), train_y)
-    base_grads = backward(params, train_x, gl)
-    w = weights.omegas[aux_labels]
-    aux_loss, agl = softmax_xent(forward(params, aux_x), aux_labels, sample_weights=w)
-    aux_grads = backward(params, aux_x, agl)
-    new_params, new_state = sgd_step(params, _combine(base_grads, aux_grads, eta), state, lr)
-    return new_params, new_state, StepLosses(base_loss, aux_loss, base_loss + eta * aux_loss)
+    train_y = np.asarray(train_y, dtype=np.int64)
+    aux_labels = np.asarray(aux_labels, dtype=np.int64)
+    if min(train_y.min(), aux_labels.min()) < 0 or max(train_y.max(), aux_labels.max()) >= k:
+        raise ValueError("label out of range")
+    omegas = np.asarray(weights.omegas, dtype=np.float64)
+    if np.any(omegas[aux_labels] < 0):
+        raise ValueError("sample weights must be non-negative")
+    layers = tuple((w.copy(), b.copy()) for w, b in params.layers)
+    state = replace(state, velocity=tuple((vw.copy(), vb.copy()) for vw, vb in state.velocity))
+    spec = _LossSpec(eta=eta, aux_omegas=omegas)
+    base_loss, aux_loss = _step(layers, state, spec, lr, train_x, train_y, aux_x, aux_labels)
+    losses = StepLosses(base_loss, aux_loss, base_loss + eta * aux_loss)
+    return replace(params, layers=layers), state, losses
 
 
-def _resolve_relabeling(config: TrainConfig, prior: ClassPrior):
-    kind = config.label_dist
-    if kind is None:
-        kind = LabelDistributionKind.complementary(config.alpha)
-    gammas = label_distribution(kind, prior)
-    if config.use_class_weights:
-        omegas = gammas * prior.num_classes
-    else:
+def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) -> _LossSpec:
+    """Resolve the method once per run, with the checks the step then skips."""
+    spec = {"eta": config.eta} if config.method in _AUX_METHODS else {}
+    if config.method in ("balanced-softmax", "balanced-softmax+open-sampling"):
+        spec["base_offset"] = _log_counts(prior)
+    elif config.method == "cb-rw":
+        spec["base_weights"] = cb_effective_weights(prior, config.beta_cb).omegas
+    if config.method in _RELABEL_METHODS:
+        kind = config.label_dist or LabelDistributionKind.complementary(config.alpha)
+        gammas = label_distribution(kind, prior)
         omegas = np.ones(prior.num_classes)
-    return gammas, ClassWeights(omegas=omegas)
+        if config.use_class_weights:
+            omegas = weights_from_probabilities(gammas).omegas
+        spec["aux_omegas"] = omegas
+        if config.fixed_labels:
+            spec["aux_pinned"] = sample_aux_labels(gammas, pool_size, aux_rng)
+        else:
+            spec["aux_cdf"] = np.cumsum(gammas)
+    elif config.method == "oe":
+        spec["aux_prior"] = prior.betas
+    return _LossSpec(**spec)
 
 
 def train_run(
@@ -241,69 +305,46 @@ def train_run(
     if aux is not None and aux.dim != train.dim:
         raise ValueError("auxiliary pool dimension does not match the training set")
 
-    prior = train.prior()
-    k = train.num_classes
     schedule = config.schedule or default_schedule(config.epochs)
     shuffle_rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE])
     aux_rng = np.random.default_rng([config.seed, _STREAM_AUX])
     init_rng = np.random.default_rng([config.seed, _STREAM_INIT])
 
-    params = init_params(train.dim, config.hidden_dim, k, init_rng)
-    state = init_optim_state(params, config.momentum, config.weight_decay, config.base_lr)
-
-    relabels = config.method in _RELABEL_METHODS
-    gammas = weights = pool_labels = None
-    if relabels:
-        gammas, weights = _resolve_relabeling(config, prior)
-        if config.fixed_labels:
-            pool_labels = sample_aux_labels(gammas, len(aux), aux_rng)
-    balanced_base = config.method in ("balanced-softmax", "balanced-softmax+open-sampling")
-    cb_omegas = None
-    if config.method == "cb-rw":
-        cb_omegas = cb_effective_weights(prior, config.beta_cb).omegas
-    oe_reference = prior.betas if config.method == "oe" else None
+    # The run owns these arrays; the step updates them in place.
+    params = init_params(train.dim, config.hidden_dim, train.num_classes, init_rng)
+    state = init_optim_state(params, config.momentum, config.weight_decay)
+    spec = _loss_spec(config, train.prior(), len(aux) if needs_aux else 0, aux_rng)
+    features = np.asarray(train.features, dtype=np.float64)
+    pool = np.asarray(aux.features, dtype=np.float64) if needs_aux else None
 
     n = len(train)
-    m_aux = config.batch_aux or config.batch_train
+    batch = config.batch_train
+    m_aux = config.batch_aux or batch
+    last_loss = None
     history = []
     for epoch in range(config.epochs):
         lr = lr_at(schedule, epoch, config.base_lr)
         perm = shuffle_rng.permutation(n)
-        sums = np.zeros(3)
+        total_sum = base_sum = aux_sum = 0.0
         n_batches = 0
-        for start in range(0, n, config.batch_train):
-            idx = perm[start : start + config.batch_train]
-            bx = train.features[idx]
-            by = train.labels[idx]
-            if balanced_base:
-                base_loss, gl = balanced_softmax_xent(forward(params, bx), by, prior)
-            elif cb_omegas is not None:
-                base_loss, gl = softmax_xent(
-                    forward(params, bx), by, sample_weights=cb_omegas[by]
-                )
-            else:
-                base_loss, gl = softmax_xent(forward(params, bx), by)
-            grads = backward(params, bx, gl)
-
-            aux_loss = 0.0
+        for start in range(0, n, batch):
+            idx = perm[start : start + batch]
+            ax = ay = None
             if needs_aux:
-                aidx = aux_rng.integers(0, len(aux), size=m_aux)
-                ax = aux.features[aidx]
-                if relabels:
-                    if pool_labels is not None:
-                        ay = pool_labels[aidx]
-                    else:
-                        ay = sample_aux_labels(gammas, m_aux, aux_rng)
-                    aux_loss, agl = softmax_xent(
-                        forward(params, ax), ay, sample_weights=weights.omegas[ay]
-                    )
-                else:
-                    aux_loss, agl = oe_prior_xent(forward(params, ax), oe_reference)
-                grads = _combine(grads, backward(params, ax, agl), config.eta)
-
-            params, state = sgd_step(params, grads, state, lr)
-            total = base_loss + config.eta * aux_loss if needs_aux else base_loss
-            sums += (total, base_loss, aux_loss)
+                aidx = aux_rng.integers(0, len(pool), size=m_aux)
+                ax, ay = pool[aidx], spec.aux_labels(aidx, aux_rng)
+            try:
+                base_loss, aux_loss = _step(
+                    params.layers, state, spec, lr, features[idx], train.labels[idx], ax, ay
+                )
+            except ValueError as exc:
+                raise ValueError(
+                    f"{exc} at epoch {epoch}, step {n_batches} (last finite loss {last_loss})"
+                ) from exc
+            last_loss = base_loss + spec.eta * aux_loss
+            total_sum += last_loss
+            base_sum += base_loss
+            aux_sum += aux_loss
             n_batches += 1
 
         report = metrics.accuracy(params, test)
@@ -311,9 +352,9 @@ def train_run(
             EpochRecord(
                 epoch=epoch,
                 lr=lr,
-                train_loss=float(sums[0] / n_batches),
-                base_loss=float(sums[1] / n_batches),
-                aux_loss=float(sums[2] / n_batches),
+                train_loss=total_sum / n_batches,
+                base_loss=base_sum / n_batches,
+                aux_loss=aux_sum / n_batches,
                 test_overall_acc=report.overall_acc,
                 test_per_class_acc=tuple(report.per_class_acc.tolist()),
             )

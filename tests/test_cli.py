@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,27 @@ class TestSweep:
         assert any(r[1] == "10" for r in rows[1:])
 
 
+    def test_divergence_names_run_epoch_and_step(self, workspace, capsys):
+        config = {
+            "command": "sweep",
+            "name": "diverge",
+            "data": {"train": "task_train.osds", "test": "task_test.osds"},
+            "model": {"hidden_dim": 4},
+            "train": {"method": "standard", "epochs": 20, "base_lr": 1e8},
+            "grid": {"param": "method", "values": ["standard"]},
+            "seeds": [0],
+        }
+        cfg = write_config(workspace / "sweep.json", config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(
+            r"failed: diverge\[method=standard,seed=0\]: non-finite logits "
+            r"at epoch \d+, step \d+ \(last finite loss [-+.e\d]+\)",
+            err,
+        ), err
+
+
 class TestEvalOod:
     @pytest.fixture
     def trained(self, workspace):
@@ -308,6 +330,27 @@ class TestBayesCheck:
         assert report["uniform"] == {"cases": 100, "violations": 0, "violating_cases": []}
         assert report["one_hot_stress"]["constructed_flips"] > 0
         assert len(report["rebalance"]["rows"]) == 4
+
+    def test_infinite_ratio_written_as_strict_json(self, tmp_path):
+        # A zero class count with aux size 0 makes the prior ratio infinite.
+        config = {
+            "command": "bayes-check",
+            "name": "strict",
+            "seed": 1,
+            "cases": 0,
+            "rebalance": {"counts": [5, 0, 3], "alphas": [1.0], "aux_sizes": [0, 10]},
+        }
+        cfg = write_config(tmp_path / "bayes.json", config)
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "strict_bayes.json").read_text(encoding="utf-8")
+        rows = json.loads(text, parse_constant=reject)["rebalance"]["rows"]
+        assert [r["aux_size"] for r in rows] == [0, 10]
+        assert rows[0]["prior_ratio"] is None
+        assert rows[1]["prior_ratio"] > 1.0
 
     def test_zero_cases_empty_report(self, tmp_path):
         config = {"command": "bayes-check", "name": "empty", "seed": 0, "cases": 0}

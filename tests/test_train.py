@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +12,30 @@ from open_rebalance.data import (
     gen_gaussian_classes,
     gen_ood_pool,
 )
-from open_rebalance.nn import MlpParams, init_optim_state, sgd_step, softmax_xent, backward, forward
-from open_rebalance.priors import ClassWeights, LabelDistributionKind, mcd, prior_from_counts
+from open_rebalance import metrics, train
+from open_rebalance.nn import (
+    LrSchedule,
+    MlpParams,
+    backward,
+    balanced_softmax_xent,
+    forward,
+    init_optim_state,
+    init_params,
+    lr_at,
+    oe_prior_xent,
+    sgd_step,
+    softmax_xent,
+)
+from open_rebalance.priors import (
+    ClassWeights,
+    LabelDistributionKind,
+    cb_effective_weights,
+    complementary,
+    default_alpha,
+    label_distribution,
+    mcd,
+    prior_from_counts,
+)
 from open_rebalance.train import (
     TrainConfig,
     default_schedule,
@@ -183,6 +207,10 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.eta == 1.5 and cfg.method == "open-sampling"
 
+    def test_schedule_shorter_than_epochs(self):
+        with pytest.raises(ValueError, match="schedule covers 5 < 20 epochs"):
+            TrainConfig(epochs=20, schedule=LrSchedule(0, (), 0.1, 5))
+
 
 class TestTrainRun:
     def test_reduction_standard(self):
@@ -239,6 +267,15 @@ class TestTrainRun:
         other = gen_gaussian_classes(4, 2, [5] * 4, 2.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             train_run(TrainConfig(method="standard", epochs=1), train_ds, other)
+
+    def test_zero_count_class_rejected_before_training(self):
+        train_ds = LabeledDataset(
+            features=np.ones((3, 2)), labels=np.array([0, 0, 2]), num_classes=3
+        )
+        for method in ("balanced-softmax", "balanced-softmax+open-sampling"):
+            cfg = TrainConfig(method=method, epochs=0, hidden_dim=0)
+            with pytest.raises(ValueError, match="zero-count"):
+                train_run(cfg, train_ds, train_ds, AuxiliaryPool(np.ones((2, 2)), "gaussian"))
 
     def test_aux_dim_mismatch(self):
         train_ds, test_ds, _ = small_task(d=2)
@@ -336,3 +373,190 @@ class TestDefaultSchedule:
     def test_short_runs(self):
         sched = default_schedule(5)
         assert sched.milestones == ()
+
+
+def _combine(base_grads, aux_grads, eta):
+    if eta == 0.0:
+        return base_grads
+    return tuple(
+        (gw + eta * aw, gb + eta * ab) for (gw, gb), (aw, ab) in zip(base_grads, aux_grads)
+    )
+
+
+def _reference_forward(params, x):
+    h = x
+    for w, b in params.layers[:-1]:
+        h = np.maximum(h @ w + b, 0.0)
+    w, b = params.layers[-1]
+    return h @ w + b
+
+
+def _reference_log_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _reference_xent(logits, labels, sample_weights=None):
+    assert np.all(np.isfinite(logits))
+    batch = logits.shape[0]
+    w = np.ones(batch) if sample_weights is None else sample_weights
+    logp = _reference_log_softmax(logits)
+    rows = np.arange(batch)
+    loss = float(np.mean(w * -logp[rows, labels]))
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    grad *= (w / batch)[:, None]
+    return loss, grad
+
+
+def _reference_oe_xent(logits, p):
+    logp = _reference_log_softmax(logits)
+    return float(np.mean(-(logp @ p))), (np.exp(logp) - p) / logits.shape[0]
+
+
+def _reference_backward(params, x, g):
+    acts, pres, h = [x], [], x
+    for w, b in params.layers[:-1]:
+        pres.append(h @ w + b)
+        h = np.maximum(pres[-1], 0.0)
+        acts.append(h)
+    grads = []
+    for i in reversed(range(len(params.layers))):
+        grads.append((acts[i].T @ g, g.sum(axis=0)))
+        if i > 0:
+            g = (g @ params.layers[i][0].T) * (pres[i - 1] > 0.0)
+    return tuple(reversed(grads))
+
+
+def _reference_sgd_step(params, grads, state, lr):
+    layers, vel = [], []
+    for (w, b), (gw, gb), (vw, vb) in zip(params.layers, grads, state.velocity):
+        vw2 = state.momentum * vw + (gw + state.weight_decay * w)
+        vb2 = state.momentum * vb + (gb + state.weight_decay * b)
+        layers.append((w - lr * vw2, b - lr * vb2))
+        vel.append((vw2, vb2))
+    return replace(params, layers=tuple(layers)), replace(state, velocity=tuple(vel))
+
+
+# The public nn API, and the kernels as they were before nn gained private
+# cores (fresh arrays every step, np.mean, a backward that recomputes the
+# forward pass), written out here so that they share no code with nn.
+KERNELS = {
+    "public": SimpleNamespace(
+        forward=forward, xent=softmax_xent, oe_xent=oe_prior_xent,
+        balanced_xent=balanced_softmax_xent, backward=backward, sgd_step=sgd_step,
+    ),
+    "reference": SimpleNamespace(
+        forward=_reference_forward, xent=_reference_xent, oe_xent=_reference_oe_xent,
+        balanced_xent=lambda z, y, prior: _reference_xent(z + np.log(prior.counts.astype(float)), y),
+        backward=_reference_backward, sgd_step=_reference_sgd_step,
+    ),
+}
+
+
+def reference_run(config, train_ds, test_ds, aux, nn):
+    """The per-minibatch-dispatch training loop, step by step.
+
+    Each step runs forward -> loss -> backward -> combine -> sgd_step and
+    allocates fresh parameters; train_run must match it bit for bit.
+    """
+    prior = train_ds.prior()
+    schedule = config.schedule or default_schedule(config.epochs)
+    shuffle_rng = np.random.default_rng([config.seed, 0])
+    aux_rng = np.random.default_rng([config.seed, 1])
+    params = init_params(train_ds.dim, config.hidden_dim, train_ds.num_classes,
+                         np.random.default_rng([config.seed, 2]))
+    state = init_optim_state(params, config.momentum, config.weight_decay)
+    method = config.method
+    needs_aux = method in ("open-sampling", "oe", "balanced-softmax+open-sampling")
+    relabels = method in ("open-sampling", "balanced-softmax+open-sampling")
+    if relabels:
+        kind = config.label_dist or LabelDistributionKind.complementary(config.alpha)
+        gammas = label_distribution(kind, prior)
+        omegas = gammas * prior.num_classes if config.use_class_weights else np.ones(prior.num_classes)
+        pool_labels = sample_aux_labels(gammas, len(aux), aux_rng) if config.fixed_labels else None
+    m_aux = config.batch_aux or config.batch_train
+    history = []
+    for epoch in range(config.epochs):
+        lr = lr_at(schedule, epoch, config.base_lr)
+        perm = shuffle_rng.permutation(len(train_ds))
+        sums = np.zeros(3)
+        n_batches = 0
+        for start in range(0, len(train_ds), config.batch_train):
+            idx = perm[start : start + config.batch_train]
+            bx, by = train_ds.features[idx], train_ds.labels[idx]
+            if method.startswith("balanced-softmax"):
+                base_loss, gl = nn.balanced_xent(nn.forward(params, bx), by, prior)
+            elif method == "cb-rw":
+                cb = cb_effective_weights(prior, config.beta_cb).omegas
+                base_loss, gl = nn.xent(nn.forward(params, bx), by, cb[by])
+            else:
+                base_loss, gl = nn.xent(nn.forward(params, bx), by)
+            grads = nn.backward(params, bx, gl)
+            aux_loss = 0.0
+            if needs_aux:
+                aidx = aux_rng.integers(0, len(aux), size=m_aux)
+                ax = aux.features[aidx]
+                if relabels:
+                    if pool_labels is not None:
+                        ay = pool_labels[aidx]
+                    else:
+                        ay = sample_aux_labels(gammas, m_aux, aux_rng)
+                    aux_loss, agl = nn.xent(nn.forward(params, ax), ay, omegas[ay])
+                else:
+                    aux_loss, agl = nn.oe_xent(nn.forward(params, ax), prior.betas)
+                grads = _combine(grads, nn.backward(params, ax, agl), config.eta)
+            params, state = nn.sgd_step(params, grads, state, lr)
+            total = base_loss + config.eta * aux_loss if needs_aux else base_loss
+            sums += (total, base_loss, aux_loss)
+            n_batches += 1
+        report = metrics.accuracy(params, test_ds)
+        history.append(train.EpochRecord(
+            epoch=epoch, lr=lr,
+            train_loss=float(sums[0] / n_batches),
+            base_loss=float(sums[1] / n_batches),
+            aux_loss=float(sums[2] / n_batches),
+            test_overall_acc=report.overall_acc,
+            test_per_class_acc=tuple(report.per_class_acc.tolist()),
+        ))
+    return params, tuple(history)
+
+
+EQUIVALENCE_CASES = [{"method": m} for m in train.METHODS] + [
+    {"method": "open-sampling", "fixed_labels": True},
+    {"method": "open-sampling", "eta": 0.0},
+    {"method": "oe", "eta": 0.0},
+    {"method": "balanced-softmax+open-sampling", "label_dist": LabelDistributionKind.mcd()},
+    {"method": "open-sampling", "use_class_weights": False, "batch_aux": 7, "alpha": 0.9},
+    # Single-row batches take OpenBLAS's matrix-vector path.
+    {"method": "oe", "batch_train": 43, "batch_aux": 1},
+]
+
+
+class TestSingleStepEquivalence:
+    @pytest.mark.parametrize("kernels", sorted(KERNELS))
+    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("case", EQUIVALENCE_CASES, ids=lambda c: "-".join(map(str, c.values())))
+    def test_bit_identical_to_reference_loop(self, case, hidden, kernels):
+        # 44 training samples: every epoch ends on a ragged batch.
+        train_ds, test_ds, pool = small_task()
+        assert len(train_ds) % (case.get("batch_train", 32)) != 0
+        cfg = TrainConfig(epochs=4, seed=6, hidden_dim=hidden, **case)
+        result = train_run(cfg, train_ds, test_ds, pool)
+        ref_params, ref_history = reference_run(cfg, train_ds, test_ds, pool, KERNELS[kernels])
+        assert result.history == ref_history
+        for (w1, b1), (w2, b2) in zip(result.final_params.layers, ref_params.layers):
+            assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+
+    def test_precomputed_cdf_draws_match_sample_aux_labels(self):
+        prior = prior_from_counts([30, 10, 4])
+        cfg = TrainConfig(method="open-sampling", epochs=1)
+        spec = train._loss_spec(cfg, prior, 300, np.random.default_rng(0))
+        gammas = complementary(prior, default_alpha(prior)).gammas
+        fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+        for m in (1, 7, 32):
+            aidx = fast.integers(0, 300, size=m)
+            assert np.array_equal(slow.integers(0, 300, size=m), aidx)
+            drawn = spec.aux_labels(aidx, fast)
+            np.testing.assert_array_equal(drawn, sample_aux_labels(gammas, m, slow))
+            assert fast.bit_generator.state == slow.bit_generator.state
