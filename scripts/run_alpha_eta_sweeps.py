@@ -38,7 +38,6 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("results/sweeps"))
     parser.add_argument("--epochs", type=int, default=120)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -67,7 +66,7 @@ def main():
         **common,
     }
     run(["sweep", "--config", write(args.out / "eta.json", eta_sweep),
-         "--out", str(args.out), "--jobs", str(args.jobs)])
+         "--out", str(args.out)])
     show(args.out / "eta_sweep.csv", "eta")
 
     alpha_sweep = {
@@ -78,7 +77,7 @@ def main():
         **common,
     }
     run(["sweep", "--config", write(args.out / "alpha.json", alpha_sweep),
-         "--out", str(args.out), "--jobs", str(args.jobs)])
+         "--out", str(args.out)])
     show(args.out / "alpha_sweep.csv", "alpha")
 
 

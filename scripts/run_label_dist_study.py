@@ -30,7 +30,6 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("results/label_dist"))
     parser.add_argument("--epochs", type=int, default=120)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -61,7 +60,7 @@ def main():
         "group_thresholds": [20, 100],
     }
     run(["sweep", "--config", write(args.out / "sweep.json", sweep),
-         "--out", str(args.out), "--jobs", str(args.jobs)])
+         "--out", str(args.out)])
 
     baseline = {
         "command": "train", "name": "standard",
@@ -72,7 +71,7 @@ def main():
         "seeds": args.seeds,
     }
     run(["train", "--config", write(args.out / "baseline.json", baseline),
-         "--out", str(args.out), "--jobs", str(args.jobs)])
+         "--out", str(args.out)])
 
     print("\nlabel distribution     mean acc   (std)")
     with open(args.out / "labels_sweep.csv", newline="") as f:

@@ -39,7 +39,6 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("results/pools"))
     parser.add_argument("--epochs", type=int, default=120)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -72,7 +71,7 @@ def main():
             "seeds": args.seeds,
         }
         run(["train", "--config", write(args.out / f"train_{kind}.json", train_cfg),
-             "--out", str(args.out), "--jobs", str(args.jobs)])
+             "--out", str(args.out)])
         print(f"{kind:<17s} {mean_acc(args.out, f'by_{kind}', args.seeds):.3f}")
 
     for fixed in (False, True):
@@ -89,7 +88,7 @@ def main():
             "seeds": args.seeds,
         }
         run(["sweep", "--config", write(args.out / f"size_{tag}.json", size_sweep),
-             "--out", str(args.out), "--jobs", str(args.jobs)])
+             "--out", str(args.out)])
         print(f"\npool size ({tag} labels)   mean acc   (std)")
         with open(args.out / f"size_{tag}_sweep.csv", newline="") as f:
             for row in csv.DictReader(f):

@@ -30,6 +30,13 @@ from .data import (
 from .nn import LrSchedule, MlpParams, OptimState, forward, grad_check, lr_at
 from .oracle import DiscreteJoint, OodMarginal, bayes_predict, mix, bayes_invariance_check
 from .metrics import MetricsReport, accuracy, aupr, auroc, fpr_at_95_tpr, msp_scores
-from .train import RunResult, TrainConfig, open_sampling_step, sample_aux_labels, train_run
+from .train import (
+    RunResult,
+    TrainConfig,
+    open_sampling_step,
+    sample_aux_labels,
+    train_run,
+    train_runs,
+)
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ import hashlib
 import json
 import math
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +128,7 @@ def _build_pool(spec: dict, dim: int, base_seed: int, class_means, base_dir: Pat
     )
 
 
-def cmd_synth(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
+def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
     _check_keys(
         config,
         "synth",
@@ -319,7 +317,7 @@ def _epoch_rows(result, chash):
     return rows
 
 
-def cmd_train(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
+def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
     _check_keys(
         config,
         "train",
@@ -335,12 +333,13 @@ def cmd_train(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
     if not seeds:
         raise ConfigError("train: seeds must be non-empty")
 
-    def one(seed: int):
-        cfg = _parse_train_config(config["train"], hidden, seed)
-        return train.train_run(cfg, train_ds, test_ds, aux)
-
     failures = []
-    results = _run_parallel(one, seeds, jobs, failures, label=lambda s: f"{name}_seed{s}")
+    results = _train_points(
+        seeds,
+        lambda seed: (_parse_train_config(config["train"], hidden, seed), aux),
+        lambda seed: f"{name}_seed{seed}",
+        train_ds, test_ds, failures,
+    )
     k = train_ds.num_classes
     header = (
         ["epoch", "lr", "total_loss", "base_loss", "aux_loss", "overall_acc"]
@@ -390,7 +389,7 @@ def _apply_grid_value(section: dict, param: str, value):
     return updated
 
 
-def cmd_sweep(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
+def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
     _check_keys(
         config,
         "sweep",
@@ -417,23 +416,24 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
 
     points = [(value, seed) for value in values for seed in seeds]
 
-    def one(point):
+    def prepare(point):
         value, seed = point
         pool = aux
         if param == "aux_size":
             size = int(value)
             if pool is None or size < 1 or size > len(pool):
                 raise ValueError(f"aux_size {size} not available (pool of {0 if pool is None else len(pool)})")
+            # A row prefix of the pool, so every aux_size trains in one stack.
             pool = data.AuxiliaryPool(features=pool.features[:size], kind=pool.kind)
             section = config["train"]
         else:
             section = _apply_grid_value(config["train"], param, value)
-        cfg = _parse_train_config(section, hidden, seed)
-        return train.train_run(cfg, train_ds, test_ds, pool)
+        return _parse_train_config(section, hidden, seed), pool
 
     failures = []
-    results = _run_parallel(
-        one, points, jobs, failures, label=lambda p: f"{name}[{param}={p[0]},seed={p[1]}]"
+    results = _train_points(
+        points, prepare, lambda p: f"{name}[{param}={p[0]},seed={p[1]}]",
+        train_ds, test_ds, failures,
     )
 
     header = ["param", "value", "seed", "overall_acc", "few_acc", "mean_acc", "std_acc", "config_hash"]
@@ -466,7 +466,7 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
 # eval-ood
 
 
-def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
+def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
     _check_keys(
         config,
         "eval-ood",
@@ -528,7 +528,7 @@ def _constructed_toxic_case():
     return source, ood
 
 
-def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> list:
+def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
     _check_keys(
         config,
         "bayes-check",
@@ -636,25 +636,33 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path, jobs: int) -> l
 # driver
 
 
-def _run_parallel(fn, items, jobs, failures, label):
-    """Run fn over items preserving order; failures collect (label, error)."""
-    results = [None] * len(items)
+def _train_points(points, prepare, label, train_ds, test_ds, failures) -> list:
+    """Train every point's run in one batched call; results keep point order.
 
-    def guarded(i_item):
-        i, item = i_item
-        t0 = time.perf_counter()
+    prepare(point) gives the point's (TrainConfig, pool). A point that fails
+    to prepare or to train adds (label, error) to failures and gives None.
+    """
+    outcomes = []
+    for point in points:
         try:
-            results[i] = fn(item)
-            _log(f"{label(item)}: done in {time.perf_counter() - t0:.2f}s")
+            outcomes.append(prepare(point))
         except Exception as exc:  # noqa: BLE001 - enumerate per-run failures
-            failures.append((label(item), str(exc)))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(guarded, enumerate(items)))
-    else:
-        for pair in enumerate(items):
-            guarded(pair)
+            outcomes.append(exc)
+    ready = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    trained = train.train_runs(
+        [outcomes[i][0] for i in ready], train_ds, test_ds, [outcomes[i][1] for i in ready]
+    )
+    for i, result in zip(ready, trained):
+        outcomes[i] = result
+    results = []
+    for point, outcome in zip(points, outcomes):
+        if isinstance(outcome, Exception):
+            failures.append((label(point), str(outcome)))
+            outcome = None
+        else:
+            # Runs batched together start and finish together.
+            _log(f"{label(point)}: done in {outcome.wall_time:.2f}s")
+        results.append(outcome)
     return results
 
 
@@ -683,7 +691,6 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     args = parser.parse_args(argv)
 
@@ -691,7 +698,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config, args.command)
         args.out.mkdir(parents=True, exist_ok=True)
         failures = _HANDLERS[args.command](
-            config, base_dir=args.config.parent, out_dir=args.out, jobs=max(1, args.jobs)
+            config, base_dir=args.config.parent, out_dir=args.out
         )
     except (ConfigError, data.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,8 @@ are bit-identical. Datasets and pools are treated as immutable once built.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 
@@ -316,30 +318,40 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
 
 
 def read_dataset(path) -> LabeledDataset:
-    """Read the native dataset format; round-trips write_dataset bit-exactly."""
+    """Read the native dataset format; round-trips write_dataset bit-exactly.
+
+    The file is sized up front and read straight into the returned arrays,
+    so memory peaks at the data size, not twice it.
+    """
+    head = len(DATASET_MAGIC) + 12
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(DATASET_MAGIC) + 12:
-        raise FormatError(f"{path}: short read in header")
-    if blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a dataset file")
-    n, d, k = struct.unpack_from("<III", blob, len(DATASET_MAGIC))
-    if n == 0 or d == 0 or k == 0:
-        raise FormatError(f"{path}: invalid header N={n} d={d} K={k}")
-    offset = len(DATASET_MAGIC) + 12
-    expected = offset + n * d * 8 + n * 4
-    if len(blob) < expected:
-        raise FormatError(f"{path}: short read, expected {expected} bytes, got {len(blob)}")
-    if len(blob) > expected:
-        raise FormatError(f"{path}: trailing bytes after {expected}")
-    features = np.frombuffer(blob, dtype="<f8", count=n * d, offset=offset)
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset + n * d * 8)
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(head)
+        if len(header) < head:
+            raise FormatError(f"{path}: short read in header")
+        if header[: len(DATASET_MAGIC)] != DATASET_MAGIC:
+            raise FormatError(f"{path}: bad magic, not a dataset file")
+        n, d, k = struct.unpack_from("<III", header, len(DATASET_MAGIC))
+        if n == 0 or d == 0 or k == 0:
+            raise FormatError(f"{path}: invalid header N={n} d={d} K={k}")
+        expected = head + n * d * 8 + n * 4
+        if size < expected:
+            raise FormatError(f"{path}: short read, expected {expected} bytes, got {size}")
+        if size > expected:
+            raise FormatError(f"{path}: trailing bytes after {expected}")
+        # Features live in an anonymous mapping, not on the malloc heap, so
+        # dropping the dataset returns the memory to the OS at once rather
+        # than leaving a free block that later small allocations pin.
+        features = mmap.mmap(-1, n * d * 8)
+        labels = np.empty(n, dtype="<u4")
+        got = head + f.readinto(features) + f.readinto(labels)
+        if got != expected:
+            raise FormatError(f"{path}: short read, expected {expected} bytes, got {got}")
     labels = labels.astype(np.int64)
     if labels.max() >= k:
         raise FormatError(f"{path}: label {int(labels.max())} out of range for K={k}")
-    return LabeledDataset(
-        features=features.reshape(n, d).copy(), labels=labels, num_classes=int(k)
-    )
+    features = np.frombuffer(features, dtype="<f8").reshape(n, d)
+    return LabeledDataset(features=features, labels=labels, num_classes=int(k))
 
 
 def write_pool(pool: AuxiliaryPool, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpParams, forward, _log_softmax
+from .nn import MlpParams, _check_batch, _forward, _log_softmax, forward
 
 __all__ = [
     "MetricsReport",
@@ -34,18 +34,24 @@ class MetricsReport:
     per_class_acc: np.ndarray
 
 
+def _accuracies(layers, features, labels, num_classes: int):
+    """Overall and per-class accuracy of one model, or of each model in a stack."""
+    correct = np.argmax(_forward(layers, features)[0], axis=-1) == labels
+    per_class = np.full(correct.shape[:-1] + (num_classes,), np.nan)
+    for j in range(num_classes):
+        mask = labels == j
+        if mask.any():
+            per_class[..., j] = correct[..., mask].mean(axis=-1)
+    return correct.mean(axis=-1), per_class
+
+
 def accuracy(params: MlpParams, dataset) -> MetricsReport:
     """Argmax-of-logits accuracy, overall and per class (ties to lowest index)."""
     if dataset.num_classes != params.num_classes:
         raise ValueError("dataset and model disagree on the number of classes")
-    preds = np.argmax(forward(params, dataset.features), axis=1)
-    correct = preds == dataset.labels
-    per_class = np.full(dataset.num_classes, np.nan)
-    for j in range(dataset.num_classes):
-        mask = dataset.labels == j
-        if mask.any():
-            per_class[j] = float(correct[mask].mean())
-    return MetricsReport(overall_acc=float(correct.mean()), per_class_acc=per_class)
+    features = _check_batch(params, dataset.features)
+    overall, per_class = _accuracies(params.layers, features, dataset.labels, dataset.num_classes)
+    return MetricsReport(overall_acc=float(overall), per_class_acc=per_class)
 
 
 def msp_scores(params: MlpParams, features) -> np.ndarray:

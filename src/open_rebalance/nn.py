@@ -4,6 +4,8 @@ Linear softmax or one hidden rectifier layer, 64-bit floats throughout,
 SGD with momentum and weight decay, and a warmup + step learning-rate
 schedule. Public functions validate and return fresh values; the training
 step calls their unvalidated private cores, updating its own arrays in place.
+The cores also take a stack of S models: (S, d, h) weights, (S, 1, h) biases
+and (S, B, d) batches, computed slice by slice exactly as one model would be.
 """
 
 from __future__ import annotations
@@ -148,23 +150,24 @@ def forward(params: MlpParams, batch) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _xent(logits, labels, weights=None):
-    # sum / B rounds exactly as np.mean does, without its per-call overhead.
+    # Mean over the batch axis, one loss per model; sum / B rounds exactly as
+    # np.mean does. Unit weights round exactly as no weights.
     logp = _log_softmax(logits)
-    batch = logits.shape[0]
-    rows = np.arange(batch)
-    picked = -logp[rows, labels]
+    batch, k = logits.shape[-2:]
+    hit = (np.arange(labels.size), labels.ravel())
+    picked = -logp.reshape(-1, k)[hit].reshape(labels.shape)
     grad = np.exp(logp)
-    grad[rows, labels] -= 1.0
+    grad.reshape(-1, k)[hit] -= 1.0
     if weights is None:
         grad *= 1.0 / batch
-        return float(picked.sum()) / batch, grad
-    grad *= (weights / batch)[:, None]
-    return float((weights * picked).sum()) / batch, grad
+        return picked.sum(axis=-1) / batch, grad
+    grad *= (weights / batch)[..., None]
+    return (weights * picked).sum(axis=-1) / batch, grad
 
 
 def softmax_xent(logits, labels, sample_weights=None):
@@ -186,7 +189,8 @@ def softmax_xent(logits, labels, sample_weights=None):
         w = np.asarray(sample_weights, dtype=np.float64)
         if np.any(w < 0):
             raise ValueError("sample weights must be non-negative")
-    return _xent(logits, labels, w)
+    loss, grad = _xent(logits, labels, w)
+    return float(loss), grad
 
 
 def balanced_softmax_xent(logits, labels, prior: ClassPrior):
@@ -200,8 +204,8 @@ def balanced_softmax_xent(logits, labels, prior: ClassPrior):
 
 def _prior_xent(logits, prior):
     logp = _log_softmax(logits)
-    batch = logits.shape[0]
-    return float((-(logp @ prior)).sum()) / batch, (np.exp(logp) - prior) / batch
+    batch = logits.shape[-2]
+    return (-(logp @ prior)).sum(axis=-1) / batch, (np.exp(logp) - prior) / batch
 
 
 def oe_prior_xent(logits, prior):
@@ -217,16 +221,18 @@ def oe_prior_xent(logits, prior):
     _check_finite(logits)
     if logits.shape[0] == 0:
         raise ValueError("empty batch")
-    return _prior_xent(logits, p)
+    loss, grad = _prior_xent(logits, p)
+    return float(loss), grad
 
 
 def _backward(layers, acts, g) -> tuple:
     # A unit's activation is positive exactly where its pre-activation is.
     grads = [None] * len(layers)
     for i in reversed(range(len(layers))):
-        grads[i] = (acts[i].T @ g, g.sum(axis=0))
+        w, b = layers[i]
+        grads[i] = (acts[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(b.shape))
         if i > 0:
-            g = (g @ layers[i][0].T) * (acts[i] > 0.0)
+            g = (g @ w.swapaxes(-1, -2)) * (acts[i] > 0.0)
     return tuple(grads)
 
 

@@ -5,12 +5,16 @@ uniformly from the open-set pool; auxiliary labels are resampled from the
 configured label distribution every iteration unless fixed for the run.
 Three independent RNG streams (shuffling, auxiliary draws, initialization)
 keep ablations bit-comparable: changing one knob touches exactly one stream.
+``train_runs`` trains many runs as stacked arrays, one stack per group of
+structurally alike runs; a run gives the same bits alone or in any batch.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -22,13 +26,11 @@ from .nn import (
     OptimState,
     _backward,
     _check_batch,
-    _check_finite,
     _forward,
     _log_counts,
     _prior_xent,
     _sgd_update,
     _xent,
-    init_optim_state,
     init_params,
     lr_at,
 )
@@ -50,6 +52,7 @@ __all__ = [
     "sample_aux_labels",
     "open_sampling_step",
     "train_run",
+    "train_runs",
 ]
 
 METHODS = (
@@ -128,6 +131,8 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A finished run; wall_time is that of the stack it trained in."""
+
     final_params: MlpParams
     history: tuple
     config: TrainConfig
@@ -152,8 +157,7 @@ def default_schedule(total_epochs: int) -> LrSchedule:
 
 
 def _draw_labels(cdf: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    labels = np.searchsorted(cdf, rng.random(m), side="right")
-    return np.minimum(labels, cdf.shape[0] - 1)
+    return np.minimum(cdf.searchsorted(rng.random(m), side="right"), cdf.shape[0] - 1)
 
 
 def sample_aux_labels(dist, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,29 +200,100 @@ class _LossSpec:
         return None if self.aux_cdf is None else _draw_labels(self.aux_cdf, aidx.shape[0], rng)
 
 
-def _step(layers, state: OptimState, spec: _LossSpec, lr: float, bx, by, ax, ay):
-    """One in-place SGD update on the spec's objective; returns (base, aux) losses."""
+class _Diverged(Exception):
+    """Some runs' logits went non-finite; ``runs`` masks them. No run was updated."""
+
+    def __init__(self, runs: np.ndarray):
+        super().__init__("non-finite logits")
+        self.runs = runs
+
+
+def _check_runs_finite(logits: np.ndarray) -> None:
+    # Training can diverge, so the step runs this on every batch.
+    if not np.isfinite(logits).all():
+        raise _Diverged(~np.isfinite(logits).all(axis=(-2, -1)))
+
+
+def _stack_rows(rows, fill: float):
+    """Stack per-run vectors, filling in for runs without one; None if none has one."""
+    present = next((r for r in rows if r is not None), None)
+    if present is None:
+        return None
+    return np.stack([np.full_like(present, fill) if r is None else r for r in rows])
+
+
+class _Stack:
+    """S runs' parameters, velocities and loss specs, stacked along axis 0.
+
+    Weights are (S, d, h) and biases (S, 1, h). The per-run spec fields become
+    vectors: eta, the base logit offset (zeros where a run has none), the
+    cb-rw base weights (ones where a run has none; unit weights round exactly
+    as no weights) and the aux omegas. All runs share the auxiliary loss kind
+    and the OE prior, which is the training set's.
+    """
+
+    def __init__(self, specs, layers, state: OptimState):
+        self.layers = layers
+        self.state = state
+        self.eta = np.array([spec.eta for spec in specs], dtype=np.float64)
+        self.has_offset = np.array([spec.base_offset is not None for spec in specs])
+        offset = _stack_rows([spec.base_offset for spec in specs], 0.0)
+        self.base_offset = None if offset is None else offset[:, None, :]
+        self.base_weights = _stack_rows([spec.base_weights for spec in specs], 1.0)
+        self.aux_omegas = _stack_rows([spec.aux_omegas for spec in specs], 1.0)
+        self.aux_prior = specs[0].aux_prior
+        self._index()
+
+    def _index(self):
+        # Adding a zero offset could turn a -0.0 logit into +0.0, and a zero
+        # eta times the aux gradient could do the same to a weight gradient,
+        # so both adds are masked to the runs that have a nonzero term.
+        self.rows = np.arange(self.eta.shape[0])[:, None]
+        self.offset_where = self.has_offset[:, None, None]
+        self.eta_where = (self.eta != 0.0)[:, None, None]
+        self.any_eta = bool(self.eta_where.any())
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the runs outside mask from every stacked array."""
+        self.layers = tuple((w[mask], b[mask]) for w, b in self.layers)
+        velocity = tuple((vw[mask], vb[mask]) for vw, vb in self.state.velocity)
+        self.state = replace(self.state, velocity=velocity)
+        self.eta, self.has_offset = self.eta[mask], self.has_offset[mask]
+        for name in ("base_offset", "base_weights", "aux_omegas"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[mask])
+        self._index()
+
+
+def _step(stack: _Stack, lr: float, bx, by, ax, ay):
+    """One in-place SGD update of every run in the stack on its spec's objective.
+
+    Batches are (S, B, d) with (S, B) labels. Returns the per-run (base, aux)
+    loss vectors, or raises _Diverged before any update.
+    """
+    layers = stack.layers
     logits, acts = _forward(layers, bx)
-    if spec.base_offset is not None:
-        logits = logits + spec.base_offset
-    _check_finite(logits)
-    weights = None if spec.base_weights is None else spec.base_weights[by]
+    if stack.base_offset is not None:
+        np.add(logits, stack.base_offset, out=logits, where=stack.offset_where)
+    _check_runs_finite(logits)
+    weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
     base_loss, g = _xent(logits, by, weights)
     grads = _backward(layers, acts, g)
-    aux_loss = 0.0
+    aux_loss = np.zeros_like(base_loss)
     if ax is not None:
         logits, acts = _forward(layers, ax)
-        _check_finite(logits)
-        if spec.aux_prior is not None:
-            aux_loss, g = _prior_xent(logits, spec.aux_prior)
+        _check_runs_finite(logits)
+        if stack.aux_prior is not None:
+            aux_loss, g = _prior_xent(logits, stack.aux_prior)
         else:
-            aux_loss, g = _xent(logits, ay, spec.aux_omegas[ay])
-        # eta == 0 must reproduce the base update bit-exactly, so skip the add.
-        if spec.eta != 0.0:
+            aux_loss, g = _xent(logits, ay, stack.aux_omegas[stack.rows, ay])
+        if stack.any_eta:
+            eta = stack.eta[:, None, None]
             for (gw, gb), (aw, ab) in zip(grads, _backward(layers, acts, g)):
-                gw += spec.eta * aw
-                gb += spec.eta * ab
-    _sgd_update(layers, grads, state, lr)
+                np.add(gw, eta * aw, out=gw, where=stack.eta_where)
+                np.add(gb, eta * ab, out=gb, where=stack.eta_where)
+    _sgd_update(layers, grads, stack.state, lr)
     return base_loss, aux_loss
 
 
@@ -258,12 +333,19 @@ def open_sampling_step(
     omegas = np.asarray(weights.omegas, dtype=np.float64)
     if np.any(omegas[aux_labels] < 0):
         raise ValueError("sample weights must be non-negative")
-    layers = tuple((w.copy(), b.copy()) for w, b in params.layers)
-    state = replace(state, velocity=tuple((vw.copy(), vb.copy()) for vw, vb in state.velocity))
-    spec = _LossSpec(eta=eta, aux_omegas=omegas)
-    base_loss, aux_loss = _step(layers, state, spec, lr, train_x, train_y, aux_x, aux_labels)
+    # The engine's step at S = 1, on copies the caller does not own.
+    layers = tuple((w[None].copy(), b[None, None].copy()) for w, b in params.layers)
+    velocity = tuple((vw[None].copy(), vb[None, None].copy()) for vw, vb in state.velocity)
+    stack = _Stack([_LossSpec(eta=eta, aux_omegas=omegas)], layers, replace(state, velocity=velocity))
+    try:
+        base, aux = _step(stack, lr, train_x[None], train_y[None], aux_x[None], aux_labels[None])
+    except _Diverged as exc:
+        raise ValueError(str(exc)) from None
+    base_loss, aux_loss = float(base[0]), float(aux[0])
     losses = StepLosses(base_loss, aux_loss, base_loss + eta * aux_loss)
-    return replace(params, layers=layers), state, losses
+    params = replace(params, layers=tuple((w[0], b[0, 0]) for w, b in stack.layers))
+    state = replace(state, velocity=tuple((vw[0], vb[0, 0]) for vw, vb in stack.state.velocity))
+    return params, state, losses
 
 
 def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) -> _LossSpec:
@@ -289,14 +371,23 @@ def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) 
     return _LossSpec(**spec)
 
 
-def train_run(
-    config: TrainConfig,
-    train: LabeledDataset,
-    test: LabeledDataset,
-    aux: AuxiliaryPool | None = None,
-) -> RunResult:
-    """Run the configured method; deterministic given the config seed."""
-    t0 = time.perf_counter()
+@dataclass
+class _Run:
+    """One run's own state in the engine: its RNG streams, spec and history."""
+
+    index: int
+    config: TrainConfig
+    spec: _LossSpec
+    params: MlpParams
+    shuffle_rng: np.random.Generator
+    aux_rng: np.random.Generator
+    pool: np.ndarray | None  # the auxiliary features this run draws from
+    history: list = field(default_factory=list)
+    error: ValueError | None = None
+
+
+def _start_run(index, config: TrainConfig, train: LabeledDataset, test: LabeledDataset, prior, aux):
+    """Validate one run and resolve its spec."""
     if test.num_classes != train.num_classes:
         raise ValueError("train and test disagree on the number of classes")
     needs_aux = config.method in _AUX_METHODS
@@ -304,65 +395,168 @@ def train_run(
         raise ValueError(f"method {config.method!r} requires an auxiliary pool")
     if aux is not None and aux.dim != train.dim:
         raise ValueError("auxiliary pool dimension does not match the training set")
-
-    schedule = config.schedule or default_schedule(config.epochs)
-    shuffle_rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE])
+    pool = np.asarray(aux.features, dtype=np.float64) if needs_aux else None
     aux_rng = np.random.default_rng([config.seed, _STREAM_AUX])
     init_rng = np.random.default_rng([config.seed, _STREAM_INIT])
+    return _Run(
+        index=index,
+        config=config,
+        spec=_loss_spec(config, prior, 0 if pool is None else len(pool), aux_rng),
+        params=init_params(train.dim, config.hidden_dim, train.num_classes, init_rng),
+        shuffle_rng=np.random.default_rng([config.seed, _STREAM_SHUFFLE]),
+        aux_rng=aux_rng,
+        pool=pool,
+    )
 
-    # The run owns these arrays; the step updates them in place.
-    params = init_params(train.dim, config.hidden_dim, train.num_classes, init_rng)
-    state = init_optim_state(params, config.momentum, config.weight_decay)
-    spec = _loss_spec(config, train.prior(), len(aux) if needs_aux else 0, aux_rng)
+
+def _group_key(run: _Run):
+    """What runs must share to train in one stack.
+
+    Runs with an auxiliary batch also need pools that are row prefixes of one
+    array (same start address and strides), so one gather serves them all.
+    """
+    config, pool = run.config, run.pool
+    aux = None
+    if pool is not None:
+        aux = (config.method in _RELABEL_METHODS, config.batch_aux or config.batch_train,
+               pool.__array_interface__["data"][0], pool.strides)
+    schedule = config.schedule or default_schedule(config.epochs)
+    return (config.hidden_dim, config.epochs, config.batch_train, schedule, config.base_lr,
+            config.momentum, config.weight_decay, aux)
+
+
+def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
+    """Train runs that share a group key as one stack, each with its own draws.
+
+    A run whose logits go non-finite gets its error and leaves the stack; the
+    others go on unchanged. Survivors get their final parameters.
+    """
+    config = runs[0].config
+    schedule = config.schedule or default_schedule(config.epochs)
+    depth = len(runs[0].params.layers)
+    layers = tuple(
+        (np.stack([r.params.layers[i][0] for r in runs]),
+         np.stack([r.params.layers[i][1] for r in runs])[:, None, :])
+        for i in range(depth)
+    )
+    velocity = tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in layers)
+    state = OptimState(velocity=velocity, momentum=config.momentum, weight_decay=config.weight_decay)
+    stack = _Stack([r.spec for r in runs], layers, state)
     features = np.asarray(train.features, dtype=np.float64)
-    pool = np.asarray(aux.features, dtype=np.float64) if needs_aux else None
-
+    test_x = np.asarray(test.features, dtype=np.float64)
     n = len(train)
     batch = config.batch_train
     m_aux = config.batch_aux or batch
-    last_loss = None
-    history = []
+    relabels = config.method in _RELABEL_METHODS
+    last_loss = np.full(len(runs), np.nan)
     for epoch in range(config.epochs):
         lr = lr_at(schedule, epoch, config.base_lr)
-        perm = shuffle_rng.permutation(n)
-        total_sum = base_sum = aux_sum = 0.0
-        n_batches = 0
-        for start in range(0, n, batch):
-            idx = perm[start : start + batch]
+        perms = np.array([r.shuffle_rng.permutation(n) for r in runs])
+        total_sum = base_sum = aux_sum = np.zeros(len(runs))
+        for step, start in enumerate(range(0, n, batch)):
+            idx = perms[:, start : start + batch]
+            bx, by = features[idx], train.labels[idx]
             ax = ay = None
-            if needs_aux:
-                aidx = aux_rng.integers(0, len(pool), size=m_aux)
-                ax, ay = pool[aidx], spec.aux_labels(aidx, aux_rng)
-            try:
-                base_loss, aux_loss = _step(
-                    params.layers, state, spec, lr, features[idx], train.labels[idx], ax, ay
+            if pool is not None:
+                aidx = np.array([r.aux_rng.integers(0, len(r.pool), size=m_aux) for r in runs])
+                ax = pool[aidx]
+                if relabels:
+                    ay = np.array([r.spec.aux_labels(a, r.aux_rng) for r, a in zip(runs, aidx)])
+            while True:
+                try:
+                    base_loss, aux_loss = _step(stack, lr, bx, by, ax, ay)
+                    break
+                except _Diverged as exc:
+                    for r, lost in zip(compress(runs, exc.runs), last_loss[exc.runs].tolist()):
+                        shown = None if math.isnan(lost) else lost
+                        r.error = ValueError(
+                            f"{exc} at epoch {epoch}, step {step} (last finite loss {shown})"
+                        )
+                    keep = ~exc.runs
+                    runs = list(compress(runs, keep))
+                    if not runs:
+                        return
+                    stack.keep(keep)
+                    perms, last_loss = perms[keep], last_loss[keep]
+                    total_sum, base_sum, aux_sum = total_sum[keep], base_sum[keep], aux_sum[keep]
+                    bx, by = bx[keep], by[keep]
+                    if ax is not None:
+                        ax = ax[keep]
+                    if ay is not None:
+                        ay = ay[keep]
+            total = base_loss + stack.eta * aux_loss
+            last_loss = np.where(np.isfinite(total), total, last_loss)
+            total_sum = total_sum + total
+            base_sum = base_sum + base_loss
+            aux_sum = aux_sum + aux_loss
+        n_batches = step + 1
+        overall, per_class = metrics._accuracies(stack.layers, test_x, test.labels, test.num_classes)
+        means = zip(*((x / n_batches).tolist() for x in (total_sum, base_sum, aux_sum)))
+        for r, (total_mean, base_mean, aux_mean), acc, per in zip(
+            runs, means, overall.tolist(), per_class.tolist()
+        ):
+            r.history.append(
+                EpochRecord(
+                    epoch=epoch,
+                    lr=lr,
+                    train_loss=total_mean,
+                    base_loss=base_mean,
+                    aux_loss=aux_mean,
+                    test_overall_acc=acc,
+                    test_per_class_acc=tuple(per),
                 )
-            except ValueError as exc:
-                raise ValueError(
-                    f"{exc} at epoch {epoch}, step {n_batches} (last finite loss {last_loss})"
-                ) from exc
-            last_loss = base_loss + spec.eta * aux_loss
-            total_sum += last_loss
-            base_sum += base_loss
-            aux_sum += aux_loss
-            n_batches += 1
-
-        report = metrics.accuracy(params, test)
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                train_loss=total_sum / n_batches,
-                base_loss=base_sum / n_batches,
-                aux_loss=aux_sum / n_batches,
-                test_overall_acc=report.overall_acc,
-                test_per_class_acc=tuple(report.per_class_acc.tolist()),
             )
-        )
+    for s, r in enumerate(runs):
+        layers = tuple((w[s].copy(), b[s, 0].copy()) for w, b in stack.layers)
+        r.params = replace(r.params, layers=layers)
 
-    return RunResult(
-        final_params=params,
-        history=tuple(history),
-        config=config,
-        wall_time=time.perf_counter() - t0,
-    )
+
+def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None) -> list:
+    """Train many runs at once; deterministic given each config's seed.
+
+    ``pools`` holds each config's auxiliary pool (or None), or is None when
+    no run has one. Runs that share a structural key (dims, hidden
+    width, batch sizes, epochs, LR schedule, momentum, weight decay and the
+    auxiliary kind) train as one stack, and each run's result is bit for bit
+    what it would be alone. Returns, in config order, each run's RunResult, or
+    the ValueError that stopped it: a bad setup or a divergence. A run's
+    wall_time is that of the stack it trained in.
+    """
+    configs = list(configs)
+    pools = [None] * len(configs) if pools is None else list(pools)
+    if len(pools) != len(configs):
+        raise ValueError(f"{len(pools)} pools for {len(configs)} configs")
+    prior = train.prior()
+    results = [None] * len(configs)
+    groups: dict = {}
+    for i, (config, aux) in enumerate(zip(configs, pools)):
+        try:
+            run = _start_run(i, config, train, test, prior, aux)
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        groups.setdefault(_group_key(run), []).append(run)
+    for runs in groups.values():
+        # Every pool in a group is a row prefix of the longest one.
+        pool = None if runs[0].pool is None else max((r.pool for r in runs), key=len)
+        t0 = time.perf_counter()
+        _train_group(list(runs), train, test, pool)
+        wall = time.perf_counter() - t0
+        for run in runs:
+            results[run.index] = run.error or RunResult(
+                final_params=run.params, history=tuple(run.history), config=run.config, wall_time=wall
+            )
+    return results
+
+
+def train_run(
+    config: TrainConfig,
+    train: LabeledDataset,
+    test: LabeledDataset,
+    aux: AuxiliaryPool | None = None,
+) -> RunResult:
+    """Run the configured method; deterministic given the config seed."""
+    result = train_runs([config], train, test, [aux])[0]
+    if isinstance(result, ValueError):
+        raise result
+    return result

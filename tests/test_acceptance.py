@@ -240,24 +240,29 @@ def battery():
         "original-prior": LabelDistributionKind.original_prior(),
         "fixed-smallest": LabelDistributionKind.fixed_class(),
     }
+    # Two batched calls: the standard seeds, then the 20 open-sampling runs,
+    # each with its own label distribution.
+    common = dict(
+        epochs=TASK["epochs"], hidden_dim=TASK["hidden_dim"], base_lr=TASK["base_lr"],
+        schedule=schedule,
+    )
+    standard = [
+        train.TrainConfig(method="standard", seed=seed, **common) for seed in TASK["seeds"]
+    ]
+    relabeled = [
+        train.TrainConfig(
+            method="open-sampling", eta=TASK["eta"], label_dist=kind, seed=seed, **common
+        )
+        for kind in list(variants.values())[1:]
+        for seed in TASK["seeds"]
+    ]
+    results = train.train_runs(standard, train_ds, test_ds) + train.train_runs(
+        relabeled, train_ds, test_ds, [pool] * len(relabeled)
+    )
     stats = {}
-    for name, kind in variants.items():
+    for i, name in enumerate(variants):
         overall, minority, auroc_vals = [], [], []
-        for seed in TASK["seeds"]:
-            if name == "standard":
-                cfg = train.TrainConfig(
-                    method="standard", epochs=TASK["epochs"], seed=seed,
-                    hidden_dim=TASK["hidden_dim"], base_lr=TASK["base_lr"],
-                    schedule=schedule,
-                )
-                result = train.train_run(cfg, train_ds, test_ds)
-            else:
-                cfg = train.TrainConfig(
-                    method="open-sampling", eta=TASK["eta"], label_dist=kind,
-                    epochs=TASK["epochs"], seed=seed, hidden_dim=TASK["hidden_dim"],
-                    base_lr=TASK["base_lr"], schedule=schedule,
-                )
-                result = train.train_run(cfg, train_ds, test_ds, pool)
+        for result in results[i * len(TASK["seeds"]) : (i + 1) * len(TASK["seeds"])]:
             final = result.history[-1]
             per_class = np.array(final.test_per_class_acc)
             overall.append(final.test_overall_acc)

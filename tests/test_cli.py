@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -162,6 +163,17 @@ class TestTrain:
             if ra[0] != "epoch":
                 assert ra[base_col] == rb[base_col] == rb[total_col]
 
+    @pytest.mark.parametrize("method", ["open-sampling", "standard"])
+    def test_seed_outputs_same_alone_or_batched(self, workspace, method):
+        alone = workspace / "alone"
+        batched = workspace / "batched"
+        for out, seeds in ((alone, (4,)), (batched, (3, 4, 5))):
+            cfg = write_config(workspace / "train.json", train_config(seeds=seeds, method=method))
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (alone / "run_seed4.osnn").read_bytes() == (batched / "run_seed4.osnn").read_bytes()
+        rows = [read_rows(out / "run_seed4_epochs.csv") for out in (alone, batched)]
+        assert [r[:-1] for r in rows[0]] == [r[:-1] for r in rows[1]]
+
     def test_missing_aux_rejected(self, workspace, capsys):
         config = train_config()
         del config["data"]["aux"]
@@ -188,7 +200,7 @@ class TestSweep:
             "seeds": [0, 1],
         }
         cfg = write_config(workspace / "sweep.json", config)
-        assert main(["sweep", "--config", str(cfg), "--out", str(workspace), "--jobs", "2"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 0
         rows = read_rows(workspace / "etas_sweep.csv")
         body = rows[1:]
         detail = [r for r in body if r[2] != ""]
@@ -267,6 +279,48 @@ class TestSweep:
             err,
         ), err
 
+
+    def test_divergent_point_fails_alone(self, tmp_path, capsys):
+        # The README task (K=5, d=16, 729 samples): eta = 1e12 overflows the
+        # loss several steps before the logits, so the last finite loss must
+        # be an earlier step's, and the stable point must not notice.
+        synth = synth_config(name="lt5", seed=1)
+        synth.update({"classes": 5, "dim": 16, "mean_radius": 1.8,
+                      "train": {"n_max": 500, "ratio": 100.0}, "test": {"per_class": 100},
+                      "aux": {"kind": "shifted-mixture", "size": 5000, "margin": 2.0,
+                              "clusters": 256}})
+        cfg = write_config(tmp_path / "synth.json", synth)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def sweep(name, values):
+            config = {
+                "command": "sweep",
+                "name": name,
+                "data": {"train": "lt5_train.osds", "test": "lt5_test.osds", "aux": "lt5_aux.osds"},
+                "model": {"hidden_dim": 8},
+                "train": {"method": "open-sampling", "epochs": 10, "base_lr": 0.01},
+                "grid": {"param": "eta", "values": values},
+                "seeds": [0],
+            }
+            path = write_config(tmp_path / f"{name}.json", config)
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+            return code, capsys.readouterr().err, read_rows(tmp_path / f"{name}_sweep.csv")
+
+        code, err, mixed = sweep("mixed", [0.5, 1e12])
+        assert code == 1
+        found = re.search(
+            r"failed: mixed\[eta=1000000000000.0,seed=0\]: non-finite logits at epoch \d+, "
+            r"step \d+ \(last finite loss (\S+)\)\n",
+            err,
+        )
+        assert found, err
+        assert math.isfinite(float(found.group(1)))
+        code, _, alone = sweep("alone", [0.5])
+        assert code == 0
+        # Every field but the config hash, which covers the grid values.
+        assert [r[:-1] for r in mixed] == [r[:-1] for r in alone]
+        assert len(alone) == 3 and alone[1][:3] == ["eta", "0.5", "0"]
 
 class TestEvalOod:
     @pytest.fixture

@@ -252,6 +252,42 @@ class TestNativeFormat:
         with pytest.raises(FormatError, match="trailing"):
             read_dataset(path)
 
+    def test_every_truncation_and_trailing_byte(self, tmp_path):
+        # The reader sizes the file and reads into preallocated arrays; each
+        # malformed length must still fail with the message it always had.
+        ds = LabeledDataset(
+            features=np.arange(6, dtype=np.float64).reshape(3, 2) - 2.5,
+            labels=np.array([1, 0, 1]),
+            num_classes=2,
+        )
+        path = tmp_path / "ds.osds"
+        write_dataset(ds, path)
+        blob = path.read_bytes()
+        head = len(DATASET_MAGIC) + 12
+        assert len(blob) == head + 3 * 2 * 8 + 3 * 4
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            if cut < head:
+                expect = f"{path}: short read in header"
+            else:
+                expect = f"{path}: short read, expected {len(blob)} bytes, got {cut}"
+            with pytest.raises(FormatError) as info:
+                read_dataset(path)
+            assert str(info.value) == expect
+        path.write_bytes(blob + b"\x00" * 3)
+        with pytest.raises(FormatError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}: trailing bytes after {len(blob)}"
+        path.write_bytes(blob[:-4] + struct.pack("<I", 2))
+        with pytest.raises(FormatError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}: label 2 out of range for K=2"
+        path.write_bytes(blob)
+        back = read_dataset(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tolist() == [1, 0, 1] and back.labels.dtype == np.int64
+        assert back.features.flags.c_contiguous and back.features.flags.writeable
+
     def test_pool_round_trip(self, tmp_path):
         pool = gen_ood_pool("gaussian", 7, 3, seed=2)
         path = tmp_path / "pool.osds"

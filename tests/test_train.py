@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -560,3 +561,83 @@ class TestSingleStepEquivalence:
             drawn = spec.aux_labels(aidx, fast)
             np.testing.assert_array_equal(drawn, sample_aux_labels(gammas, m, slow))
             assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _run_bytes(result):
+    return result.history, [(w.tobytes(), b.tobytes()) for w, b in result.final_params.layers]
+
+
+def _batch_cases(pool):
+    """(config, pool) pairs that fall into several stacks of mixed runs."""
+    prefix = lambda size: AuxiliaryPool(features=pool.features[:size], kind=pool.kind)
+    cases = []
+    for hidden in (0, 8):
+        for method in train.METHODS:
+            cases.append((TrainConfig(method=method, epochs=3, seed=1, hidden_dim=hidden), pool))
+    for eta in (0.0, 0.7, 0.0, 3.0):
+        cases.append((TrainConfig(method="open-sampling", eta=eta, epochs=3, seed=len(cases), hidden_dim=8), pool))
+    # Per-run label distributions and omegas inside the same stack.
+    for variant in (dict(alpha=2.0), dict(use_class_weights=False),
+                    dict(label_dist=LabelDistributionKind.uniform())):
+        cases.append((TrainConfig(method="open-sampling", epochs=3, seed=7, hidden_dim=8, **variant), pool))
+    for fixed in (True, False):
+        for size in (1, 40, 300):
+            cfg = TrainConfig(method="open-sampling", fixed_labels=fixed, epochs=3, seed=size, hidden_dim=8)
+            cases.append((cfg, prefix(size)))
+    cases.append((TrainConfig(method="oe", eta=0.0, epochs=3, seed=2, hidden_dim=8), prefix(7)))
+    # 44 training samples: a batch of 43 leaves a ragged last batch of one row.
+    for method in ("standard", "balanced-softmax", "open-sampling", "oe"):
+        cfg = TrainConfig(method=method, epochs=3, seed=3, hidden_dim=8, batch_train=43, batch_aux=1)
+        cases.append((cfg, pool))
+    cases.append((TrainConfig(method="balanced-softmax+open-sampling", epochs=3, seed=4, hidden_dim=0,
+                              batch_aux=1, label_dist=LabelDistributionKind.mcd()), pool))
+    return cases
+
+
+class TestBatchedRuns:
+    def test_batched_bit_identical_to_alone(self):
+        train_ds, test_ds, pool = small_task()
+        cases = _batch_cases(pool)
+        configs, pools = zip(*cases)
+        batched = train.train_runs(configs, train_ds, test_ds, pools)
+        assert len(batched) == len(cases)
+        for (cfg, aux), result in zip(cases, batched):
+            alone = train.train_runs([cfg], train_ds, test_ds, [aux])[0]
+            assert result.config == cfg
+            assert _run_bytes(result) == _run_bytes(alone), cfg
+            assert _run_bytes(train_run(cfg, train_ds, test_ds, aux)) == _run_bytes(alone)
+
+    def test_one_pool_per_config(self):
+        train_ds, test_ds, pool = small_task()
+        configs = [TrainConfig(method="oe", epochs=2, seed=s, hidden_dim=4) for s in range(3)]
+        with pytest.raises(ValueError, match="2 pools for 3 configs"):
+            train.train_runs(configs, train_ds, test_ds, [pool] * 2)
+        results = train.train_runs(configs, train_ds, test_ds)
+        assert all("requires an auxiliary pool" in str(r) for r in results)
+
+    def test_bad_setup_fails_only_its_run(self):
+        train_ds, test_ds, pool = small_task()
+        good = TrainConfig(method="standard", epochs=2, seed=5, hidden_dim=4)
+        needs_pool = TrainConfig(method="open-sampling", epochs=2, seed=5, hidden_dim=4)
+        results = train.train_runs([needs_pool, good], train_ds, test_ds, [None, pool])
+        assert isinstance(results[0], ValueError) and "auxiliary pool" in str(results[0])
+        assert _run_bytes(results[1]) == _run_bytes(train_run(good, train_ds, test_ds))
+
+    def test_divergent_run_leaves_the_stack(self):
+        train_ds, test_ds, pool = small_task()
+        common = dict(method="open-sampling", epochs=10, hidden_dim=4, base_lr=0.5)
+        configs = [TrainConfig(eta=0.5, seed=s, **common) for s in (0, 1)]
+        configs.insert(1, TrainConfig(eta=1e12, seed=9, **common))
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train.train_runs(configs, train_ds, test_ds, [pool] * 3)
+            with pytest.raises(ValueError) as alone:
+                train_run(configs[1], train_ds, test_ds, pool)
+        error = results[1]
+        assert isinstance(error, ValueError) and str(error) == str(alone.value)
+        found = re.fullmatch(
+            r"non-finite logits at epoch (\d+), step (\d+) \(last finite loss (.+)\)", str(error)
+        )
+        assert found, str(error)
+        assert math.isfinite(float(found.group(3)))
+        for cfg, result in zip(configs[::2], results[::2]):
+            assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds, pool))
