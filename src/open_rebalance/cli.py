@@ -567,11 +567,7 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
         source, ood = _constructed_toxic_case()
         flips, mass = oracle.toxicity_count(source, ood, 1.0, 10.0)
         mixed = oracle.mix(source, ood, 1.0, 10.0)
-        instances = [
-            int(x)
-            for x in source.support()
-            if oracle.bayes_predict(mixed, int(x)) != oracle.bayes_predict(source, int(x))
-        ]
+        instances = oracle.flipped_instances(source, mixed).tolist()
         random_flipped = 0
         total_flips = 0
         n_stress = int(spec["cases"])

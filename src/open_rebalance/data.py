@@ -235,12 +235,16 @@ def gen_ood_pool(
     if kind == "gaussian":
         features = float(sigma) * rng.standard_normal((size, dim))
     elif kind == "rademacher":
-        features = (2.0 * rng.integers(0, 2, size=(size, dim)) - 1.0).astype(np.float64)
+        features = 2.0 * rng.integers(0, 2, size=(size, dim)) - 1.0
     elif kind == "blobs":
-        noise = rng.random((size, dim))
-        smooth = uniform_filter1d(noise, size=int(window), axis=1, mode="nearest")
-        med = np.median(smooth, axis=1, keepdims=True)
-        features = np.where(smooth > med, float(high), float(low))
+        # The noise buffer takes the median's partition and then the result,
+        # so the smoothed copy is the only other full-size float array.
+        features = rng.random((size, dim))
+        smooth = uniform_filter1d(features, size=int(window), axis=1, mode="nearest")
+        features[...] = smooth
+        med = np.median(features, axis=1, keepdims=True, overwrite_input=True)
+        features.fill(float(low))
+        features[smooth > med] = float(high)
     elif kind == "shifted-mixture":
         if class_means is None:
             raise ValueError("shifted-mixture needs the in-distribution class means")
@@ -281,31 +285,33 @@ def read_cifar10_binary(paths) -> LabeledDataset:
 
     Pixels are scaled to [0, 1] as 64-bit floats.
     """
-    all_feats = []
-    all_labels = []
-    for path in paths:
-        with open(path, "rb") as f:
-            blob = f.read()
-        if len(blob) == 0 or len(blob) % CIFAR_RECORD != 0:
+    paths = list(paths)
+    if not paths:
+        raise ValueError("no input files given")
+    sizes = [os.stat(path).st_size for path in paths]
+    for path, size in zip(paths, sizes):
+        if size == 0 or size % CIFAR_RECORD != 0:
             raise FormatError(
-                f"{path}: length {len(blob)} is not a positive multiple of {CIFAR_RECORD}"
+                f"{path}: length {size} is not a positive multiple of {CIFAR_RECORD}"
             )
-        records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-        labels = records[:, 0].astype(np.int64)
-        bad = np.nonzero(labels > 9)[0]
+    # Sized once from the file lengths; each file's pixels are scaled
+    # straight into their rows, with no per-file float copy or concatenate.
+    n = sum(sizes) // CIFAR_RECORD
+    features = np.empty((n, CIFAR_DIM))
+    labels = np.empty(n, dtype=np.int64)
+    start = 0
+    for path in paths:
+        records = np.fromfile(path, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+        stop = start + len(records)
+        bad = np.nonzero(records[:, 0] > 9)[0]
         if bad.size:
             raise FormatError(
-                f"{path}: corrupt record {int(bad[0])}: label byte {int(labels[bad[0]])} > 9"
+                f"{path}: corrupt record {int(bad[0])}: label byte {int(records[bad[0], 0])} > 9"
             )
-        all_feats.append(records[:, 1:].astype(np.float64) / 255.0)
-        all_labels.append(labels)
-    if not all_feats:
-        raise ValueError("no input files given")
-    return LabeledDataset(
-        features=np.concatenate(all_feats),
-        labels=np.concatenate(all_labels),
-        num_classes=10,
-    )
+        labels[start:stop] = records[:, 0]
+        np.divide(records[:, 1:], 255.0, out=features[start:stop], dtype=np.float64)
+        start = stop
+    return LabeledDataset(features=features, labels=labels, num_classes=10)
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import FormatError
 from .priors import ClassPrior
 
 __all__ = [
@@ -320,35 +321,39 @@ def save_params(params: MlpParams, path) -> None:
 
 
 def load_params(path) -> MlpParams:
+    """Read the checkpoint format; any malformed file raises FormatError."""
     with open(path, "rb") as f:
         blob = f.read()
     head = len(CHECKPOINT_MAGIC)
     if len(blob) < head + 4 or blob[:head] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise FormatError(f"{path}: not a checkpoint file")
     (n_layers,) = struct.unpack_from("<I", blob, head)
     offset = head + 4
     layers = []
     for _ in range(n_layers):
         if len(blob) < offset + 8:
-            raise ValueError(f"{path}: truncated checkpoint")
+            raise FormatError(f"{path}: truncated checkpoint")
         rows, cols = struct.unpack_from("<II", blob, offset)
         offset += 8
         need = rows * cols * 8 + cols * 8
         if len(blob) < offset + need:
-            raise ValueError(f"{path}: truncated checkpoint")
+            raise FormatError(f"{path}: truncated checkpoint")
         w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
         offset += rows * cols * 8
         b = np.frombuffer(blob, dtype="<f8", count=cols, offset=offset)
         offset += cols * 8
         layers.append((w.copy(), b.copy()))
     if len(blob) != offset:
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
+        raise FormatError(f"{path}: trailing bytes in checkpoint")
     if len(layers) not in (1, 2):
-        raise ValueError(f"{path}: unsupported layer count {len(layers)}")
+        raise FormatError(f"{path}: unsupported layer count {len(layers)}")
     hidden = 0 if len(layers) == 1 else layers[0][0].shape[1]
-    return MlpParams(
-        layers=tuple(layers),
-        input_dim=layers[0][0].shape[0],
-        hidden_dim=int(hidden),
-        num_classes=int(layers[-1][0].shape[1]),
-    )
+    try:
+        return MlpParams(
+            layers=tuple(layers),
+            input_dim=layers[0][0].shape[0],
+            hidden_dim=int(hidden),
+            num_classes=int(layers[-1][0].shape[1]),
+        )
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None

@@ -18,6 +18,7 @@ __all__ = [
     "OodMarginal",
     "RebalancePoint",
     "bayes_predict",
+    "flipped_instances",
     "mix",
     "bayes_invariance_check",
     "toxicity_count",
@@ -39,7 +40,7 @@ class DiscreteJoint:
             raise ValueError("joint table must be 2-D (instances x classes)")
         if np.any(self.table < 0):
             raise ValueError("joint table entries must be non-negative")
-        if abs(self.table.sum() - 1.0) > 1e-12:
+        if not abs(self.table.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"joint table sums to {self.table.sum()}, expected 1")
 
     @property
@@ -75,23 +76,25 @@ class OodMarginal:
         for name, v in (("px", self.px), ("py", self.py)):
             if v.ndim != 1 or np.any(v < 0):
                 raise ValueError(f"{name} must be a non-negative vector")
-            if abs(v.sum() - 1.0) > 1e-12:
+            if not abs(v.sum() - 1.0) <= 1e-12:
                 raise ValueError(f"{name} sums to {v.sum()}, expected 1")
 
 
-def _argmax_banded(row: np.ndarray) -> int:
-    # Scores within TIE_BAND of the max count as tied; lowest index wins.
-    top = row.max()
-    return int(np.nonzero(row >= top - TIE_BAND * max(1.0, top))[0][0])
+def _bayes_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Bayes predictions for ``rows``: within TIE_BAND of the max, the lowest class."""
+    sub = table[rows]
+    mass = sub.sum(axis=1, keepdims=True)
+    empty = mass[:, 0] <= 0.0
+    if empty.any():
+        raise ValueError(f"instance {rows[empty.argmax()]} has zero mass: posterior undefined")
+    post = sub / mass
+    top = post.max(axis=1, keepdims=True)
+    return (post >= top - TIE_BAND * np.maximum(1.0, top)).argmax(axis=1)
 
 
 def bayes_predict(joint: DiscreteJoint, x: int) -> int:
     """argmax_y P(x, y), i.e. the Bayes prediction, ties to the lowest class."""
-    row = joint.table[x]
-    mass = row.sum()
-    if mass <= 0.0:
-        raise ValueError(f"instance {x} has zero mass: posterior undefined")
-    return _argmax_banded(row / mass)
+    return int(_bayes_rows(joint.table, [x])[0])
 
 
 def mix(source: DiscreteJoint, ood: OodMarginal, n: float, m: float) -> DiscreteJoint:
@@ -108,6 +111,18 @@ def mix(source: DiscreteJoint, ood: OodMarginal, n: float, m: float) -> Discrete
     return DiscreteJoint(table=out)
 
 
+def flipped_instances(source: DiscreteJoint, mixed: DiscreteJoint, before=None):
+    """Source-support instances, in order, whose Bayes prediction ``mixed`` moves.
+
+    ``before`` may hold the source's predictions on its support, to reuse them.
+    """
+    support = source.support()
+    after = _bayes_rows(mixed.table, support)
+    if before is None:
+        before = _bayes_rows(source.table, support)
+    return support[after != before]
+
+
 def bayes_invariance_check(source: DiscreteJoint, px, n: float, m: float):
     """Bayes-invariance check for uniformly labeled open-set mass.
 
@@ -117,26 +132,16 @@ def bayes_invariance_check(source: DiscreteJoint, px, n: float, m: float):
     px = np.asarray(px, dtype=np.float64)
     k = source.num_classes
     ood = OodMarginal(px=px, py=np.full(k, 1.0 / k))
-    mixed = mix(source, ood, n, m)
-    violations = [
-        int(x)
-        for x in source.support()
-        if bayes_predict(mixed, int(x)) != bayes_predict(source, int(x))
-    ]
+    violations = flipped_instances(source, mix(source, ood, n, m)).tolist()
     return len(violations) == 0, violations
 
 
-def toxicity_count(source: DiscreteJoint, ood: OodMarginal, n: float, m: float):
+def toxicity_count(source: DiscreteJoint, ood: OodMarginal, n: float, m: float, before=None):
     """How many source-support instances flip prediction, and their P_s mass."""
-    mixed = mix(source, ood, n, m)
-    px_source = source.instance_marginal()
-    flipped = 0
-    mass = 0.0
-    for x in source.support():
-        if bayes_predict(mixed, int(x)) != bayes_predict(source, int(x)):
-            flipped += 1
-            mass += float(px_source[x])
-    return flipped, mass
+    flipped = flipped_instances(source, mix(source, ood, n, m), before)
+    # A running total from 0.0 in support order; np.sum would sum pairwise.
+    terms = np.concatenate(([0.0], source.instance_marginal()[flipped]))
+    return int(flipped.size), float(np.add.accumulate(terms)[-1])
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,7 @@ def rebalance_curve(
     if not alphas or not aux_sizes:
         raise ValueError("alpha and m grids must be non-empty")
     px = np.asarray(px, dtype=np.float64)
+    before = _bayes_rows(source.table, source.support())
     rows = []
     for alpha in alphas:
         dist = complementary(prior, float(alpha))
@@ -172,10 +178,8 @@ def rebalance_curve(
             mixed = mixed_prior(prior, dist, m)
             low = mixed.min()
             ratio = float(mixed.max() / low) if low > 0 else float("inf")
-            if m == 0:
-                flipped, mass = 0, 0.0
-            else:
-                flipped, mass = toxicity_count(source, ood, prior.total, float(m))
+            flipped, mass = (0, 0.0) if m == 0 else toxicity_count(
+                source, ood, prior.total, float(m), before)
             rows.append(
                 RebalancePoint(
                     alpha=float(alpha),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.ndimage import uniform_filter1d
 
 from open_rebalance.data import (
     DATASET_MAGIC,
@@ -160,6 +161,29 @@ class TestOodPools:
         b = gen_ood_pool("gaussian", 64, 3, seed=11)
         np.testing.assert_array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("dim", [33, 40])
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
+    def test_bytes_match_direct_formula(self, kind, dim):
+        # Each kind written out as one plain expression over the same stream.
+        means = gaussian_class_means(3, dim, 2.0, 5)
+        pool = gen_ood_pool(
+            kind, 30, dim, seed=9, sigma=0.7, window=4, low=-0.5, high=2.0,
+            class_means=means, margin=3.0, clusters=4,
+        )
+        rng = np.random.default_rng([9, 0x00D])
+        if kind == "gaussian":
+            want = 0.7 * rng.standard_normal((30, dim))
+        elif kind == "rademacher":
+            want = (2.0 * rng.integers(0, 2, size=(30, dim)) - 1.0).astype(np.float64)
+        elif kind == "blobs":
+            smooth = uniform_filter1d(rng.random((30, dim)), size=4, axis=1, mode="nearest")
+            want = np.where(smooth > np.median(smooth, axis=1, keepdims=True), 2.0, -0.5)
+        else:
+            centers = shifted_mixture_centers(means, 3.0, 0.7, 4, rng)
+            want = centers[rng.integers(0, 4, size=30)] + 0.7 * rng.standard_normal((30, dim))
+        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
+        assert pool.features.tobytes() == want.tobytes()
+
 
 class TestCifarParser:
     def _record(self, label, fill):
@@ -195,6 +219,40 @@ class TestCifarParser:
         assert len(ds) == 3
         np.testing.assert_array_equal(ds.labels, [0, 1, 2])
 
+    def test_multi_file_matches_direct_formula(self, tmp_path):
+        rng = np.random.default_rng(21)
+        paths, parts = [], []
+        for i, n in enumerate((1, 4, 7)):
+            records = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            paths.append(tmp_path / f"batch{i}.bin")
+            records.tofile(paths[-1])
+            parts.append(records)
+        ds = read_cifar10_binary(paths)
+        records = np.concatenate(parts)
+        want = records[:, 1:].astype(np.float64) / 255.0
+        assert ds.features.dtype == want.dtype and ds.features.shape == want.shape
+        assert ds.features.tobytes() == want.tobytes()
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, records[:, 0])
+
+    def test_bad_length_in_any_file_fails_before_reading(self, tmp_path):
+        # Every length is checked before any file is read, so a later file's
+        # bad length is reported ahead of an earlier file's corrupt label.
+        corrupt = tmp_path / "corrupt.bin"
+        corrupt.write_bytes(self._record(10, 0))
+        for size in (0, 3072, 3074):
+            bad = tmp_path / f"bad{size}.bin"
+            bad.write_bytes(b"\x00" * size)
+            want = f"{bad}: length {size} is not a positive multiple of 3073"
+            with pytest.raises(FormatError) as info:
+                read_cifar10_binary([corrupt, bad])
+            assert str(info.value) == want
+
+    def test_no_files(self):
+        with pytest.raises(ValueError, match="no input files given"):
+            read_cifar10_binary([])
+
 
 class TestNativeFormat:
     def test_round_trip(self, tmp_path):
@@ -225,6 +283,34 @@ class TestNativeFormat:
         back = read_dataset(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+    def test_truncated_or_corrupted(self, tmp_path_factory, seed, data):
+        # Any strict prefix is rejected; a file with one byte changed is
+        # either rejected or reads back to a dataset that writes the same bytes.
+        rng = np.random.default_rng(seed)
+        ds = LabeledDataset(
+            features=rng.standard_normal((3, 2)), labels=rng.integers(0, 3, 3), num_classes=3
+        )
+        path = tmp_path_factory.mktemp("osds") / "ds.osds"
+        write_dataset(ds, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: data.draw(st.integers(min_value=0, max_value=len(blob) - 1))])
+        with pytest.raises(FormatError):
+            read_dataset(path)
+        corrupted = bytearray(blob)
+        corrupted[data.draw(st.integers(min_value=0, max_value=len(blob) - 1))] ^= data.draw(
+            st.integers(min_value=1, max_value=255)
+        )
+        path.write_bytes(bytes(corrupted))
+        try:
+            back = read_dataset(path)
+        except FormatError:
+            return
+        again = path.with_name("again.osds")
+        write_dataset(back, again)
+        assert again.read_bytes() == bytes(corrupted)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.osds"

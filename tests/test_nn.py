@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from open_rebalance.nn import (
     sgd_step,
     softmax_xent,
 )
+from open_rebalance.data import FormatError
 from open_rebalance.priors import prior_from_counts
 
 
@@ -264,6 +266,45 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_unchained_layers_rejected(self, tmp_path):
+        # Well-formed framing, but a 4x3 layer feeding a 2x5 one.
+        path = tmp_path / "model.osnn"
+        blob = b"OSNN1" + struct.pack("<I", 2)
+        for rows, cols in ((4, 3), (2, 5)):
+            blob += struct.pack("<II", rows, cols) + bytes(8 * (rows * cols + cols))
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="layer shapes do not chain"):
+            load_params(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hidden=st.sampled_from([0, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_truncated_or_corrupted(self, tmp_path_factory, hidden, seed, data):
+        # Any strict prefix is rejected; a file with one byte changed is
+        # either rejected or loads to parameters that save back to it.
+        path = tmp_path_factory.mktemp("osnn") / "model.osnn"
+        save_params(init_params(4, hidden, 3, np.random.default_rng(seed)), path)
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_params(path)
+        corrupted = bytearray(blob)
+        corrupted[data.draw(st.integers(min_value=0, max_value=len(blob) - 1))] ^= data.draw(
+            st.integers(min_value=1, max_value=255)
+        )
+        path.write_bytes(bytes(corrupted))
+        try:
+            params = load_params(path)
+        except FormatError:
+            return
+        again = path.with_name("again.osnn")
+        save_params(params, again)
+        assert again.read_bytes() == bytes(corrupted)
 
 
 class TestInit:

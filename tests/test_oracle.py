@@ -2,21 +2,51 @@ import numpy as np
 import pytest
 
 from open_rebalance.oracle import (
+    TIE_BAND,
     DiscreteJoint,
     OodMarginal,
     bayes_predict,
+    flipped_instances,
     mix,
     random_case,
     rebalance_curve,
     bayes_invariance_check,
     toxicity_count,
 )
-from open_rebalance.priors import prior_from_counts, required_aux_size
+from open_rebalance.priors import complementary, prior_from_counts, required_aux_size
 
 
 def random_joint(rng, s, k):
     table = rng.random((s, k))
     return DiscreteJoint(table=table / table.sum())
+
+
+def ref_predict(table, x):
+    # The per-instance banded argmax, one row at a time.
+    row = table[x]
+    mass = row.sum()
+    if mass <= 0.0:
+        raise ValueError(f"instance {x} has zero mass: posterior undefined")
+    post = row / mass
+    top = post.max()
+    return int(np.nonzero(post >= top - TIE_BAND * max(1.0, top))[0][0])
+
+
+def ref_flips(source, mixed):
+    return [
+        int(x)
+        for x in source.support()
+        if ref_predict(mixed.table, int(x)) != ref_predict(source.table, int(x))
+    ]
+
+
+def ref_toxicity(source, mixed):
+    px_source = source.instance_marginal()
+    flips = ref_flips(source, mixed)
+    mass = 0.0
+    for x in flips:
+        mass += float(px_source[x])
+    return len(flips), mass
 
 
 class TestBayesPredict:
@@ -180,3 +210,98 @@ class TestRebalanceCurve:
         prior, source, px = self._setup()
         with pytest.raises(ValueError):
             rebalance_curve(source, prior, px, [], [1])
+
+
+class TestVectorizedOracle:
+    """The whole-support flip mask against the per-instance reference loops."""
+
+    def test_random_cases_match_reference(self):
+        rng = np.random.default_rng(12)
+        toxic = many_flips = 0
+        for i in range(400):
+            source, px, n, m = random_case(rng, disjoint=bool(i % 2))
+            k = source.num_classes
+            uniform = mix(source, OodMarginal(px=px, py=np.full(k, 1.0 / k)), n, m)
+            ok, violations = bayes_invariance_check(source, px, n, m)
+            assert violations == ref_flips(source, uniform) and ok == (violations == [])
+            one_hot = np.zeros(k)
+            one_hot[int(rng.integers(0, k))] = 1.0
+            ood = OodMarginal(px=np.asarray(px), py=one_hot)
+            for scale in (1.0, 100.0):
+                mixed = mix(source, ood, n, m * scale)
+                want = ref_toxicity(source, mixed)
+                got = toxicity_count(source, ood, n, m * scale)
+                assert type(got[0]) is int and type(got[1]) is float
+                # Bitwise equal: the mass is a running total in support order.
+                assert got[0] == want[0] and got[1].hex() == want[1].hex(), (i, got, want)
+                assert flipped_instances(source, mixed).tolist() == ref_flips(source, mixed)
+                toxic += want[0] > 0
+                many_flips += want[0] >= 8
+            for joint in (source, uniform, mixed):
+                for x in range(joint.support_size):
+                    if joint.table[x].sum() > 0.0:
+                        assert bayes_predict(joint, x) == ref_predict(joint.table, x)
+        # The comparison is not vacuous; eight or more flipped terms is where
+        # a pairwise sum would part from the running total.
+        assert toxic > 200 and many_flips > 20
+
+    def test_rebalance_rows_match_reference(self):
+        rng = np.random.default_rng(13)
+        prior = prior_from_counts([500, 158, 50, 16, 5])
+        cond = rng.random((20, 5))
+        cond /= cond.sum(axis=0, keepdims=True)
+        source = DiscreteJoint(table=cond * prior.betas)
+        px = rng.random(20)
+        px /= px.sum()
+        alphas, sizes = [prior.max_beta, 0.8, 2.0], [0, 500, 20000, 1e6]
+        rows = rebalance_curve(source, prior, px, alphas, sizes)
+        want = [
+            (0, 0.0) if m == 0 else ref_toxicity(source, mix(source, ood, prior.total, m))
+            for ood in (OodMarginal(px=px, py=complementary(prior, a).gammas) for a in alphas)
+            for m in sizes
+        ]
+        assert [(r.flipped_count, r.flipped_mass.hex()) for r in rows] == [
+            (c, mass.hex()) for c, mass in want
+        ]
+        assert sum(c for c, _ in want) > 0
+
+    def test_tie_band_edges(self):
+        # Row masses are exactly 0.25, so each posterior is the row itself
+        # and the score beside the max sits exactly where it was put.
+        top = 0.5
+        edge = top - TIE_BAND * max(1.0, top)
+        at, inside, outside = edge, np.nextafter(edge, 1.0), np.nextafter(edge, 0.0)
+        rows = [[x, top, top - x] for x in (at, inside, outside)]
+        joint = DiscreteJoint(table=0.25 * np.array(rows + [[top, outside, top - outside]]))
+        for x in range(4):
+            post = joint.table[x] / joint.table[x].sum()
+            np.testing.assert_array_equal(post, 4.0 * joint.table[x])
+            assert bayes_predict(joint, x) == ref_predict(joint.table, x)
+        assert [bayes_predict(joint, x) for x in range(4)] == [0, 0, 1, 0]
+
+    def test_zero_mass_support_row(self):
+        # Pure open-set mass (n = 0) on instance 0 only leaves source-support
+        # instances 1 and 2 with no mass in the mixture.
+        source = DiscreteJoint(table=np.array([[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]]))
+        px = np.array([1.0, 0.0, 0.0])
+        ood = OodMarginal(px=px, py=np.array([0.5, 0.5]))
+        mixed = mix(source, ood, 0.0, 1.0)
+        with pytest.raises(ValueError) as want:
+            ref_flips(source, mixed)
+        assert str(want.value) == "instance 1 has zero mass: posterior undefined"
+        for call in (
+            lambda: flipped_instances(source, mixed),
+            lambda: bayes_invariance_check(source, px, 0.0, 1.0),
+            lambda: toxicity_count(source, ood, 0.0, 1.0),
+        ):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="^instance 2 has zero mass: posterior undefined$"):
+            bayes_predict(mixed, 2)
+
+    def test_nan_table_rejected(self):
+        with pytest.raises(ValueError, match="sums to nan"):
+            DiscreteJoint(table=np.array([[np.nan, 0.5], [0.25, 0.25]]))
+        with pytest.raises(ValueError, match="px sums to nan"):
+            OodMarginal(px=np.array([np.nan, 1.0]), py=np.array([1.0]))

@@ -283,6 +283,37 @@ class TestLabelDistributionKind:
             assert abs(dist.sum() - 1.0) < 1e-9
             assert np.all(dist >= 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts_lists,
+        st.floats(min_value=1e-6, max_value=3.0),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(min_value=0, max_value=19),
+    )
+    def test_every_tag_on_simplex(self, counts, bump, beta_cb, index):
+        p = prior_from_counts(counts)
+        k = p.num_classes
+        # The effective number needs every class present unless beta_cb = 0.
+        beta_cb = beta_cb if np.all(p.counts > 0) else 0.0
+        kinds = (
+            LabelDistributionKind.complementary(),
+            LabelDistributionKind.complementary(p.max_beta + bump),
+            LabelDistributionKind.mcd(),
+            LabelDistributionKind.uniform(),
+            LabelDistributionKind.class_balanced(beta_cb),
+            LabelDistributionKind.original_prior(),
+            LabelDistributionKind.fixed_class(),
+            LabelDistributionKind.fixed_class(index % k),
+        )
+        assert {kind.tag for kind in kinds} == {
+            "complementary", "mcd", "uniform", "class-balanced", "original-prior", "fixed-class"
+        }
+        for kind in kinds:
+            dist = label_distribution(kind, p)
+            assert dist.shape == (k,)
+            assert np.all(np.isfinite(dist)) and np.all(dist >= 0.0)
+            assert abs(dist.sum() - 1.0) < 1e-9
+
     def test_original_prior_is_betas(self):
         p = prior_from_counts([3, 1])
         np.testing.assert_array_equal(
