@@ -108,19 +108,28 @@ def _log(message: str) -> None:
 _AUX_KEYS = ("kind", "size", "seed", "sigma", "margin", "clusters", "window", "low", "high", "path")
 
 
-def _build_pool(spec: dict, dim: int, base_seed: int, class_means, base_dir: Path):
+def _check_pool_spec(spec: dict, where: str, has_class_means: bool) -> None:
+    kind = spec["kind"]
+    if kind not in data.OOD_KINDS:
+        raise ConfigError(f"{where}: unknown pool kind {kind!r}, expected one of {data.OOD_KINDS}")
+    if kind == "file" and "path" not in spec:
+        raise ConfigError(f"{where}: file pools need a path")
+    if kind == "shifted-mixture" and not has_class_means:
+        raise ConfigError(f"{where}: shifted-mixture pools need synthetic class means")
+
+
+def _pool_kwargs(spec: dict) -> dict:
+    keys = ("sigma", "margin", "clusters", "window", "low", "high")
+    return {key: spec[key] for key in keys if spec.get(key) is not None}
+
+
+def _build_pool(spec: dict, where: str, dim: int, base_seed, class_means, base_dir: Path):
+    _check_pool_spec(spec, where, class_means is not None)
     kind = spec["kind"]
     if kind == "file":
-        if "path" not in spec:
-            raise ConfigError("file pools need a path")
         return data.read_pool(base_dir / spec["path"])
-    kwargs = {}
-    for key in ("sigma", "margin", "clusters", "window", "low", "high"):
-        if key in spec and spec[key] is not None:
-            kwargs[key] = spec[key]
+    kwargs = _pool_kwargs(spec)
     if kind == "shifted-mixture":
-        if class_means is None:
-            raise ConfigError("shifted-mixture pools need synthetic class means")
         kwargs["class_means"] = class_means
     seed = spec.get("seed")
     return data.gen_ood_pool(
@@ -193,7 +202,9 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
 
     if "aux" in config:
         _check_keys(config["aux"], "synth.aux", required=("kind", "size"), optional=_AUX_KEYS)
-        pool = _build_pool(config["aux"], train_ds.dim, seed * 10 + 3, class_means, base_dir)
+        pool = _build_pool(
+            config["aux"], "synth.aux", train_ds.dim, seed * 10 + 3, class_means, base_dir
+        )
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name
@@ -476,27 +487,34 @@ def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
     name = config["name"]
     chash = _config_hash(config)
     positive = config.get("aupr_positive", "out")
+    if positive not in ("in", "out"):
+        raise ConfigError(f"eval-ood: aupr_positive must be 'in' or 'out', got {positive!r}")
+    pools = config["pools"]
+    if not pools:
+        raise ConfigError("eval-ood: need at least one pool")
+    # Every spec is checked before any pool is built or scored.
+    for i, spec in enumerate(pools):
+        _check_keys(spec, f"pools[{i}]", required=("name", "kind"), optional=_AUX_KEYS)
+        _check_pool_spec(spec, f"pools[{i}]", has_class_means=False)
+        if spec["kind"] != "file":
+            if "size" not in spec or "seed" not in spec:
+                raise ConfigError(f"pools[{i}]: generated pools need size and seed")
+            try:
+                data.check_pool_params(int(spec["size"]), **_pool_kwargs(spec))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"pools[{i}]: {exc}") from exc
     params = nn.load_params(base_dir / config["checkpoint"])
     test_ds = data.read_dataset(base_dir / config["test"])
     if test_ds.dim != params.input_dim:
         raise ConfigError(
             f"test dimension {test_ds.dim} does not match checkpoint input {params.input_dim}"
         )
-    pools = config["pools"]
-    if not pools:
-        raise ConfigError("eval-ood: need at least one pool")
     in_scores = metrics.msp_scores(params, test_ds.features)
 
     rows = []
     triples = []
     for i, spec in enumerate(pools):
-        _check_keys(spec, f"pools[{i}]", required=("name", "kind"), optional=_AUX_KEYS)
-        if spec["kind"] == "file":
-            pool = data.read_pool(base_dir / spec["path"])
-        else:
-            if "size" not in spec or "seed" not in spec:
-                raise ConfigError(f"pools[{i}]: generated pools need size and seed")
-            pool = _build_pool(spec, test_ds.dim, int(spec["seed"]), None, base_dir)
+        pool = _build_pool(spec, f"pools[{i}]", test_ds.dim, None, None, base_dir)
         if pool.dim != test_ds.dim:
             raise ConfigError(f"pools[{i}]: dimension {pool.dim} != test {test_ds.dim}")
         out_scores = metrics.msp_scores(params, pool.features)

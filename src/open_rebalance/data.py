@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .priors import ClassPrior, prior_from_counts
 
@@ -26,6 +25,7 @@ __all__ = [
     "gaussian_class_means",
     "gen_gaussian_classes",
     "subsample_longtail",
+    "check_pool_params",
     "gen_ood_pool",
     "shifted_mixture_centers",
     "read_cifar10_binary",
@@ -207,6 +207,21 @@ def subsample_longtail(
     )
 
 
+def check_pool_params(size: int, **params) -> None:
+    """Raise ValueError for ``gen_ood_pool`` arguments that no pool kind accepts.
+
+    ``params`` are any of gen_ood_pool's ``sigma``, ``window``, ``low``,
+    ``high`` and ``margin``; the ones not given are not checked.
+    """
+    if size < 1:
+        raise ValueError("pool size must be at least 1")
+    if "window" in params and int(params["window"]) < 1:
+        raise ValueError(f"window must be at least 1, got {params['window']}")
+    for name in ("sigma", "low", "high", "margin"):
+        if name in params and not math.isfinite(float(params[name])):
+            raise ValueError(f"{name} must be finite, got {params[name]}")
+
+
 def gen_ood_pool(
     kind: str,
     size: int,
@@ -229,22 +244,32 @@ def gen_ood_pool(
     to ``low``/``high``. shifted-mixture: Gaussian clusters whose centers sit
     at least ``margin`` away from every row of ``class_means``.
     """
-    if size < 1:
-        raise ValueError("pool size must be at least 1")
+    check_pool_params(size, sigma=sigma, window=window, low=low, high=high, margin=margin)
     rng = np.random.default_rng([int(seed), 0x00D])
     if kind == "gaussian":
-        features = float(sigma) * rng.standard_normal((size, dim))
+        features = rng.standard_normal((size, dim))
+        features *= float(sigma)
     elif kind == "rademacher":
         features = 2.0 * rng.integers(0, 2, size=(size, dim)) - 1.0
     elif kind == "blobs":
+        # Imported here: scipy.ndimage is most of the package's import time.
+        from scipy.ndimage import uniform_filter1d
+
         # The noise buffer takes the median's partition and then the result,
         # so the smoothed copy is the only other full-size float array.
         features = rng.random((size, dim))
         smooth = uniform_filter1d(features, size=int(window), axis=1, mode="nearest")
         features[...] = smooth
-        med = np.median(features, axis=1, keepdims=True, overwrite_input=True)
+        # One partition at k gives np.median's value: the middle element, or
+        # for even dim the mean of the lower half's max and the upper middle.
+        k = dim // 2
+        features.partition(k, axis=1)
+        med = features[:, k : k + 1].copy()
+        if dim % 2 == 0:
+            med += features[:, :k].max(axis=1, keepdims=True)
+            med /= 2
         features.fill(float(low))
-        features[smooth > med] = float(high)
+        np.copyto(features, float(high), where=smooth > med)
     elif kind == "shifted-mixture":
         if class_means is None:
             raise ValueError("shifted-mixture needs the in-distribution class means")
@@ -319,8 +344,9 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<III", len(dataset), dataset.dim, dataset.num_classes))
-        f.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(dataset.labels, dtype="<u4").tobytes())
+        # The arrays' own buffers, not a full-size bytes copy of each.
+        f.write(np.ascontiguousarray(dataset.features, dtype="<f8").data)
+        f.write(np.ascontiguousarray(dataset.labels, dtype="<u4").data)
 
 
 def read_dataset(path) -> LabeledDataset:
@@ -347,8 +373,13 @@ def read_dataset(path) -> LabeledDataset:
             raise FormatError(f"{path}: trailing bytes after {expected}")
         # Features live in an anonymous mapping, not on the malloc heap, so
         # dropping the dataset returns the memory to the OS at once rather
-        # than leaving a free block that later small allocations pin.
-        features = mmap.mmap(-1, n * d * 8)
+        # than leaving a free block that later small allocations pin. A
+        # private mapping advised for huge pages faults in as fast as
+        # np.empty; the default shared one is shmem-backed and takes twice
+        # as long to fill.
+        features = mmap.mmap(-1, n * d * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            features.madvise(mmap.MADV_HUGEPAGE)
         labels = np.empty(n, dtype="<u4")
         got = head + f.readinto(features) + f.readinto(labels)
         if got != expected:

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import open_rebalance
 from open_rebalance.cli import main
 from open_rebalance.data import read_dataset
 
@@ -322,6 +327,9 @@ class TestSweep:
         assert [r[:-1] for r in mixed] == [r[:-1] for r in alone]
         assert len(alone) == 3 and alone[1][:3] == ["eta", "0.5", "0"]
 
+_GAUSS = {"name": "g", "kind": "gaussian", "size": 10, "seed": 1}
+
+
 class TestEvalOod:
     @pytest.fixture
     def trained(self, workspace):
@@ -362,6 +370,55 @@ class TestEvalOod:
         assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 0
         rows = read_rows(trained / "filepool_ood.csv")
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"pools": [_GAUSS, {"name": "f", "kind": "file"}]},
+             r"pools\[1\]: file pools need a path"),
+            ({"pools": [_GAUSS, {**_GAUSS, "sigmaa": 2.0}]}, r"pools\[1\]: unknown keys"),
+            ({"pools": [_GAUSS, {"name": "b", "kind": "blobs", "size": 10}]},
+             r"pools\[1\]: generated pools need size and seed"),
+            ({"pools": [_GAUSS, {**_GAUSS, "kind": "shifted-mixture"}]},
+             r"pools\[1\]: shifted-mixture pools need synthetic class means"),
+            ({"pools": [_GAUSS, {**_GAUSS, "kind": "perlin"}]}, r"pools\[1\]: unknown pool kind"),
+            ({"pools": [_GAUSS, {**_GAUSS, "kind": "blobs", "window": 0}]},
+             r"pools\[1\]: window must be at least 1, got 0"),
+            ({"pools": [_GAUSS, {**_GAUSS, "sigma": math.nan}]},
+             r"pools\[1\]: sigma must be finite, got nan"),
+            ({"aupr_positive": "ood"}, "aupr_positive must be 'in' or 'out'"),
+        ],
+        ids=["file-without-path", "key-typo", "no-seed", "shifted-mixture", "unknown-kind",
+             "zero-window", "nan-sigma", "aupr-positive"],
+    )
+    def test_bad_spec_fails_before_any_file_is_read(self, tmp_path, capsys, change, message):
+        # Neither the checkpoint nor the test set exists, so the spec error
+        # can only come first if every spec is checked before any loading.
+        config = {
+            "command": "eval-ood",
+            "name": "bad",
+            "checkpoint": "missing.osnn",
+            "test": "missing.osds",
+            "pools": [_GAUSS],
+            **change,
+        }
+        cfg = write_config(tmp_path / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert not (tmp_path / "bad_ood.csv").exists()
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage is most of the package's import time; only blobs pools
+    # need it, so it is imported on first use.
+    code = "import sys, open_rebalance.cli; print('scipy.ndimage' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(open_rebalance.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestBayesCheck:

@@ -184,6 +184,36 @@ class TestOodPools:
         assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
         assert pool.features.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dim,window", [(1, 1), (1, 4), (2, 1), (2, 4), (3, 4), (4, 9), (33, 50)])
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs"])
+    def test_narrow_rows_bytes_match_direct_formula(self, kind, dim, window):
+        # One- and two-feature rows, and windows wider than the row: the blobs
+        # median is then a single element or the mean of two.
+        pool = gen_ood_pool(kind, 30, dim, seed=9, sigma=0.7, window=window, low=-0.5, high=2.0)
+        rng = np.random.default_rng([9, 0x00D])
+        if kind == "gaussian":
+            want = 0.7 * rng.standard_normal((30, dim))
+        elif kind == "rademacher":
+            want = (2.0 * rng.integers(0, 2, size=(30, dim)) - 1.0).astype(np.float64)
+        else:
+            smooth = uniform_filter1d(rng.random((30, dim)), size=window, axis=1, mode="nearest")
+            want = np.where(smooth > np.median(smooth, axis=1, keepdims=True), 2.0, -0.5)
+        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
+        assert pool.features.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"window": 0}, {"window": -3}, {"sigma": math.nan}, {"sigma": math.inf},
+         {"low": math.nan}, {"high": -math.inf}, {"margin": math.nan}],
+        ids=["window-0", "window-neg", "sigma-nan", "sigma-inf", "low-nan", "high-inf",
+             "margin-nan"],
+    )
+    @pytest.mark.parametrize("kind", ["gaussian", "blobs"])
+    def test_bad_parameters_rejected_at_entry(self, kind, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            gen_ood_pool(kind, 10, 4, seed=0, **bad)
+
 
 class TestCifarParser:
     def _record(self, label, fill):
@@ -373,6 +403,25 @@ class TestNativeFormat:
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels.tolist() == [1, 0, 1] and back.labels.dtype == np.int64
         assert back.features.flags.c_contiguous and back.features.flags.writeable
+
+    @pytest.mark.parametrize("layout", ["fortran", "big-endian", "strided"])
+    def test_write_bytes_match_tobytes_formula(self, tmp_path, layout):
+        base = np.random.default_rng(4).standard_normal((6, 10))
+        features = {
+            "fortran": np.asfortranarray(base[:, :5]),
+            "big-endian": base[:, :5].astype(">f8"),
+            "strided": base[:, ::2],
+        }[layout]
+        labels = np.array([2, 0, 1, 1, 0, 2])
+        path = tmp_path / "ds.osds"
+        write_dataset(LabeledDataset(features=features, labels=labels, num_classes=3), path)
+        want = (
+            DATASET_MAGIC
+            + struct.pack("<III", 6, 5, 3)
+            + np.ascontiguousarray(features, dtype="<f8").tobytes()
+            + np.ascontiguousarray(labels, dtype="<u4").tobytes()
+        )
+        assert path.read_bytes() == want
 
     def test_pool_round_trip(self, tmp_path):
         pool = gen_ood_pool("gaussian", 7, 3, seed=2)
