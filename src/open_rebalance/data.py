@@ -38,6 +38,7 @@ __all__ = [
 DATASET_MAGIC = b"OSDS1"
 
 OOD_KINDS = ("gaussian", "rademacher", "blobs", "shifted-mixture", "file")
+_RADEMACHER_ROWS = 256  # rows per draw of a rademacher pool
 
 
 class FormatError(ValueError):
@@ -168,6 +169,9 @@ def gen_gaussian_classes(
     ``means_seed`` pins the class geometry independently of the sample draw,
     so train and test splits can share class-conditional distributions.
     """
+    for name, value in (("mean_radius", mean_radius), ("sigma", sigma)):
+        if not (math.isfinite(float(value)) and float(value) >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     counts = np.asarray(per_class, dtype=np.int64)
     if counts.shape[0] != num_classes:
         raise ValueError("per_class length must equal num_classes")
@@ -250,7 +254,13 @@ def gen_ood_pool(
         features = rng.standard_normal((size, dim))
         features *= float(sigma)
     elif kind == "rademacher":
-        features = 2.0 * rng.integers(0, 2, size=(size, dim)) - 1.0
+        # int32 draws in row blocks give the same stream as one int64 draw
+        # of the whole pool, without a second pool-sized array.
+        features = np.empty((size, dim))
+        for start in range(0, size, _RADEMACHER_ROWS):
+            block = features[start : start + _RADEMACHER_ROWS]
+            np.multiply(rng.integers(0, 2, size=block.shape, dtype=np.int32), 2.0, out=block)
+            block -= 1.0
     elif kind == "blobs":
         # Imported here: scipy.ndimage is most of the package's import time.
         from scipy.ndimage import uniform_filter1d

@@ -8,6 +8,7 @@ and quantifies how much a non-uniform auxiliary label distribution does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,12 +22,15 @@ __all__ = [
     "flipped_instances",
     "mix",
     "bayes_invariance_check",
+    "bayes_invariance_checks",
     "toxicity_count",
+    "toxicity_counts",
     "rebalance_curve",
     "random_case",
 ]
 
 TIE_BAND = 1e-12
+BLOCK = 256  # cases the blocked entry points check together
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,8 @@ class DiscreteJoint:
     table: np.ndarray
 
     def __post_init__(self):
+        # In C order every row sums as it does in the oracle's padded stacks.
+        object.__setattr__(self, "table", np.ascontiguousarray(self.table))
         if self.table.ndim != 2:
             raise ValueError("joint table must be 2-D (instances x classes)")
         if np.any(self.table < 0):
@@ -80,47 +86,122 @@ class OodMarginal:
                 raise ValueError(f"{name} sums to {v.sum()}, expected 1")
 
 
-def _bayes_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Bayes predictions for ``rows``: within TIE_BAND of the max, the lowest class."""
-    sub = table[rows]
-    mass = sub.sum(axis=1, keepdims=True)
-    empty = mass[:, 0] <= 0.0
+def _predict(stack: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Bayes predictions of each row of a (B, S, k) stack, ties within TIE_BAND
+    to the lowest class; non-``live`` rows are divided by 1, never by 0."""
+    mass = stack.sum(axis=2, keepdims=True)
+    empty = live & (mass[..., 0] <= 0.0)
     if empty.any():
-        raise ValueError(f"instance {rows[empty.argmax()]} has zero mass: posterior undefined")
-    post = sub / mass
-    top = post.max(axis=1, keepdims=True)
-    return (post >= top - TIE_BAND * np.maximum(1.0, top)).argmax(axis=1)
+        raise ValueError(f"instance {np.argwhere(empty)[0, 1]} has zero mass: posterior undefined")
+    post = stack / np.where(live[..., None], mass, 1.0)
+    top = post.max(axis=2, keepdims=True)
+    return (post >= top - TIE_BAND * np.maximum(1.0, top)).argmax(axis=2)
+
+
+def _flips(tables: np.ndarray, mixed: np.ndarray) -> list:
+    """(source-support rows whose prediction ``mixed`` moves, their mass) per
+    case; the mass is a running total in support order, as np.sum is not."""
+    mass = tables.sum(axis=2)
+    live = mass > 0.0
+    flip = live & (_predict(mixed, live) != _predict(tables, live))
+    totals = np.add.accumulate(np.where(flip, mass, 0.0), axis=1)[:, -1].tolist()
+    counts = flip.sum(axis=1).tolist()
+    rows, ends = np.nonzero(flip)[1], np.cumsum(counts).tolist()
+    return [(rows[end - c : end], total) for c, end, total in zip(counts, ends, totals)]
+
+
+def _padded(arrays: list, rows: int) -> np.ndarray:
+    """(len(arrays), rows, ...) stack of the arrays, zero-padded along axis 0."""
+    out = np.zeros((len(arrays), rows) + arrays[0].shape[1:])
+    out[np.arange(rows) < np.array([len(a) for a in arrays])[:, None]] = np.concatenate(arrays)
+    return out
+
+
+def _unit_sums(sums: np.ndarray, what: str) -> None:
+    bad = ~(np.abs(sums - 1.0) <= 1e-12)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"{what} sums to {sums[bad.argmax()]}, expected 1")
+
+
+def _mixtures(cases: list, k: int):
+    """Source and mix() stacks of (source, px, py, n, m) cases with k classes,
+    after mix's checks and px's. Only the support axis is zero-padded: a
+    padded class would change the order of numpy's pairwise row sums."""
+    pxs = [np.asarray(c[1], dtype=np.float64) for c in cases]
+    if any(px.ndim != 1 for px in pxs):
+        raise ValueError("px must be a non-negative vector")
+    rows = max(max(c[0].support_size for c in cases), max(len(px) for px in pxs))
+    px_stack = _padded(pxs, rows)
+    if (px_stack < 0).any():
+        raise ValueError("px must be a non-negative vector")
+    _unit_sums(px_stack.sum(axis=1), "px")
+    n, m = np.array([c[3:] for c in cases], dtype=np.float64).T
+    if ((n < 0) | (m < 0) | (n + m <= 0)).any():
+        raise ValueError("need n >= 0, m >= 0, n + m > 0")
+    if any(c[2].shape != (k,) for c in cases):
+        raise ValueError("py length must match the source class count")
+    # mix's elementwise formula; a padded entry adds an exact 0.0.
+    tables = _padded([c[0].table for c in cases], rows)
+    mixed = (n / (n + m))[:, None, None] * tables
+    py_stack = np.array([c[2] for c in cases])
+    mixed += (m / (n + m))[:, None, None] * (px_stack[..., None] * py_stack[:, None])
+    if (mixed < 0).any():
+        raise ValueError("joint table entries must be non-negative")
+    _unit_sums(mixed.sum(axis=(1, 2)), "joint table")
+    return tables, mixed
+
+
+def _check_block(block: list) -> list:
+    """_flips per (source, px, py, n, m) case of a block, one stack per class count."""
+    groups = {}
+    for i, case in enumerate(block):
+        groups.setdefault(case[0].num_classes, []).append(i)
+    out = [None] * len(block)
+    for k, members in groups.items():
+        tables, mixed = _mixtures([block[i] for i in members], k)
+        support = max(block[i][0].support_size for i in members)
+        for i, result in zip(members, _flips(tables[:, :support], mixed[:, :support])):
+            out[i] = result
+    return out
+
+
+def _checked(cases):
+    """The oracle core: _check_block over the cases, BLOCK at a time, lazily."""
+    cases = iter(cases)
+    while block := list(islice(cases, BLOCK)):
+        try:
+            results = _check_block(block)
+        except ValueError:
+            # Case by case, unpadded and so summed as in mix, the first bad
+            # case raises its own error.
+            results = (_check_block([case])[0] for case in block)
+        yield from results
 
 
 def bayes_predict(joint: DiscreteJoint, x: int) -> int:
     """argmax_y P(x, y), i.e. the Bayes prediction, ties to the lowest class."""
-    return int(_bayes_rows(joint.table, [x])[0])
+    live = np.zeros((1, joint.support_size), dtype=bool)
+    live[0, x] = True
+    return int(_predict(joint.table[None], live)[0, x])
 
 
 def mix(source: DiscreteJoint, ood: OodMarginal, n: float, m: float) -> DiscreteJoint:
     """Weight-(n, m) mixture of the source joint with the product OOD table."""
-    n, m = float(n), float(m)
-    if n < 0 or m < 0 or n + m <= 0:
-        raise ValueError("need n >= 0, m >= 0, n + m > 0")
-    if ood.py.shape[0] != source.num_classes:
-        raise ValueError("py length must match the source class count")
-    s_out = max(source.support_size, ood.px.shape[0])
-    out = np.zeros((s_out, source.num_classes))
-    out[: source.support_size] += (n / (n + m)) * source.table
-    out[: ood.px.shape[0]] += (m / (n + m)) * np.outer(ood.px, ood.py)
-    return DiscreteJoint(table=out)
+    case = (source, ood.px, ood.py, n, m)
+    return DiscreteJoint(table=_mixtures([case], source.num_classes)[1][0])
 
 
-def flipped_instances(source: DiscreteJoint, mixed: DiscreteJoint, before=None):
-    """Source-support instances, in order, whose Bayes prediction ``mixed`` moves.
+def flipped_instances(source: DiscreteJoint, mixed: DiscreteJoint):
+    """Source-support instances, in order, whose Bayes prediction ``mixed`` moves."""
+    if mixed.support_size < source.support_size or mixed.num_classes != source.num_classes:
+        raise ValueError("mixed table must cover the source's instances and classes")
+    return _flips(source.table[None], mixed.table[None, : source.support_size])[0][0]
 
-    ``before`` may hold the source's predictions on its support, to reuse them.
-    """
-    support = source.support()
-    after = _bayes_rows(mixed.table, support)
-    if before is None:
-        before = _bayes_rows(source.table, support)
-    return support[after != before]
+
+def bayes_invariance_checks(cases):
+    """bayes_invariance_check per (source, px, n, m) case, lazily, in order."""
+    uniform = ((s, px, np.full(s.num_classes, 1.0 / s.num_classes), n, m) for s, px, n, m in cases)
+    return ((rows.size == 0, rows.tolist()) for rows, _ in _checked(uniform))
 
 
 def bayes_invariance_check(source: DiscreteJoint, px, n: float, m: float):
@@ -129,19 +210,18 @@ def bayes_invariance_check(source: DiscreteJoint, px, n: float, m: float):
     Returns (ok, violations): ok is True iff every instance in the source
     support keeps its Bayes prediction after mixing with P_out(Y) uniform.
     """
-    px = np.asarray(px, dtype=np.float64)
-    k = source.num_classes
-    ood = OodMarginal(px=px, py=np.full(k, 1.0 / k))
-    violations = flipped_instances(source, mix(source, ood, n, m)).tolist()
-    return len(violations) == 0, violations
+    return next(bayes_invariance_checks([(source, px, n, m)]))
 
 
-def toxicity_count(source: DiscreteJoint, ood: OodMarginal, n: float, m: float, before=None):
+def toxicity_counts(cases):
+    """toxicity_count per (source, ood, n, m) case, lazily, in order."""
+    stacked = ((source, ood.px, ood.py, n, m) for source, ood, n, m in cases)
+    return ((rows.size, mass) for rows, mass in _checked(stacked))
+
+
+def toxicity_count(source: DiscreteJoint, ood: OodMarginal, n: float, m: float):
     """How many source-support instances flip prediction, and their P_s mass."""
-    flipped = flipped_instances(source, mix(source, ood, n, m), before)
-    # A running total from 0.0 in support order; np.sum would sum pairwise.
-    terms = np.concatenate(([0.0], source.instance_marginal()[flipped]))
-    return int(flipped.size), float(np.add.accumulate(terms)[-1])
+    return next(toxicity_counts([(source, ood, n, m)]))
 
 
 @dataclass(frozen=True)
@@ -169,8 +249,7 @@ def rebalance_curve(
     if not alphas or not aux_sizes:
         raise ValueError("alpha and m grids must be non-empty")
     px = np.asarray(px, dtype=np.float64)
-    before = _bayes_rows(source.table, source.support())
-    rows = []
+    grid = []
     for alpha in alphas:
         dist = complementary(prior, float(alpha))
         ood = OodMarginal(px=px, py=dist.gammas)
@@ -178,18 +257,12 @@ def rebalance_curve(
             mixed = mixed_prior(prior, dist, m)
             low = mixed.min()
             ratio = float(mixed.max() / low) if low > 0 else float("inf")
-            flipped, mass = (0, 0.0) if m == 0 else toxicity_count(
-                source, ood, prior.total, float(m), before)
-            rows.append(
-                RebalancePoint(
-                    alpha=float(alpha),
-                    aux_size=float(m),
-                    prior_ratio=ratio,
-                    flipped_count=flipped,
-                    flipped_mass=mass,
-                )
-            )
-    return rows
+            grid.append((float(alpha), float(m), ratio, ood))
+    flips = toxicity_counts((source, ood, prior.total, m) for _, m, _, ood in grid if m != 0)
+    return [
+        RebalancePoint(alpha, m, ratio, *((0, 0.0) if m == 0 else next(flips)))
+        for alpha, m, ratio, _ in grid
+    ]
 
 
 def random_case(

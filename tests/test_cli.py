@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import open_rebalance
+from open_rebalance import oracle
 from open_rebalance.cli import main
 from open_rebalance.data import read_dataset
 
@@ -102,6 +103,15 @@ class TestSynth:
         cfg = write_config(tmp_path / "synth.json", config)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_rejected(self, tmp_path, capsys, constant):
+        text = json.dumps(synth_config()).replace('"mean_radius": 2.0', f'"mean_radius": {constant}')
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(text)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"non-finite number {constant}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.osds"))
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "synth.json", synth_config())
@@ -384,8 +394,9 @@ class TestEvalOod:
             ({"pools": [_GAUSS, {**_GAUSS, "kind": "perlin"}]}, r"pools\[1\]: unknown pool kind"),
             ({"pools": [_GAUSS, {**_GAUSS, "kind": "blobs", "window": 0}]},
              r"pools\[1\]: window must be at least 1, got 0"),
+            # The config loader rejects the NaN constant before any spec check.
             ({"pools": [_GAUSS, {**_GAUSS, "sigma": math.nan}]},
-             r"pools\[1\]: sigma must be finite, got nan"),
+             r"ood\.json: non-finite number NaN is not allowed"),
             ({"aupr_positive": "ood"}, "aupr_positive must be 'in' or 'out'"),
         ],
         ids=["file-without-path", "key-typo", "no-seed", "shifted-mixture", "unknown-kind",
@@ -462,6 +473,44 @@ class TestBayesCheck:
         assert [r["aux_size"] for r in rows] == [0, 10]
         assert rows[0]["prior_ratio"] is None
         assert rows[1]["prior_ratio"] > 1.0
+
+    def test_report_equals_per_case_calls(self, tmp_path):
+        # Cases cross two block boundaries; the reference draws the same
+        # stream and checks every case with the one-case public calls.
+        config = {
+            "command": "bayes-check", "name": "oracle", "seed": 3, "cases": 2 * oracle.BLOCK + 17,
+            "max_support": 12, "max_classes": 9,
+            "one_hot_stress": {"cases": oracle.BLOCK + 3, "m_scale": 30.0},
+        }
+        cfg = write_config(tmp_path / "bayes.json", config)
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "oracle_bayes.json").read_text())
+
+        rng = np.random.default_rng([3, 0xBA4E5])
+        violating = []
+        for i in range(config["cases"]):
+            ok, bad = oracle.bayes_invariance_check(*oracle.random_case(rng, 12, 9, bool(i % 2)))
+            if not ok:
+                violating.append({"case": i, "instances": bad})
+        assert report["uniform"] == {
+            "cases": config["cases"], "violations": len(violating), "violating_cases": violating,
+        }
+        counts = []
+        for _ in range(oracle.BLOCK + 3):
+            source, px, n, m = oracle.random_case(rng, 12, 9)
+            py = np.zeros(source.num_classes)
+            py[int(np.argmin(source.label_marginal()))] = 1.0
+            counts.append(oracle.toxicity_count(source, oracle.OodMarginal(px=px, py=py), n, 30.0 * m)[0])
+        stress = report["one_hot_stress"]
+        assert stress["random_cases"] == len(counts)
+        assert stress["random_cases_with_flips"] == sum(c > 0 for c in counts) > 0
+        assert stress["total_flips"] == sum(counts)
+        source = oracle.DiscreteJoint(table=np.array([[0.45, 0.05], [0.05, 0.45]]))
+        ood = oracle.OodMarginal(px=np.array([0.5, 0.5]), py=np.array([0.0, 1.0]))
+        flips, mass = oracle.toxicity_count(source, ood, 1.0, 10.0)
+        instances = oracle.flipped_instances(source, oracle.mix(source, ood, 1.0, 10.0)).tolist()
+        assert (stress["constructed_flips"], stress["constructed_mass"]) == (flips, mass)
+        assert stress["constructed_instances"] == instances
 
     def test_zero_cases_empty_report(self, tmp_path):
         config = {"command": "bayes-check", "name": "empty", "seed": 0, "cases": 0}

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from scipy.ndimage import uniform_filter1d
 
 from open_rebalance.data import (
+    _RADEMACHER_ROWS,
     DATASET_MAGIC,
     AuxiliaryPool,
     FormatError,
@@ -89,6 +90,13 @@ class TestGaussianClasses:
     def test_mean_radius(self):
         means = gaussian_class_means(5, 8, 2.5, 7)
         np.testing.assert_allclose(np.linalg.norm(means, axis=1), 2.5, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["mean_radius", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_scale_rejected(self, name, value):
+        args = {"mean_radius": 2.0, "sigma": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+            gen_gaussian_classes(3, 4, [10, 5, 2], args["mean_radius"], args["sigma"], seed=9)
 
 
 class TestSubsample:
@@ -198,6 +206,17 @@ class TestOodPools:
         else:
             smooth = uniform_filter1d(rng.random((30, dim)), size=window, axis=1, mode="nearest")
             want = np.where(smooth > np.median(smooth, axis=1, keepdims=True), 2.0, -0.5)
+        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
+        assert pool.features.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 9, 101])
+    @pytest.mark.parametrize("rows,dim", [(1, 1), (3, 5), (255, 3), (2 * _RADEMACHER_ROWS + 1, 7)])
+    def test_rademacher_blocks_match_one_draw(self, seed, rows, dim):
+        # Drawn in int32 row blocks, the pool has the single int64 draw's
+        # bytes, also when the last block is short.
+        pool = gen_ood_pool("rademacher", rows, dim, seed=seed)
+        rng = np.random.default_rng([seed, 0x00D])
+        want = 2.0 * rng.integers(0, 2, size=(rows, dim)) - 1.0
         assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
         assert pool.features.tobytes() == want.tobytes()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from open_rebalance.oracle import (
+    BLOCK,
     TIE_BAND,
     DiscreteJoint,
     OodMarginal,
@@ -11,7 +12,9 @@ from open_rebalance.oracle import (
     random_case,
     rebalance_curve,
     bayes_invariance_check,
+    bayes_invariance_checks,
     toxicity_count,
+    toxicity_counts,
 )
 from open_rebalance.priors import complementary, prior_from_counts, required_aux_size
 
@@ -47,6 +50,11 @@ def ref_toxicity(source, mixed):
     for x in flips:
         mass += float(px_source[x])
     return len(flips), mass
+
+
+def ref_toxicity_case(case):
+    source, ood, n, m = case
+    return ref_toxicity(source, mix(source, ood, n, m))
 
 
 class TestBayesPredict:
@@ -300,8 +308,97 @@ class TestVectorizedOracle:
         with pytest.raises(ValueError, match="^instance 2 has zero mass: posterior undefined$"):
             bayes_predict(mixed, 2)
 
+    def test_flipped_instances_shape_mismatch_rejected(self):
+        source = DiscreteJoint(table=np.array([[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]]))
+        for table in ([[0.5, 0.5]], [[0.2, 0.1, 0.0], [0.1, 0.3, 0.0], [0.2, 0.1, 0.0]]):
+            with pytest.raises(ValueError, match="must cover the source's instances and classes"):
+                flipped_instances(source, DiscreteJoint(table=np.array(table)))
+
     def test_nan_table_rejected(self):
         with pytest.raises(ValueError, match="sums to nan"):
             DiscreteJoint(table=np.array([[np.nan, 0.5], [0.25, 0.25]]))
         with pytest.raises(ValueError, match="px sums to nan"):
             OodMarginal(px=np.array([np.nan, 1.0]), py=np.array([1.0]))
+
+
+def uniform_and_one_hot_cases(seed, count):
+    """Random overlapping and disjoint cases, each with uniform and one-hot labels."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        source, px, n, m = random_case(rng, disjoint=bool(i % 2))
+        one_hot = np.zeros(source.num_classes)
+        one_hot[int(rng.integers(0, source.num_classes))] = 1.0
+        big = m * 10.0 ** rng.uniform(0, 3)
+        cases.append((source, px, n, m, OodMarginal(px=px, py=one_hot), big))
+    return cases
+
+
+class TestBlockedOracle:
+    """The blocked entry points against the per-instance reference loops."""
+
+    def test_blocks_match_reference(self):
+        cases = uniform_and_one_hot_cases(14, max(2000, 8 * BLOCK) + 7)
+        uniform = [(source, px, n, m) for source, px, n, m, _, _ in cases]
+        one_hot = [(source, ood, n, big) for source, _, n, _, ood, big in cases]
+        checks = bayes_invariance_checks(uniform)
+        counts = toxicity_counts(one_hot)
+        assert iter(checks) is checks and iter(counts) is counts  # lazy
+        checks, counts = list(checks), list(counts)
+        assert len(checks) == len(counts) == len(cases) >= 2000
+        assert {source.num_classes for source, *_ in cases} >= {8, 9, 10}
+        toxic = many_flips = 0
+        for i, (source, px, n, m, ood, big) in enumerate(cases):
+            k = source.num_classes
+            mixed = mix(source, OodMarginal(px=px, py=np.full(k, 1.0 / k)), n, m)
+            want = ref_flips(source, mixed)
+            assert checks[i] == (want == [], want), i
+            mixed = mix(source, ood, n, big)
+            flips, mass = ref_toxicity(source, mixed)
+            assert type(counts[i][0]) is int and type(counts[i][1]) is float
+            # Bitwise equal: the mass is a running total in support order.
+            assert (counts[i][0], counts[i][1].hex()) == (flips, mass.hex()), i
+            assert flipped_instances(source, mixed).tolist() == ref_flips(source, mixed)
+            if i % 8 == 0:
+                for joint in (source, mixed):
+                    for x in range(joint.support_size):
+                        if joint.table[x].sum() > 0.0:
+                            assert bayes_predict(joint, x) == ref_predict(joint.table, x)
+            toxic += flips > 0
+            many_flips += flips >= 8
+        # Not vacuous: eight or more flipped terms is where a pairwise sum
+        # would part from the running total.
+        assert toxic > len(cases) // 3 and many_flips > 200
+
+    @pytest.mark.parametrize("count", [0, 1, BLOCK, BLOCK + 1])
+    def test_case_counts(self, count):
+        cases = uniform_and_one_hot_cases(15, count)
+        one_hot = [(source, ood, n, big) for source, _, n, _, ood, big in cases]
+        uniform = [(source, px, n, m) for source, px, n, m, _, _ in cases]
+        got = [(c, mass.hex()) for c, mass in toxicity_counts(iter(one_hot))]
+        assert got == [(c, mass.hex()) for c, mass in map(ref_toxicity_case, one_hot)]
+        assert list(bayes_invariance_checks(iter(uniform))) == [(True, [])] * count
+
+    def test_zero_mass_in_a_middle_case(self):
+        # Case 100 of a block leaves instances 1 and 2 without mixed mass;
+        # later cases in the block fail other checks, and case 0 opens the
+        # two-class group, which the block checks first.
+        rng = np.random.default_rng(16)
+        good = [random_case(rng, max_classes=2) for _ in range(BLOCK + 5)]
+        source = DiscreteJoint(table=np.array([[0.2, 0.1, 0.0], [0.1, 0.3, 0.0], [0.2, 0.1, 0.0]]))
+        empty = (source, np.array([1.0, 0.0, 0.0]), 0.0, 1.0)
+        bad_px = (good[150][0], np.ones(good[150][0].support_size), 1.0, 1.0)
+        cases = good[:100] + [empty] + good[101:150] + [bad_px] + good[151:]
+        with pytest.raises(ValueError) as want:
+            bayes_invariance_check(*empty)
+        assert str(want.value) == "instance 1 has zero mass: posterior undefined"
+        seen = []
+        with pytest.raises(ValueError) as got:
+            for result in bayes_invariance_checks(cases):
+                seen.append(result)
+        assert str(got.value) == str(want.value) and len(seen) == 100
+        uniform = OodMarginal(px=empty[1], py=np.full(3, 1.0 / 3))
+        one_hot = [(s, OodMarginal(px=px, py=np.eye(s.num_classes)[0]), n, m) for s, px, n, m in good]
+        with pytest.raises(ValueError) as got:
+            list(toxicity_counts(one_hot[:100] + [(source, uniform, 0.0, 1.0)] + one_hot[100:]))
+        assert str(got.value) == str(want.value)
