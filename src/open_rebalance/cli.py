@@ -44,6 +44,20 @@ def _check_keys(obj: dict, where: str, required, optional=()):
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
+def _count(value, where: str) -> int:
+    """A non-negative JSON integer: bools and floats are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where} must be a non-negative integer, got {json.dumps(value)}")
+    return value
+
+
+def _seeds(config: dict, command: str) -> list:
+    seeds = config["seeds"]
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"{command}: seeds must be a non-empty list")
+    return [_count(seed, f"{command}: seeds[{i}]") for i, seed in enumerate(seeds)]
+
+
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -338,14 +352,12 @@ def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
         required=("command", "name", "data", "train", "seeds"),
         optional=("model", "group_thresholds"),
     )
+    seeds = _seeds(config, "train")
     name = config["name"]
     chash = _config_hash(config)
     train_ds, test_ds, aux = _load_data_section(config["data"], base_dir)
     hidden = _hidden_dim(config)
     thresholds = tuple(config.get("group_thresholds", metrics.GROUP_THRESHOLDS))
-    seeds = [int(s) for s in config["seeds"]]
-    if not seeds:
-        raise ConfigError("train: seeds must be non-empty")
 
     failures = []
     results = _train_points(
@@ -417,9 +429,7 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
         raise ConfigError(f"grid.param must be one of {_GRID_PARAMS}, got {param!r}")
     if not values:
         raise ConfigError("grid.values must be non-empty")
-    seeds = [int(s) for s in config["seeds"]]
-    if not seeds:
-        raise ConfigError("sweep: seeds must be non-empty")
+    seeds = _seeds(config, "sweep")
 
     name = config["name"]
     chash = _config_hash(config)
@@ -556,10 +566,15 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
         required=("command", "name", "seed", "cases"),
         optional=("max_support", "max_classes", "one_hot_stress", "rebalance"),
     )
+    cases = _count(config["cases"], "bayes-check: cases")
+    if "one_hot_stress" in config:
+        spec = config["one_hot_stress"]
+        _check_keys(spec, "one_hot_stress", required=("cases",), optional=("m_scale",))
+        n_stress = _count(spec["cases"], "bayes-check: one_hot_stress.cases")
+        m_scale = float(spec.get("m_scale", 100.0))
     name = config["name"]
     chash = _config_hash(config)
     rng = np.random.default_rng([int(config["seed"]), 0xBA4E5])
-    cases = int(config["cases"])
     max_support = int(config.get("max_support", 20))
     max_classes = int(config.get("max_classes", 10))
 
@@ -583,14 +598,10 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
     }
 
     if "one_hot_stress" in config:
-        spec = config["one_hot_stress"]
-        _check_keys(spec, "one_hot_stress", required=("cases",), optional=("m_scale",))
-        m_scale = float(spec.get("m_scale", 100.0))
         source, ood = _constructed_toxic_case()
         flips, mass = oracle.toxicity_count(source, ood, 1.0, 10.0)
         mixed = oracle.mix(source, ood, 1.0, 10.0)
         instances = oracle.flipped_instances(source, mixed).tolist()
-        n_stress = int(spec["cases"])
 
         def stress_case():
             # All the auxiliary labels on the case's rarest class.

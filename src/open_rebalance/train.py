@@ -7,6 +7,12 @@ Three independent RNG streams (shuffling, auxiliary draws, initialization)
 keep ablations bit-comparable: changing one knob touches exactly one stream.
 ``train_runs`` trains many runs as stacked arrays, one stack per group of
 structurally alike runs; a run gives the same bits alone or in any batch.
+
+A run's auxiliary stream is defined by two calls per step,
+``integers(0, P, size=m)`` for the indices and then, for drawn labels,
+``random(m)``. The engine decodes a whole epoch of them from one raw PCG64
+block per run and replays the calls wherever the decode could differ, so
+indices, labels and generator state are exactly the calls' (``_epoch_draws``).
 """
 
 from __future__ import annotations
@@ -156,8 +162,9 @@ def default_schedule(total_epochs: int) -> LrSchedule:
     )
 
 
-def _draw_labels(cdf: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    return np.minimum(cdf.searchsorted(rng.random(m), side="right"), cdf.shape[0] - 1)
+def _lookup_labels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF labels for uniforms u in [0, 1), any shape."""
+    return np.minimum(cdf.searchsorted(u, side="right"), cdf.shape[0] - 1)
 
 
 def sample_aux_labels(dist, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,7 +172,7 @@ def sample_aux_labels(dist, m: int, rng: np.random.Generator) -> np.ndarray:
     gammas = np.asarray(getattr(dist, "gammas", dist), dtype=np.float64)
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _draw_labels(np.cumsum(gammas), m, rng).astype(np.int64, copy=False)
+    return _lookup_labels(np.cumsum(gammas), rng.random(m)).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -194,10 +201,55 @@ class _LossSpec:
     aux_omegas: np.ndarray | None = None
     aux_prior: np.ndarray | None = None
 
-    def aux_labels(self, aidx: np.ndarray, rng: np.random.Generator):
-        if self.aux_pinned is not None:
-            return self.aux_pinned[aidx]
-        return None if self.aux_cdf is None else _draw_labels(self.aux_cdf, aidx.shape[0], rng)
+
+def _replay_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int, drawn: bool):
+    """The per-step calls that define a run's auxiliary stream, made one by one."""
+    idx = np.empty((n_steps, m), dtype=np.int64)
+    u = np.empty((n_steps, m)) if drawn else None
+    for step in range(n_steps):
+        idx[step] = rng.integers(0, pool_size, size=m)
+        if drawn:
+            u[step] = rng.random(m)
+    return idx, u
+
+
+def _epoch_draws(spec: _LossSpec, rng: np.random.Generator, pool_size: int, n_steps: int, m: int):
+    """One epoch of a run's auxiliary indices and labels, each (n_steps, m).
+
+    Gives the indices, labels and final generator state of n_steps rounds of
+    ``rng.integers(0, pool_size, size=m)`` then, for drawn labels,
+    ``rng.random(m)``. For even m and 2 <= pool_size < 2**32, integers draws
+    each index from one 32-bit half of a 64-bit word, low half first, as
+    ``(half * pool_size) >> 32``, and redraws (Lemire's rejection) when the
+    low 32 bits of that product fall below ``2**32 % pool_size``; random
+    takes one word per double. So one raw block decodes exactly unless a
+    half is carried in from earlier or the block holds a rejection; then the
+    state is restored and the calls replayed. Labels are None for OE.
+    """
+    drawn = spec.aux_cdf is not None
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    idx = u = None
+    if m % 2 == 0 and 2 <= pool_size < 2**32 and saved["has_uint32"] == 0:
+        half = m // 2
+        words = bitgen.random_raw(n_steps * (half + (m if drawn else 0))).reshape(n_steps, -1)
+        pairs = words[:, :half, None] >> np.array([0, 32], dtype=np.uint64)
+        scaled = (pairs & 0xFFFFFFFF).reshape(n_steps, m) * pool_size
+        if not ((scaled & 0xFFFFFFFF) < 2**32 % pool_size).any():
+            idx = (scaled >> 32).astype(np.int64)
+            if drawn:
+                u = (words[:, half:] >> 11) * 2.0**-53
+            # integers leaves the last high half it used behind, spent.
+            state = bitgen.state
+            state["uinteger"] = int(words[-1, half - 1]) >> 32
+            bitgen.state = state
+        else:
+            bitgen.state = saved
+    if idx is None:
+        idx, u = _replay_draws(rng, pool_size, n_steps, m, drawn)
+    if spec.aux_pinned is not None:
+        return idx, spec.aux_pinned[idx]
+    return idx, None if u is None else _lookup_labels(spec.aux_cdf, u)
 
 
 class _Diverged(Exception):
@@ -447,21 +499,24 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     n = len(train)
     batch = config.batch_train
     m_aux = config.batch_aux or batch
-    relabels = config.method in _RELABEL_METHODS
+    n_steps = -(-n // batch)
     last_loss = np.full(len(runs), np.nan)
     for epoch in range(config.epochs):
         lr = lr_at(schedule, epoch, config.base_lr)
         perms = np.array([r.shuffle_rng.permutation(n) for r in runs])
+        if pool is not None:
+            # Step-major (n_steps, S, m), so each step's slice is contiguous.
+            draws = [_epoch_draws(r.spec, r.aux_rng, len(r.pool), n_steps, m_aux) for r in runs]
+            aidx = np.stack([a for a, _ in draws], axis=1)
+            alabels = None if draws[0][1] is None else np.stack([y for _, y in draws], axis=1)
         total_sum = base_sum = aux_sum = np.zeros(len(runs))
         for step, start in enumerate(range(0, n, batch)):
             idx = perms[:, start : start + batch]
             bx, by = features[idx], train.labels[idx]
             ax = ay = None
             if pool is not None:
-                aidx = np.array([r.aux_rng.integers(0, len(r.pool), size=m_aux) for r in runs])
-                ax = pool[aidx]
-                if relabels:
-                    ay = np.array([r.spec.aux_labels(a, r.aux_rng) for r, a in zip(runs, aidx)])
+                ax = pool[aidx[step]]
+                ay = None if alabels is None else alabels[step]
             while True:
                 try:
                     base_loss, aux_loss = _step(stack, lr, bx, by, ax, ay)
@@ -481,9 +536,9 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
                     total_sum, base_sum, aux_sum = total_sum[keep], base_sum[keep], aux_sum[keep]
                     bx, by = bx[keep], by[keep]
                     if ax is not None:
-                        ax = ax[keep]
+                        aidx, ax = aidx[:, keep], ax[keep]
                     if ay is not None:
-                        ay = ay[keep]
+                        alabels, ay = alabels[:, keep], ay[keep]
             total = base_loss + stack.eta * aux_loss
             last_loss = np.where(np.isfinite(total), total, last_loss)
             total_sum = total_sum + total

@@ -337,6 +337,28 @@ class TestSweep:
         assert [r[:-1] for r in mixed] == [r[:-1] for r in alone]
         assert len(alone) == 3 and alone[1][:3] == ["eta", "0.5", "0"]
 
+
+class TestSeeds:
+    # The data files do not exist, so the seed error can only come first if
+    # the seeds are checked before any loading.
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "seeds,shown", [([1.5], "1.5"), ([True], "true"), ([0, -1], "-1")],
+        ids=["float", "bool", "negative"],
+    )
+    def test_bad_seed_fails_before_any_file_is_read(self, tmp_path, capsys, command, seeds, shown):
+        config = train_config(seeds=seeds)
+        config["data"] = {"train": "missing_train.osds", "test": "missing_test.osds"}
+        if command == "sweep":
+            config.update(command="sweep", grid={"param": "eta", "values": [0.5]})
+        cfg = write_config(tmp_path / "bad.json", config)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        index = len(seeds) - 1
+        assert f"{command}: seeds[{index}] must be a non-negative integer, got {shown}" in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
 _GAUSS = {"name": "g", "kind": "gaussian", "size": 10, "seed": 1}
 
 
@@ -511,6 +533,28 @@ class TestBayesCheck:
         instances = oracle.flipped_instances(source, oracle.mix(source, ood, 1.0, 10.0)).tolist()
         assert (stress["constructed_flips"], stress["constructed_mass"]) == (flips, mass)
         assert stress["constructed_instances"] == instances
+
+    @pytest.mark.parametrize(
+        "change,key,shown",
+        [({"cases": -5}, "cases", "-5"),
+         ({"one_hot_stress": {"cases": -3}}, "one_hot_stress.cases", "-3"),
+         ({"cases": 2.5}, "cases", "2.5"),
+         ({"one_hot_stress": {"cases": True}}, "one_hot_stress.cases", "true")],
+        ids=["negative", "negative-stress", "float", "bool-stress"],
+    )
+    def test_bad_case_count_fails_before_any_case_is_drawn(
+        self, tmp_path, capsys, monkeypatch, change, key, shown
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a case was drawn")
+
+        monkeypatch.setattr(oracle, "random_case", no_draws)
+        config = {"command": "bayes-check", "name": "bad", "seed": 0, "cases": 4, **change}
+        cfg = write_config(tmp_path / "bayes.json", config)
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"bayes-check: {key} must be a non-negative integer, got {shown}" in err, err
+        assert not (tmp_path / "bad_bayes.json").exists()
 
     def test_zero_cases_empty_report(self, tmp_path):
         config = {"command": "bayes-check", "name": "empty", "seed": 0, "cases": 0}

@@ -556,9 +556,8 @@ class TestSingleStepEquivalence:
         gammas = complementary(prior, default_alpha(prior)).gammas
         fast, slow = np.random.default_rng(9), np.random.default_rng(9)
         for m in (1, 7, 32):
-            aidx = fast.integers(0, 300, size=m)
+            aidx, drawn = (a[0] for a in train._epoch_draws(spec, fast, 300, 1, m))
             assert np.array_equal(slow.integers(0, 300, size=m), aidx)
-            drawn = spec.aux_labels(aidx, fast)
             np.testing.assert_array_equal(drawn, sample_aux_labels(gammas, m, slow))
             assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -641,3 +640,115 @@ class TestBatchedRuns:
         assert math.isfinite(float(found.group(3)))
         for cfg, result in zip(configs[::2], results[::2]):
             assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds, pool))
+
+
+def _per_step_draws(spec, gammas, rng, pool_size, n_steps, m):
+    """The auxiliary stream as defined: one integers and one random call per step."""
+    idx, labels = [], []
+    for _ in range(n_steps):
+        idx.append(rng.integers(0, pool_size, size=m))
+        if spec.aux_pinned is not None:
+            labels.append(spec.aux_pinned[idx[-1]])
+        elif spec.aux_cdf is not None:
+            labels.append(sample_aux_labels(gammas, m, rng))
+    return np.array(idx), np.array(labels) if labels else None
+
+
+# Zero-stride pools stand in for pools too large to hold; 3 * 2**30 rejects a
+# quarter of its 32-bit draws and 2**31 + 1 almost half.
+HUGE_POOLS = (3 * 2**30, 2**31 + 1)
+
+
+class TestEpochDraws:
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls = []
+        replay = train._replay_draws
+
+        def counted(rng, pool_size, n_steps, m, drawn):
+            calls.append((pool_size, m))
+            return replay(rng, pool_size, n_steps, m, drawn)
+
+        monkeypatch.setattr(train, "_replay_draws", counted)
+        return calls
+
+    def test_epochs_match_per_step_calls(self, replays):
+        gammas = complementary(prior_from_counts([30, 10, 4]), 0.9).gammas
+        epochs = {}
+        for pool_size in (1, 2, 300, 5000) + HUGE_POOLS:
+            if pool_size in HUGE_POOLS:
+                pinned = np.broadcast_to(np.int64(1), (pool_size,))
+            else:
+                pinned = sample_aux_labels(gammas, pool_size, np.random.default_rng(pool_size))
+            specs = {
+                "drawn": train._LossSpec(aux_cdf=np.cumsum(gammas)),
+                "pinned": train._LossSpec(aux_pinned=pinned),
+                "oe": train._LossSpec(aux_prior=np.full(3, 1 / 3)),
+            }
+            for m in (1, 2, 7, 32):
+                for k, (kind, spec) in enumerate(specs.items()):
+                    fast = np.random.default_rng([pool_size, m, k])
+                    slow = np.random.default_rng([pool_size, m, k])
+                    for n_steps in (1, 3, 1, 2, 1, 1, 4, 1):
+                        idx, labels = train._epoch_draws(spec, fast, pool_size, n_steps, m)
+                        want_idx, want_labels = _per_step_draws(spec, gammas, slow, pool_size, n_steps, m)
+                        assert idx.dtype == np.int64 and idx.shape == (n_steps, m)
+                        np.testing.assert_array_equal(idx, want_idx)
+                        if kind == "oe":
+                            assert labels is None
+                        else:
+                            np.testing.assert_array_equal(labels, want_labels)
+                        assert fast.bit_generator.state == slow.bit_generator.state
+                        epochs[pool_size, m] = epochs.get((pool_size, m), 0) + 1
+        for (pool_size, m), count in epochs.items():
+            replayed = replays.count((pool_size, m))
+            if m % 2 or pool_size == 1:
+                assert replayed == count
+            elif pool_size in HUGE_POOLS and m == 2:
+                assert 0 < replayed < count, (pool_size, replayed, count)
+            elif pool_size in HUGE_POOLS:
+                assert replayed > 0
+            else:
+                assert replayed == 0
+        # A rejection inside an even-size call carries a half into the next epoch.
+        carried = np.random.default_rng(0)
+        while not carried.bit_generator.state["has_uint32"]:
+            carried.integers(0, HUGE_POOLS[0], size=32)
+        spec = train._LossSpec(aux_cdf=np.cumsum(gammas))
+        before = len(replays)
+        twin = np.random.default_rng(0)
+        twin.bit_generator.state = carried.bit_generator.state
+        idx, labels = train._epoch_draws(spec, carried, 300, 2, 32)
+        want_idx, want_labels = _per_step_draws(spec, gammas, twin, 300, 2, 32)
+        assert len(replays) == before + 1
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert carried.bit_generator.state == twin.bit_generator.state
+
+    def test_rejecting_pool_runs_match_reference(self, replays):
+        train_ds, test_ds, _ = small_task()
+        row = np.linspace(-1.0, 1.0, train_ds.dim)
+        pool = AuxiliaryPool(features=np.broadcast_to(row, (HUGE_POOLS[0], train_ds.dim)), kind="gaussian")
+        configs = [TrainConfig(method="open-sampling", epochs=6, seed=s, hidden_dim=4, batch_aux=m)
+                   for s, m in ((1, 2), (2, 2), (3, 32))]
+        batched = train.train_runs(configs, train_ds, test_ds, [pool] * 3)
+        assert {m for _, m in replays} == {2, 32}
+        assert replays.count((HUGE_POOLS[0], 2)) < 2 * 6
+        for cfg, result in zip(configs, batched):
+            alone = train.train_runs([cfg], train_ds, test_ds, [pool])[0]
+            assert _run_bytes(result) == _run_bytes(alone)
+            ref_params, ref_history = reference_run(cfg, train_ds, test_ds, pool, KERNELS["reference"])
+            assert result.history == ref_history
+            for (w1, b1), (w2, b2) in zip(result.final_params.layers, ref_params.layers):
+                assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+
+    def test_mixed_pinned_and_drawn_stack_matches_reference(self):
+        train_ds, test_ds, pool = small_task()
+        configs = [TrainConfig(method="open-sampling", fixed_labels=fixed, epochs=4, seed=seed, hidden_dim=8)
+                   for seed, fixed in ((5, True), (6, False), (7, True), (8, False))]
+        batched = train.train_runs(configs, train_ds, test_ds, [pool] * 4)
+        for cfg, result in zip(configs, batched):
+            ref_params, ref_history = reference_run(cfg, train_ds, test_ds, pool, KERNELS["reference"])
+            assert result.history == ref_history
+            for (w1, b1), (w2, b2) in zip(result.final_params.layers, ref_params.layers):
+                assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
