@@ -44,10 +44,12 @@ def _check_keys(obj: dict, where: str, required, optional=()):
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
-def _count(value, where: str) -> int:
-    """A non-negative JSON integer: bools and floats are refused, not coerced."""
+def _count(value, where: str, minimum: int = 0) -> int:
+    """A JSON integer >= minimum: bools and floats are refused, not coerced."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"{where} must be a non-negative integer, got {json.dumps(value)}")
+    if value < minimum:
+        raise ConfigError(f"{where} must be at least {minimum}, got {value}")
     return value
 
 
@@ -133,6 +135,14 @@ def _check_pool_spec(spec: dict, where: str, has_class_means: bool) -> None:
         raise ConfigError(f"{where}: file pools need a path")
     if kind == "shifted-mixture" and not has_class_means:
         raise ConfigError(f"{where}: shifted-mixture pools need synthetic class means")
+    for key in ("size", "seed", "window", "clusters"):
+        if key in spec:
+            _count(spec[key], f"{where}.{key}")
+    if kind != "file" and "size" in spec:
+        try:
+            data.check_pool_params(spec["size"], **_pool_kwargs(spec))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _pool_kwargs(spec: dict) -> dict:
@@ -140,18 +150,16 @@ def _pool_kwargs(spec: dict) -> dict:
     return {key: spec[key] for key in keys if spec.get(key) is not None}
 
 
-def _build_pool(spec: dict, where: str, dim: int, base_seed, class_means, base_dir: Path):
-    _check_pool_spec(spec, where, class_means is not None)
+def _build_pool(spec: dict, dim: int, base_seed, class_means, base_dir: Path):
+    """Read or generate a pool whose spec _check_pool_spec has passed."""
     kind = spec["kind"]
     if kind == "file":
         return data.read_pool(base_dir / spec["path"])
     kwargs = _pool_kwargs(spec)
     if kind == "shifted-mixture":
         kwargs["class_means"] = class_means
-    seed = spec.get("seed")
-    return data.gen_ood_pool(
-        kind, int(spec["size"]), dim, base_seed if seed is None else int(seed), **kwargs
-    )
+    seed = spec.get("seed", base_seed)
+    return data.gen_ood_pool(kind, spec["size"], dim, seed, **kwargs)
 
 
 def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
@@ -161,6 +169,9 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
         required=("command", "name", "seed"),
         optional=("classes", "dim", "mean_radius", "sigma", "train", "test", "aux", "cifar"),
     )
+    if "aux" in config:
+        _check_keys(config["aux"], "synth.aux", required=("kind", "size"), optional=_AUX_KEYS)
+        _check_pool_spec(config["aux"], "synth.aux", has_class_means="cifar" not in config)
     name = config["name"]
     seed = int(config["seed"])
     chash = _config_hash(config)
@@ -218,10 +229,7 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
         manifest["test_counts"] = test_ds.class_counts()
 
     if "aux" in config:
-        _check_keys(config["aux"], "synth.aux", required=("kind", "size"), optional=_AUX_KEYS)
-        pool = _build_pool(
-            config["aux"], "synth.aux", train_ds.dim, seed * 10 + 3, class_means, base_dir
-        )
+        pool = _build_pool(config["aux"], train_ds.dim, seed * 10 + 3, class_means, base_dir)
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name
@@ -509,13 +517,8 @@ def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
     for i, spec in enumerate(pools):
         _check_keys(spec, f"pools[{i}]", required=("name", "kind"), optional=_AUX_KEYS)
         _check_pool_spec(spec, f"pools[{i}]", has_class_means=False)
-        if spec["kind"] != "file":
-            if "size" not in spec or "seed" not in spec:
-                raise ConfigError(f"pools[{i}]: generated pools need size and seed")
-            try:
-                data.check_pool_params(int(spec["size"]), **_pool_kwargs(spec))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"pools[{i}]: {exc}") from exc
+        if spec["kind"] != "file" and ("size" not in spec or "seed" not in spec):
+            raise ConfigError(f"pools[{i}]: generated pools need size and seed")
     params = nn.load_params(base_dir / config["checkpoint"])
     test_ds = data.read_dataset(base_dir / config["test"])
     if test_ds.dim != params.input_dim:
@@ -527,7 +530,7 @@ def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
     rows = []
     triples = []
     for i, spec in enumerate(pools):
-        pool = _build_pool(spec, f"pools[{i}]", test_ds.dim, None, None, base_dir)
+        pool = _build_pool(spec, test_ds.dim, None, None, base_dir)
         if pool.dim != test_ds.dim:
             raise ConfigError(f"pools[{i}]: dimension {pool.dim} != test {test_ds.dim}")
         out_scores = metrics.msp_scores(params, pool.features)
@@ -567,16 +570,28 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
         optional=("max_support", "max_classes", "one_hot_stress", "rebalance"),
     )
     cases = _count(config["cases"], "bayes-check: cases")
+    seed = _count(config["seed"], "bayes-check: seed")
+    # random_case draws supports and class counts from [2, max].
+    max_support = _count(config.get("max_support", 20), "bayes-check: max_support", minimum=2)
+    max_classes = _count(config.get("max_classes", 10), "bayes-check: max_classes", minimum=2)
     if "one_hot_stress" in config:
         spec = config["one_hot_stress"]
         _check_keys(spec, "one_hot_stress", required=("cases",), optional=("m_scale",))
         n_stress = _count(spec["cases"], "bayes-check: one_hot_stress.cases")
         m_scale = float(spec.get("m_scale", 100.0))
+    if "rebalance" in config:
+        spec = config["rebalance"]
+        _check_keys(
+            spec,
+            "rebalance",
+            required=("counts", "alphas", "aux_sizes"),
+            optional=("support", "seed", "disjoint"),
+        )
+        support = _count(spec.get("support", 16), "bayes-check: rebalance.support", minimum=1)
+        sub_seed = _count(spec.get("seed", seed), "bayes-check: rebalance.seed")
     name = config["name"]
     chash = _config_hash(config)
-    rng = np.random.default_rng([int(config["seed"]), 0xBA4E5])
-    max_support = int(config.get("max_support", 20))
-    max_classes = int(config.get("max_classes", 10))
+    rng = np.random.default_rng([seed, 0xBA4E5])
 
     draws = (
         oracle.random_case(rng, max_support, max_classes, disjoint=bool(i % 2))
@@ -624,15 +639,8 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
 
     if "rebalance" in config:
         spec = config["rebalance"]
-        _check_keys(
-            spec,
-            "rebalance",
-            required=("counts", "alphas", "aux_sizes"),
-            optional=("support", "seed", "disjoint"),
-        )
         prior = prior_from_counts(spec["counts"])
-        support = int(spec.get("support", 16))
-        sub_rng = np.random.default_rng([int(spec.get("seed", config["seed"])), 0x2EBA1])
+        sub_rng = np.random.default_rng([sub_seed, 0x2EBA1])
         cond = sub_rng.random((support, prior.num_classes))
         cond /= cond.sum(axis=0, keepdims=True)
         source = oracle.DiscreteJoint(table=cond * prior.betas)

@@ -38,7 +38,9 @@ __all__ = [
 DATASET_MAGIC = b"OSDS1"
 
 OOD_KINDS = ("gaussian", "rademacher", "blobs", "shifted-mixture", "file")
-_RADEMACHER_ROWS = 256  # rows per draw of a rademacher pool
+# Rows per block of a rademacher or blobs pool; even, so that a rademacher
+# block never ends on half a raw word.
+_POOL_BLOCK_ROWS = 32
 
 
 class FormatError(ValueError):
@@ -215,12 +217,13 @@ def check_pool_params(size: int, **params) -> None:
     """Raise ValueError for ``gen_ood_pool`` arguments that no pool kind accepts.
 
     ``params`` are any of gen_ood_pool's ``sigma``, ``window``, ``low``,
-    ``high`` and ``margin``; the ones not given are not checked.
+    ``high``, ``margin`` and ``clusters``; the ones not given are not checked.
     """
     if size < 1:
         raise ValueError("pool size must be at least 1")
-    if "window" in params and int(params["window"]) < 1:
-        raise ValueError(f"window must be at least 1, got {params['window']}")
+    for name in ("window", "clusters"):
+        if name in params and int(params[name]) < 1:
+            raise ValueError(f"{name} must be at least 1, got {params[name]}")
     for name in ("sigma", "low", "high", "margin"):
         if name in params and not math.isfinite(float(params[name])):
             raise ValueError(f"{name} must be finite, got {params[name]}")
@@ -248,38 +251,57 @@ def gen_ood_pool(
     to ``low``/``high``. shifted-mixture: Gaussian clusters whose centers sit
     at least ``margin`` away from every row of ``class_means``.
     """
-    check_pool_params(size, sigma=sigma, window=window, low=low, high=high, margin=margin)
+    check_pool_params(
+        size, sigma=sigma, window=window, low=low, high=high, margin=margin, clusters=clusters
+    )
     rng = np.random.default_rng([int(seed), 0x00D])
     if kind == "gaussian":
         features = rng.standard_normal((size, dim))
         features *= float(sigma)
     elif kind == "rademacher":
-        # int32 draws in row blocks give the same stream as one int64 draw
-        # of the whole pool, without a second pool-sized array.
+        # rng.integers(0, 2) takes the top bit of each 32-bit half of a raw
+        # PCG64 word, low half first; Lemire's threshold (2**32 - 2) % 2 is 0,
+        # so it never redraws, and the fresh generator holds no buffered half.
+        # Read as int32, a half's top bit is its sign, and ~half >= 0 exactly
+        # when that bit is set, giving +1.0.
         features = np.empty((size, dim))
-        for start in range(0, size, _RADEMACHER_ROWS):
-            block = features[start : start + _RADEMACHER_ROWS]
-            np.multiply(rng.integers(0, 2, size=block.shape, dtype=np.int32), 2.0, out=block)
-            block -= 1.0
+        for start in range(0, size, _POOL_BLOCK_ROWS):
+            block = features[start : start + _POOL_BLOCK_ROWS]
+            words = rng.bit_generator.random_raw(-(-block.size // 2))
+            halves = words.astype("<u8", copy=False).view("<i4")[: block.size]
+            np.invert(halves, out=halves)
+            np.copysign(1.0, halves.reshape(block.shape), out=block)
     elif kind == "blobs":
         # Imported here: scipy.ndimage is most of the package's import time.
         from scipy.ndimage import uniform_filter1d
 
-        # The noise buffer takes the median's partition and then the result,
-        # so the smoothed copy is the only other full-size float array.
-        features = rng.random((size, dim))
-        smooth = uniform_filter1d(features, size=int(window), axis=1, mode="nearest")
-        features[...] = smooth
-        # One partition at k gives np.median's value: the middle element, or
-        # for even dim the mean of the lower half's max and the upper middle.
+        features = np.empty((size, dim))
+        smooth = np.empty((min(size, _POOL_BLOCK_ROWS), dim))
+        low_bits = np.array(float(low)).view(np.uint64)
+        flip_bits = low_bits ^ np.array(float(high)).view(np.uint64)
         k = dim // 2
-        features.partition(k, axis=1)
-        med = features[:, k : k + 1].copy()
-        if dim % 2 == 0:
-            med += features[:, :k].max(axis=1, keepdims=True)
-            med /= 2
-        features.fill(float(low))
-        np.copyto(features, float(high), where=smooth > med)
+        for start in range(0, size, _POOL_BLOCK_ROWS):
+            # One double per raw word, so blocks give the whole pool's draw.
+            block = features[start : start + _POOL_BLOCK_ROWS]
+            sm = smooth[: len(block)]
+            rng.random(out=block)
+            uniform_filter1d(block, size=int(window), axis=1, mode="nearest", output=sm)
+            # The noise is spent: the block takes the median's partition. One
+            # partition at k gives np.median's value: the middle element, or
+            # for even dim the mean of the lower half's max and the upper middle.
+            block[...] = sm
+            block.partition(k, axis=1)
+            med = block[:, k : k + 1].copy()
+            if dim % 2 == 0:
+                med += block[:, :k].max(axis=1, keepdims=True)
+                med /= 2
+            # For finite values, med - sm has its sign bit set exactly when
+            # sm > med (equal values give +0.0), so the bit picks high over low.
+            np.subtract(med, sm, out=sm)
+            bits = sm.view(np.uint64)
+            bits >>= 63
+            bits *= flip_bits
+            np.bitwise_xor(bits, low_bits, out=block.view(np.uint64))
     elif kind == "shifted-mixture":
         if class_means is None:
             raise ValueError("shifted-mixture needs the in-distribution class means")

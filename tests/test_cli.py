@@ -113,6 +113,23 @@ class TestSynth:
         assert f"non-finite number {constant}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.osds"))
 
+    @pytest.mark.parametrize(
+        "change,key,shown",
+        [({"size": 400.5}, "size", "400.5"),
+         ({"clusters": 8.5}, "clusters", "8.5"),
+         ({"seed": False}, "seed", "false")],
+        ids=["float-size", "float-clusters", "bool-seed"],
+    )
+    def test_pool_integers_not_coerced(self, tmp_path, capsys, change, key, shown):
+        # Checked before the train and test sets are written.
+        config = synth_config()
+        config["aux"].update(change)
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"synth.aux.{key} must be a non-negative integer, got {shown}" in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "synth.json", synth_config())
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -420,9 +437,19 @@ class TestEvalOod:
             ({"pools": [_GAUSS, {**_GAUSS, "sigma": math.nan}]},
              r"ood\.json: non-finite number NaN is not allowed"),
             ({"aupr_positive": "ood"}, "aupr_positive must be 'in' or 'out'"),
+            # Pool integers are JSON integers, never coerced.
+            ({"pools": [_GAUSS, {**_GAUSS, "kind": "rademacher", "size": 200.7, "seed": True}]},
+             r"pools\[1\]\.size must be a non-negative integer, got 200\.7"),
+            ({"pools": [_GAUSS, {**_GAUSS, "kind": "rademacher", "seed": True}]},
+             r"pools\[1\]\.seed must be a non-negative integer, got true"),
+            ({"pools": [_GAUSS, {**_GAUSS, "kind": "blobs", "window": 4.9}]},
+             r"pools\[1\]\.window must be a non-negative integer, got 4\.9"),
+            ({"pools": [_GAUSS, {**_GAUSS, "clusters": -2}]},
+             r"pools\[1\]\.clusters must be a non-negative integer, got -2"),
         ],
         ids=["file-without-path", "key-typo", "no-seed", "shifted-mixture", "unknown-kind",
-             "zero-window", "nan-sigma", "aupr-positive"],
+             "zero-window", "nan-sigma", "aupr-positive", "float-size", "bool-seed",
+             "float-window", "negative-clusters"],
     )
     def test_bad_spec_fails_before_any_file_is_read(self, tmp_path, capsys, change, message):
         # Neither the checkpoint nor the test set exists, so the spec error
@@ -554,6 +581,37 @@ class TestBayesCheck:
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"bayes-check: {key} must be a non-negative integer, got {shown}" in err, err
+        assert not (tmp_path / "bad_bayes.json").exists()
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [({"seed": True, "max_support": 4.9}, "seed must be a non-negative integer, got true"),
+         ({"max_support": 4.9}, "max_support must be a non-negative integer, got 4.9"),
+         ({"max_support": 1}, "max_support must be at least 2, got 1"),
+         ({"max_classes": 3.0}, "max_classes must be a non-negative integer, got 3.0"),
+         ({"rebalance": {"support": 2.5}}, "rebalance.support must be a non-negative integer, got 2.5"),
+         ({"rebalance": {"support": 0}}, "rebalance.support must be at least 1, got 0"),
+         ({"rebalance": {"seed": True}}, "rebalance.seed must be a non-negative integer, got true"),
+         ({"rebalance": {"seed": -1}}, "rebalance.seed must be a non-negative integer, got -1")],
+        ids=["bool-seed", "float-max-support", "small-max-support", "float-max-classes",
+             "float-support", "zero-support", "bool-rebalance-seed", "negative-rebalance-seed"],
+    )
+    def test_bad_integer_fails_before_any_case_is_drawn(
+        self, tmp_path, capsys, monkeypatch, change, message
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a case was drawn")
+
+        monkeypatch.setattr(oracle, "random_case", no_draws)
+        config = {"command": "bayes-check", "name": "bad", "seed": 0, "cases": 4, **change}
+        if "rebalance" in change:
+            config["rebalance"] = {
+                "counts": [50, 10], "alphas": [0.5], "aux_sizes": [10], **change["rebalance"]
+            }
+        cfg = write_config(tmp_path / "bayes.json", config)
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"bayes-check: {message}" in err, err
         assert not (tmp_path / "bad_bayes.json").exists()
 
     def test_zero_cases_empty_report(self, tmp_path):

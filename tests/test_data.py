@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 from scipy.ndimage import uniform_filter1d
 
 from open_rebalance.data import (
-    _RADEMACHER_ROWS,
+    _POOL_BLOCK_ROWS,
     DATASET_MAGIC,
     AuxiliaryPool,
     FormatError,
@@ -210,15 +211,54 @@ class TestOodPools:
         assert pool.features.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 9, 101])
-    @pytest.mark.parametrize("rows,dim", [(1, 1), (3, 5), (255, 3), (2 * _RADEMACHER_ROWS + 1, 7)])
+    @pytest.mark.parametrize("rows,dim", [(1, 1), (3, 5), (255, 3), (2 * _POOL_BLOCK_ROWS + 1, 7)])
     def test_rademacher_blocks_match_one_draw(self, seed, rows, dim):
-        # Drawn in int32 row blocks, the pool has the single int64 draw's
-        # bytes, also when the last block is short.
+        # Decoded in row blocks from raw words, the pool has the single int64
+        # draw's bytes, also when the last block is short.
         pool = gen_ood_pool("rademacher", rows, dim, seed=seed)
         rng = np.random.default_rng([seed, 0x00D])
         want = 2.0 * rng.integers(0, 2, size=(rows, dim)) - 1.0
         assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
         assert pool.features.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["rademacher", "blobs"]),
+        rows=st.integers(1, 3 * _POOL_BLOCK_ROWS + 1),
+        dim=st.integers(1, 3) | st.integers(4, 70),
+        window=st.integers(1, 80),
+        low=st.sampled_from([-0.0, 0.0]) | st.floats(allow_nan=False, allow_infinity=False),
+        high=st.sampled_from([-0.0, 0.0]) | st.floats(allow_nan=False, allow_infinity=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_pools_match_plain_formulas(self, kind, rows, dim, window, low, high, seed):
+        # Any row count (a multiple of the block or not), odd size * dim,
+        # windows wider than the row, and any finite low/high, -0.0 included.
+        pool = gen_ood_pool(kind, rows, dim, seed=seed, window=window, low=low, high=high)
+        rng = np.random.default_rng([seed, 0x00D])
+        if kind == "rademacher":
+            want = 2.0 * rng.integers(0, 2, size=(rows, dim)) - 1.0
+        else:
+            smooth = uniform_filter1d(rng.random((rows, dim)), size=window, axis=1, mode="nearest")
+            want = np.where(smooth > np.median(smooth, axis=1, keepdims=True), high, low)
+        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
+        assert pool.features.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rademacher", "blobs"])
+    def test_generation_peak_is_pool_plus_block_buffers(self, kind):
+        # numpy reports its allocations to tracemalloc. A pool-sized
+        # temporary (the whole-pool draw or smoothed copy) would double the
+        # peak; a few block-sized buffers and small objects are all it may add.
+        rows, dim = 20 * _POOL_BLOCK_ROWS + 5, 512
+        gen_ood_pool(kind, 2, 2, seed=0)  # imports done outside the trace
+        tracemalloc.start()
+        try:
+            pool = gen_ood_pool(kind, rows, dim, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = _POOL_BLOCK_ROWS * dim * 8
+        assert peak <= pool.features.nbytes + 2 * block_bytes + 16 * 1024, peak
 
     @pytest.mark.parametrize(
         "bad",
