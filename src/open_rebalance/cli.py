@@ -53,6 +53,14 @@ def _count(value, where: str, minimum: int = 0) -> int:
     return value
 
 
+def _number(value, where: str):
+    """A JSON number that is a finite float: bools and strings are refused, not coerced."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
+    return value
+
+
 def _seeds(config: dict, command: str) -> list:
     seeds = config["seeds"]
     if not isinstance(seeds, list) or not seeds:
@@ -274,22 +282,47 @@ def _parse_label_dist(spec) -> LabelDistributionKind:
     )
 
 
+def _check_train_section(config: dict, command: str) -> int:
+    """Check the train section and model before any data is read; return the hidden width.
+
+    Every integer must be a JSON integer; the errors name the dotted path.
+    """
+    section = config["train"]
+    _check_keys(section, "train", required=("method",), optional=_TRAIN_KEYS)
+    for key, minimum in (("epochs", 0), ("batch_train", 1), ("batch_aux", 1)):
+        if section.get(key) is not None:
+            _count(section[key], f"{command}.train.{key}", minimum)
+    schedule = section.get("schedule")
+    if schedule is not None:
+        _check_keys(schedule, "schedule", required=(),
+                    optional=("warmup_epochs", "milestones", "decay_factor"))
+        where = f"{command}.train.schedule"
+        _count(schedule.get("warmup_epochs", 0), f"{where}.warmup_epochs")
+        milestones = schedule.get("milestones", [])
+        if not isinstance(milestones, list):
+            raise ConfigError(f"{where}.milestones must be a list, got {json.dumps(milestones)}")
+        for i, milestone in enumerate(milestones):
+            _count(milestone, f"{where}.milestones[{i}]")
+    model = config.get("model", {})
+    _check_keys(model, "model", required=(), optional=("hidden_dim",))
+    return _count(model.get("hidden_dim", 0), f"{command}.model.hidden_dim")
+
+
 def _parse_schedule(spec, epochs: int) -> nn.LrSchedule:
-    _check_keys(spec, "schedule", required=(), optional=("warmup_epochs", "milestones", "decay_factor"))
     return nn.LrSchedule(
-        warmup_epochs=int(spec.get("warmup_epochs", 0)),
-        milestones=tuple(int(m) for m in spec.get("milestones", ())),
+        warmup_epochs=spec.get("warmup_epochs", 0),
+        milestones=tuple(spec.get("milestones", ())),
         decay_factor=float(spec.get("decay_factor", 0.01)),
         total_epochs=max(epochs, 1),
     )
 
 
 def _parse_train_config(section: dict, hidden_dim: int, seed: int) -> train.TrainConfig:
-    _check_keys(section, "train", required=("method",), optional=_TRAIN_KEYS)
+    """A run's TrainConfig from a section that _check_train_section has passed."""
     kwargs = {k: section[k] for k in _TRAIN_KEYS if k in section and section[k] is not None}
     if "label_dist" in kwargs:
         kwargs["label_dist"] = _parse_label_dist(kwargs["label_dist"])
-    epochs = int(kwargs.get("epochs", 40))
+    epochs = kwargs.get("epochs", 40)
     if "schedule" in kwargs:
         kwargs["schedule"] = _parse_schedule(kwargs["schedule"], epochs)
     return train.TrainConfig(hidden_dim=hidden_dim, seed=seed, **kwargs)
@@ -301,12 +334,6 @@ def _load_data_section(section: dict, base_dir: Path):
     test_ds = data.read_dataset(base_dir / section["test"])
     aux = data.read_pool(base_dir / section["aux"]) if section.get("aux") else None
     return train_ds, test_ds, aux
-
-
-def _hidden_dim(config: dict) -> int:
-    model = config.get("model", {})
-    _check_keys(model, "model", required=(), optional=("hidden_dim",))
-    return int(model.get("hidden_dim", 0))
 
 
 def _result_payload(config, chash, name, seed, result, train_ds, thresholds):
@@ -361,10 +388,10 @@ def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
         optional=("model", "group_thresholds"),
     )
     seeds = _seeds(config, "train")
+    hidden = _check_train_section(config, "train")
     name = config["name"]
     chash = _config_hash(config)
     train_ds, test_ds, aux = _load_data_section(config["data"], base_dir)
-    hidden = _hidden_dim(config)
     thresholds = tuple(config.get("group_thresholds", metrics.GROUP_THRESHOLDS))
 
     failures = []
@@ -435,14 +462,19 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
     values = config["grid"]["values"]
     if param not in _GRID_PARAMS:
         raise ConfigError(f"grid.param must be one of {_GRID_PARAMS}, got {param!r}")
-    if not values:
-        raise ConfigError("grid.values must be non-empty")
+    if not isinstance(values, list) or not values:
+        raise ConfigError("grid.values must be a non-empty list")
+    for i, value in enumerate(values):
+        if param == "aux_size":
+            _count(value, f"sweep.grid.values[{i}]", minimum=1)
+        elif param == "eta" or (param == "alpha" and value not in ("M", "mcd")):
+            _number(value, f"sweep.grid.values[{i}]")
     seeds = _seeds(config, "sweep")
+    hidden = _check_train_section(config, "sweep")
 
     name = config["name"]
     chash = _config_hash(config)
     train_ds, test_ds, aux = _load_data_section(config["data"], base_dir)
-    hidden = _hidden_dim(config)
     thresholds = tuple(config.get("group_thresholds", metrics.GROUP_THRESHOLDS))
     train_counts = train_ds.class_counts()
 
@@ -452,11 +484,11 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
         value, seed = point
         pool = aux
         if param == "aux_size":
-            size = int(value)
-            if pool is None or size < 1 or size > len(pool):
-                raise ValueError(f"aux_size {size} not available (pool of {0 if pool is None else len(pool)})")
+            available = 0 if pool is None else len(pool)
+            if value > available:
+                raise ValueError(f"aux_size {value} not available (pool of {available})")
             # A row prefix of the pool, so every aux_size trains in one stack.
-            pool = data.AuxiliaryPool(features=pool.features[:size], kind=pool.kind)
+            pool = data.AuxiliaryPool(features=pool.features[:value], kind=pool.kind)
             section = config["train"]
         else:
             section = _apply_grid_value(config["train"], param, value)

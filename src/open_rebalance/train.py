@@ -5,8 +5,10 @@ uniformly from the open-set pool; auxiliary labels are resampled from the
 configured label distribution every iteration unless fixed for the run.
 Three independent RNG streams (shuffling, auxiliary draws, initialization)
 keep ablations bit-comparable: changing one knob touches exactly one stream.
-``train_runs`` trains many runs as stacked arrays, one stack per group of
-structurally alike runs; a run gives the same bits alone or in any batch.
+``train_runs`` trains many runs as stacked arrays, one stack per training
+shape. Inside a stack each auxiliary kind is a leading slice (relabelled,
+then OE, then none), so the auxiliary pass runs on a prefix of the stacked
+weights; a run gives the same bits alone or in any batch.
 
 A run's auxiliary stream is defined by two calls per step,
 ``integers(0, P, size=m)`` for the indices and then, for drawn labels,
@@ -260,10 +262,12 @@ class _Diverged(Exception):
         self.runs = runs
 
 
-def _check_runs_finite(logits: np.ndarray) -> None:
-    # Training can diverge, so the step runs this on every batch.
+def _check_runs_finite(logits: np.ndarray, runs: int) -> None:
+    # Training can diverge, so the step runs this on every batch. The logits
+    # may cover only the stack's leading runs; the mask covers all of them.
     if not np.isfinite(logits).all():
-        raise _Diverged(~np.isfinite(logits).all(axis=(-2, -1)))
+        lost = ~np.isfinite(logits).all(axis=(-2, -1))
+        raise _Diverged(np.pad(lost, (0, runs - lost.shape[0])))
 
 
 def _stack_rows(rows, fill: float):
@@ -274,43 +278,57 @@ def _stack_rows(rows, fill: float):
     return np.stack([np.full_like(present, fill) if r is None else r for r in rows])
 
 
+def _slice_rank(spec: _LossSpec) -> int:
+    """A run's slice in its stack: 0 relabelled aux CE, 1 OE prior CE, 2 no aux batch."""
+    return 0 if spec.aux_omegas is not None else 1 if spec.aux_prior is not None else 2
+
+
 class _Stack:
     """S runs' parameters, velocities and loss specs, stacked along axis 0.
 
     Weights are (S, d, h) and biases (S, 1, h). The per-run spec fields become
     vectors: eta, the base logit offset (zeros where a run has none), the
     cb-rw base weights (ones where a run has none; unit weights round exactly
-    as no weights) and the aux omegas. All runs share the auxiliary loss kind
-    and the OE prior, which is the training set's.
+    as no weights) and the aux omegas. Specs come in slice order: the first R
+    runs relabel their auxiliary batch, the next A - R take the OE prior CE
+    (the training prior, shared by all), and the rest have no auxiliary batch.
     """
 
     def __init__(self, specs, layers, state: OptimState):
         self.layers = layers
         self.state = state
+        self.rank = np.array([_slice_rank(spec) for spec in specs])
         self.eta = np.array([spec.eta for spec in specs], dtype=np.float64)
         self.has_offset = np.array([spec.base_offset is not None for spec in specs])
         offset = _stack_rows([spec.base_offset for spec in specs], 0.0)
         self.base_offset = None if offset is None else offset[:, None, :]
         self.base_weights = _stack_rows([spec.base_weights for spec in specs], 1.0)
         self.aux_omegas = _stack_rows([spec.aux_omegas for spec in specs], 1.0)
-        self.aux_prior = specs[0].aux_prior
+        self.aux_prior = next((spec.aux_prior for spec in specs if spec.aux_prior is not None), None)
         self._index()
 
     def _index(self):
         # Adding a zero offset could turn a -0.0 logit into +0.0, and a zero
         # eta times the aux gradient could do the same to a weight gradient,
         # so both adds are masked to the runs that have a nonzero term.
-        self.rows = np.arange(self.eta.shape[0])[:, None]
+        self.size = self.eta.shape[0]
+        self.n_relabel = int((self.rank == 0).sum())
+        self.n_aux = a = int((self.rank < 2).sum())
+        self.rows = np.arange(self.size)[:, None]
         self.offset_where = self.has_offset[:, None, None]
-        self.eta_where = (self.eta != 0.0)[:, None, None]
+        # The auxiliary pass works on views of the leading A runs' weights.
+        self.aux_layers = tuple((w[:a], b[:a]) for w, b in self.layers)
+        self.aux_rows = self.rows[: self.n_relabel]
+        self.aux_eta = self.eta[:a, None, None]
+        self.eta_where = self.aux_eta != 0.0
         self.any_eta = bool(self.eta_where.any())
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the runs outside mask from every stacked array."""
+        """Drop the runs outside mask from every stacked array; the slice order holds."""
         self.layers = tuple((w[mask], b[mask]) for w, b in self.layers)
         velocity = tuple((vw[mask], vb[mask]) for vw, vb in self.state.velocity)
         self.state = replace(self.state, velocity=velocity)
-        self.eta, self.has_offset = self.eta[mask], self.has_offset[mask]
+        self.rank, self.eta, self.has_offset = self.rank[mask], self.eta[mask], self.has_offset[mask]
         for name in ("base_offset", "base_weights", "aux_omegas"):
             value = getattr(self, name)
             if value is not None:
@@ -318,31 +336,45 @@ class _Stack:
         self._index()
 
 
+def _aux_loss(stack: _Stack, logits, ay):
+    """The auxiliary loss and logit gradient of the stack's leading A runs."""
+    r = stack.n_relabel
+    if r == stack.n_aux:
+        return _xent(logits, ay, stack.aux_omegas[stack.aux_rows, ay])
+    if r == 0:
+        return _prior_xent(logits, stack.aux_prior)
+    loss, g = _xent(logits[:r], ay, stack.aux_omegas[stack.aux_rows, ay])
+    oe_loss, oe_g = _prior_xent(logits[r:], stack.aux_prior)
+    return np.concatenate((loss, oe_loss)), np.concatenate((g, oe_g))
+
+
 def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     """One in-place SGD update of every run in the stack on its spec's objective.
 
-    Batches are (S, B, d) with (S, B) labels. Returns the per-run (base, aux)
-    loss vectors, or raises _Diverged before any update.
+    Batches are (S, B, d) with (S, B) labels; the auxiliary batch ax is
+    (A, m, d) for the stack's leading A runs, with (R, m) labels ay. Returns
+    the per-run (base, aux) loss vectors, or raises _Diverged before any update.
     """
     layers = stack.layers
     logits, acts = _forward(layers, bx)
     if stack.base_offset is not None:
         np.add(logits, stack.base_offset, out=logits, where=stack.offset_where)
-    _check_runs_finite(logits)
+    _check_runs_finite(logits, stack.size)
     weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
     base_loss, g = _xent(logits, by, weights)
     grads = _backward(layers, acts, g)
     aux_loss = np.zeros_like(base_loss)
-    if ax is not None:
-        logits, acts = _forward(layers, ax)
-        _check_runs_finite(logits)
-        if stack.aux_prior is not None:
-            aux_loss, g = _prior_xent(logits, stack.aux_prior)
-        else:
-            aux_loss, g = _xent(logits, ay, stack.aux_omegas[stack.rows, ay])
+    a = stack.n_aux
+    if a:
+        logits, acts = _forward(stack.aux_layers, ax)
+        _check_runs_finite(logits, stack.size)
+        loss, g = _aux_loss(stack, logits, ay)
+        aux_loss = loss if a == stack.size else np.concatenate((loss, aux_loss[a:]))
         if stack.any_eta:
-            eta = stack.eta[:, None, None]
-            for (gw, gb), (aw, ab) in zip(grads, _backward(layers, acts, g)):
+            eta = stack.aux_eta
+            for (gw, gb), (aw, ab) in zip(grads, _backward(stack.aux_layers, acts, g)):
+                if a < stack.size:
+                    gw, gb = gw[:a], gb[:a]
                 np.add(gw, eta * aw, out=gw, where=stack.eta_where)
                 np.add(gb, eta * ab, out=gb, where=stack.eta_where)
     _sgd_update(layers, grads, stack.state, lr)
@@ -462,27 +494,31 @@ def _start_run(index, config: TrainConfig, train: LabeledDataset, test: LabeledD
 
 
 def _group_key(run: _Run):
-    """What runs must share to train in one stack.
+    """A run's training shape, and its auxiliary batch size and pool (None without).
 
-    Runs with an auxiliary batch also need pools that are row prefixes of one
-    array (same start address and strides), so one gather serves them all.
+    Runs with an auxiliary batch stack only with runs whose pools are row
+    prefixes of one array (same start address and strides), so one gather
+    serves them all; the auxiliary kind is not part of the key.
     """
     config, pool = run.config, run.pool
     aux = None
     if pool is not None:
-        aux = (config.method in _RELABEL_METHODS, config.batch_aux or config.batch_train,
-               pool.__array_interface__["data"][0], pool.strides)
+        aux = (config.batch_aux or config.batch_train, pool.__array_interface__["data"][0], pool.strides)
     schedule = config.schedule or default_schedule(config.epochs)
-    return (config.hidden_dim, config.epochs, config.batch_train, schedule, config.base_lr,
-            config.momentum, config.weight_decay, aux)
+    shape = (config.hidden_dim, config.epochs, config.batch_train, schedule, config.base_lr,
+             config.momentum, config.weight_decay)
+    return shape, aux
 
 
 def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
-    """Train runs that share a group key as one stack, each with its own draws.
+    """Train runs that share a training shape as one stack, each with its own draws.
 
-    A run whose logits go non-finite gets its error and leaves the stack; the
-    others go on unchanged. Survivors get their final parameters.
+    The runs are put in slice order first (see ``_Stack``), so runs[:A] are
+    those with an auxiliary batch. A run whose logits go non-finite gets its
+    error and leaves the stack; the others go on unchanged. Survivors get
+    their final parameters.
     """
+    runs = sorted(runs, key=lambda r: _slice_rank(r.spec))
     config = runs[0].config
     schedule = config.schedule or default_schedule(config.epochs)
     depth = len(runs[0].params.layers)
@@ -498,17 +534,19 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     test_x = np.asarray(test.features, dtype=np.float64)
     n = len(train)
     batch = config.batch_train
-    m_aux = config.batch_aux or batch
+    m_aux = config.batch_aux or batch  # runs[0] has an auxiliary batch if any run does
     n_steps = -(-n // batch)
     last_loss = np.full(len(runs), np.nan)
     for epoch in range(config.epochs):
         lr = lr_at(schedule, epoch, config.base_lr)
         perms = np.array([r.shuffle_rng.permutation(n) for r in runs])
         if pool is not None:
-            # Step-major (n_steps, S, m), so each step's slice is contiguous.
-            draws = [_epoch_draws(r.spec, r.aux_rng, len(r.pool), n_steps, m_aux) for r in runs]
+            # Step-major (n_steps, A, m) and (n_steps, R, m), so each step's slice is contiguous.
+            draws = [_epoch_draws(r.spec, r.aux_rng, len(r.pool), n_steps, m_aux)
+                     for r in runs[: stack.n_aux]]
             aidx = np.stack([a for a, _ in draws], axis=1)
-            alabels = None if draws[0][1] is None else np.stack([y for _, y in draws], axis=1)
+            labels = [y for _, y in draws[: stack.n_relabel]]
+            alabels = np.stack(labels, axis=1) if labels else None
         total_sum = base_sum = aux_sum = np.zeros(len(runs))
         for step, start in enumerate(range(0, n, batch)):
             idx = perms[:, start : start + batch]
@@ -531,14 +569,17 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
                     runs = list(compress(runs, keep))
                     if not runs:
                         return
+                    aux_keep, label_keep = keep[: stack.n_aux], keep[: stack.n_relabel]
                     stack.keep(keep)
                     perms, last_loss = perms[keep], last_loss[keep]
                     total_sum, base_sum, aux_sum = total_sum[keep], base_sum[keep], aux_sum[keep]
                     bx, by = bx[keep], by[keep]
+                    if not stack.n_aux:
+                        pool = ax = ay = None
                     if ax is not None:
-                        aidx, ax = aidx[:, keep], ax[keep]
+                        aidx, ax = aidx[:, aux_keep], ax[aux_keep]
                     if ay is not None:
-                        alabels, ay = alabels[:, keep], ay[keep]
+                        alabels, ay = alabels[:, label_keep], ay[label_keep]
             total = base_loss + stack.eta * aux_loss
             last_loss = np.where(np.isfinite(total), total, last_loss)
             total_sum = total_sum + total
@@ -570,12 +611,15 @@ def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None)
     """Train many runs at once; deterministic given each config's seed.
 
     ``pools`` holds each config's auxiliary pool (or None), or is None when
-    no run has one. Runs that share a structural key (dims, hidden
-    width, batch sizes, epochs, LR schedule, momentum, weight decay and the
-    auxiliary kind) train as one stack, and each run's result is bit for bit
-    what it would be alone. Returns, in config order, each run's RunResult, or
-    the ValueError that stopped it: a bad setup or a divergence. A run's
-    wall_time is that of the stack it trained in.
+    no run has one. Runs that share a training shape (hidden width, epochs,
+    batch sizes, LR schedule, LR, momentum and weight decay) train as one
+    stack, whatever their method; runs with an auxiliary batch also share
+    its size and pool array, and runs without one join the first stack of
+    their shape that has one. Inside a stack the runs are ordered relabelled,
+    then OE, then without an auxiliary batch (see ``_Stack``). Each run's
+    result is bit for bit what it would be alone. Returns, in config order,
+    each run's RunResult, or the ValueError that stopped it: a bad setup or a
+    divergence. A run's wall_time is that of the stack it trained in.
     """
     configs = list(configs)
     pools = [None] * len(configs) if pools is None else list(pools)
@@ -591,9 +635,13 @@ def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None)
             results[i] = exc
             continue
         groups.setdefault(_group_key(run), []).append(run)
+    for shape, _ in [key for key in groups if key[1] is None]:
+        host = next((key for key in groups if key[0] == shape and key[1] is not None), None)
+        if host is not None:
+            groups[host] += groups.pop((shape, None))
     for runs in groups.values():
         # Every pool in a group is a row prefix of the longest one.
-        pool = None if runs[0].pool is None else max((r.pool for r in runs), key=len)
+        pool = max((r.pool for r in runs if r.pool is not None), key=len, default=None)
         t0 = time.perf_counter()
         _train_group(list(runs), train, test, pool)
         wall = time.perf_counter() - t0

@@ -376,6 +376,88 @@ class TestSeeds:
         assert list(tmp_path.iterdir()) == [cfg]
 
 
+def _missing_data_config(command, method="open-sampling"):
+    """A train or sweep config whose data files do not exist."""
+    config = train_config(method=method)
+    config["data"] = {"train": "missing_train.osds", "test": "missing_test.osds", "aux": "missing_aux.osds"}
+    if command == "sweep":
+        config.update(command="sweep", grid={"param": "eta", "values": [0.5]})
+    return config
+
+
+def _fails_before_any_file_is_read(tmp_path, capsys, command, config, text=None):
+    """Run the config; it must exit 1 with nothing but the config in tmp_path. Returns stderr."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config) if text is None else text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+    return capsys.readouterr().err
+
+
+class TestTrainSectionIntegers:
+    # The data files do not exist, so the error can only come first if the
+    # integers are checked before any loading.
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [(("train", "epochs"), 2.0, "train.epochs must be a non-negative integer, got 2.0"),
+         (("train", "epochs"), True, "train.epochs must be a non-negative integer, got true"),
+         (("train", "batch_train"), 32.0, "train.batch_train must be a non-negative integer, got 32.0"),
+         (("train", "batch_train"), 0, "train.batch_train must be at least 1, got 0"),
+         (("train", "batch_aux"), 16.0, "train.batch_aux must be a non-negative integer, got 16.0"),
+         (("model", "hidden_dim"), 8.7, "model.hidden_dim must be a non-negative integer, got 8.7"),
+         (("model", "hidden_dim"), -1, "model.hidden_dim must be a non-negative integer, got -1"),
+         (("train", "schedule", "warmup_epochs"), 1.0,
+          "train.schedule.warmup_epochs must be a non-negative integer, got 1.0"),
+         (("train", "schedule", "milestones"), [1, 2.5],
+          "train.schedule.milestones[1] must be a non-negative integer, got 2.5"),
+         (("train", "schedule", "milestones"), 2, "train.schedule.milestones must be a list, got 2")],
+        ids=["epochs-float", "epochs-bool", "batch_train-float", "batch_train-zero", "batch_aux-float",
+             "hidden_dim-float", "hidden_dim-negative", "warmup-float", "milestone-float", "milestones-scalar"],
+    )
+    def test_bad_integer_fails_before_any_file_is_read(self, tmp_path, capsys, command, path, value, message):
+        config = _missing_data_config(command)
+        *parents, key = path
+        section = config
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        err = _fails_before_any_file_is_read(tmp_path, capsys, command, config)
+        assert f"error: {command}.{message}\n" in err, err
+
+
+class TestSweepGridValues:
+    @pytest.mark.parametrize(
+        "param,values,message",
+        [("aux_size", [200.7, 200], "values[0] must be a non-negative integer, got 200.7"),
+         ("aux_size", [10, True], "values[1] must be a non-negative integer, got true"),
+         ("aux_size", [10, 0], "values[1] must be at least 1, got 0"),
+         ("eta", [0.5, "1.5"], 'values[1] must be a finite number, got "1.5"'),
+         ("eta", [True], "values[0] must be a finite number, got true"),
+         ("eta", [0.5, 1e999], "values[1] must be a finite number, got Infinity"),
+         ("eta", [10**400], "values[0] must be a finite number, got 1000000"),
+         ("alpha", ["M", "1.5"], 'values[1] must be a finite number, got "1.5"'),
+         ("alpha", ["mcd", False], "values[1] must be a finite number, got false"),
+         ("alpha", [[2.0]], "values[0] must be a finite number, got [2.0]")],
+        ids=["size-float", "size-bool", "size-zero", "eta-string", "eta-bool", "eta-overflow", "eta-huge-int",
+             "alpha-string", "alpha-bool", "alpha-list"],
+    )
+    def test_bad_value_fails_before_any_file_is_read(self, tmp_path, capsys, param, values, message):
+        config = _missing_data_config("sweep")
+        config["grid"] = {"param": param, "values": values}
+        # json.dumps writes 1e999 as Infinity, which the loader rejects; a
+        # literal that overflows to inf only shows up once parsed.
+        text = json.dumps(config).replace("Infinity", "1e999")
+        err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config, text)
+        assert f"error: sweep.grid.{message}" in err, err
+
+    def test_grid_values_must_be_a_list(self, tmp_path, capsys):
+        config = _missing_data_config("sweep")
+        config["grid"] = {"param": "eta", "values": "0.5"}
+        err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config)
+        assert "grid.values must be a non-empty list" in err, err
+
+
 _GAUSS = {"name": "g", "kind": "gaussian", "size": 10, "seed": 1}
 
 

@@ -641,6 +641,78 @@ class TestBatchedRuns:
         for cfg, result in zip(configs[::2], results[::2]):
             assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds, pool))
 
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The stack size of every _train_group call."""
+        sizes = []
+        group = train._train_group
+
+        def counted(runs, *args):
+            sizes.append(len(runs))
+            return group(runs, *args)
+
+        monkeypatch.setattr(train, "_train_group", counted)
+        return sizes
+
+    def test_every_method_trains_in_one_stack_per_shape(self, stacks, monkeypatch):
+        train_ds, test_ds, pool = small_task()
+        replays = []
+        replay = train._replay_draws
+        monkeypatch.setattr(train, "_replay_draws", lambda *args: replays.append(args[3]) or replay(*args))
+        configs = []
+        # batch_aux=7 is odd, so every auxiliary draw of the hidden-8 stack is replayed.
+        for hidden, extra in ((0, {}), (8, dict(batch_aux=7))):
+            for seed, method in enumerate(train.METHODS):
+                configs.append(TrainConfig(method=method, epochs=3, seed=seed, hidden_dim=hidden, **extra))
+            for method in ("open-sampling", "balanced-softmax+open-sampling"):
+                configs.append(TrainConfig(method=method, fixed_labels=True, epochs=3, seed=9,
+                                           hidden_dim=hidden, **extra))
+        batched = train.train_runs(configs, train_ds, test_ds, [pool] * len(configs))
+        assert stacks == [8, 8]
+        assert set(replays) == {7}
+        for cfg, result in zip(configs, batched):
+            assert result.config == cfg
+            assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds, pool)), cfg
+
+    def test_runs_without_aux_survive_when_every_aux_run_diverges(self, stacks):
+        train_ds, test_ds, pool = small_task()
+        common = dict(epochs=10, hidden_dim=4, base_lr=0.5)
+        configs = [TrainConfig(method=m, seed=s, **common) for s, m in enumerate(("standard", "cb-rw"))]
+        for seed, method in enumerate(("open-sampling", "oe", "balanced-softmax+open-sampling", "oe")):
+            configs.insert(seed, TrainConfig(method=method, eta=1e12, seed=seed, **common))
+        configs.append(TrainConfig(method="balanced-softmax", seed=7, **common))
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train.train_runs(configs, train_ds, test_ds, [pool] * len(configs))
+        assert stacks == [7]
+        assert all(isinstance(r, ValueError) for r in results[:4]), results[:4]
+        for cfg, result in zip(configs[4:], results[4:]):
+            assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds)), cfg
+
+    def test_oe_runs_go_on_when_the_relabel_slice_empties(self, stacks):
+        train_ds, test_ds, pool = small_task()
+        # Rows past the first ten overflow every logit: runs drawing from the
+        # whole pool diverge in the auxiliary pass, OE runs on a ten-row
+        # prefix of the same array never see them.
+        features = pool.features.copy()
+        features[10:] = np.inf
+        whole = AuxiliaryPool(features=features, kind=pool.kind)
+        prefix = AuxiliaryPool(features=features[:10], kind=pool.kind)
+        common = dict(epochs=4, hidden_dim=4)
+        cases = [(TrainConfig(method="oe", seed=1, **common), prefix),
+                 (TrainConfig(method="open-sampling", seed=2, **common), whole),
+                 (TrainConfig(method="standard", seed=3, **common), None),
+                 (TrainConfig(method="balanced-softmax+open-sampling", seed=4, **common), whole),
+                 (TrainConfig(method="oe", eta=0.3, seed=5, **common), prefix)]
+        configs, pools = zip(*cases)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train.train_runs(configs, train_ds, test_ds, pools)
+        assert stacks == [5]
+        for i in (1, 3):
+            assert str(results[i]).startswith("non-finite logits at epoch 0, step 0 "), results[i]
+        for i in (0, 2, 4):
+            alone = train_run(configs[i], train_ds, test_ds, pools[i])
+            assert _run_bytes(results[i]) == _run_bytes(alone), configs[i]
+
 
 def _per_step_draws(spec, gammas, rng, pool_size, n_steps, m):
     """The auxiliary stream as defined: one integers and one random call per step."""
