@@ -181,7 +181,7 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
         _check_keys(config["aux"], "synth.aux", required=("kind", "size"), optional=_AUX_KEYS)
         _check_pool_spec(config["aux"], "synth.aux", has_class_means="cifar" not in config)
     name = config["name"]
-    seed = int(config["seed"])
+    seed = _count(config["seed"], "synth.seed")
     chash = _config_hash(config)
     manifest: dict = {"name": name, "seed": seed, "config_hash": chash, "files": {}}
 
@@ -192,6 +192,8 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
             raise ConfigError(f"synth: cifar source conflicts with keys {clash}")
         spec = config["cifar"]
         _check_keys(spec, "synth.cifar", required=("train_paths",), optional=("test_paths", "ratio", "n_max"))
+        if "n_max" in spec:
+            _count(spec["n_max"], "synth.cifar.n_max", minimum=1)
         full = data.read_cifar10_binary([base_dir / p for p in spec["train_paths"]])
         ratio = float(spec.get("ratio", 1.0))
         n_max = int(spec.get("n_max", full.class_counts().min()))
@@ -205,20 +207,19 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
         for key in ("classes", "dim", "train", "test"):
             if key not in config:
                 raise ConfigError(f"synth: missing key {key!r} (required without cifar)")
-        k = int(config["classes"])
-        dim = int(config["dim"])
-        mean_radius = float(config.get("mean_radius", 3.0))
-        sigma = float(config.get("sigma", 1.0))
         _check_keys(config["train"], "synth.train", required=("n_max", "ratio"))
         _check_keys(config["test"], "synth.test", required=("per_class",))
-        profile = data.longtail_counts(
-            int(config["train"]["n_max"]), k, float(config["train"]["ratio"])
-        )
+        k = _count(config["classes"], "synth.classes", minimum=2)
+        dim = _count(config["dim"], "synth.dim", minimum=2)
+        n_max = _count(config["train"]["n_max"], "synth.train.n_max", minimum=1)
+        per_test = _count(config["test"]["per_class"], "synth.test.per_class", minimum=1)
+        mean_radius = float(config.get("mean_radius", 3.0))
+        sigma = float(config.get("sigma", 1.0))
+        profile = data.longtail_counts(n_max, k, float(config["train"]["ratio"]))
         class_means = data.gaussian_class_means(k, dim, mean_radius, seed)
         train_ds = data.gen_gaussian_classes(
             k, dim, profile.counts, mean_radius, sigma, seed=seed * 10 + 1, means_seed=seed
         )
-        per_test = int(config["test"]["per_class"])
         test_ds = data.gen_gaussian_classes(
             k, dim, [per_test] * k, mean_radius, sigma, seed=seed * 10 + 2, means_seed=seed
         )
@@ -285,19 +286,24 @@ def _parse_label_dist(spec) -> LabelDistributionKind:
 def _check_train_section(config: dict, command: str) -> int:
     """Check the train section and model before any data is read; return the hidden width.
 
-    Every integer must be a JSON integer; the errors name the dotted path.
+    Every integer must be a JSON integer and every float a finite JSON
+    number; the errors name the dotted path.
     """
     section = config["train"]
     _check_keys(section, "train", required=("method",), optional=_TRAIN_KEYS)
     for key, minimum in (("epochs", 0), ("batch_train", 1), ("batch_aux", 1)):
         if section.get(key) is not None:
             _count(section[key], f"{command}.train.{key}", minimum)
+    for key in ("eta", "base_lr", "momentum", "weight_decay", "beta_cb"):
+        if section.get(key) is not None:
+            _number(section[key], f"{command}.train.{key}")
     schedule = section.get("schedule")
     if schedule is not None:
         _check_keys(schedule, "schedule", required=(),
                     optional=("warmup_epochs", "milestones", "decay_factor"))
         where = f"{command}.train.schedule"
         _count(schedule.get("warmup_epochs", 0), f"{where}.warmup_epochs")
+        _number(schedule.get("decay_factor", 0.01), f"{where}.decay_factor")
         milestones = schedule.get("milestones", [])
         if not isinstance(milestones, list):
             raise ConfigError(f"{where}.milestones must be a list, got {json.dumps(milestones)}")

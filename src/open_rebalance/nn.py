@@ -136,13 +136,20 @@ def _check_finite(logits: np.ndarray) -> None:
 
 
 def _forward(layers, x):
-    """Logits plus each layer's input, which ``_backward`` reuses."""
+    """Logits plus each layer's input, which ``_backward`` reuses.
+
+    Each layer works in place on its own fresh product; x, w and b are only read.
+    """
     acts = [x]
     for w, b in layers[:-1]:
-        x = np.maximum(x @ w + b, 0.0)
+        x = x @ w
+        x += b
+        np.maximum(x, 0.0, out=x)
         acts.append(x)
     w, b = layers[-1]
-    return x @ w + b, acts
+    x = x @ w
+    x += b
+    return x, acts
 
 
 def forward(params: MlpParams, batch) -> np.ndarray:
@@ -151,7 +158,14 @@ def forward(params: MlpParams, batch) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    # The row max as K - 1 maximum calls over column views: max is exact in
+    # any order, and the log-softmax rounds as with logits.max(axis=-1).
+    top = logits[..., :1]
+    if logits.shape[-1] > 1:
+        top = np.maximum(top, logits[..., 1:2])
+        for j in range(2, logits.shape[-1]):
+            np.maximum(top, logits[..., j : j + 1], out=top)
+    z = logits - top
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
@@ -226,15 +240,19 @@ def oe_prior_xent(logits, prior):
     return float(loss), grad
 
 
-def _backward(layers, acts, g) -> tuple:
-    # A unit's activation is positive exactly where its pre-activation is.
-    grads = [None] * len(layers)
+def _backward(layers, acts, g, grads=None) -> tuple:
+    # Writes into grads, (gw, gb) pairs shaped like the layers (fresh ones if
+    # None). A unit's activation is positive exactly where its pre-activation is.
+    if grads is None:
+        grads = tuple((np.empty_like(w), np.empty_like(b)) for w, b in layers)
     for i in reversed(range(len(layers))):
-        w, b = layers[i]
-        grads[i] = (acts[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(b.shape))
+        (w, b), (gw, gb) = layers[i], grads[i]
+        np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
+        np.sum(g, axis=-2, keepdims=b.ndim == g.ndim, out=gb)
         if i > 0:
-            g = (g @ w.swapaxes(-1, -2)) * (acts[i] > 0.0)
-    return tuple(grads)
+            g = g @ w.swapaxes(-1, -2)
+            g *= acts[i] > 0.0
+    return grads
 
 
 def backward(params: MlpParams, batch, grad_logits) -> tuple:
@@ -249,16 +267,15 @@ def backward(params: MlpParams, batch, grad_logits) -> tuple:
     return _backward(params.layers, _forward(params.layers, x)[1], grad_logits)
 
 
-def _sgd_update(layers, grads, state: OptimState, lr: float) -> None:
+def _sgd_update(theta, g, v, momentum: float, weight_decay: float, lr: float) -> None:
     # In place on arrays the caller owns, with the same rounding as
-    # v' = mu*v + (g + wd*theta); theta' = theta - lr*v'.
-    for (w, b), (gw, gb), (vw, vb) in zip(layers, grads, state.velocity):
-        for theta, g, v in ((w, gw, vw), (b, gb, vb)):
-            decayed = state.weight_decay * theta
-            decayed += g
-            v *= state.momentum
-            v += decayed
-            theta -= lr * v
+    # v' = mu*v + (g + wd*theta); theta' = theta - lr*v'. Elementwise, so one
+    # call over many parameters' flat buffer rounds as one call per array.
+    decayed = weight_decay * theta
+    decayed += g
+    v *= momentum
+    v += decayed
+    theta -= lr * v
 
 
 def sgd_step(params: MlpParams, grads, state: OptimState, lr: float):
@@ -267,9 +284,10 @@ def sgd_step(params: MlpParams, grads, state: OptimState, lr: float):
         raise ValueError("lr must be non-negative")
     layers = tuple((w.copy(), b.copy()) for w, b in params.layers)
     velocity = tuple((vw.copy(), vb.copy()) for vw, vb in state.velocity)
-    new_state = replace(state, velocity=velocity)
-    _sgd_update(layers, grads, new_state, lr)
-    return replace(params, layers=layers), new_state
+    for pair, grad, vel in zip(layers, grads, velocity):
+        for theta, g, v in zip(pair, grad, vel):
+            _sgd_update(theta, g, v, state.momentum, state.weight_decay, lr)
+    return replace(params, layers=layers), replace(state, velocity=velocity)
 
 
 def lr_at(schedule: LrSchedule, epoch: int, base_lr: float = 0.1) -> float:

@@ -8,7 +8,9 @@ keep ablations bit-comparable: changing one knob touches exactly one stream.
 ``train_runs`` trains many runs as stacked arrays, one stack per training
 shape. Inside a stack each auxiliary kind is a leading slice (relabelled,
 then OE, then none), so the auxiliary pass runs on a prefix of the stacked
-weights; a run gives the same bits alone or in any batch.
+weights; a run gives the same bits alone or in any batch. A stack's
+parameters, velocities and gradients are one flat (S, P) buffer each, with
+per-layer views into them, so one momentum update covers the whole stack.
 
 A run's auxiliary stream is defined by two calls per step,
 ``integers(0, P, size=m)`` for the indices and then, for drawn labels,
@@ -283,20 +285,41 @@ def _slice_rank(spec: _LossSpec) -> int:
     return 0 if spec.aux_omegas is not None else 1 if spec.aux_prior is not None else 2
 
 
+def _flat(layer_sets) -> np.ndarray:
+    """One row per run: each layer's weights, then its biases, flattened."""
+    return np.stack([np.concatenate([a.ravel() for pair in layers for a in pair]) for layers in layer_sets])
+
+
+def _views(flat: np.ndarray, shapes) -> tuple:
+    """Per-layer (S, d, h) weight and (S, 1, h) bias views into a flat (S, P) buffer."""
+    views, at = [], 0
+    for rows, cols in shapes:
+        mid, end = at + rows * cols, at + (rows + 1) * cols
+        views.append((flat[:, at:mid].reshape(-1, rows, cols), flat[:, mid:end].reshape(-1, 1, cols)))
+        at = end
+    return tuple(views)
+
+
 class _Stack:
     """S runs' parameters, velocities and loss specs, stacked along axis 0.
 
-    Weights are (S, d, h) and biases (S, 1, h). The per-run spec fields become
-    vectors: eta, the base logit offset (zeros where a run has none), the
-    cb-rw base weights (ones where a run has none; unit weights round exactly
-    as no weights) and the aux omegas. Specs come in slice order: the first R
-    runs relabel their auxiliary batch, the next A - R take the OE prior CE
-    (the training prior, shared by all), and the rest have no auxiliary batch.
+    Parameters, velocities and gradients are one flat (S, P) buffer each, a
+    run per row; ``layers`` and ``grads`` are (S, d, h) weight and (S, 1, h)
+    bias views into them, so the backward pass writes its gradients in place
+    and one momentum update covers the whole stack. The per-run spec fields
+    become vectors: eta, the base logit offset (zeros where a run has none),
+    the cb-rw base weights (ones where a run has none; unit weights round
+    exactly as no weights) and the aux omegas. Specs come in slice order: the
+    first R runs relabel their auxiliary batch, the next A - R take the OE
+    prior CE (the training prior, shared by all), and the rest have no
+    auxiliary batch.
     """
 
-    def __init__(self, specs, layers, state: OptimState):
-        self.layers = layers
-        self.state = state
+    def __init__(self, specs, layer_sets, velocity_sets, momentum: float, weight_decay: float):
+        self.shapes = [w.shape for w, _ in layer_sets[0]]
+        self.params = _flat(layer_sets)
+        self.velocity = np.zeros_like(self.params) if velocity_sets is None else _flat(velocity_sets)
+        self.momentum, self.weight_decay = momentum, weight_decay
         self.rank = np.array([_slice_rank(spec) for spec in specs])
         self.eta = np.array([spec.eta for spec in specs], dtype=np.float64)
         self.has_offset = np.array([spec.base_offset is not None for spec in specs])
@@ -316,18 +339,22 @@ class _Stack:
         self.n_aux = a = int((self.rank < 2).sum())
         self.rows = np.arange(self.size)[:, None]
         self.offset_where = self.has_offset[:, None, None]
-        # The auxiliary pass works on views of the leading A runs' weights.
-        self.aux_layers = tuple((w[:a], b[:a]) for w, b in self.layers)
+        self.grad = np.empty_like(self.params)
+        self.layers = _views(self.params, self.shapes)
+        self.grads = _views(self.grad, self.shapes)
+        # The auxiliary pass works on views of the leading A runs' parameters,
+        # with gradients of its own.
+        self.aux_grad = np.empty_like(self.params[:a])
+        self.aux_layers = _views(self.params[:a], self.shapes)
+        self.aux_grads = _views(self.aux_grad, self.shapes)
         self.aux_rows = self.rows[: self.n_relabel]
-        self.aux_eta = self.eta[:a, None, None]
+        self.aux_eta = self.eta[:a, None]
         self.eta_where = self.aux_eta != 0.0
         self.any_eta = bool(self.eta_where.any())
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the runs outside mask from every stacked array; the slice order holds."""
-        self.layers = tuple((w[mask], b[mask]) for w, b in self.layers)
-        velocity = tuple((vw[mask], vb[mask]) for vw, vb in self.state.velocity)
-        self.state = replace(self.state, velocity=velocity)
+        self.params, self.velocity = self.params[mask], self.velocity[mask]
         self.rank, self.eta, self.has_offset = self.rank[mask], self.eta[mask], self.has_offset[mask]
         for name in ("base_offset", "base_weights", "aux_omegas"):
             value = getattr(self, name)
@@ -355,14 +382,13 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     (A, m, d) for the stack's leading A runs, with (R, m) labels ay. Returns
     the per-run (base, aux) loss vectors, or raises _Diverged before any update.
     """
-    layers = stack.layers
-    logits, acts = _forward(layers, bx)
+    logits, acts = _forward(stack.layers, bx)
     if stack.base_offset is not None:
         np.add(logits, stack.base_offset, out=logits, where=stack.offset_where)
     _check_runs_finite(logits, stack.size)
     weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
     base_loss, g = _xent(logits, by, weights)
-    grads = _backward(layers, acts, g)
+    _backward(stack.layers, acts, g, stack.grads)
     aux_loss = np.zeros_like(base_loss)
     a = stack.n_aux
     if a:
@@ -371,13 +397,11 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
         loss, g = _aux_loss(stack, logits, ay)
         aux_loss = loss if a == stack.size else np.concatenate((loss, aux_loss[a:]))
         if stack.any_eta:
-            eta = stack.aux_eta
-            for (gw, gb), (aw, ab) in zip(grads, _backward(stack.aux_layers, acts, g)):
-                if a < stack.size:
-                    gw, gb = gw[:a], gb[:a]
-                np.add(gw, eta * aw, out=gw, where=stack.eta_where)
-                np.add(gb, eta * ab, out=gb, where=stack.eta_where)
-    _sgd_update(layers, grads, stack.state, lr)
+            _backward(stack.aux_layers, acts, g, stack.aux_grads)
+            aux, head = stack.aux_grad, stack.grad[:a]
+            np.multiply(stack.aux_eta, aux, out=aux)
+            np.add(head, aux, out=head, where=stack.eta_where)
+    _sgd_update(stack.params, stack.grad, stack.velocity, stack.momentum, stack.weight_decay, lr)
     return base_loss, aux_loss
 
 
@@ -418,9 +442,8 @@ def open_sampling_step(
     if np.any(omegas[aux_labels] < 0):
         raise ValueError("sample weights must be non-negative")
     # The engine's step at S = 1, on copies the caller does not own.
-    layers = tuple((w[None].copy(), b[None, None].copy()) for w, b in params.layers)
-    velocity = tuple((vw[None].copy(), vb[None, None].copy()) for vw, vb in state.velocity)
-    stack = _Stack([_LossSpec(eta=eta, aux_omegas=omegas)], layers, replace(state, velocity=velocity))
+    spec = _LossSpec(eta=eta, aux_omegas=omegas)
+    stack = _Stack([spec], [params.layers], [state.velocity], state.momentum, state.weight_decay)
     try:
         base, aux = _step(stack, lr, train_x[None], train_y[None], aux_x[None], aux_labels[None])
     except _Diverged as exc:
@@ -428,7 +451,8 @@ def open_sampling_step(
     base_loss, aux_loss = float(base[0]), float(aux[0])
     losses = StepLosses(base_loss, aux_loss, base_loss + eta * aux_loss)
     params = replace(params, layers=tuple((w[0], b[0, 0]) for w, b in stack.layers))
-    state = replace(state, velocity=tuple((vw[0], vb[0, 0]) for vw, vb in stack.state.velocity))
+    velocity = _views(stack.velocity, stack.shapes)
+    state = replace(state, velocity=tuple((vw[0], vb[0, 0]) for vw, vb in velocity))
     return params, state, losses
 
 
@@ -521,15 +545,8 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     runs = sorted(runs, key=lambda r: _slice_rank(r.spec))
     config = runs[0].config
     schedule = config.schedule or default_schedule(config.epochs)
-    depth = len(runs[0].params.layers)
-    layers = tuple(
-        (np.stack([r.params.layers[i][0] for r in runs]),
-         np.stack([r.params.layers[i][1] for r in runs])[:, None, :])
-        for i in range(depth)
-    )
-    velocity = tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in layers)
-    state = OptimState(velocity=velocity, momentum=config.momentum, weight_decay=config.weight_decay)
-    stack = _Stack([r.spec for r in runs], layers, state)
+    stack = _Stack([r.spec for r in runs], [r.params.layers for r in runs], None,
+                   config.momentum, config.weight_decay)
     features = np.asarray(train.features, dtype=np.float64)
     test_x = np.asarray(test.features, dtype=np.float64)
     n = len(train)

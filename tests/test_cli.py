@@ -130,6 +130,40 @@ class TestSynth:
         assert f"synth.aux.{key} must be a non-negative integer, got {shown}" in err, err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [(("seed",), 7.9, "seed must be a non-negative integer, got 7.9"),
+         (("seed",), True, "seed must be a non-negative integer, got true"),
+         (("classes",), 3.0, "classes must be a non-negative integer, got 3.0"),
+         (("classes",), 1, "classes must be at least 2, got 1"),
+         (("dim",), "2", 'dim must be a non-negative integer, got "2"'),
+         (("train", "n_max"), 20.7, "train.n_max must be a non-negative integer, got 20.7"),
+         (("test", "per_class"), False, "test.per_class must be a non-negative integer, got false")],
+        ids=["seed-float", "seed-bool", "classes-float", "classes-one", "dim-string", "n_max-float",
+             "per_class-bool"],
+    )
+    def test_integers_not_coerced(self, tmp_path, capsys, path, value, message):
+        config = synth_config()
+        *parents, key = path
+        section = config
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: synth.{message}\n" in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_cifar_n_max_checked_before_any_file_is_read(self, tmp_path, capsys):
+        config = {"command": "synth", "name": "c", "seed": 1,
+                  "cifar": {"train_paths": ["missing.bin"], "n_max": 5.5}}
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: synth.cifar.n_max must be a non-negative integer, got 5.5\n" in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "synth.json", synth_config())
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -424,6 +458,37 @@ class TestTrainSectionIntegers:
         section[key] = value
         err = _fails_before_any_file_is_read(tmp_path, capsys, command, config)
         assert f"error: {command}.{message}\n" in err, err
+
+
+class TestTrainSectionFloats:
+    # As for the integers: the data files do not exist.
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "path,value,shown",
+        [(("eta",), True, "true"),
+         (("eta",), "1.5", '"1.5"'),
+         (("base_lr",), False, "false"),
+         (("momentum",), "0.9", '"0.9"'),
+         (("weight_decay",), True, "true"),
+         (("weight_decay",), 1e999, "Infinity"),
+         (("beta_cb",), [0.99], "[0.99]"),
+         (("schedule", "decay_factor"), "0.1", '"0.1"'),
+         (("schedule", "decay_factor"), None, "null")],
+        ids=["eta-bool", "eta-string", "base_lr-bool", "momentum-string", "weight_decay-bool",
+             "weight_decay-overflow", "beta_cb-list", "decay_factor-string", "decay_factor-null"],
+    )
+    def test_bad_float_fails_before_any_file_is_read(self, tmp_path, capsys, command, path, value, shown):
+        config = _missing_data_config(command)
+        *parents, key = path
+        section = config["train"]
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        # A literal that overflows to inf only shows up once parsed.
+        text = json.dumps(config).replace("Infinity", "1e999")
+        err = _fails_before_any_file_is_read(tmp_path, capsys, command, config, text)
+        dotted = ".".join(path)
+        assert f"error: {command}.train.{dotted} must be a finite number, got {shown}\n" in err, err
 
 
 class TestSweepGridValues:

@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from open_rebalance.nn import (
     LrSchedule,
     MlpParams,
+    _forward,
+    _log_softmax,
     backward,
     balanced_softmax_xent,
     forward,
@@ -60,6 +62,57 @@ class TestForward:
         params = init_params(5, 0, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             forward(params, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("hidden", [0, 6])
+    @pytest.mark.parametrize("stack", [None, 4], ids=["one-model", "stack-of-4"])
+    def test_in_place_layers_leave_inputs_and_round_as_fresh_ones(self, hidden, stack):
+        # A stack of models shares one 2-D input, as the per-epoch evaluation does.
+        rng = np.random.default_rng(hidden)
+        layers = tuple(
+            (rng.standard_normal(w.shape if stack is None else (stack, *w.shape)),
+             rng.standard_normal(b.shape if stack is None else (stack, 1, *b.shape)))
+            for w, b in init_params(5, hidden, 3, rng).layers
+        )
+        x = rng.standard_normal((9, 5))
+        before = [a.copy() for pair in layers for a in pair] + [x.copy()]
+        logits, acts = _forward(layers, x)
+        after = [a for pair in layers for a in pair] + [x]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        h = x
+        for (w, b), act in zip(layers[:-1], acts[1:]):
+            h = np.maximum(h @ w + b, 0.0)
+            assert h.tobytes() == act.tobytes()
+        w, b = layers[-1]
+        assert logits.tobytes() == (h @ w + b).tobytes()
+
+
+def _row_max_log_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _logit_arrays(elements):
+    """Arrays of one, two or three dimensions with K = 1..12 classes."""
+    shapes = st.tuples(st.lists(st.integers(1, 5), max_size=2), st.integers(1, 12))
+    return arrays(np.float64, shapes.map(lambda t: (*t[0], t[1])), elements=elements)
+
+
+class TestLogSoftmax:
+    # The row max is taken column by column; these pin it bit for bit against
+    # logits.max(axis=-1), whose order of comparisons numpy may change.
+    @settings(max_examples=300, deadline=None)
+    @given(_logit_arrays(st.sampled_from([0.0, -0.0, -1.0, -800.0])))
+    def test_signed_zero_ties_match_row_max(self, logits):
+        got = _log_softmax(logits)
+        assert got.view(np.uint64).tobytes() == _row_max_log_softmax(logits).view(np.uint64).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_logit_arrays(st.one_of(st.floats(-800, 800), st.sampled_from([np.inf, -np.inf, np.nan]))))
+    def test_non_finite_and_large_logits_match_row_max(self, logits):
+        # msp_scores takes whatever logits a model gives, including inf and NaN.
+        with np.errstate(invalid="ignore"):
+            got, want = _log_softmax(logits), _row_max_log_softmax(logits)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 class TestSoftmaxXent:

@@ -714,6 +714,95 @@ class TestBatchedRuns:
             assert _run_bytes(results[i]) == _run_bytes(alone), configs[i]
 
 
+def _per_array_forward(layers, x):
+    acts = [x]
+    for w, b in layers[:-1]:
+        x = np.maximum(x @ w + b, 0.0)
+        acts.append(x)
+    w, b = layers[-1]
+    return x @ w + b, acts
+
+
+def _per_array_backward(layers, acts, g):
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        w, b = layers[i]
+        grads[i] = (acts[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(b.shape))
+        if i > 0:
+            g = (g @ w.swapaxes(-1, -2)) * (acts[i] > 0.0)
+    return grads
+
+
+def _per_array_step(stack, layers, velocity, lr, bx, by, ax, ay):
+    """The stacked step with one array per layer parameter, stack only giving the loss terms.
+
+    Fresh arrays in the forward and backward passes, the eta-weighted
+    auxiliary gradient added array by array, and one momentum update per array.
+    """
+    logits, acts = _per_array_forward(layers, bx)
+    if stack.base_offset is not None:
+        np.add(logits, stack.base_offset, out=logits, where=stack.offset_where)
+    weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
+    grads = _per_array_backward(layers, acts, train._xent(logits, by, weights)[1])
+    a = stack.n_aux
+    if a:
+        aux_layers = [(w[:a], b[:a]) for w, b in layers]
+        logits, acts = _per_array_forward(aux_layers, ax)
+        eta = stack.eta[:a, None, None]
+        aux_grads = _per_array_backward(aux_layers, acts, train._aux_loss(stack, logits, ay)[1])
+        for (gw, gb), (aw, ab) in zip(grads, aux_grads):
+            for grad, aux in ((gw[:a], aw), (gb[:a], ab)):
+                np.add(grad, eta * aux, out=grad, where=eta != 0.0)
+    for pair, grad, vel in zip(layers, grads, velocity):
+        for theta, g, v in zip(pair, grad, vel):
+            decayed = stack.weight_decay * theta
+            decayed += g
+            v *= stack.momentum
+            v += decayed
+            theta -= lr * v
+
+
+# (method, eta) per run, in config order; eta None keeps the default.
+FLAT_STACKS = {
+    1: [("open-sampling", None)],
+    3: [("balanced-softmax", None), ("open-sampling", 0.0), ("oe", 0.7)],
+    7: [("standard", None), ("open-sampling", 1.5), ("oe", 0.0), ("cb-rw", None),
+        ("balanced-softmax+open-sampling", 2.0), ("open-sampling", 0.0), ("balanced-softmax", None)],
+}
+
+
+class TestFlatStack:
+    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("size", sorted(FLAT_STACKS))
+    def test_step_matches_per_array_step(self, size, hidden):
+        rng = np.random.default_rng([size, hidden])
+        prior = prior_from_counts([30, 10, 4])
+        configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta})) for m, eta in FLAT_STACKS[size]]
+        specs = sorted((train._loss_spec(c, prior, 50, None) for c in configs), key=train._slice_rank)
+        runs = [tuple((w, rng.standard_normal(b.shape)) for w, b in init_params(4, hidden, 3, rng).layers)
+                for _ in specs]
+        stack = train._Stack(specs, runs, None, 0.9, 2e-4)
+        layers = [(np.stack([r[i][0] for r in runs]), np.stack([r[i][1] for r in runs])[:, None])
+                  for i in range(len(runs[0]))]
+        velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        for step in range(6):
+            if step == 3 and size > 1:
+                keep = np.arange(stack.size) != 1
+                stack.keep(keep)
+                layers = [(w[keep], b[keep]) for w, b in layers]
+                velocity = [(vw[keep], vb[keep]) for vw, vb in velocity]
+            bx, by = rng.standard_normal((stack.size, 16, 4)), rng.integers(0, 3, (stack.size, 16))
+            ax, ay = rng.standard_normal((stack.n_aux, 8, 4)), rng.integers(0, 3, (stack.n_relabel, 8))
+            lr = 0.5 / (step + 1)
+            train._step(stack, lr, bx, by, ax, ay)
+            _per_array_step(stack, layers, velocity, lr, bx, by, ax, ay)
+            flat_velocity = train._views(stack.velocity, stack.shapes)
+            for got, want in ((stack.layers, layers), (flat_velocity, velocity)):
+                for got_pair, want_pair in zip(got, want):
+                    for g, w in zip(got_pair, want_pair):
+                        assert g.shape == w.shape and g.tobytes() == w.tobytes(), (step, size, hidden)
+
+
 def _per_step_draws(spec, gammas, rng, pool_size, n_steps, m):
     """The auxiliary stream as defined: one integers and one random call per step."""
     idx, labels = [], []
