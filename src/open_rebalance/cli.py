@@ -194,11 +194,12 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
         _check_keys(spec, "synth.cifar", required=("train_paths",), optional=("test_paths", "ratio", "n_max"))
         if "n_max" in spec:
             _count(spec["n_max"], "synth.cifar.n_max", minimum=1)
+        ratio = float(_number(spec.get("ratio", 1.0), "synth.cifar.ratio"))
         full = data.read_cifar10_binary([base_dir / p for p in spec["train_paths"]])
-        ratio = float(spec.get("ratio", 1.0))
         n_max = int(spec.get("n_max", full.class_counts().min()))
         profile = data.longtail_counts(n_max, full.num_classes, ratio)
         train_ds = data.subsample_longtail(full, profile, seed)
+        del full
         test_ds = None
         if spec.get("test_paths"):
             test_ds = data.read_cifar10_binary([base_dir / p for p in spec["test_paths"]])
@@ -213,9 +214,10 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
         dim = _count(config["dim"], "synth.dim", minimum=2)
         n_max = _count(config["train"]["n_max"], "synth.train.n_max", minimum=1)
         per_test = _count(config["test"]["per_class"], "synth.test.per_class", minimum=1)
-        mean_radius = float(config.get("mean_radius", 3.0))
-        sigma = float(config.get("sigma", 1.0))
-        profile = data.longtail_counts(n_max, k, float(config["train"]["ratio"]))
+        mean_radius = float(_number(config.get("mean_radius", 3.0), "synth.mean_radius"))
+        sigma = float(_number(config.get("sigma", 1.0), "synth.sigma"))
+        ratio = float(_number(config["train"]["ratio"], "synth.train.ratio"))
+        profile = data.longtail_counts(n_max, k, ratio)
         class_means = data.gaussian_class_means(k, dim, mean_radius, seed)
         train_ds = data.gen_gaussian_classes(
             k, dim, profile.counts, mean_radius, sigma, seed=seed * 10 + 1, means_seed=seed
@@ -236,9 +238,11 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
         data.write_dataset(test_ds, test_path)
         manifest["files"]["test"] = test_path.name
         manifest["test_counts"] = test_ds.class_counts()
+    # Written and counted, so the pool is built with no full-size set alive.
+    del train_ds, test_ds
 
     if "aux" in config:
-        pool = _build_pool(config["aux"], train_ds.dim, seed * 10 + 3, class_means, base_dir)
+        pool = _build_pool(config["aux"], manifest["dim"], seed * 10 + 3, class_means, base_dir)
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name
@@ -273,14 +277,17 @@ _TRAIN_KEYS = (
 
 def _parse_label_dist(spec) -> LabelDistributionKind:
     if isinstance(spec, str):
-        return LabelDistributionKind(tag=spec)
+        spec = {"tag": spec}
     _check_keys(spec, "label_dist", required=("tag",), optional=("alpha", "beta_cb", "class_index"))
-    return LabelDistributionKind(
-        tag=spec["tag"],
-        alpha=spec.get("alpha"),
-        beta_cb=spec.get("beta_cb"),
-        class_index=spec.get("class_index"),
-    )
+    try:
+        return LabelDistributionKind(
+            tag=spec["tag"],
+            alpha=spec.get("alpha"),
+            beta_cb=spec.get("beta_cb"),
+            class_index=spec.get("class_index"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"label_dist: {exc}") from exc
 
 
 def _check_train_section(config: dict, command: str) -> int:
@@ -315,23 +322,33 @@ def _check_train_section(config: dict, command: str) -> int:
 
 
 def _parse_schedule(spec, epochs: int) -> nn.LrSchedule:
-    return nn.LrSchedule(
-        warmup_epochs=spec.get("warmup_epochs", 0),
-        milestones=tuple(spec.get("milestones", ())),
-        decay_factor=float(spec.get("decay_factor", 0.01)),
-        total_epochs=max(epochs, 1),
-    )
+    try:
+        return nn.LrSchedule(
+            warmup_epochs=spec.get("warmup_epochs", 0),
+            milestones=tuple(spec.get("milestones", ())),
+            decay_factor=float(spec.get("decay_factor", 0.01)),
+            total_epochs=max(epochs, 1),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
 
-def _parse_train_config(section: dict, hidden_dim: int, seed: int) -> train.TrainConfig:
-    """A run's TrainConfig from a section that _check_train_section has passed."""
+def _parse_train_config(section: dict, hidden_dim: int, seed: int, where: str,
+                        at: str = "") -> train.TrainConfig:
+    """A run's TrainConfig from a section that _check_train_section has passed.
+
+    A value it refuses is a ConfigError naming its dotted path under
+    ``where``: every message here starts with the key it refuses.
+    """
     kwargs = {k: section[k] for k in _TRAIN_KEYS if k in section and section[k] is not None}
-    if "label_dist" in kwargs:
-        kwargs["label_dist"] = _parse_label_dist(kwargs["label_dist"])
-    epochs = kwargs.get("epochs", 40)
-    if "schedule" in kwargs:
-        kwargs["schedule"] = _parse_schedule(kwargs["schedule"], epochs)
-    return train.TrainConfig(hidden_dim=hidden_dim, seed=seed, **kwargs)
+    try:
+        if "label_dist" in kwargs:
+            kwargs["label_dist"] = _parse_label_dist(kwargs["label_dist"])
+        if "schedule" in kwargs:
+            kwargs["schedule"] = _parse_schedule(kwargs["schedule"], kwargs.get("epochs", 40))
+        return train.TrainConfig(hidden_dim=hidden_dim, seed=seed, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}{at}") from exc
 
 
 def _load_data_section(section: dict, base_dir: Path):
@@ -395,6 +412,8 @@ def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
     )
     seeds = _seeds(config, "train")
     hidden = _check_train_section(config, "train")
+    points = [(seed, _parse_train_config(config["train"], hidden, seed, "train.train"))
+              for seed in seeds]
     name = config["name"]
     chash = _config_hash(config)
     train_ds, test_ds, aux = _load_data_section(config["data"], base_dir)
@@ -402,10 +421,7 @@ def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
 
     failures = []
     results = _train_points(
-        seeds,
-        lambda seed: (_parse_train_config(config["train"], hidden, seed), aux),
-        lambda seed: f"{name}_seed{seed}",
-        train_ds, test_ds, failures,
+        points, lambda p: (p[1], aux), lambda p: f"{name}_seed{p[0]}", train_ds, test_ds, failures
     )
     k = train_ds.num_classes
     header = (
@@ -477,6 +493,11 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
             _number(value, f"sweep.grid.values[{i}]")
     seeds = _seeds(config, "sweep")
     hidden = _check_train_section(config, "sweep")
+    points = []
+    for i, value in enumerate(values):
+        section = _apply_grid_value(config["train"], param, value)
+        points += [(value, seed, _parse_train_config(
+            section, hidden, seed, "sweep.train", f", at grid.values[{i}]")) for seed in seeds]
 
     name = config["name"]
     chash = _config_hash(config)
@@ -484,10 +505,8 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
     thresholds = tuple(config.get("group_thresholds", metrics.GROUP_THRESHOLDS))
     train_counts = train_ds.class_counts()
 
-    points = [(value, seed) for value in values for seed in seeds]
-
     def prepare(point):
-        value, seed = point
+        value, _, run_config = point
         pool = aux
         if param == "aux_size":
             available = 0 if pool is None else len(pool)
@@ -495,10 +514,7 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
                 raise ValueError(f"aux_size {value} not available (pool of {available})")
             # A row prefix of the pool, so every aux_size trains in one stack.
             pool = data.AuxiliaryPool(features=pool.features[:value], kind=pool.kind)
-            section = config["train"]
-        else:
-            section = _apply_grid_value(config["train"], param, value)
-        return _parse_train_config(section, hidden, seed), pool
+        return run_config, pool
 
     failures = []
     results = _train_points(
@@ -564,19 +580,23 @@ def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
             f"test dimension {test_ds.dim} does not match checkpoint input {params.input_dim}"
         )
     in_scores = metrics.msp_scores(params, test_ds.features)
+    # Scored, the test set and then each pool are released before the next pool is built.
+    dim = test_ds.dim
+    del test_ds
 
     rows = []
     triples = []
     for i, spec in enumerate(pools):
-        pool = _build_pool(spec, test_ds.dim, None, None, base_dir)
-        if pool.dim != test_ds.dim:
-            raise ConfigError(f"pools[{i}]: dimension {pool.dim} != test {test_ds.dim}")
+        pool = _build_pool(spec, dim, None, None, base_dir)
+        if pool.dim != dim:
+            raise ConfigError(f"pools[{i}]: dimension {pool.dim} != test {dim}")
         out_scores = metrics.msp_scores(params, pool.features)
         triple = (
             metrics.fpr_at_95_tpr(in_scores, out_scores),
             metrics.auroc(in_scores, out_scores),
             metrics.aupr(in_scores, out_scores, positive=positive),
         )
+        del pool, out_scores
         triples.append(triple)
         rows.append([spec["name"], *triple, positive, chash])
     avg = np.mean(np.asarray(triples), axis=0)

@@ -113,6 +113,23 @@ class LongTailProfile:
         return int(self.counts.shape[0])
 
 
+def _anonymous(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-order array in its own private anonymous mapping.
+
+    Not on the malloc heap: dropping the array returns the memory to the OS
+    at once rather than leaving a free block that later small allocations
+    pin. A private mapping advised for huge pages faults in as fast as
+    np.empty; the default shared one is shmem-backed and takes twice as
+    long to fill.
+    """
+    count = math.prod(shape)
+    nbytes = count * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -206,10 +223,12 @@ def subsample_longtail(
         idx = np.nonzero(dataset.labels == j)[0]
         picks.append(rng.choice(idx, size=int(need), replace=False))
     order = np.concatenate(picks)
+    features = _anonymous((len(order), dataset.dim))
+    # The indices are in range, so "clip" takes the same rows as "raise"
+    # without buffering the whole output first.
+    np.take(dataset.features, order, axis=0, out=features, mode="clip")
     return LabeledDataset(
-        features=dataset.features[order],
-        labels=dataset.labels[order],
-        num_classes=dataset.num_classes,
+        features=features, labels=dataset.labels[order], num_classes=dataset.num_classes
     )
 
 
@@ -256,7 +275,8 @@ def gen_ood_pool(
     )
     rng = np.random.default_rng([int(seed), 0x00D])
     if kind == "gaussian":
-        features = rng.standard_normal((size, dim))
+        features = _anonymous((size, dim))
+        rng.standard_normal(out=features)
         features *= float(sigma)
     elif kind == "rademacher":
         # rng.integers(0, 2) takes the top bit of each 32-bit half of a raw
@@ -264,7 +284,7 @@ def gen_ood_pool(
         # so it never redraws, and the fresh generator holds no buffered half.
         # Read as int32, a half's top bit is its sign, and ~half >= 0 exactly
         # when that bit is set, giving +1.0.
-        features = np.empty((size, dim))
+        features = _anonymous((size, dim))
         for start in range(0, size, _POOL_BLOCK_ROWS):
             block = features[start : start + _POOL_BLOCK_ROWS]
             words = rng.bit_generator.random_raw(-(-block.size // 2))
@@ -275,7 +295,7 @@ def gen_ood_pool(
         # Imported here: scipy.ndimage is most of the package's import time.
         from scipy.ndimage import uniform_filter1d
 
-        features = np.empty((size, dim))
+        features = _anonymous((size, dim))
         smooth = np.empty((min(size, _POOL_BLOCK_ROWS), dim))
         low_bits = np.array(float(low)).view(np.uint64)
         flip_bits = low_bits ^ np.array(float(high)).view(np.uint64)
@@ -309,7 +329,14 @@ def gen_ood_pool(
         if centers.shape[1] != dim:
             raise ValueError("class_means must be a K x dim matrix")
         assign = rng.integers(0, int(clusters), size=size)
-        features = centers[assign] + float(sigma) * rng.standard_normal((size, dim))
+        # noise * sigma + center, in blocks: the same bits as the products
+        # and sums the other way round, with no full-size temporary.
+        features = _anonymous((size, dim))
+        rng.standard_normal(out=features)
+        features *= float(sigma)
+        for start in range(0, size, _POOL_BLOCK_ROWS):
+            block = features[start : start + _POOL_BLOCK_ROWS]
+            block += centers[assign[start : start + _POOL_BLOCK_ROWS]]
     else:
         raise ValueError(f"unknown auxiliary pool kind {kind!r}")
     return AuxiliaryPool(features=features, kind=kind)
@@ -354,11 +381,14 @@ def read_cifar10_binary(paths) -> LabeledDataset:
     # Sized once from the file lengths; each file's pixels are scaled
     # straight into their rows, with no per-file float copy or concatenate.
     n = sum(sizes) // CIFAR_RECORD
-    features = np.empty((n, CIFAR_DIM))
+    features = _anonymous((n, CIFAR_DIM))
     labels = np.empty(n, dtype=np.int64)
     start = 0
-    for path in paths:
-        records = np.fromfile(path, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+    for path, size in zip(paths, sizes):
+        records = _anonymous((size // CIFAR_RECORD, CIFAR_RECORD), np.uint8)
+        with open(path, "rb") as f:
+            if f.readinto(records) != size:
+                raise FormatError(f"{path}: short read, expected {size} bytes")
         stop = start + len(records)
         bad = np.nonzero(records[:, 0] > 9)[0]
         if bad.size:
@@ -403,15 +433,7 @@ def read_dataset(path) -> LabeledDataset:
             raise FormatError(f"{path}: short read, expected {expected} bytes, got {size}")
         if size > expected:
             raise FormatError(f"{path}: trailing bytes after {expected}")
-        # Features live in an anonymous mapping, not on the malloc heap, so
-        # dropping the dataset returns the memory to the OS at once rather
-        # than leaving a free block that later small allocations pin. A
-        # private mapping advised for huge pages faults in as fast as
-        # np.empty; the default shared one is shmem-backed and takes twice
-        # as long to fill.
-        features = mmap.mmap(-1, n * d * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        if hasattr(mmap, "MADV_HUGEPAGE"):
-            features.madvise(mmap.MADV_HUGEPAGE)
+        features = _anonymous((n, d), "<f8")
         labels = np.empty(n, dtype="<u4")
         got = head + f.readinto(features) + f.readinto(labels)
         if got != expected:
@@ -419,7 +441,6 @@ def read_dataset(path) -> LabeledDataset:
     labels = labels.astype(np.int64)
     if labels.max() >= k:
         raise FormatError(f"{path}: label {int(labels.max())} out of range for K={k}")
-    features = np.frombuffer(features, dtype="<f8").reshape(n, d)
     return LabeledDataset(features=features, labels=labels, num_classes=int(k))
 
 

@@ -103,18 +103,18 @@ class TrainConfig:
     schedule: LrSchedule | None = None
 
     def __post_init__(self):
+        # Each message starts with the field it refuses.
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
-        if self.epochs < 0 or self.batch_train < 1:
-            raise ValueError("need epochs >= 0 and batch_train >= 1")
+            raise ValueError(f"method {self.method!r} is not one of {METHODS}")
+        for name in ("eta", "epochs", "hidden_dim", "base_lr", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.batch_train < 1:
+            raise ValueError("batch_train must be at least 1")
         if self.batch_aux is not None and self.batch_aux < 1:
             raise ValueError("batch_aux must be at least 1")
         if not 0.0 <= self.beta_cb < 1.0:
             raise ValueError("beta_cb must lie in [0, 1)")
-        if self.hidden_dim < 0 or self.base_lr < 0 or self.weight_decay < 0:
-            raise ValueError("hidden_dim, base_lr, weight_decay must be non-negative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         relabels = self.method in _RELABEL_METHODS

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import open_rebalance
-from open_rebalance import oracle
+from open_rebalance import cli, data, oracle
 from open_rebalance.cli import main
 from open_rebalance.data import read_dataset
 
@@ -155,6 +156,37 @@ class TestSynth:
         assert f"error: synth.{message}\n" in err, err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "path,value,shown",
+        [(("mean_radius",), True, "true"),
+         (("sigma",), True, "true"),
+         (("sigma",), "1.0", '"1.0"'),
+         (("train", "ratio"), True, "true"),
+         (("train", "ratio"), [10.0], "[10.0]")],
+        ids=["mean_radius-bool", "sigma-bool", "sigma-string", "ratio-bool", "ratio-list"],
+    )
+    def test_floats_not_coerced(self, tmp_path, capsys, path, value, shown):
+        config = synth_config()
+        *parents, key = path
+        section = config
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: synth.{'.'.join(path)} must be a finite number, got {shown}\n" in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_cifar_ratio_checked_before_any_file_is_read(self, tmp_path, capsys):
+        config = {"command": "synth", "name": "c", "seed": 1,
+                  "cifar": {"train_paths": ["missing.bin"], "ratio": True}}
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: synth.cifar.ratio must be a finite number, got true\n" in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_cifar_n_max_checked_before_any_file_is_read(self, tmp_path, capsys):
         config = {"command": "synth", "name": "c", "seed": 1,
                   "cifar": {"train_paths": ["missing.bin"], "n_max": 5.5}}
@@ -187,6 +219,44 @@ class TestSynth:
         assert counts[0] == 5 and counts[0] / counts[-1] == pytest.approx(2.0, abs=0.5)
         ds = read_dataset(tmp_path / "cifar_train.osds")
         assert ds.num_classes == 10
+
+    def test_cifar_sets_released_before_the_pool_is_built(self, tmp_path, monkeypatch):
+        # The source, the long-tailed subsample and the test set are each
+        # written and dropped before the pool is built: no full-size set is
+        # alive beside it.
+        rng = np.random.default_rng(5)
+        for name in ("train.bin", "test.bin"):
+            records = rng.integers(0, 256, size=(60, 3073), dtype=np.uint8)
+            records[:, 0] = np.arange(60) % 10
+            records.tofile(tmp_path / name)
+        config = {"command": "synth", "name": "c", "seed": 2,
+                  "cifar": {"train_paths": ["train.bin"], "test_paths": ["test.bin"], "ratio": 3.0},
+                  "aux": {"kind": "gaussian", "size": 50}}
+        sets = []
+
+        def track(fn):
+            def tracked(*args, **kwargs):
+                ds = fn(*args, **kwargs)
+                sets.append((fn.__name__, weakref.ref(ds), weakref.ref(ds.features)))
+                return ds
+            return tracked
+
+        alive = []
+
+        def build_pool(*args):
+            alive.extend(name for name, *refs in sets if any(ref() is not None for ref in refs))
+            return build(*args)
+
+        build = cli._build_pool
+        monkeypatch.setattr(data, "read_cifar10_binary", track(data.read_cifar10_binary))
+        monkeypatch.setattr(data, "subsample_longtail", track(data.subsample_longtail))
+        monkeypatch.setattr(cli, "_build_pool", build_pool)
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert [name for name, *_ in sets] == [
+            "read_cifar10_binary", "subsample_longtail", "read_cifar10_binary"]
+        assert alive == []
+        assert (tmp_path / "c_aux.osds").exists()
 
 
 class TestTrain:
@@ -491,6 +561,53 @@ class TestTrainSectionFloats:
         assert f"error: {command}.train.{dotted} must be a finite number, got {shown}\n" in err, err
 
 
+class TestTrainSectionRanges:
+    # Values TrainConfig refuses are one config error before any file is
+    # read, not one failed run per seed after the data is loaded.
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "change,message",
+        [({"momentum": 1.5}, "train.momentum must lie in [0, 1)"),
+         ({"eta": -1.0}, "train.eta must be non-negative"),
+         ({"base_lr": -0.1}, "train.base_lr must be non-negative"),
+         ({"weight_decay": -1e-4}, "train.weight_decay must be non-negative"),
+         ({"beta_cb": 1.0}, "train.beta_cb must lie in [0, 1)"),
+         ({"method": "mixup"}, "train.method 'mixup' is not one of"),
+         ({"label_dist": {"tag": "zipf"}}, "train.label_dist: unknown label distribution tag 'zipf'"),
+         ({"label_dist": {"tag": "mcd", "alpha": 2.0}},
+          "train.label_dist: alpha only applies to the complementary tag"),
+         ({"schedule": {"milestones": [3, 2]}}, "train.schedule: milestones must be strictly increasing"),
+         ({"method": "standard", "fixed_labels": True},
+          "train.fixed_labels has no effect for method 'standard'")],
+        ids=["momentum", "eta", "base_lr", "weight_decay", "beta_cb", "method", "label_dist-tag",
+             "label_dist-alpha", "milestones", "fixed_labels"],
+    )
+    def test_refused_value_fails_before_any_file_is_read(self, tmp_path, capsys, command, change, message):
+        config = _missing_data_config(command)
+        config["seeds"] = [0, 1]
+        config["train"].update(change)
+        if command == "sweep":
+            config["grid"] = {"param": "aux_size", "values": [10, 20]}  # overrides no train key
+        err = _fails_before_any_file_is_read(tmp_path, capsys, command, config)
+        assert f"error: {command}.{message}" in err, err
+        assert err.count("error:") == 1 and "failed:" not in err, err
+
+    @pytest.mark.parametrize(
+        "param,values,message",
+        [("eta", [0.5, -1.0], "sweep.train.eta must be non-negative, at grid.values[1]"),
+         ("method", ["standard", "mixup"], "sweep.train.method 'mixup' is not one of"),
+         ("label_dist", ["complementary", "zipf"],
+          "sweep.train.label_dist: unknown label distribution tag 'zipf', at grid.values[1]")],
+        ids=["eta", "method", "label_dist"],
+    )
+    def test_refused_grid_value_fails_before_any_file_is_read(self, tmp_path, capsys, param, values,
+                                                              message):
+        config = _missing_data_config("sweep")
+        config["grid"] = {"param": param, "values": values}
+        err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config)
+        assert f"error: {message}" in err, err
+
+
 class TestSweepGridValues:
     @pytest.mark.parametrize(
         "param,values,message",
@@ -566,6 +683,42 @@ class TestEvalOod:
         assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 0
         rows = read_rows(trained / "filepool_ood.csv")
         assert len(rows) == 3
+
+    def test_one_pool_alive_at_a_time(self, trained, monkeypatch):
+        # Each pool and the test set are released before the next pool is
+        # built; the file pool is read, the others generated.
+        config = {
+            "command": "eval-ood",
+            "name": "oneatatime",
+            "checkpoint": "run_seed0.osnn",
+            "test": "task_test.osds",
+            "pools": [
+                {"name": "gaussian", "kind": "gaussian", "size": 50, "seed": 5},
+                {"name": "reuse", "kind": "file", "path": "task_aux.osds"},
+                {"name": "blobs", "kind": "blobs", "size": 50, "seed": 7},
+            ],
+        }
+        refs, alive = [], []
+
+        def read_dataset(path):
+            ds = read(path)
+            if not refs:  # the test set, read before any pool
+                refs.append(weakref.ref(ds.features))
+            return ds
+
+        def build_pool(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            pool = build(*args)
+            refs.append(weakref.ref(pool.features))
+            return pool
+
+        read, build = data.read_dataset, cli._build_pool
+        monkeypatch.setattr(data, "read_dataset", read_dataset)
+        monkeypatch.setattr(cli, "_build_pool", build_pool)
+        cfg = write_config(trained / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 0
+        assert alive == [0, 0, 0] and len(refs) == 4
+        assert len(read_rows(trained / "oneatatime_ood.csv")) == 1 + 3 + 1
 
     @pytest.mark.parametrize(
         "change,message",

@@ -1,6 +1,8 @@
 import math
+import mmap
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,15 @@ from open_rebalance.data import (
     write_dataset,
     write_pool,
 )
+
+
+def _mapping(array):
+    """The mmap at the root of an array's base chain, or None."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    if isinstance(array, memoryview):
+        array = array.obj
+    return array if isinstance(array, mmap.mmap) else None
 
 
 class TestLongtailCounts:
@@ -128,6 +139,22 @@ class TestSubsample:
         b = subsample_longtail(base, prof, seed=3)
         np.testing.assert_array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("seed", [0, 3, 101])
+    def test_bytes_match_direct_formula(self, seed):
+        # The per-class picks written out, then one fancy-indexed copy.
+        base = gen_gaussian_classes(4, 5, [40, 25, 30, 12], 2.0, 1.0, seed=8)
+        prof = longtail_counts(12, 4, 4.0)
+        sub = subsample_longtail(base, prof, seed=seed)
+        rng = np.random.default_rng([seed, 0x50B5])
+        order = np.concatenate([
+            rng.choice(np.nonzero(base.labels == j)[0], size=int(need), replace=False)
+            for j, need in enumerate(prof.counts)
+        ])
+        want = base.features[order]
+        assert sub.features.dtype == want.dtype and sub.features.shape == want.shape
+        assert sub.features.tobytes() == want.tobytes()
+        assert sub.labels.tobytes() == base.labels[order].tobytes()
+
     def test_capacity_error_names_class(self):
         base = gen_gaussian_classes(2, 2, [100, 50], 2.0, 1.0, seed=0)
         prof = longtail_counts(100, 2, 1.5)
@@ -190,6 +217,28 @@ class TestOodPools:
         else:
             centers = shifted_mixture_centers(means, 3.0, 0.7, 4, rng)
             want = centers[rng.integers(0, 4, size=30)] + 0.7 * rng.standard_normal((30, dim))
+        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
+        assert pool.features.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
+    def test_multi_block_bytes_match_direct_formula(self, kind):
+        # Rows spanning several blocks with a short last one, from one
+        # generator as the plain expressions draw them.
+        rows, dim = 3 * _POOL_BLOCK_ROWS + 5, 6
+        means = gaussian_class_means(3, dim, 2.0, 5)
+        pool = gen_ood_pool(kind, rows, dim, seed=4, sigma=1.3, window=3,
+                            class_means=means, margin=3.0, clusters=5)
+        rng = np.random.default_rng([4, 0x00D])
+        if kind == "gaussian":
+            want = rng.standard_normal((rows, dim)) * 1.3
+        elif kind == "rademacher":
+            want = 2.0 * rng.integers(0, 2, size=(rows, dim)) - 1.0
+        elif kind == "blobs":
+            smooth = uniform_filter1d(rng.random((rows, dim)), size=3, axis=1, mode="nearest")
+            want = np.where(smooth > np.median(smooth, axis=1, keepdims=True), 1.0, 0.0)
+        else:
+            centers = shifted_mixture_centers(means, 3.0, 1.3, 5, rng)
+            want = centers[rng.integers(0, 5, size=rows)] + 1.3 * rng.standard_normal((rows, dim))
         assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
         assert pool.features.tobytes() == want.tobytes()
 
@@ -259,6 +308,26 @@ class TestOodPools:
             tracemalloc.stop()
         block_bytes = _POOL_BLOCK_ROWS * dim * 8
         assert peak <= pool.features.nbytes + 2 * block_bytes + 16 * 1024, peak
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
+    def test_generation_heap_peak_is_block_buffers(self, kind):
+        # numpy reports its heap allocations to tracemalloc; the features
+        # live in their own mapping, off the heap. A pool-sized temporary
+        # (the whole-pool draw, smoothed copy or gathered centers) would show
+        # as a pool-sized peak; a few block-sized buffers and small objects
+        # are all it may add.
+        rows, dim = 20 * _POOL_BLOCK_ROWS + 5, 512
+        means = gaussian_class_means(3, dim, 2.0, 5)
+        gen_ood_pool(kind, 2, dim, seed=0, class_means=means)  # imports done outside the trace
+        tracemalloc.start()
+        try:
+            pool = gen_ood_pool(kind, rows, dim, seed=3, class_means=means)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _mapping(pool.features) is not None
+        block_bytes = _POOL_BLOCK_ROWS * dim * 8
+        assert peak <= 2 * block_bytes + 16 * 1024, peak
 
     @pytest.mark.parametrize(
         "bad",
@@ -489,6 +558,41 @@ class TestNativeFormat:
         back = read_pool(path, kind="gaussian")
         np.testing.assert_array_equal(back.features, pool.features)
         assert back.kind == "gaussian"
+
+
+class TestAnonymousMappings:
+    """Large data-layer arrays live in their own mappings, unmapped on drop."""
+
+    @staticmethod
+    def _dropped_with_owner(make):
+        # Returns the owner's features' mapping weakref, taken while alive.
+        owner = make()
+        mapping = _mapping(owner.features)
+        assert mapping is not None, type(owner.features.base)
+        assert owner.features.flags.c_contiguous and owner.features.flags.writeable
+        ref = weakref.ref(mapping)
+        del owner, mapping
+        return ref
+
+    def test_read_dataset(self, tmp_path):
+        write_dataset(gen_gaussian_classes(3, 4, [5, 6, 7], 2.0, 1.0, seed=1), tmp_path / "d.osds")
+        assert self._dropped_with_owner(lambda: read_dataset(tmp_path / "d.osds"))() is None
+
+    def test_read_cifar10_binary(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        path.write_bytes(bytes([4]) + bytes(range(256)) * 12)
+        assert self._dropped_with_owner(lambda: read_cifar10_binary([path, path]))() is None
+
+    def test_subsample_longtail(self):
+        base = gen_gaussian_classes(3, 4, [20, 20, 20], 2.0, 1.0, seed=1)
+        prof = longtail_counts(20, 3, 4.0)
+        assert self._dropped_with_owner(lambda: subsample_longtail(base, prof, seed=2))() is None
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
+    def test_gen_ood_pool(self, kind):
+        means = gaussian_class_means(3, 7, 2.0, 5)
+        make = lambda: gen_ood_pool(kind, 2 * _POOL_BLOCK_ROWS + 1, 7, seed=3, class_means=means)
+        assert self._dropped_with_owner(make)() is None
 
 
 class TestDatasetValidation:
