@@ -53,19 +53,21 @@ def _count(value, where: str, minimum: int = 0) -> int:
     return value
 
 
-def _number(value, where: str):
+def _number(value, where: str, minimum=None):
     """A JSON number that is a finite float: bools and strings are refused, not coerced."""
     finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if isinstance(value, bool) or not finite:
         raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where} must be at least {minimum}, got {value}")
     return value
 
 
-def _seeds(config: dict, command: str) -> list:
-    seeds = config["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"{command}: seeds must be a non-empty list")
-    return [_count(seed, f"{command}: seeds[{i}]") for i, seed in enumerate(seeds)]
+def _items(value, where: str, check, **bounds) -> list:
+    """check(item, "where[i]", **bounds) of each item of a non-empty JSON list."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list, got {json.dumps(value)}")
+    return [check(item, f"{where}[{i}]", **bounds) for i, item in enumerate(value)]
 
 
 def _config_hash(config: dict) -> str:
@@ -410,7 +412,7 @@ def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
         required=("command", "name", "data", "train", "seeds"),
         optional=("model", "group_thresholds"),
     )
-    seeds = _seeds(config, "train")
+    seeds = _items(config["seeds"], "train: seeds", _count)
     hidden = _check_train_section(config, "train")
     points = [(seed, _parse_train_config(config["train"], hidden, seed, "train.train"))
               for seed in seeds]
@@ -491,7 +493,7 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
             _count(value, f"sweep.grid.values[{i}]", minimum=1)
         elif param == "eta" or (param == "alpha" and value not in ("M", "mcd")):
             _number(value, f"sweep.grid.values[{i}]")
-    seeds = _seeds(config, "sweep")
+    seeds = _items(config["seeds"], "sweep: seeds", _count)
     hidden = _check_train_section(config, "sweep")
     points = []
     for i, value in enumerate(values):
@@ -636,7 +638,7 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
         spec = config["one_hot_stress"]
         _check_keys(spec, "one_hot_stress", required=("cases",), optional=("m_scale",))
         n_stress = _count(spec["cases"], "bayes-check: one_hot_stress.cases")
-        m_scale = float(spec.get("m_scale", 100.0))
+        m_scale = float(_number(spec.get("m_scale", 100.0), "bayes-check: one_hot_stress.m_scale", 0))
     if "rebalance" in config:
         spec = config["rebalance"]
         _check_keys(
@@ -645,21 +647,30 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
             required=("counts", "alphas", "aux_sizes"),
             optional=("support", "seed", "disjoint"),
         )
-        support = _count(spec.get("support", 16), "bayes-check: rebalance.support", minimum=1)
-        sub_seed = _count(spec.get("seed", seed), "bayes-check: rebalance.seed")
+        where = "bayes-check: rebalance"
+        support = _count(spec.get("support", 16), f"{where}.support", minimum=1)
+        sub_seed = _count(spec.get("seed", seed), f"{where}.seed")
+        counts = _items(spec["counts"], f"{where}.counts", _count)
+        try:
+            prior = prior_from_counts(counts)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.counts: {exc}") from exc
+        alphas = _items(spec["alphas"], f"{where}.alphas", _number)
+        for i, alpha in enumerate(alphas):
+            try:
+                complementary(prior, alpha)
+            except ValueError as exc:
+                raise ConfigError(f"{where}.alphas[{i}]: {exc}") from exc
+        aux_sizes = _items(spec["aux_sizes"], f"{where}.aux_sizes", _number, minimum=0)
+        disjoint = spec.get("disjoint", False)
+        if not isinstance(disjoint, bool):
+            raise ConfigError(f"{where}.disjoint must be true or false, got {json.dumps(disjoint)}")
     name = config["name"]
     chash = _config_hash(config)
     rng = np.random.default_rng([seed, 0xBA4E5])
 
-    draws = (
-        oracle.random_case(rng, max_support, max_classes, disjoint=bool(i % 2))
-        for i in range(cases)
-    )
-    violating = [
-        {"case": i, "instances": bad}
-        for i, (ok, bad) in enumerate(oracle.bayes_invariance_checks(draws))
-        if not ok
-    ]
+    checks = oracle.random_invariance_checks(rng, cases, max_support, max_classes)
+    violating = [{"case": i, "instances": bad} for i, (ok, bad) in enumerate(checks) if not ok]
     report = {
         "name": name,
         "config_hash": chash,
@@ -675,39 +686,28 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
         flips, mass = oracle.toxicity_count(source, ood, 1.0, 10.0)
         mixed = oracle.mix(source, ood, 1.0, 10.0)
         instances = oracle.flipped_instances(source, mixed).tolist()
-
-        def stress_case():
-            # All the auxiliary labels on the case's rarest class.
-            src, px, n, m = oracle.random_case(rng, max_support, max_classes)
-            py = np.zeros(src.num_classes)
-            py[int(np.argmin(src.label_marginal()))] = 1.0
-            return src, oracle.OodMarginal(px=np.asarray(px), py=py), n, m * m_scale
-
-        counts = [cnt for cnt, _ in oracle.toxicity_counts(stress_case() for _ in range(n_stress))]
-        random_flipped = sum(cnt > 0 for cnt in counts)
-        total_flips = sum(counts)
+        stress = oracle.random_toxicity_counts(rng, n_stress, max_support, max_classes, m_scale)
+        counts = [cnt for cnt, _ in stress]
         report["one_hot_stress"] = {
             "constructed_flips": flips,
             "constructed_mass": mass,
             "constructed_instances": instances,
             "random_cases": n_stress,
-            "random_cases_with_flips": random_flipped,
-            "total_flips": total_flips,
+            "random_cases_with_flips": sum(cnt > 0 for cnt in counts),
+            "total_flips": sum(counts),
         }
 
     if "rebalance" in config:
-        spec = config["rebalance"]
-        prior = prior_from_counts(spec["counts"])
         sub_rng = np.random.default_rng([sub_seed, 0x2EBA1])
         cond = sub_rng.random((support, prior.num_classes))
         cond /= cond.sum(axis=0, keepdims=True)
         source = oracle.DiscreteJoint(table=cond * prior.betas)
-        if spec.get("disjoint"):
+        if disjoint:
             px = np.concatenate([np.zeros(support), sub_rng.random(support)])
         else:
             px = sub_rng.random(support)
         px /= px.sum()
-        rows = oracle.rebalance_curve(source, prior, px, spec["alphas"], spec["aux_sizes"])
+        rows = oracle.rebalance_curve(source, prior, px, alphas, aux_sizes)
         report["rebalance"] = {
             "rows": [
                 {

@@ -3,6 +3,8 @@
 Verifies that mixing uniformly labeled open-set mass into a discrete joint
 distribution never moves the Bayes classifier's argmax on the source support,
 and quantifies how much a non-uniform auxiliary label distribution does.
+random_invariance_checks and random_toxicity_counts check random_case draws
+that are decoded from raw PCG64 words straight into the checking stacks.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ __all__ = [
     "toxicity_counts",
     "rebalance_curve",
     "random_case",
+    "random_invariance_checks",
+    "random_toxicity_counts",
 ]
 
 TIE_BAND = 1e-12
@@ -123,32 +127,42 @@ def _unit_sums(sums: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} sums to {sums[bad.argmax()]}, expected 1")
 
 
+def _mixed(tables: np.ndarray, px: np.ndarray, py, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """mix() of each case of a (B, rows, k) source stack with its (B, rows) px,
+    (B, k) py and (B,) weights, after OodMarginal's px and py checks and mix's
+    own. py is None when some case's py does not have k entries."""
+    if (px < 0).any():
+        raise ValueError("px must be a non-negative vector")
+    _unit_sums(px.sum(axis=1), "px")
+    if ((n < 0) | (m < 0) | (n + m <= 0)).any():
+        raise ValueError("need n >= 0, m >= 0, n + m > 0")
+    if py is None:
+        raise ValueError("py length must match the source class count")
+    if (py < 0).any():
+        raise ValueError("py must be a non-negative vector")
+    _unit_sums(py.sum(axis=1), "py")
+    # mix's elementwise formula; a padded entry adds an exact 0.0.
+    mixed = (n / (n + m))[:, None, None] * tables
+    mixed += (m / (n + m))[:, None, None] * (px[..., None] * py[:, None])
+    if (mixed < 0).any():
+        raise ValueError("joint table entries must be non-negative")
+    _unit_sums(mixed.sum(axis=(1, 2)), "joint table")
+    return mixed
+
+
 def _mixtures(cases: list, k: int):
-    """Source and mix() stacks of (source, px, py, n, m) cases with k classes,
-    after mix's checks and px's. Only the support axis is zero-padded: a
-    padded class would change the order of numpy's pairwise row sums."""
+    """Source and mix() stacks of (source, px, py, n, m) cases with k classes.
+    Only the support axis is zero-padded: a padded class would change the
+    order of numpy's pairwise row sums."""
     pxs = [np.asarray(c[1], dtype=np.float64) for c in cases]
     if any(px.ndim != 1 for px in pxs):
         raise ValueError("px must be a non-negative vector")
     rows = max(max(c[0].support_size for c in cases), max(len(px) for px in pxs))
-    px_stack = _padded(pxs, rows)
-    if (px_stack < 0).any():
-        raise ValueError("px must be a non-negative vector")
-    _unit_sums(px_stack.sum(axis=1), "px")
     n, m = np.array([c[3:] for c in cases], dtype=np.float64).T
-    if ((n < 0) | (m < 0) | (n + m <= 0)).any():
-        raise ValueError("need n >= 0, m >= 0, n + m > 0")
-    if any(c[2].shape != (k,) for c in cases):
-        raise ValueError("py length must match the source class count")
-    # mix's elementwise formula; a padded entry adds an exact 0.0.
+    pys = [c[2] for c in cases]
+    py = np.array(pys) if all(p.shape == (k,) for p in pys) else None
     tables = _padded([c[0].table for c in cases], rows)
-    mixed = (n / (n + m))[:, None, None] * tables
-    py_stack = np.array([c[2] for c in cases])
-    mixed += (m / (n + m))[:, None, None] * (px_stack[..., None] * py_stack[:, None])
-    if (mixed < 0).any():
-        raise ValueError("joint table entries must be non-negative")
-    _unit_sums(mixed.sum(axis=(1, 2)), "joint table")
-    return tables, mixed
+    return tables, _mixed(tables, _padded(pxs, rows), py, n, m)
 
 
 def _check_block(block: list) -> list:
@@ -290,3 +304,194 @@ def random_case(
     n = 1.0
     m = 10.0 ** rng.uniform(-3.0, 3.0)
     return DiscreteJoint(table=table), px, n, m
+
+
+# random_case's draws, decoded from raw PCG64 words. integers(low, high)
+# takes a 32-bit half of a 64-bit word, low half first, carrying the high
+# half to the next call, and maps it to low + (half * span) >> 32 unless
+# Lemire's rejection redraws it; a one-value range draws nothing. random()
+# and uniform(-3, 3) take a word each, as (word >> 11) * 2**-53 and
+# -3.0 + 6.0 * u, and leave a carried half alone.
+
+
+def _redraws(halves: np.ndarray, spans: np.ndarray) -> bool:
+    """Whether integers() would redraw any of these halves (Lemire's rejection)."""
+    return bool((((halves * spans) & 0xFFFFFFFF) < 2**32 % spans).any())
+
+
+def _sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """a.sum() of each consecutive segment a of values, bit for bit. sum
+    pairwise-adds a whole segment to 0.0; reduceat starts from a segment's
+    first element, so each segment gets a 0.0 in front."""
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    padded = np.zeros(len(values) + len(lengths))
+    keep = np.ones(len(padded), dtype=bool)
+    keep[starts] = False
+    padded[keep] = values
+    return np.add.reduceat(padded, starts)
+
+
+def _normalized(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """random(length) / its sum for each segment of words, concatenated."""
+    at = np.arange(lengths.sum())
+    at += np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    values = words[at]
+    del at  # the block's peak holds the words and at most two value arrays
+    values >>= 11
+    values = values * 2.0**-53
+    values /= np.repeat(_sums(values, lengths), lengths)
+    return values
+
+
+def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjoint: list):
+    """random_case(rng, max_support, max_classes, d) for each d in disjoint,
+    decoded into per-class-count stacks: an iterable of (members, tables, px,
+    m, support), where members are the cases' indices, tables is (B, rows, k)
+    and px (B, rows), both zero-padded along the support, and support is the
+    largest source support. rng ends as the calls leave it. Gives None, with
+    rng untouched, where the calls would redraw a bounded integer or the
+    ranges are not 32-bit ones.
+    """
+    if not (2 <= max_support < 2**32 and 2 <= max_classes < 2**32):
+        return None
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    carry = saved["uinteger"] if saved["has_uint32"] else None
+    high = saved["uinteger"]
+    # The mean words a case takes; a block takes a tenth more and is topped
+    # up in the rare case that it runs short.
+    mean = (max_support + 2) * (max_classes + 2) // 4 + max_support // 2 + 3
+    words = bitgen.random_raw(len(disjoint) * mean * 11 // 10)
+    pos = 0
+    halves, spans, cases = [], [], []
+
+    def integer(span):
+        nonlocal words, pos, carry, high
+        if span == 1:
+            return 0
+        if carry is None:
+            if pos >= len(words):
+                words = np.concatenate((words, bitgen.random_raw(pos + 1 - len(words) + 8 * mean)))
+            word = int(words[pos])
+            pos += 1
+            half, carry = word & 0xFFFFFFFF, word >> 32
+            high = carry
+        else:
+            half, carry = carry, None
+        halves.append(half)
+        spans.append(span)
+        return (half * span) >> 32
+
+    for d in disjoint:
+        s = 2 + integer(max_support - 1)
+        k = 2 + integer(max_classes - 1)
+        table, pos = pos, pos + s * k
+        offset, length = (s, 1 + integer(max_support)) if d else (0, s)
+        cases.append((s, k, table, offset, pos, length, pos + length))
+        pos += length + 1
+    if pos > len(words):
+        words = np.concatenate((words, bitgen.random_raw(pos - len(words))))
+    bitgen.state = saved
+    if halves and _redraws(np.array(halves, dtype=np.uint64), np.array(spans, dtype=np.uint64)):
+        return None
+    bitgen.advance(pos)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = int(carry is not None), high
+    bitgen.state = state
+    if not cases:
+        return []
+
+    s, k, table, offset, px, length, at = (np.array(column) for column in zip(*cases))
+    u = (words[at] >> 11) * 2.0**-53
+    m = np.array([10.0 ** x for x in (-3.0 + 6.0 * u).tolist()])
+    # In class-count order, each stack's tables and px are one run of values.
+    order = np.argsort(k, kind="stable")
+    s, k, offset, length, m = s[order], k[order], offset[order], length[order], m[order]
+    values = _normalized(words, table[order], s * k)
+    # DiscreteJoint's checks, on each table as random_case normalizes it.
+    if (values < 0).any():
+        raise ValueError("joint table entries must be non-negative")
+    _unit_sums(_sums(values, s * k), "joint table")
+    cuts = np.flatnonzero(np.diff(k)) + 1
+    return _stacks(
+        *(np.split(a, cuts) for a in (order, s, offset, length, m)),
+        np.split(values, np.cumsum(s * k)[cuts - 1]),
+        np.split(_normalized(words, px[order], length), np.cumsum(length)[cuts - 1]),
+    )
+
+
+def _stacks(*groups):
+    """_decoded's stacks, one class count at a time, from each group's
+    members, supports, px offsets and lengths, m and concatenated values."""
+    for members, size, first, count, m, values, weights in zip(*groups):
+        rows = int(max(size.max(), (first + count).max()))
+        k = len(values) // size.sum()
+        tables = np.zeros((len(members), rows, k))
+        tables[np.arange(rows) < size[:, None]] = values.reshape(-1, k)
+        px = np.zeros((len(members), rows))
+        at = np.arange(rows) - first[:, None]
+        px[(at >= 0) & (at < count[:, None])] = weights
+        yield members, tables, px, m, int(size.max())
+
+
+def _random_flips(rng, cases: int, max_support: int, max_classes: int, alternate: bool, labels):
+    """_flips of random_case(rng, max_support, max_classes, alternate and
+    bool(i % 2)) for i in range(cases), lazily, BLOCK cases at a time.
+    labels(tables, m) gives a stack's (py, m) from its sources and weights.
+    A block whose decode could differ from the calls replays them."""
+    for start in range(0, cases, BLOCK):
+        disjoint = [alternate and i % 2 == 1 for i in range(start, min(cases, start + BLOCK))]
+        groups = _decoded(rng, max_support, max_classes, disjoint)
+        if groups is None:
+            block = []
+            for d in disjoint:
+                source, px, n, m = random_case(rng, max_support, max_classes, d)
+                py, m = labels(source.table[None], np.array([m]))
+                block.append((source, px, py[0], n, m[0]))
+            yield from _checked(block)
+            continue
+        out = [None] * len(disjoint)
+        for members, tables, px, m, support in groups:
+            py, m = labels(tables, m)
+            mixed = _mixed(tables, px, py, np.ones(len(m)), m)
+            for i, result in zip(members.tolist(), _flips(tables[:, :support], mixed[:, :support])):
+                out[i] = result
+        yield from out
+
+
+def random_invariance_checks(
+    rng: np.random.Generator, cases: int, max_support: int = 20, max_classes: int = 10
+):
+    """bayes_invariance_check of random_case(rng, max_support, max_classes,
+    disjoint=bool(i % 2)) for i in range(cases), lazily, in order.
+
+    Each block of BLOCK cases is decoded from raw PCG64 words straight into
+    the checking stacks; the cases, and the state rng ends in, are those of
+    the random_case calls.
+    """
+
+    def uniform(tables, m):
+        k = tables.shape[2]
+        return np.full((len(tables), k), 1.0 / k), m
+
+    flips = _random_flips(rng, cases, max_support, max_classes, True, uniform)
+    return ((rows.size == 0, rows.tolist()) for rows, _ in flips)
+
+
+def random_toxicity_counts(
+    rng: np.random.Generator, cases: int, max_support: int = 20, max_classes: int = 10,
+    m_scale: float = 100.0,
+):
+    """toxicity_count per random_case(rng, max_support, max_classes) case,
+    lazily, in order, with every auxiliary label on the case's rarest class
+    (py one-hot at the argmin of its label marginal) and weight m * m_scale.
+    Decoded as in random_invariance_checks.
+    """
+
+    def one_hot(tables, m):
+        py = np.zeros((len(tables), tables.shape[2]))
+        py[np.arange(len(tables)), tables.sum(axis=1).argmin(axis=1)] = 1.0
+        return py, m * m_scale
+
+    flips = _random_flips(rng, cases, max_support, max_classes, False, one_hot)
+    return ((rows.size, mass) for rows, mass in flips)

@@ -781,6 +781,16 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def forbid_draws(monkeypatch):
+    """Make drawing any bayes-check case fail the test."""
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    for name in ("random_case", "random_invariance_checks", "random_toxicity_counts"):
+        monkeypatch.setattr(oracle, name, no_draws)
+
+
 class TestBayesCheck:
     def test_report(self, tmp_path):
         config = {
@@ -872,10 +882,7 @@ class TestBayesCheck:
     def test_bad_case_count_fails_before_any_case_is_drawn(
         self, tmp_path, capsys, monkeypatch, change, key, shown
     ):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a case was drawn")
-
-        monkeypatch.setattr(oracle, "random_case", no_draws)
+        forbid_draws(monkeypatch)
         config = {"command": "bayes-check", "name": "bad", "seed": 0, "cases": 4, **change}
         cfg = write_config(tmp_path / "bayes.json", config)
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -899,10 +906,7 @@ class TestBayesCheck:
     def test_bad_integer_fails_before_any_case_is_drawn(
         self, tmp_path, capsys, monkeypatch, change, message
     ):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a case was drawn")
-
-        monkeypatch.setattr(oracle, "random_case", no_draws)
+        forbid_draws(monkeypatch)
         config = {"command": "bayes-check", "name": "bad", "seed": 0, "cases": 4, **change}
         if "rebalance" in change:
             config["rebalance"] = {
@@ -912,6 +916,37 @@ class TestBayesCheck:
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"bayes-check: {message}" in err, err
+        assert not (tmp_path / "bad_bayes.json").exists()
+
+    @pytest.mark.parametrize(
+        "stress,rebalance,message",
+        [({"m_scale": True}, {}, "one_hot_stress.m_scale must be a finite number, got true"),
+         ({"m_scale": "x"}, {}, 'one_hot_stress.m_scale must be a finite number, got "x"'),
+         ({"m_scale": -1.0}, {}, "one_hot_stress.m_scale must be at least 0, got -1.0"),
+         ({}, {"alphas": [True, 2.0]}, "rebalance.alphas[0] must be a finite number, got true"),
+         ({}, {"alphas": []}, "rebalance.alphas must be a non-empty list, got []"),
+         ({}, {"alphas": [2.0, 0.5]}, "rebalance.alphas[1]: alpha=0.5 out of range"),
+         ({}, {"aux_sizes": [-100]}, "rebalance.aux_sizes[0] must be at least 0, got -100"),
+         ({}, {"counts": [500, 50.5, 5]},
+          "rebalance.counts[1] must be a non-negative integer, got 50.5"),
+         ({}, {"counts": [0, 0]}, "rebalance.counts: invalid prior: all class counts are zero"),
+         ({}, {"disjoint": "no"}, 'rebalance.disjoint must be true or false, got "no"')],
+        ids=["bool-m-scale", "string-m-scale", "negative-m-scale", "bool-alpha", "no-alphas",
+             "small-alpha", "negative-aux-size", "float-count", "zero-counts", "string-disjoint"],
+    )
+    def test_bad_section_value_fails_before_any_case_is_drawn(
+        self, tmp_path, capsys, monkeypatch, stress, rebalance, message
+    ):
+        forbid_draws(monkeypatch)
+        config = {
+            "command": "bayes-check", "name": "bad", "seed": 0, "cases": 4,
+            "one_hot_stress": {"cases": 2, **stress},
+            "rebalance": {"counts": [50, 10], "alphas": [1.0], "aux_sizes": [0, 10], **rebalance},
+        }
+        cfg = write_config(tmp_path / "bayes.json", config)
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and f"error: bayes-check: {message}" in err, err
         assert not (tmp_path / "bad_bayes.json").exists()
 
     def test_zero_cases_empty_report(self, tmp_path):

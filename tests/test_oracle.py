@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from open_rebalance import oracle
 from open_rebalance.oracle import (
     BLOCK,
     TIE_BAND,
@@ -10,6 +11,8 @@ from open_rebalance.oracle import (
     flipped_instances,
     mix,
     random_case,
+    random_invariance_checks,
+    random_toxicity_counts,
     rebalance_curve,
     bayes_invariance_check,
     bayes_invariance_checks,
@@ -402,3 +405,142 @@ class TestBlockedOracle:
         with pytest.raises(ValueError) as got:
             list(toxicity_counts(one_hot[:100] + [(source, uniform, 0.0, 1.0)] + one_hot[100:]))
         assert str(got.value) == str(want.value)
+
+
+def twin_generators(seed, carry):
+    """Two generators in one state; with carry, a 32-bit half is carried in."""
+    pair = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in pair:
+        if carry:
+            rng.integers(0, 7)
+        assert rng.bit_generator.state["has_uint32"] == carry
+    return pair
+
+
+def assert_same_stream(a, b):
+    """Equal generator states and equal next integers and random draws."""
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(0, 1000, size=5).tolist() == b.integers(0, 1000, size=5).tolist()
+    assert np.float64(a.random()).view(np.uint64) == np.float64(b.random()).view(np.uint64)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def rarest_class_cases(rng, count, max_support, max_classes, m_scale):
+    """random_case draws with every auxiliary label on the rarest class."""
+    cases = []
+    for _ in range(count):
+        source, px, n, m = random_case(rng, max_support, max_classes)
+        py = np.zeros(source.num_classes)
+        py[int(np.argmin(source.label_marginal()))] = 1.0
+        cases.append((source, OodMarginal(px=px, py=py), n, m * m_scale))
+    return cases
+
+
+# (max_support, max_classes): a range of 2 draws nothing, 3 the least, 20/10
+# is the benchmark's shape.
+SHAPES = [(2, 2), (2, 10), (20, 2), (3, 3), (20, 10)]
+COUNTS = [0, 1, BLOCK, BLOCK + 1]
+
+
+class TestDecodedCases:
+    """random_case draws decoded from raw PCG64 words, bit for bit."""
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("carry", [False, True], ids=["no-carry", "carry"])
+    @pytest.mark.parametrize("max_support,max_classes", SHAPES)
+    def test_stacks_equal_random_case(self, max_support, max_classes, carry, count):
+        fast, slow = twin_generators(100 * max_support + max_classes, carry)
+        disjoint = [i % 3 == 1 for i in range(count)]
+        groups = oracle._decoded(fast, max_support, max_classes, disjoint)
+        want = [random_case(slow, max_support, max_classes, d) for d in disjoint]
+        assert_same_stream(fast, slow)
+        seen = []
+        for members, tables, px, m, support in groups:
+            k = tables.shape[2]
+            assert tables.shape[:2] == px.shape and len(m) == len(members)
+            assert support == max(want[i][0].support_size for i in members)
+            for j, i in enumerate(members.tolist()):
+                source, want_px, n, want_m = want[i]
+                assert source.num_classes == k and n == 1.0
+                table = np.zeros(tables.shape[1:])
+                table[: source.support_size] = source.table
+                padded = np.zeros(px.shape[1])
+                padded[: len(want_px)] = want_px
+                assert (bits(tables[j]) == bits(table)).all(), i
+                assert (bits(px[j]) == bits(padded)).all(), i
+                assert bits(m[j]) == bits(want_m), i
+                seen.append(i)
+        assert sorted(seen) == list(range(count))
+        if count >= BLOCK:  # not vacuous
+            assert len({c[0].num_classes for c in want}) == max_classes - 1
+            assert len({c[0].support_size for c in want}) == max_support - 1
+
+    @pytest.mark.parametrize("span", [7, 3 * 2**30, 2**31 + 1])
+    def test_redraws_match_numpy_rejection(self, span):
+        # A span near 2**32 makes Lemire's rejection common: numpy redraws
+        # exactly when _redraws says so, and otherwise keeps the half.
+        rejected = 0
+        for seed in range(300):
+            words, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+            word = int(words.bit_generator.random_raw())
+            value = int(calls.integers(0, span))
+            half = np.array([word & 0xFFFFFFFF], dtype=np.uint64)
+            redraw = oracle._redraws(half, np.array([span], dtype=np.uint64))
+            state = words.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, word >> 32
+            assert redraw == (calls.bit_generator.state != state), seed
+            if not redraw:
+                assert value == ((word & 0xFFFFFFFF) * span) >> 32
+            rejected += redraw
+        assert (rejected > 30) == (span > 2**30)
+
+
+class TestRandomEntryPoints:
+    """random_invariance_checks and random_toxicity_counts against sequential
+    random_case calls checked through the tuple entry points."""
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("carry", [False, True], ids=["no-carry", "carry"])
+    @pytest.mark.parametrize("max_support,max_classes", SHAPES)
+    def test_sections_equal_sequential_calls(self, max_support, max_classes, carry, count):
+        fast, slow = twin_generators(100 * max_support + max_classes + 1, carry)
+        checks = random_invariance_checks(fast, count, max_support, max_classes)
+        assert iter(checks) is checks  # lazy
+        draws = (random_case(slow, max_support, max_classes, bool(i % 2)) for i in range(count))
+        assert list(checks) == list(bayes_invariance_checks(draws))
+        assert_same_stream(fast, slow)
+        counts = random_toxicity_counts(fast, count, max_support, max_classes, 30.0)
+        want = toxicity_counts(rarest_class_cases(slow, count, max_support, max_classes, 30.0))
+        assert [(c, mass.hex()) for c, mass in counts] == [(c, mass.hex()) for c, mass in want]
+        assert_same_stream(fast, slow)
+
+    def test_stress_counts_flip(self):
+        # The one-hot comparison above is not vacuous at the benchmark's shape.
+        counts = [c for c, _ in random_toxicity_counts(np.random.default_rng(3), BLOCK, 20, 10, 100.0)]
+        assert sum(c > 0 for c in counts) > BLOCK // 2 and max(counts) >= 8
+
+    def test_replay_when_a_draw_would_be_redrawn(self, monkeypatch):
+        calls = []
+        draw = oracle.random_case
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_redraws", lambda halves, spans: True)
+        monkeypatch.setattr(oracle, "random_case", counted)
+        fast, slow = twin_generators(31, True)
+        before = fast.bit_generator.state
+        assert oracle._decoded(fast, 20, 10, [False, True]) is None
+        assert fast.bit_generator.state == before
+        count = BLOCK + 3
+        checks = list(random_invariance_checks(fast, count, 12, 9))
+        assert checks == list(bayes_invariance_checks(draw(slow, 12, 9, bool(i % 2)) for i in range(count)))
+        counts = list(random_toxicity_counts(fast, count, 12, 9, 30.0))
+        want = toxicity_counts(rarest_class_cases(slow, count, 12, 9, 30.0))
+        assert [(c, mass.hex()) for c, mass in counts] == [(c, mass.hex()) for c, mass in want]
+        assert_same_stream(fast, slow)
+        assert len(calls) == 2 * count and calls[:2] == [(fast, 12, 9, False), (fast, 12, 9, True)]
