@@ -2,15 +2,18 @@
 sweeps, OOD evaluation, and the exact Bayes-mixture checks.
 
 One JSON config per invocation, with a top-level "command" field matching
-the subcommand. Unknown keys are rejected so typos cannot silently change a
-run. Re-running a command with the same config produces byte-identical
-CSV/JSON outputs; wall-clock timings go to stderr only.
+the subcommand. The whole config is parsed against its command's schema
+before any file is read or written; unknown and duplicate keys are rejected
+so typos cannot silently change a run. Re-running a command with the same
+config produces byte-identical CSV/JSON outputs; wall-clock timings go to
+stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, metrics, nn, oracle, train
-from .priors import LabelDistributionKind, complementary, mcd, prior_from_counts
+from .priors import LabelDistributionKind, complementary, prior_from_counts
 
 __all__ = ["main", "ConfigError"]
 
@@ -30,44 +33,76 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema
+
+REQUIRED = object()  # the key must be given
+OPTIONAL = object()  # an absent key stays absent, so the library's own default applies
+NAME = "file name"  # a bare file name that outputs are named after, never a path
+# Every config names its command and the name its outputs are named after.
+_DOC = {"command": (str, None, REQUIRED), "name": (NAME, None, REQUIRED)}
 
 
-def _check_keys(obj: dict, where: str, required, optional=()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
+# Each scalar kind: what it accepts, and what a refused value must be. JSON
+# parses to exact types, so type() refuses bools where numbers are expected.
+_SCALARS = {
+    int: (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    NAME: (lambda v: isinstance(v, str) and v not in ("", ".", "..")
+           and not any(c in v for c in "/\\\0"), "a bare file name"),
+}
 
 
-def _count(value, where: str, minimum: int = 0) -> int:
-    """A JSON integer >= minimum: bools and floats are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{where} must be a non-negative integer, got {json.dumps(value)}")
-    if value < minimum:
-        raise ConfigError(f"{where} must be at least {minimum}, got {value}")
-    return value
+def _parse(kind, value, path: str, bound=None):
+    """Parse a JSON value as kind, or raise a ConfigError that names its dotted path.
+
+    kind is a key of _SCALARS, whose bound is the minimum; a tuple of string
+    choices; [item], a non-empty list, or [item, ...], any list, whose items
+    take bound, as a tuple; a table {key: (kind, bound, default)}, walked in
+    its order; or a callable rule(value, path) for the few union cases.
+    """
+
+    def fail(must):
+        raise ConfigError(f"{path} must be {must}, got {json.dumps(value)}")
+
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {json.dumps(value)}")
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {unknown}")
+        missing = [key for key, (*_, default) in kind.items()
+                   if default is REQUIRED and key not in value]
+        if missing:
+            raise ConfigError(f"{path}: missing keys {missing}")
+        return {key: _parse(sub, value.get(key, default), f"{path}.{key}", sub_bound)
+                for key, (sub, sub_bound, default) in kind.items()
+                if key in value or default is not OPTIONAL}
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not (value or ... in kind):
+            fail("a list" if ... in kind else "a non-empty list")
+        return tuple(_parse(kind[0], item, f"{path}[{i}]", bound) for i, item in enumerate(value))
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            fail(" or ".join(", ".join(map(repr, kind)).rsplit(", ", 1)))
+        return value
+    if kind not in _SCALARS:
+        return kind(value, path)
+    accepts, must = _SCALARS[kind]
+    if not accepts(value):
+        fail(must)
+    if bound is not None and value < bound:
+        fail(f"at least {bound}")
+    return float(value) if kind is float else value
 
 
-def _number(value, where: str, minimum=None):
-    """A JSON number that is a finite float: bools and strings are refused, not coerced."""
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
-        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be at least {minimum}, got {value}")
-    return value
-
-
-def _items(value, where: str, check, **bounds) -> list:
-    """check(item, "where[i]", **bounds) of each item of a non-empty JSON list."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a non-empty list, got {json.dumps(value)}")
-    return [check(item, f"{where}[{i}]", **bounds) for i, item in enumerate(value)]
+def _built(path, build, *args, **kwargs):
+    """build(*args, **kwargs), whose ValueError becomes a ConfigError naming path."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -79,9 +114,17 @@ def _load_config(path: Path, expected_command: str) -> dict:
     def reject(constant):
         raise ConfigError(f"{path}: non-finite number {constant} is not allowed")
 
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as f:
-            config = json.load(f, parse_constant=reject)
+            config = json.load(f, parse_constant=reject, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -101,12 +144,8 @@ def _sanitize(value):
         return {k: _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_sanitize(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _sanitize(value.tolist())
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -126,42 +165,49 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _log(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # synth
 
+# gen_ood_pool owns the defaults of the generator parameters.
+_POOL = {
+    "kind": (str, None, REQUIRED),
+    "size": (int, None, OPTIONAL),
+    "seed": (int, None, OPTIONAL),
+    "sigma": (float, None, OPTIONAL),
+    "margin": (float, None, OPTIONAL),
+    "clusters": (int, None, OPTIONAL),
+    "window": (int, None, OPTIONAL),
+    "low": (float, None, OPTIONAL),
+    "high": (float, None, OPTIONAL),
+    "path": (str, None, OPTIONAL),
+}
 
-_AUX_KEYS = ("kind", "size", "seed", "sigma", "margin", "clusters", "window", "low", "high", "path")
 
-
-def _check_pool_spec(spec: dict, where: str, has_class_means: bool) -> None:
+def _check_pool(spec: dict, path: str, class_means: bool, seeded: bool) -> dict:
+    """Check a parsed pool spec against its kind; seeded generated pools need size and seed."""
     kind = spec["kind"]
     if kind not in data.OOD_KINDS:
-        raise ConfigError(f"{where}: unknown pool kind {kind!r}, expected one of {data.OOD_KINDS}")
-    if kind == "file" and "path" not in spec:
-        raise ConfigError(f"{where}: file pools need a path")
-    if kind == "shifted-mixture" and not has_class_means:
-        raise ConfigError(f"{where}: shifted-mixture pools need synthetic class means")
-    for key in ("size", "seed", "window", "clusters"):
-        if key in spec:
-            _count(spec[key], f"{where}.{key}")
-    if kind != "file" and "size" in spec:
-        try:
-            data.check_pool_params(spec["size"], **_pool_kwargs(spec))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{path}: unknown pool kind {kind!r}, expected one of {data.OOD_KINDS}")
+    if kind == "file":
+        if "path" not in spec:
+            raise ConfigError(f"{path}: file pools need a path")
+        return spec
+    if kind == "shifted-mixture" and not class_means:
+        raise ConfigError(f"{path}: shifted-mixture pools need synthetic class means")
+    if seeded and ("size" not in spec or "seed" not in spec):
+        raise ConfigError(f"{path}: generated pools need size and seed")
+    if "size" in spec:
+        _built(path, data.check_pool_params, spec["size"], **_pool_kwargs(spec))
+    return spec
 
 
 def _pool_kwargs(spec: dict) -> dict:
     keys = ("sigma", "margin", "clusters", "window", "low", "high")
-    return {key: spec[key] for key in keys if spec.get(key) is not None}
+    return {key: spec[key] for key in keys if key in spec}
 
 
 def _build_pool(spec: dict, dim: int, base_seed, class_means, base_dir: Path):
-    """Read or generate a pool whose spec _check_pool_spec has passed."""
+    """Read or generate a pool whose spec _check_pool has passed."""
     kind = spec["kind"]
     if kind == "file":
         return data.read_pool(base_dir / spec["path"])
@@ -172,60 +218,69 @@ def _build_pool(spec: dict, dim: int, base_seed, class_means, base_dir: Path):
     return data.gen_ood_pool(kind, spec["size"], dim, seed, **kwargs)
 
 
-def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
-    _check_keys(
-        config,
-        "synth",
-        required=("command", "name", "seed"),
-        optional=("classes", "dim", "mean_radius", "sigma", "train", "test", "aux", "cifar"),
-    )
-    if "aux" in config:
-        _check_keys(config["aux"], "synth.aux", required=("kind", "size"), optional=_AUX_KEYS)
-        _check_pool_spec(config["aux"], "synth.aux", has_class_means="cifar" not in config)
-    name = config["name"]
-    seed = _count(config["seed"], "synth.seed")
-    chash = _config_hash(config)
-    manifest: dict = {"name": name, "seed": seed, "config_hash": chash, "files": {}}
+_SYNTH = {
+    **_DOC,
+    "seed": (int, None, REQUIRED),
+    "aux": ({**_POOL, "size": (int, None, REQUIRED)}, None, OPTIONAL),
+}
+_SYNTH_GAUSSIAN = {
+    **_SYNTH,
+    "classes": (int, 2, REQUIRED),
+    "dim": (int, 2, REQUIRED),
+    "mean_radius": (float, None, 3.0),
+    "sigma": (float, None, 1.0),
+    "train": ({"n_max": (int, 1, REQUIRED), "ratio": (float, 1, REQUIRED)}, None, REQUIRED),
+    "test": ({"per_class": (int, 1, REQUIRED)}, None, REQUIRED),
+}
+_SYNTH_CIFAR = {
+    **_SYNTH,
+    "cifar": ({
+        "train_paths": ([str], None, REQUIRED),
+        "test_paths": ([str, ...], None, OPTIONAL),
+        "ratio": (float, 1, 1.0),
+        "n_max": (int, 1, OPTIONAL),
+    }, None, REQUIRED),
+}
+
+
+def _synth(config: dict, path: str) -> dict:
+    """A synth config: Gaussian classes, or a subsample of CIFAR-10 binary batches."""
+    cifar = "cifar" in config
+    clash = sorted(set(config) & (set(_SYNTH_GAUSSIAN) - set(_SYNTH_CIFAR)))
+    if cifar and clash:
+        raise ConfigError(f"{path}: cifar source conflicts with keys {clash}")
+    doc = _parse(_SYNTH_CIFAR if cifar else _SYNTH_GAUSSIAN, config, path)
+    if "aux" in doc:
+        _check_pool(doc["aux"], f"{path}.aux", class_means=not cifar, seeded=False)
+    return doc
+
+
+def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
+    name, seed = doc["name"], doc["seed"]
+    manifest: dict = {"name": name, "seed": seed, "config_hash": _config_hash(config), "files": {}}
 
     class_means = None
-    if "cifar" in config:
-        clash = [k for k in ("classes", "dim", "mean_radius", "sigma", "train", "test") if k in config]
-        if clash:
-            raise ConfigError(f"synth: cifar source conflicts with keys {clash}")
-        spec = config["cifar"]
-        _check_keys(spec, "synth.cifar", required=("train_paths",), optional=("test_paths", "ratio", "n_max"))
-        if "n_max" in spec:
-            _count(spec["n_max"], "synth.cifar.n_max", minimum=1)
-        ratio = float(_number(spec.get("ratio", 1.0), "synth.cifar.ratio"))
+    if "cifar" in doc:
+        spec = doc["cifar"]
         full = data.read_cifar10_binary([base_dir / p for p in spec["train_paths"]])
         n_max = int(spec.get("n_max", full.class_counts().min()))
-        profile = data.longtail_counts(n_max, full.num_classes, ratio)
+        profile = data.longtail_counts(n_max, full.num_classes, spec["ratio"])
         train_ds = data.subsample_longtail(full, profile, seed)
         del full
         test_ds = None
         if spec.get("test_paths"):
             test_ds = data.read_cifar10_binary([base_dir / p for p in spec["test_paths"]])
-        manifest["profile"] = {"ratio": ratio, "base": n_max}
+        manifest["profile"] = {"ratio": spec["ratio"], "base": n_max}
     else:
-        for key in ("classes", "dim", "train", "test"):
-            if key not in config:
-                raise ConfigError(f"synth: missing key {key!r} (required without cifar)")
-        _check_keys(config["train"], "synth.train", required=("n_max", "ratio"))
-        _check_keys(config["test"], "synth.test", required=("per_class",))
-        k = _count(config["classes"], "synth.classes", minimum=2)
-        dim = _count(config["dim"], "synth.dim", minimum=2)
-        n_max = _count(config["train"]["n_max"], "synth.train.n_max", minimum=1)
-        per_test = _count(config["test"]["per_class"], "synth.test.per_class", minimum=1)
-        mean_radius = float(_number(config.get("mean_radius", 3.0), "synth.mean_radius"))
-        sigma = float(_number(config.get("sigma", 1.0), "synth.sigma"))
-        ratio = float(_number(config["train"]["ratio"], "synth.train.ratio"))
-        profile = data.longtail_counts(n_max, k, ratio)
+        k, dim, mean_radius, sigma = doc["classes"], doc["dim"], doc["mean_radius"], doc["sigma"]
+        profile = data.longtail_counts(doc["train"]["n_max"], k, doc["train"]["ratio"])
         class_means = data.gaussian_class_means(k, dim, mean_radius, seed)
         train_ds = data.gen_gaussian_classes(
             k, dim, profile.counts, mean_radius, sigma, seed=seed * 10 + 1, means_seed=seed
         )
         test_ds = data.gen_gaussian_classes(
-            k, dim, [per_test] * k, mean_radius, sigma, seed=seed * 10 + 2, means_seed=seed
+            k, dim, [doc["test"]["per_class"]] * k, mean_radius, sigma, seed=seed * 10 + 2,
+            means_seed=seed,
         )
         manifest["profile"] = {"ratio": profile.ratio, "base": profile.base}
 
@@ -243,8 +298,8 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
     # Written and counted, so the pool is built with no full-size set alive.
     del train_ds, test_ds
 
-    if "aux" in config:
-        pool = _build_pool(config["aux"], manifest["dim"], seed * 10 + 3, class_means, base_dir)
+    if "aux" in doc:
+        pool = _build_pool(doc["aux"], manifest["dim"], seed * 10 + 3, class_means, base_dir)
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name
@@ -256,109 +311,135 @@ def cmd_synth(config: dict, base_dir: Path, out_dir: Path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# train
+# train and sweep
+
+_LABEL_DIST = {
+    "tag": (str, None, REQUIRED),
+    "alpha": (float, None, OPTIONAL),
+    "beta_cb": (float, None, OPTIONAL),
+    "class_index": (int, None, OPTIONAL),
+}
 
 
-_TRAIN_KEYS = (
-    "method",
-    "eta",
-    "alpha",
-    "label_dist",
-    "use_class_weights",
-    "fixed_labels",
-    "beta_cb",
-    "epochs",
-    "batch_train",
-    "batch_aux",
-    "base_lr",
-    "momentum",
-    "weight_decay",
-    "schedule",
-)
+def _label_dist(value, path) -> dict:
+    """A label distribution: its tag alone, or an object with its parameters."""
+    return _parse(_LABEL_DIST, {"tag": value} if isinstance(value, str) else value, path)
 
 
-def _parse_label_dist(spec) -> LabelDistributionKind:
-    if isinstance(spec, str):
-        spec = {"tag": spec}
-    _check_keys(spec, "label_dist", required=("tag",), optional=("alpha", "beta_cb", "class_index"))
-    try:
-        return LabelDistributionKind(
-            tag=spec["tag"],
-            alpha=spec.get("alpha"),
-            beta_cb=spec.get("beta_cb"),
-            class_index=spec.get("class_index"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"label_dist: {exc}") from exc
+def _thresholds(value, path) -> tuple:
+    """[t_low, t_high]: the class counts that split few, medium and many."""
+    pair = _parse([int], value, path)
+    if len(pair) != 2 or pair[0] >= pair[1]:
+        raise ConfigError(f"{path} must be [t_low, t_high] with t_low < t_high, got {list(pair)}")
+    return pair
 
 
-def _check_train_section(config: dict, command: str) -> int:
-    """Check the train section and model before any data is read; return the hidden width.
+# TrainConfig, LabelDistributionKind and LrSchedule own the ranges, and
+# TrainConfig the defaults of absent keys.
+_TRAIN = {
+    "method": (str, None, REQUIRED),
+    "eta": (float, None, OPTIONAL),
+    "alpha": (float, None, OPTIONAL),
+    "label_dist": (_label_dist, None, OPTIONAL),
+    "use_class_weights": (bool, None, OPTIONAL),
+    "fixed_labels": (bool, None, OPTIONAL),
+    "beta_cb": (float, None, OPTIONAL),
+    "epochs": (int, None, OPTIONAL),
+    "batch_train": (int, 1, OPTIONAL),
+    "batch_aux": (int, 1, OPTIONAL),
+    "base_lr": (float, None, OPTIONAL),
+    "momentum": (float, None, OPTIONAL),
+    "weight_decay": (float, None, OPTIONAL),
+    "schedule": ({
+        "warmup_epochs": (int, None, 0),
+        "milestones": ([int, ...], None, []),
+        "decay_factor": (float, None, 0.01),
+    }, None, OPTIONAL),
+}
+_RUNS = {
+    **_DOC,
+    "data": ({"train": (str, None, REQUIRED), "test": (str, None, REQUIRED),
+              "aux": (str, None, OPTIONAL)}, None, REQUIRED),
+    "model": ({"hidden_dim": (int, None, 0)}, None, {}),
+    "train": (_TRAIN, None, REQUIRED),
+    "seeds": ([int], None, REQUIRED),
+    "group_thresholds": (_thresholds, None, list(metrics.GROUP_THRESHOLDS)),
+}
 
-    Every integer must be a JSON integer and every float a finite JSON
-    number; the errors name the dotted path.
+
+def _alpha(value, path):
+    """A sweep's alpha: a train alpha, "M" for the default one, or "mcd"."""
+    return value if value in ("M", "mcd") else _parse(float, value, path)
+
+
+# Each sweep grid value is parsed as the train key it overrides: (kind, bound).
+_GRID_VALUES = {
+    "eta": _TRAIN["eta"][:2],
+    "alpha": (_alpha, None),
+    "label_dist": _TRAIN["label_dist"][:2],
+    "method": _TRAIN["method"][:2],
+    "aux_size": (int, 1),
+}
+_SWEEP = {
+    **_RUNS,
+    "grid": ({"param": (tuple(_GRID_VALUES), None, REQUIRED),
+              "values": ([lambda value, path: value], None, REQUIRED)}, None, REQUIRED),
+}
+
+
+def _apply_grid_value(section: dict, param, value) -> dict:
+    """The parsed train section with one parsed grid value applied."""
+    updated = dict(section)
+    if param == "alpha":
+        updated.pop("alpha", None)
+        updated["label_dist"] = {"tag": "mcd" if value == "mcd" else "complementary"}
+        if value not in ("M", "mcd"):
+            updated["alpha"] = updated["label_dist"]["alpha"] = value
+    elif param == "method":
+        updated["method"] = value
+        if value not in ("open-sampling", "balanced-softmax+open-sampling"):
+            for key in ("label_dist", "alpha", "fixed_labels"):
+                updated.pop(key, None)
+    elif param in ("eta", "label_dist"):
+        updated[param] = value
+    return updated
+
+
+def _runs(config: dict, path: str) -> dict:
+    """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig, aux_size).
+
+    A train config is one grid point that changes nothing. A value that the
+    constructors refuse is a ConfigError naming its dotted path (each of their
+    messages starts with the key it refuses) and, in a sweep, its grid value.
     """
-    section = config["train"]
-    _check_keys(section, "train", required=("method",), optional=_TRAIN_KEYS)
-    for key, minimum in (("epochs", 0), ("batch_train", 1), ("batch_aux", 1)):
-        if section.get(key) is not None:
-            _count(section[key], f"{command}.train.{key}", minimum)
-    for key in ("eta", "base_lr", "momentum", "weight_decay", "beta_cb"):
-        if section.get(key) is not None:
-            _number(section[key], f"{command}.train.{key}")
-    schedule = section.get("schedule")
-    if schedule is not None:
-        _check_keys(schedule, "schedule", required=(),
-                    optional=("warmup_epochs", "milestones", "decay_factor"))
-        where = f"{command}.train.schedule"
-        _count(schedule.get("warmup_epochs", 0), f"{where}.warmup_epochs")
-        _number(schedule.get("decay_factor", 0.01), f"{where}.decay_factor")
-        milestones = schedule.get("milestones", [])
-        if not isinstance(milestones, list):
-            raise ConfigError(f"{where}.milestones must be a list, got {json.dumps(milestones)}")
-        for i, milestone in enumerate(milestones):
-            _count(milestone, f"{where}.milestones[{i}]")
-    model = config.get("model", {})
-    _check_keys(model, "model", required=(), optional=("hidden_dim",))
-    return _count(model.get("hidden_dim", 0), f"{command}.model.hidden_dim")
+    doc = _parse(_SWEEP if path == "sweep" else _RUNS, config, path)
+    grid = doc.get("grid", {"param": None, "values": [None]})
+    if "grid" in doc:
+        kind, bound = _GRID_VALUES[grid["param"]]
+        grid["values"] = _parse([kind], config["grid"]["values"], f"{path}.grid.values", bound)
+    doc["runs"] = []
+    for i, value in enumerate(grid["values"]):
+        kwargs = _apply_grid_value(doc["train"], grid["param"], value)
+        try:
+            if "label_dist" in kwargs:
+                kwargs["label_dist"] = _built("label_dist", LabelDistributionKind,
+                                              **kwargs["label_dist"])
+            if "schedule" in kwargs:
+                epochs = max(kwargs.get("epochs", train.TrainConfig.epochs), 1)
+                kwargs["schedule"] = _built("schedule", nn.LrSchedule, **kwargs["schedule"],
+                                            total_epochs=epochs)
+            kwargs["hidden_dim"] = doc["model"]["hidden_dim"]
+            size = value if grid["param"] == "aux_size" else None
+            doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, **kwargs), size)
+                            for seed in doc["seeds"]]
+        except ValueError as exc:
+            at = f", at grid.values[{i}]" if "grid" in doc else ""
+            raise ConfigError(f"{path}.train.{exc}{at}") from exc
+    return doc
 
 
-def _parse_schedule(spec, epochs: int) -> nn.LrSchedule:
-    try:
-        return nn.LrSchedule(
-            warmup_epochs=spec.get("warmup_epochs", 0),
-            milestones=tuple(spec.get("milestones", ())),
-            decay_factor=float(spec.get("decay_factor", 0.01)),
-            total_epochs=max(epochs, 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-
-
-def _parse_train_config(section: dict, hidden_dim: int, seed: int, where: str,
-                        at: str = "") -> train.TrainConfig:
-    """A run's TrainConfig from a section that _check_train_section has passed.
-
-    A value it refuses is a ConfigError naming its dotted path under
-    ``where``: every message here starts with the key it refuses.
-    """
-    kwargs = {k: section[k] for k in _TRAIN_KEYS if k in section and section[k] is not None}
-    try:
-        if "label_dist" in kwargs:
-            kwargs["label_dist"] = _parse_label_dist(kwargs["label_dist"])
-        if "schedule" in kwargs:
-            kwargs["schedule"] = _parse_schedule(kwargs["schedule"], kwargs.get("epochs", 40))
-        return train.TrainConfig(hidden_dim=hidden_dim, seed=seed, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.{exc}{at}") from exc
-
-
-def _load_data_section(section: dict, base_dir: Path):
-    _check_keys(section, "data", required=("train", "test"), optional=("aux",))
-    train_ds = data.read_dataset(base_dir / section["train"])
-    test_ds = data.read_dataset(base_dir / section["test"])
-    aux = data.read_pool(base_dir / section["aux"]) if section.get("aux") else None
-    return train_ds, test_ds, aux
+# The epochs CSV's leading columns, which are also the result JSON's history.
+_EPOCH_FIELDS = ["epoch", "lr", "total_loss", "base_loss", "aux_loss", "overall_acc"]
 
 
 def _result_payload(config, chash, name, seed, result, train_ds, thresholds):
@@ -379,17 +460,7 @@ def _result_payload(config, chash, name, seed, result, train_ds, thresholds):
             "per_class_acc": per_class,
             "group_acc": group,
         },
-        "history": [
-            {
-                "epoch": rec.epoch,
-                "lr": rec.lr,
-                "total_loss": rec.train_loss,
-                "base_loss": rec.base_loss,
-                "aux_loss": rec.aux_loss,
-                "overall_acc": rec.test_overall_acc,
-            }
-            for rec in result.history
-        ],
+        "history": [dict(zip(_EPOCH_FIELDS, row)) for row in _epoch_rows(result, chash)],
     }
 
 
@@ -405,36 +476,17 @@ def _epoch_rows(result, chash):
     return rows
 
 
-def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
-    _check_keys(
-        config,
-        "train",
-        required=("command", "name", "data", "train", "seeds"),
-        optional=("model", "group_thresholds"),
-    )
-    seeds = _items(config["seeds"], "train: seeds", _count)
-    hidden = _check_train_section(config, "train")
-    points = [(seed, _parse_train_config(config["train"], hidden, seed, "train.train"))
-              for seed in seeds]
-    name = config["name"]
+def cmd_train(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
+    name = doc["name"]
     chash = _config_hash(config)
-    train_ds, test_ds, aux = _load_data_section(config["data"], base_dir)
-    thresholds = tuple(config.get("group_thresholds", metrics.GROUP_THRESHOLDS))
-
-    failures = []
-    results = _train_points(
-        points, lambda p: (p[1], aux), lambda p: f"{name}_seed{p[0]}", train_ds, test_ds, failures
-    )
+    train_ds, results, failures = _train_points(doc, base_dir, lambda run: f"{name}_seed{run[1]}")
     k = train_ds.num_classes
-    header = (
-        ["epoch", "lr", "total_loss", "base_loss", "aux_loss", "overall_acc"]
-        + [f"acc_class_{j}" for j in range(k)]
-        + ["config_hash"]
-    )
-    for seed, result in zip(seeds, results):
+    header = _EPOCH_FIELDS + [f"acc_class_{j}" for j in range(k)] + ["config_hash"]
+    for (_, seed, *_), result in zip(doc["runs"], results):
         if result is None:
             continue
-        payload = _result_payload(config, chash, name, seed, result, train_ds, thresholds)
+        payload = _result_payload(config, chash, name, seed, result, train_ds,
+                                  doc["group_thresholds"])
         payload["checkpoint"] = f"{name}_seed{seed}.osnn"
         _write_json(payload, out_dir / f"{name}_seed{seed}_result.json")
         _write_csv(out_dir / f"{name}_seed{seed}_epochs.csv", header, _epoch_rows(result, chash))
@@ -442,101 +494,29 @@ def cmd_train(config: dict, base_dir: Path, out_dir: Path) -> list:
     return failures
 
 
-# ---------------------------------------------------------------------------
-# sweep
-
-
-_GRID_PARAMS = ("eta", "alpha", "label_dist", "method", "aux_size")
-
-
-def _apply_grid_value(section: dict, param: str, value):
-    updated = dict(section)
-    if param == "eta":
-        updated["eta"] = float(value)
-    elif param == "alpha":
-        if value == "M":
-            updated["alpha"] = None
-            updated["label_dist"] = {"tag": "complementary"}
-        elif value == "mcd":
-            updated["alpha"] = None
-            updated["label_dist"] = {"tag": "mcd"}
-        else:
-            updated["alpha"] = float(value)
-            updated["label_dist"] = {"tag": "complementary", "alpha": float(value)}
-    elif param == "label_dist":
-        updated["label_dist"] = value
-    elif param == "method":
-        updated["method"] = value
-        if value not in ("open-sampling", "balanced-softmax+open-sampling"):
-            updated.pop("label_dist", None)
-            updated.pop("alpha", None)
-            updated.pop("fixed_labels", None)
-    return updated
-
-
-def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
-    _check_keys(
-        config,
-        "sweep",
-        required=("command", "name", "data", "train", "grid", "seeds"),
-        optional=("model", "group_thresholds"),
-    )
-    _check_keys(config["grid"], "grid", required=("param", "values"))
-    param = config["grid"]["param"]
+def cmd_sweep(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
+    name, param = doc["name"], doc["grid"]["param"]
+    # Runs are labelled, and the CSV's value column filled, with the values as written.
     values = config["grid"]["values"]
-    if param not in _GRID_PARAMS:
-        raise ConfigError(f"grid.param must be one of {_GRID_PARAMS}, got {param!r}")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("grid.values must be a non-empty list")
-    for i, value in enumerate(values):
-        if param == "aux_size":
-            _count(value, f"sweep.grid.values[{i}]", minimum=1)
-        elif param == "eta" or (param == "alpha" and value not in ("M", "mcd")):
-            _number(value, f"sweep.grid.values[{i}]")
-    seeds = _items(config["seeds"], "sweep: seeds", _count)
-    hidden = _check_train_section(config, "sweep")
-    points = []
-    for i, value in enumerate(values):
-        section = _apply_grid_value(config["train"], param, value)
-        points += [(value, seed, _parse_train_config(
-            section, hidden, seed, "sweep.train", f", at grid.values[{i}]")) for seed in seeds]
-
-    name = config["name"]
     chash = _config_hash(config)
-    train_ds, test_ds, aux = _load_data_section(config["data"], base_dir)
-    thresholds = tuple(config.get("group_thresholds", metrics.GROUP_THRESHOLDS))
-    train_counts = train_ds.class_counts()
-
-    def prepare(point):
-        value, _, run_config = point
-        pool = aux
-        if param == "aux_size":
-            available = 0 if pool is None else len(pool)
-            if value > available:
-                raise ValueError(f"aux_size {value} not available (pool of {available})")
-            # A row prefix of the pool, so every aux_size trains in one stack.
-            pool = data.AuxiliaryPool(features=pool.features[:value], kind=pool.kind)
-        return run_config, pool
-
-    failures = []
-    results = _train_points(
-        points, prepare, lambda p: f"{name}[{param}={p[0]},seed={p[1]}]",
-        train_ds, test_ds, failures,
+    train_ds, results, failures = _train_points(
+        doc, base_dir, lambda run: f"{name}[{param}={values[run[0]]},seed={run[1]}]"
     )
+    train_counts = train_ds.class_counts()
+    results = iter(results)
 
     header = ["param", "value", "seed", "overall_acc", "few_acc", "mean_acc", "std_acc", "config_hash"]
     rows = []
-    pos = 0
     for value in values:
         shown = value if isinstance(value, (int, float, str)) else json.dumps(value, sort_keys=True)
         accs = []
-        for seed in seeds:
-            result = results[pos]
-            pos += 1
+        for seed in doc["seeds"]:
+            result = next(results)
             if result is None:
                 continue
             final = result.history[-1]
-            group = metrics.group_accuracy(final.test_per_class_acc, train_counts, thresholds)
+            group = metrics.group_accuracy(final.test_per_class_acc, train_counts,
+                                           doc["group_thresholds"])
             accs.append(final.test_overall_acc)
             rows.append(
                 [param, shown, seed, final.test_overall_acc, group["few"], None, None, chash]
@@ -553,30 +533,25 @@ def cmd_sweep(config: dict, base_dir: Path, out_dir: Path) -> list:
 # ---------------------------------------------------------------------------
 # eval-ood
 
+def _eval_pool(value, path) -> dict:
+    spec = _parse({"name": (str, None, REQUIRED), **_POOL}, value, path)
+    return _check_pool(spec, path, class_means=False, seeded=True)
 
-def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
-    _check_keys(
-        config,
-        "eval-ood",
-        required=("command", "name", "checkpoint", "test", "pools"),
-        optional=("aupr_positive",),
-    )
-    name = config["name"]
+
+_EVAL_OOD = {
+    **_DOC,
+    "checkpoint": (str, None, REQUIRED),
+    "test": (str, None, REQUIRED),
+    "pools": ([_eval_pool], None, REQUIRED),
+    "aupr_positive": (("in", "out"), None, "out"),
+}
+
+
+def cmd_eval_ood(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
+    name, positive = doc["name"], doc["aupr_positive"]
     chash = _config_hash(config)
-    positive = config.get("aupr_positive", "out")
-    if positive not in ("in", "out"):
-        raise ConfigError(f"eval-ood: aupr_positive must be 'in' or 'out', got {positive!r}")
-    pools = config["pools"]
-    if not pools:
-        raise ConfigError("eval-ood: need at least one pool")
-    # Every spec is checked before any pool is built or scored.
-    for i, spec in enumerate(pools):
-        _check_keys(spec, f"pools[{i}]", required=("name", "kind"), optional=_AUX_KEYS)
-        _check_pool_spec(spec, f"pools[{i}]", has_class_means=False)
-        if spec["kind"] != "file" and ("size" not in spec or "seed" not in spec):
-            raise ConfigError(f"pools[{i}]: generated pools need size and seed")
-    params = nn.load_params(base_dir / config["checkpoint"])
-    test_ds = data.read_dataset(base_dir / config["test"])
+    params = nn.load_params(base_dir / doc["checkpoint"])
+    test_ds = data.read_dataset(base_dir / doc["test"])
     if test_ds.dim != params.input_dim:
         raise ConfigError(
             f"test dimension {test_ds.dim} does not match checkpoint input {params.input_dim}"
@@ -588,7 +563,7 @@ def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
 
     rows = []
     triples = []
-    for i, spec in enumerate(pools):
+    for i, spec in enumerate(doc["pools"]):
         pool = _build_pool(spec, dim, None, None, base_dir)
         if pool.dim != dim:
             raise ConfigError(f"pools[{i}]: dimension {pool.dim} != test {dim}")
@@ -614,66 +589,48 @@ def cmd_eval_ood(config: dict, base_dir: Path, out_dir: Path) -> list:
 # ---------------------------------------------------------------------------
 # bayes-check
 
+_REBALANCE = {
+    "counts": ([int], None, REQUIRED),
+    "alphas": ([float], None, REQUIRED),
+    "aux_sizes": ([float], 0, REQUIRED),
+    "support": (int, 1, 16),
+    "seed": (int, None, OPTIONAL),  # absent: the top-level seed
+    "disjoint": (bool, None, False),
+}
 
-def _constructed_toxic_case():
-    # Two overlapping instances; dumping one-hot minority mass flips row 0.
-    source = oracle.DiscreteJoint(table=np.array([[0.45, 0.05], [0.05, 0.45]]))
-    ood = oracle.OodMarginal(px=np.array([0.5, 0.5]), py=np.array([0.0, 1.0]))
-    return source, ood
+
+def _rebalance(value, path) -> dict:
+    """The rebalance section, with its prior in spec["prior"] and each alpha checked against it."""
+    spec = _parse(_REBALANCE, value, path)
+    spec["prior"] = _built(f"{path}.counts", prior_from_counts, spec["counts"])
+    for i, alpha in enumerate(spec["alphas"]):
+        _built(f"{path}.alphas[{i}]", complementary, spec["prior"], alpha)
+    return spec
 
 
-def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
-    _check_keys(
-        config,
-        "bayes-check",
-        required=("command", "name", "seed", "cases"),
-        optional=("max_support", "max_classes", "one_hot_stress", "rebalance"),
-    )
-    cases = _count(config["cases"], "bayes-check: cases")
-    seed = _count(config["seed"], "bayes-check: seed")
+_BAYES_CHECK = {
+    **_DOC,
+    "seed": (int, None, REQUIRED),
+    "cases": (int, None, REQUIRED),
     # random_case draws supports and class counts from [2, max].
-    max_support = _count(config.get("max_support", 20), "bayes-check: max_support", minimum=2)
-    max_classes = _count(config.get("max_classes", 10), "bayes-check: max_classes", minimum=2)
-    if "one_hot_stress" in config:
-        spec = config["one_hot_stress"]
-        _check_keys(spec, "one_hot_stress", required=("cases",), optional=("m_scale",))
-        n_stress = _count(spec["cases"], "bayes-check: one_hot_stress.cases")
-        m_scale = float(_number(spec.get("m_scale", 100.0), "bayes-check: one_hot_stress.m_scale", 0))
-    if "rebalance" in config:
-        spec = config["rebalance"]
-        _check_keys(
-            spec,
-            "rebalance",
-            required=("counts", "alphas", "aux_sizes"),
-            optional=("support", "seed", "disjoint"),
-        )
-        where = "bayes-check: rebalance"
-        support = _count(spec.get("support", 16), f"{where}.support", minimum=1)
-        sub_seed = _count(spec.get("seed", seed), f"{where}.seed")
-        counts = _items(spec["counts"], f"{where}.counts", _count)
-        try:
-            prior = prior_from_counts(counts)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.counts: {exc}") from exc
-        alphas = _items(spec["alphas"], f"{where}.alphas", _number)
-        for i, alpha in enumerate(alphas):
-            try:
-                complementary(prior, alpha)
-            except ValueError as exc:
-                raise ConfigError(f"{where}.alphas[{i}]: {exc}") from exc
-        aux_sizes = _items(spec["aux_sizes"], f"{where}.aux_sizes", _number, minimum=0)
-        disjoint = spec.get("disjoint", False)
-        if not isinstance(disjoint, bool):
-            raise ConfigError(f"{where}.disjoint must be true or false, got {json.dumps(disjoint)}")
-    name = config["name"]
-    chash = _config_hash(config)
-    rng = np.random.default_rng([seed, 0xBA4E5])
+    "max_support": (int, 2, 20),
+    "max_classes": (int, 2, 10),
+    "one_hot_stress": ({"cases": (int, None, REQUIRED), "m_scale": (float, 0, 100.0)},
+                       None, OPTIONAL),
+    "rebalance": (_rebalance, None, OPTIONAL),
+}
+
+
+def cmd_bayes_check(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
+    name, cases = doc["name"], doc["cases"]
+    max_support, max_classes = doc["max_support"], doc["max_classes"]
+    rng = np.random.default_rng([doc["seed"], 0xBA4E5])
 
     checks = oracle.random_invariance_checks(rng, cases, max_support, max_classes)
     violating = [{"case": i, "instances": bad} for i, (ok, bad) in enumerate(checks) if not ok]
     report = {
         "name": name,
-        "config_hash": chash,
+        "config_hash": _config_hash(config),
         "uniform": {
             "cases": cases,
             "violations": len(violating),
@@ -681,12 +638,17 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
         },
     }
 
-    if "one_hot_stress" in config:
-        source, ood = _constructed_toxic_case()
+    if "one_hot_stress" in doc:
+        n_stress = doc["one_hot_stress"]["cases"]
+        # Two overlapping instances; dumping one-hot minority mass flips row 0.
+        source = oracle.DiscreteJoint(table=np.array([[0.45, 0.05], [0.05, 0.45]]))
+        ood = oracle.OodMarginal(px=np.array([0.5, 0.5]), py=np.array([0.0, 1.0]))
         flips, mass = oracle.toxicity_count(source, ood, 1.0, 10.0)
         mixed = oracle.mix(source, ood, 1.0, 10.0)
         instances = oracle.flipped_instances(source, mixed).tolist()
-        stress = oracle.random_toxicity_counts(rng, n_stress, max_support, max_classes, m_scale)
+        stress = oracle.random_toxicity_counts(
+            rng, n_stress, max_support, max_classes, doc["one_hot_stress"]["m_scale"]
+        )
         counts = [cnt for cnt, _ in stress]
         report["one_hot_stress"] = {
             "constructed_flips": flips,
@@ -697,29 +659,20 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
             "total_flips": sum(counts),
         }
 
-    if "rebalance" in config:
-        sub_rng = np.random.default_rng([sub_seed, 0x2EBA1])
+    if "rebalance" in doc:
+        spec = doc["rebalance"]
+        prior, support = spec["prior"], spec["support"]
+        sub_rng = np.random.default_rng([spec.get("seed", doc["seed"]), 0x2EBA1])
         cond = sub_rng.random((support, prior.num_classes))
         cond /= cond.sum(axis=0, keepdims=True)
         source = oracle.DiscreteJoint(table=cond * prior.betas)
-        if disjoint:
+        if spec["disjoint"]:
             px = np.concatenate([np.zeros(support), sub_rng.random(support)])
         else:
             px = sub_rng.random(support)
         px /= px.sum()
-        rows = oracle.rebalance_curve(source, prior, px, alphas, aux_sizes)
-        report["rebalance"] = {
-            "rows": [
-                {
-                    "alpha": r.alpha,
-                    "aux_size": r.aux_size,
-                    "prior_ratio": r.prior_ratio,
-                    "flipped_count": r.flipped_count,
-                    "flipped_mass": r.flipped_mass,
-                }
-                for r in rows
-            ]
-        }
+        rows = oracle.rebalance_curve(source, prior, px, spec["alphas"], spec["aux_sizes"])
+        report["rebalance"] = {"rows": [dataclasses.asdict(r) for r in rows]}
 
     _write_json(report, out_dir / f"{name}_bayes.json")
     return []
@@ -729,42 +682,49 @@ def cmd_bayes_check(config: dict, base_dir: Path, out_dir: Path) -> list:
 # driver
 
 
-def _train_points(points, prepare, label, train_ds, test_ds, failures) -> list:
-    """Train every point's run in one batched call; results keep point order.
+def _train_points(doc: dict, base_dir: Path, label) -> tuple:
+    """Read the data and train every run of doc["runs"] in one batched call.
 
-    prepare(point) gives the point's (TrainConfig, pool). A point that fails
-    to prepare or to train adds (label, error) to failures and gives None.
+    A run trains on the pool, or on its first aux_size rows, so that every
+    aux_size trains in one stack. Returns the training set, the results in run
+    order and the failures: a run that fails adds (label(run), error) and gives None.
     """
+    section, runs, failures = doc["data"], doc["runs"], []
+    train_ds = data.read_dataset(base_dir / section["train"])
+    test_ds = data.read_dataset(base_dir / section["test"])
+    aux = data.read_pool(base_dir / section["aux"]) if "aux" in section else None
     outcomes = []
-    for point in points:
-        try:
-            outcomes.append(prepare(point))
-        except Exception as exc:  # noqa: BLE001 - enumerate per-run failures
-            outcomes.append(exc)
+    for *_, size in runs:
+        available = 0 if aux is None else len(aux)
+        if size is None:
+            outcomes.append(aux)
+        elif size > available:
+            outcomes.append(ValueError(f"aux_size {size} not available (pool of {available})"))
+        else:
+            outcomes.append(data.AuxiliaryPool(features=aux.features[:size], kind=aux.kind))
     ready = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
     trained = train.train_runs(
-        [outcomes[i][0] for i in ready], train_ds, test_ds, [outcomes[i][1] for i in ready]
+        [runs[i][2] for i in ready], train_ds, test_ds, [outcomes[i] for i in ready]
     )
     for i, result in zip(ready, trained):
         outcomes[i] = result
-    results = []
-    for point, outcome in zip(points, outcomes):
+    for run, outcome in zip(runs, outcomes):
         if isinstance(outcome, Exception):
-            failures.append((label(point), str(outcome)))
-            outcome = None
+            failures.append((label(run), str(outcome)))
         else:
             # Runs batched together start and finish together.
-            _log(f"{label(point)}: done in {outcome.wall_time:.2f}s")
-        results.append(outcome)
-    return results
+            print(f"{label(run)}: done in {outcome.wall_time:.2f}s", file=sys.stderr)
+    return train_ds, [None if isinstance(r, Exception) else r for r in outcomes], failures
 
 
-_HANDLERS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "sweep": cmd_sweep,
-    "eval-ood": cmd_eval_ood,
-    "bayes-check": cmd_bayes_check,
+# Per command: the kind its config is parsed as, its handler and its help.
+_COMMANDS = {
+    "synth": (_synth, cmd_synth, "generate long-tailed datasets and auxiliary pools"),
+    "train": (_runs, cmd_train, "run configured training methods over seeds"),
+    "sweep": (_runs, cmd_sweep, "grid sweeps with per-seed rows and mean/std summaries"),
+    "eval-ood": (_EVAL_OOD, cmd_eval_ood, "MSP-based OOD detection metrics for a checkpoint"),
+    "bayes-check": (_BAYES_CHECK, cmd_bayes_check,
+                    "exact Bayes-mixture invariance and toxicity report"),
 }
 
 
@@ -775,13 +735,7 @@ def main(argv=None) -> int:
         "long-tailed classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in (
-        ("synth", "generate long-tailed datasets and auxiliary pools"),
-        ("train", "run configured training methods over seeds"),
-        ("sweep", "grid sweeps with per-seed rows and mean/std summaries"),
-        ("eval-ood", "MSP-based OOD detection metrics for a checkpoint"),
-        ("bayes-check", "exact Bayes-mixture invariance and toxicity report"),
-    ):
+    for command, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -789,10 +743,11 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config, args.command)
+        kind, handler, _ = _COMMANDS[args.command]
+        doc = _parse(kind, config, args.command)
+        # Only a config that parsed creates --out.
         args.out.mkdir(parents=True, exist_ok=True)
-        failures = _HANDLERS[args.command](
-            config, base_dir=args.config.parent, out_dir=args.out
-        )
+        failures = handler(doc, config, base_dir=args.config.parent, out_dir=args.out)
     except (ConfigError, data.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

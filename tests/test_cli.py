@@ -476,7 +476,7 @@ class TestSeeds:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         index = len(seeds) - 1
-        assert f"{command}: seeds[{index}] must be a non-negative integer, got {shown}" in err, err
+        assert f"{command}.seeds[{index}] must be a non-negative integer, got {shown}" in err, err
         assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -887,7 +887,7 @@ class TestBayesCheck:
         cfg = write_config(tmp_path / "bayes.json", config)
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert f"bayes-check: {key} must be a non-negative integer, got {shown}" in err, err
+        assert f"bayes-check.{key} must be a non-negative integer, got {shown}" in err, err
         assert not (tmp_path / "bad_bayes.json").exists()
 
     @pytest.mark.parametrize(
@@ -915,7 +915,7 @@ class TestBayesCheck:
         cfg = write_config(tmp_path / "bayes.json", config)
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert f"bayes-check: {message}" in err, err
+        assert f"bayes-check.{message}" in err, err
         assert not (tmp_path / "bad_bayes.json").exists()
 
     @pytest.mark.parametrize(
@@ -946,7 +946,7 @@ class TestBayesCheck:
         cfg = write_config(tmp_path / "bayes.json", config)
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.count("error: ") == 1 and f"error: bayes-check: {message}" in err, err
+        assert err.count("error: ") == 1 and f"error: bayes-check.{message}" in err, err
         assert not (tmp_path / "bad_bayes.json").exists()
 
     def test_zero_cases_empty_report(self, tmp_path):
@@ -972,3 +972,302 @@ class TestDeterminism:
             fb = out_b / name
             if fb.exists() and fa.suffix in (".json", ".csv", ".osds", ".osnn"):
                 assert fa.read_bytes() == fb.read_bytes(), name
+
+
+def forbid_reads(monkeypatch):
+    """Make reading any dataset, pool, CIFAR batch or checkpoint fail the test."""
+
+    def no_reads(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    for module, name in ((data, "read_dataset"), (data, "read_pool"),
+                         (data, "read_cifar10_binary"), (cli.nn, "load_params")):
+        monkeypatch.setattr(module, name, no_reads)
+
+
+def refused(tmp_path, capsys, monkeypatch, command, config, path, text=None):
+    """Run a bad config; return its one error line, which must name the dotted path.
+
+    Nothing may be read, no case drawn, and --out (two levels deep) never
+    created: the config must fail as it is parsed.
+    """
+    forbid_reads(monkeypatch)
+    forbid_draws(monkeypatch)
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir(exist_ok=True)
+    cfg = cfg_dir / "bad.json"
+    cfg.write_text(json.dumps(config) if text is None else text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "failed:" not in err, err
+    assert err.startswith(f"error: {path}"), err
+    assert not out.exists() and list(cfg_dir.iterdir()) == [cfg]
+    return err
+
+
+def _bayes_config(**change):
+    return {"command": "bayes-check", "name": "b", "seed": 0, "cases": 4, **change}
+
+
+class TestConfigRegressions:
+    """Values that used to pass, crash or fail late; each now fails as it is parsed."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "change,path,shown",
+        [({"alpha": True}, "train.alpha must be a finite number", "true"),
+         ({"use_class_weights": "no"}, "train.use_class_weights must be true or false", '"no"'),
+         ({"fixed_labels": "yes"}, "train.fixed_labels must be true or false", '"yes"'),
+         ({"label_dist": {"tag": "complementary", "alpha": True}},
+          "train.label_dist.alpha must be a finite number", "true"),
+         ({"label_dist": {"tag": "fixed-class", "class_index": 1.0}},
+          "train.label_dist.class_index must be a non-negative integer", "1.0"),
+         ({"alpha": None}, "train.alpha must be a finite number", "null")],
+        ids=["alpha-bool", "class-weights-string", "fixed-labels-string", "label-dist-alpha-bool",
+             "class-index-float", "alpha-null"],
+    )
+    def test_train_value(self, tmp_path, capsys, monkeypatch, command, change, path, shown):
+        config = _missing_data_config(command)
+        config["train"].update(change)
+        err = refused(tmp_path, capsys, monkeypatch, command, config, f"{command}.{path}")
+        assert err.endswith(f", got {shown}\n"), err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_data_path_not_a_string(self, tmp_path, capsys, monkeypatch, command):
+        config = _missing_data_config(command)
+        config["data"]["test"] = 5
+        refused(tmp_path, capsys, monkeypatch, command, config,
+                f"{command}.data.test must be a non-empty string, got 5")
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("thresholds", [[100, 20], [1, 2, 3], [20, 20], [20.0, 100]],
+                             ids=["decreasing", "three", "equal", "float"])
+    def test_group_thresholds(self, tmp_path, capsys, monkeypatch, command, thresholds):
+        config = _missing_data_config(command)
+        config["group_thresholds"] = thresholds
+        refused(tmp_path, capsys, monkeypatch, command, config, f"{command}.group_thresholds")
+
+    def test_pool_sigma_bool(self, tmp_path, capsys, monkeypatch):
+        config = synth_config()
+        config["aux"]["sigma"] = True
+        refused(tmp_path, capsys, monkeypatch, "synth", config,
+                "synth.aux.sigma must be a finite number, got true")
+
+    def test_eval_pool_sigma_bool(self, tmp_path, capsys, monkeypatch):
+        config = {"command": "eval-ood", "name": "e", "checkpoint": "m.osnn", "test": "t.osds",
+                  "pools": [_GAUSS, {**_GAUSS, "sigma": True}]}
+        refused(tmp_path, capsys, monkeypatch, "eval-ood", config,
+                "eval-ood.pools[1].sigma must be a finite number, got true")
+
+    def test_file_pool_path_not_a_string(self, tmp_path, capsys, monkeypatch):
+        # The train and test sets used to be written before this crashed.
+        config = synth_config()
+        config["aux"] = {"kind": "file", "size": 1, "path": 5}
+        refused(tmp_path, capsys, monkeypatch, "synth", config,
+                "synth.aux.path must be a non-empty string, got 5")
+
+    @pytest.mark.parametrize(
+        "name,shown",
+        [("../escaped", '"../escaped"'), ("a/b", '"a/b"'), ("a\\b", '"a\\\\b"'), (".", '"."'),
+         ("..", '".."'), ("", '""'), (None, "null"), (5, "5")],
+        ids=["parent", "slash", "backslash", "dot", "dotdot", "empty", "null", "int"],
+    )
+    @pytest.mark.parametrize("command", ["synth", "train", "sweep", "eval-ood", "bayes-check"])
+    def test_name_is_a_bare_file_name(self, tmp_path, capsys, monkeypatch, command, name, shown):
+        config = {
+            "synth": synth_config(),
+            "train": _missing_data_config("train"),
+            "sweep": _missing_data_config("sweep"),
+            "eval-ood": {"command": "eval-ood", "checkpoint": "m.osnn", "test": "t.osds",
+                         "pools": [_GAUSS]},
+            "bayes-check": _bayes_config(),
+        }[command]
+        config["name"] = name
+        refused(tmp_path, capsys, monkeypatch, command, config,
+                f"{command}.name must be a bare file name, got {shown}\n")
+
+    def test_bad_config_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        refused(tmp_path, capsys, monkeypatch, "bayes-check", _bayes_config(cases=-1),
+                "bayes-check.cases must be a non-negative integer, got -1")
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [('"seeds": [0], "seeds": [0, 1]', "seeds"),
+         ('"seeds": [0], "train": {"method": "standard", "epochs": 1, "epochs": 2}', "epochs")],
+        ids=["top-level", "nested"],
+    )
+    def test_duplicate_key(self, tmp_path, capsys, monkeypatch, text, key):
+        text = ('{"command": "train", "name": "d", "data": {"train": "a", "test": "b"}, '
+                + text + "}")
+        err = refused(tmp_path, capsys, monkeypatch, "train", None, str(tmp_path), text)
+        assert f"duplicate key {key!r}" in err, err
+        # A document without duplicates keeps its hash.
+        config = _missing_data_config("train")
+        path = write_config(tmp_path / "c.json", config)
+        assert cli._config_hash(cli._load_config(path, "train")) == cli._config_hash(config)
+
+
+# One valid config per variant that, between them, give every key of every
+# table; paths below each command are dotted, list items shown as [0].
+_TRAIN_SECTION = {
+    "method": "open-sampling", "eta": 1.5, "alpha": 2.0,
+    "label_dist": {"tag": "complementary", "alpha": 2.0}, "use_class_weights": True,
+    "fixed_labels": False, "beta_cb": 0.99, "epochs": 3, "batch_train": 8, "batch_aux": 4,
+    "base_lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4,
+    "schedule": {"warmup_epochs": 1, "milestones": [2], "decay_factor": 0.1},
+}
+_RUNS = {
+    "command": "train", "name": "t", "data": {"train": "a.osds", "test": "b.osds", "aux": "c.osds"},
+    "model": {"hidden_dim": 4}, "train": _TRAIN_SECTION, "seeds": [0, 1],
+    "group_thresholds": [20, 100],
+}
+_LABEL_DISTS = ({"tag": "complementary", "alpha": 2.0}, {"tag": "class-balanced", "beta_cb": 0.9},
+                {"tag": "fixed-class", "class_index": 0})
+_POOL_SPEC = {"kind": "gaussian", "size": 10, "seed": 1, "sigma": 1.0, "margin": 2.0,
+              "clusters": 2, "window": 3, "low": 0.0, "high": 1.0, "path": "p.osds"}
+_SCHEMA_BASES = {
+    "synth": [
+        {"command": "synth", "name": "s", "seed": 1, "classes": 3, "dim": 2, "mean_radius": 2.0,
+         "sigma": 1.0, "train": {"n_max": 20, "ratio": 10.0}, "test": {"per_class": 5},
+         "aux": _POOL_SPEC},
+        {"command": "synth", "name": "s", "seed": 1, "aux": _POOL_SPEC,
+         "cifar": {"train_paths": ["a.bin"], "test_paths": ["b.bin"], "ratio": 10.0, "n_max": 5}},
+    ],
+    "train": [
+        {**_RUNS, "train": {**_TRAIN_SECTION, "label_dist": label_dist}}
+        for label_dist in _LABEL_DISTS
+    ],
+    "sweep": [
+        {**_RUNS, "command": "sweep", "train": {**_TRAIN_SECTION, "label_dist": label_dist},
+         "grid": {"param": param, "values": values}}
+        for label_dist in _LABEL_DISTS
+        for param, values in (("eta", [0.5]), ("aux_size", [10]), ("method", ["standard"]),
+                              ("label_dist", ["uniform"]), ("alpha", [2.0]))
+    ],
+    "eval-ood": [
+        {"command": "eval-ood", "name": "e", "checkpoint": "m.osnn", "test": "t.osds",
+         "pools": [{"name": "g", **_POOL_SPEC}], "aupr_positive": "in"},
+    ],
+    "bayes-check": [
+        _bayes_config(max_support=5, max_classes=3, one_hot_stress={"cases": 2, "m_scale": 10.0},
+                      rebalance={"counts": [50, 10], "alphas": [1.0], "aux_sizes": [0, 10],
+                                 "support": 4, "seed": 1, "disjoint": True}),
+    ],
+}
+# The tables each command's config is parsed against, and the tables behind
+# the callables that parse the union cases.
+_SCHEMA_ROOTS = {
+    "synth": [cli._SYNTH_GAUSSIAN, cli._SYNTH_CIFAR],
+    "train": [cli._RUNS],
+    "sweep": [cli._SWEEP],
+    "eval-ood": [cli._EVAL_OOD],
+    "bayes-check": [cli._BAYES_CHECK],
+}
+_UNIONS = {
+    cli._label_dist: cli._LABEL_DIST,
+    cli._thresholds: [int],
+    cli._eval_pool: {"name": (str, None, cli.REQUIRED), **cli._POOL},
+    cli._rebalance: cli._REBALANCE,
+}
+
+
+def _union(kind):
+    return _UNIONS[kind] if callable(kind) and kind in _UNIONS else kind
+
+
+def _schema_paths(kind, path):
+    """(dotted path, kind) of everything kind describes below path, list items as [0]."""
+    kind = _union(kind)
+    if isinstance(kind, dict):
+        for key, (sub, _, _) in kind.items():
+            if key != "command":  # checked against the subcommand, by the loader
+                yield f"{path}.{key}", sub
+                yield from _schema_paths(sub, f"{path}.{key}")
+    elif isinstance(kind, list):
+        yield f"{path}[0]", kind[0]
+        yield from _schema_paths(kind[0], f"{path}[0]")
+
+
+def _slots(path):
+    for part in path.split(".")[1:]:
+        key, *indices = part.replace("]", "").split("[")
+        yield key
+        yield from map(int, indices)
+
+
+def _lookup(config, path):
+    for slot in _slots(path):
+        config = config[slot]
+    return config
+
+
+def _schema_cases():
+    """(command, base index, path, kind) per schema path, in the first base that gives it.
+
+    A sweep's grid values are typed by their param, so each base's are tried.
+    """
+    cases = []
+    for command, roots in _SCHEMA_ROOTS.items():
+        paths = dict(p for root in roots for p in _schema_paths(root, command))
+        for path, kind in paths.items():
+            found = False
+            for i, base in enumerate(_SCHEMA_BASES[command]):
+                try:
+                    _lookup(base, path)
+                except (KeyError, IndexError):
+                    continue
+                if path == "sweep.grid.values[0]":
+                    param = base["grid"]["param"]
+                    kind = cli._GRID_VALUES[param][0]
+                elif found:
+                    continue
+                found = True
+                cases.append(pytest.param(command, i, path, kind, id=f"{path}-{i}"))
+            if not found:
+                cases.append(pytest.param(command, None, path, kind, id=f"{path}-uncovered"))
+    return cases
+
+
+# One JSON value of each type that a kind refuses: bool, string, float for an
+# integer, list, null and object.
+_WRONG = {
+    int: [True, "1", 2.0, [1], None, {}],
+    float: [True, "1.0", [1.0], None, {}],
+    bool: ["true", 1, [True], None, {}],
+    str: [True, 5, 1.5, ["x"], None, {}],
+}
+
+
+def _wrong_types(kind):
+    if kind is cli._label_dist:  # a tag string or an object
+        return [True, 5, 1.5, [], None]
+    kind = _union(kind)
+    if isinstance(kind, list):
+        return [True, "x", 5, 1.5, None, {}]
+    if isinstance(kind, dict):
+        return [True, "x", 5, 1.5, [], None]
+    if isinstance(kind, tuple) or kind is cli.NAME:
+        return _WRONG[str]
+    return _WRONG[float if kind is cli._alpha else kind]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", list(_SCHEMA_BASES))
+    def test_bases_parse(self, command):
+        for base in _SCHEMA_BASES[command]:
+            cli._parse(cli._COMMANDS[command][0], json.loads(json.dumps(base)), command)
+
+    @pytest.mark.parametrize("command,base,path,kind", _schema_cases())
+    def test_every_wrong_type_fails_as_parsed(self, tmp_path, capsys, monkeypatch, command, base,
+                                              path, kind):
+        assert base is not None, f"no config in _SCHEMA_BASES gives {path}"
+        config = _SCHEMA_BASES[command][base]
+        *parents, last = _slots(path)
+        for wrong in _wrong_types(kind):
+            bad = json.loads(json.dumps(config))
+            section = bad
+            for slot in parents:
+                section = section[slot]
+            section[last] = wrong
+            refused(tmp_path, capsys, monkeypatch, command, bad, path)
