@@ -405,12 +405,19 @@ def _apply_grid_value(section: dict, param, value) -> dict:
     return updated
 
 
+def _run_error(doc: dict, i: int, message) -> ConfigError:
+    """A ConfigError about the train section at grid value i; message starts with its key."""
+    path, at = ("sweep", f", at grid.values[{i}]") if "grid" in doc else ("train", "")
+    return ConfigError(f"{path}.train.{message}{at}")
+
+
 def _runs(config: dict, path: str) -> dict:
     """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig, aux_size).
 
     A train config is one grid point that changes nothing. A value that the
-    constructors refuse is a ConfigError naming its dotted path (each of their
-    messages starts with the key it refuses) and, in a sweep, its grid value.
+    constructors refuse, or an auxiliary method without data.aux, is a
+    ConfigError naming its dotted path (each of the constructors' messages
+    starts with the key it refuses) and, in a sweep, its grid value.
     """
     doc = _parse(_SWEEP if path == "sweep" else _RUNS, config, path)
     grid = doc.get("grid", {"param": None, "values": [None]})
@@ -433,8 +440,10 @@ def _runs(config: dict, path: str) -> dict:
             doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, **kwargs), size)
                             for seed in doc["seeds"]]
         except ValueError as exc:
-            at = f", at grid.values[{i}]" if "grid" in doc else ""
-            raise ConfigError(f"{path}.train.{exc}{at}") from exc
+            raise _run_error(doc, i, exc) from exc
+        method = kwargs["method"]
+        if method in train._AUX_METHODS and "aux" not in doc["data"]:
+            raise _run_error(doc, i, f"method: {method!r} requires an auxiliary pool in data.aux")
     return doc
 
 
@@ -685,12 +694,19 @@ def cmd_bayes_check(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> l
 def _train_points(doc: dict, base_dir: Path, label) -> tuple:
     """Read the data and train every run of doc["runs"] in one batched call.
 
-    A run trains on the pool, or on its first aux_size rows, so that every
-    aux_size trains in one stack. Returns the training set, the results in run
-    order and the failures: a run that fails adds (label(run), error) and gives None.
+    A fixed-class class_index past the training set's classes is a
+    ConfigError as soon as that set is read. A run trains on the pool, or on
+    its first aux_size rows, so that every aux_size trains in one stack.
+    Returns the training set, the results in run order and the failures: a
+    run that fails adds (label(run), error) and gives None.
     """
     section, runs, failures = doc["data"], doc["runs"], []
     train_ds = data.read_dataset(base_dir / section["train"])
+    k = train_ds.num_classes
+    for i, _, config, _ in runs:
+        index = config.label_dist and config.label_dist.class_index
+        if index is not None and index >= k:
+            raise _run_error(doc, i, f"label_dist: fixed-class index {index} out of range for K={k}")
     test_ds = data.read_dataset(base_dir / section["test"])
     aux = data.read_pool(base_dir / section["aux"]) if "aux" in section else None
     outcomes = []

@@ -10,7 +10,6 @@ that are decoded from raw PCG64 words straight into the checking stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -34,7 +33,9 @@ __all__ = [
 ]
 
 TIE_BAND = 1e-12
-BLOCK = 256  # cases the blocked entry points check together
+# Raw words (or, for tuple cases, table and px entries) per checked block:
+# 1 MiB of float64, so a block's memory is bounded whatever the case size.
+BLOCK_WORDS = 2**17
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,23 @@ def _check_block(block: list) -> list:
     return out
 
 
+def _blocks(cases):
+    """The cases in order, in lists closed once their tables and px hold
+    BLOCK_WORDS entries, so each list but the last holds at least that many."""
+    block, words = [], 0
+    for case in cases:
+        block.append(case)
+        words += case[0].table.size + np.size(case[1])
+        if words >= BLOCK_WORDS:
+            yield block
+            block, words = [], 0
+    if block:
+        yield block
+
+
 def _checked(cases):
-    """The oracle core: _check_block over the cases, BLOCK at a time, lazily."""
-    cases = iter(cases)
-    while block := list(islice(cases, BLOCK)):
+    """The oracle core: _check_block over the cases, one _blocks list at a time, lazily."""
+    for block in _blocks(cases):
         try:
             results = _check_block(block)
         except ValueError:
@@ -314,6 +328,11 @@ def random_case(
 # -3.0 + 6.0 * u, and leave a carried half alone.
 
 
+def _mean_words(max_support: int, max_classes: int) -> int:
+    """The mean raw words one random_case(rng, max_support, max_classes) takes."""
+    return (max_support + 2) * (max_classes + 2) // 4 + max_support // 2 + 3
+
+
 def _redraws(halves: np.ndarray, spans: np.ndarray) -> bool:
     """Whether integers() would redraw any of these halves (Lemire's rejection)."""
     return bool((((halves * spans) & 0xFFFFFFFF) < 2**32 % spans).any())
@@ -358,9 +377,9 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
     saved = bitgen.state
     carry = saved["uinteger"] if saved["has_uint32"] else None
     high = saved["uinteger"]
-    # The mean words a case takes; a block takes a tenth more and is topped
-    # up in the rare case that it runs short.
-    mean = (max_support + 2) * (max_classes + 2) // 4 + max_support // 2 + 3
+    # A block takes a tenth more than its cases' mean words and is topped up
+    # in the rare case that it runs short.
+    mean = _mean_words(max_support, max_classes)
     words = bitgen.random_raw(len(disjoint) * mean * 11 // 10)
     pos = 0
     halves, spans, cases = [], [], []
@@ -436,11 +455,13 @@ def _stacks(*groups):
 
 def _random_flips(rng, cases: int, max_support: int, max_classes: int, alternate: bool, labels):
     """_flips of random_case(rng, max_support, max_classes, alternate and
-    bool(i % 2)) for i in range(cases), lazily, BLOCK cases at a time.
+    bool(i % 2)) for i in range(cases), lazily, in blocks of as many cases as
+    BLOCK_WORDS holds at their mean words, and at least one.
     labels(tables, m) gives a stack's (py, m) from its sources and weights.
     A block whose decode could differ from the calls replays them."""
-    for start in range(0, cases, BLOCK):
-        disjoint = [alternate and i % 2 == 1 for i in range(start, min(cases, start + BLOCK))]
+    size = max(1, BLOCK_WORDS // _mean_words(max_support, max_classes))
+    for start in range(0, cases, size):
+        disjoint = [alternate and i % 2 == 1 for i in range(start, min(cases, start + size))]
         groups = _decoded(rng, max_support, max_classes, disjoint)
         if groups is None:
             block = []
@@ -465,9 +486,9 @@ def random_invariance_checks(
     """bayes_invariance_check of random_case(rng, max_support, max_classes,
     disjoint=bool(i % 2)) for i in range(cases), lazily, in order.
 
-    Each block of BLOCK cases is decoded from raw PCG64 words straight into
-    the checking stacks; the cases, and the state rng ends in, are those of
-    the random_case calls.
+    Each block of cases is decoded from about BLOCK_WORDS raw PCG64 words
+    straight into the checking stacks; the cases, and the state rng ends
+    in, are those of the random_case calls.
     """
 
     def uniform(tables, m):

@@ -834,12 +834,14 @@ class TestBayesCheck:
         assert rows[1]["prior_ratio"] > 1.0
 
     def test_report_equals_per_case_calls(self, tmp_path):
-        # Cases cross two block boundaries; the reference draws the same
-        # stream and checks every case with the one-case public calls.
+        # Cases cross two block boundaries, and stress cases one; the
+        # reference draws the same stream and checks every case with the
+        # one-case public calls.
+        block = oracle.BLOCK_WORDS // oracle._mean_words(12, 9)
         config = {
-            "command": "bayes-check", "name": "oracle", "seed": 3, "cases": 2 * oracle.BLOCK + 17,
+            "command": "bayes-check", "name": "oracle", "seed": 3, "cases": 2 * block + 17,
             "max_support": 12, "max_classes": 9,
-            "one_hot_stress": {"cases": oracle.BLOCK + 3, "m_scale": 30.0},
+            "one_hot_stress": {"cases": block + 3, "m_scale": 30.0},
         }
         cfg = write_config(tmp_path / "bayes.json", config)
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -855,7 +857,7 @@ class TestBayesCheck:
             "cases": config["cases"], "violations": len(violating), "violating_cases": violating,
         }
         counts = []
-        for _ in range(oracle.BLOCK + 3):
+        for _ in range(block + 3):
             source, px, n, m = oracle.random_case(rng, 12, 9)
             py = np.zeros(source.num_classes)
             py[int(np.argmin(source.label_marginal()))] = 1.0
@@ -870,6 +872,28 @@ class TestBayesCheck:
         instances = oracle.flipped_instances(source, oracle.mix(source, ood, 1.0, 10.0)).tolist()
         assert (stress["constructed_flips"], stress["constructed_mass"]) == (flips, mass)
         assert stress["constructed_instances"] == instances
+
+    @pytest.mark.parametrize("replayed", [False, True], ids=["decoded", "replayed"])
+    @pytest.mark.parametrize("budget", ["one-case", "few", "one-block"])
+    def test_report_bytes_same_for_any_block_budget(self, tmp_path, monkeypatch, budget, replayed):
+        config = {
+            "command": "bayes-check", "name": "oracle", "seed": 5, "cases": 150,
+            "max_support": 12, "max_classes": 9,
+            "one_hot_stress": {"cases": 90, "m_scale": 30.0},
+            "rebalance": {"counts": [50, 16, 5], "alphas": [0.8, 2.0], "aux_sizes": [0, 40]},
+        }
+        cfg = write_config(tmp_path / "bayes.json", config)
+
+        def report(out):
+            assert main(["bayes-check", "--config", str(cfg), "--out", str(out)]) == 0
+            return (out / "oracle_bayes.json").read_bytes()
+
+        want = report(tmp_path / "default")
+        few = 40 * oracle._mean_words(12, 9)
+        monkeypatch.setattr(oracle, "BLOCK_WORDS", {"one-case": 1, "few": few, "one-block": 2**40}[budget])
+        if replayed:
+            monkeypatch.setattr(oracle, "_redraws", lambda halves, spans: True)
+        assert report(tmp_path / budget) == want
 
     @pytest.mark.parametrize(
         "change,key,shown",
@@ -1086,6 +1110,38 @@ class TestConfigRegressions:
         config["name"] = name
         refused(tmp_path, capsys, monkeypatch, command, config,
                 f"{command}.name must be a bare file name, got {shown}\n")
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_aux_method_without_aux_pool(self, tmp_path, capsys, monkeypatch, command):
+        # Used to fail once per run, after the train and test sets were read.
+        config = _missing_data_config(command)
+        del config["data"]["aux"]
+        message = "train.train.method: 'open-sampling' requires an auxiliary pool in data.aux"
+        if command == "sweep":
+            config["train"] = {"method": "standard", "epochs": 3}
+            config["grid"] = {"param": "method", "values": ["standard", "oe"]}
+            message = "sweep.train.method: 'oe' requires an auxiliary pool in data.aux, at grid.values[1]"
+        refused(tmp_path, capsys, monkeypatch, command, config, message + "\n")
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_class_index_past_the_classes(self, workspace, capsys, monkeypatch, command):
+        # Used to fail once per run, and a sweep trained its good values first.
+        config = train_config(seeds=(0, 1), extra={"label_dist": {"tag": "fixed-class", "class_index": 7}})
+        message = "train.train.label_dist: fixed-class index 7 out of range for K=3"
+        if command == "sweep":
+            del config["train"]["label_dist"]
+            config.update(command="sweep", grid={"param": "label_dist", "values": [
+                {"tag": "fixed-class", "class_index": 2}, {"tag": "fixed-class", "class_index": 3}]})
+            message = "sweep.train.label_dist: fixed-class index 3 out of range for K=3, at grid.values[1]"
+        reads = []
+        read = data.read_dataset
+        monkeypatch.setattr(data, "read_dataset", lambda path: reads.append(path.name) or read(path))
+        monkeypatch.setattr(cli.train, "train_runs", lambda *args: pytest.fail("a run trained"))
+        cfg = write_config(workspace / "bad.json", config)
+        out = workspace / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == ["task_train.osds"] and list(out.iterdir()) == []
 
     def test_bad_config_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
         refused(tmp_path, capsys, monkeypatch, "bayes-check", _bayes_config(cases=-1),

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from open_rebalance import oracle
 from open_rebalance.oracle import (
-    BLOCK,
     TIE_BAND,
     DiscreteJoint,
     OodMarginal,
@@ -337,12 +338,20 @@ def uniform_and_one_hot_cases(seed, count):
     return cases
 
 
+def tuple_block(cases):
+    """How many of these (source, px, ...) cases the tuple entry points check
+    in their first block: until the tables and px hold BLOCK_WORDS entries."""
+    words = np.cumsum([case[0].table.size + np.size(case[1]) for case in cases])
+    return int(np.searchsorted(words, oracle.BLOCK_WORDS)) + 1
+
+
 class TestBlockedOracle:
     """The blocked entry points against the per-instance reference loops."""
 
     def test_blocks_match_reference(self):
-        cases = uniform_and_one_hot_cases(14, max(2000, 8 * BLOCK) + 7)
+        cases = uniform_and_one_hot_cases(14, 2055)
         uniform = [(source, px, n, m) for source, px, n, m, _, _ in cases]
+        assert tuple_block(uniform) < len(cases)  # crosses a block boundary
         one_hot = [(source, ood, n, big) for source, _, n, _, ood, big in cases]
         checks = bayes_invariance_checks(uniform)
         counts = toxicity_counts(one_hot)
@@ -373,25 +382,33 @@ class TestBlockedOracle:
         # would part from the running total.
         assert toxic > len(cases) // 3 and many_flips > 200
 
-    @pytest.mark.parametrize("count", [0, 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("count", [0, 1, "block", "block + 1"])
     def test_case_counts(self, count):
-        cases = uniform_and_one_hot_cases(15, count)
+        # "block" is as many cases as fill the first block.
+        cases = uniform_and_one_hot_cases(15, 2500)
+        block = tuple_block(cases)
+        assert block < len(cases)
+        cases = cases[: {"block": block, "block + 1": block + 1}.get(count, count)]
         one_hot = [(source, ood, n, big) for source, _, n, _, ood, big in cases]
         uniform = [(source, px, n, m) for source, px, n, m, _, _ in cases]
         got = [(c, mass.hex()) for c, mass in toxicity_counts(iter(one_hot))]
         assert got == [(c, mass.hex()) for c, mass in map(ref_toxicity_case, one_hot)]
-        assert list(bayes_invariance_checks(iter(uniform))) == [(True, [])] * count
+        assert list(bayes_invariance_checks(iter(uniform))) == [(True, [])] * len(cases)
 
     def test_zero_mass_in_a_middle_case(self):
         # Case 100 of a block leaves instances 1 and 2 without mixed mass;
         # later cases in the block fail other checks, and case 0 opens the
-        # two-class group, which the block checks first.
+        # two-class group, which the block checks first. Five cases follow
+        # in a second block.
         rng = np.random.default_rng(16)
-        good = [random_case(rng, max_classes=2) for _ in range(BLOCK + 5)]
+        good = [random_case(rng, max_classes=2) for _ in range(8000)]
         source = DiscreteJoint(table=np.array([[0.2, 0.1, 0.0], [0.1, 0.3, 0.0], [0.2, 0.1, 0.0]]))
         empty = (source, np.array([1.0, 0.0, 0.0]), 0.0, 1.0)
         bad_px = (good[150][0], np.ones(good[150][0].support_size), 1.0, 1.0)
         cases = good[:100] + [empty] + good[101:150] + [bad_px] + good[151:]
+        assert tuple_block(cases) < len(cases) - 5
+        cases = cases[: tuple_block(cases) + 5]
+        good = good[: len(cases)]
         with pytest.raises(ValueError) as want:
             bayes_invariance_check(*empty)
         assert str(want.value) == "instance 1 has zero mass: posterior undefined"
@@ -442,7 +459,16 @@ def rarest_class_cases(rng, count, max_support, max_classes, m_scale):
 # (max_support, max_classes): a range of 2 draws nothing, 3 the least, 20/10
 # is the benchmark's shape.
 SHAPES = [(2, 2), (2, 10), (20, 2), (3, 3), (20, 10)]
-COUNTS = [0, 1, BLOCK, BLOCK + 1]
+# The random entry points' tests set BLOCK_WORDS to hold PATCHED_BLOCK cases
+# at each shape's mean words (1,659 to 16,384 at the module's budget), so the
+# counts fill one block and cross into a second at these sizes.
+PATCHED_BLOCK = 256
+COUNTS = [0, 1, PATCHED_BLOCK, PATCHED_BLOCK + 1]
+
+
+def patch_block(monkeypatch, max_support, max_classes):
+    """Set BLOCK_WORDS so that blocks of random cases at this shape hold PATCHED_BLOCK."""
+    monkeypatch.setattr(oracle, "BLOCK_WORDS", PATCHED_BLOCK * oracle._mean_words(max_support, max_classes))
 
 
 class TestDecodedCases:
@@ -474,7 +500,7 @@ class TestDecodedCases:
                 assert bits(m[j]) == bits(want_m), i
                 seen.append(i)
         assert sorted(seen) == list(range(count))
-        if count >= BLOCK:  # not vacuous
+        if count >= PATCHED_BLOCK:  # not vacuous
             assert len({c[0].num_classes for c in want}) == max_classes - 1
             assert len({c[0].support_size for c in want}) == max_support - 1
 
@@ -505,7 +531,8 @@ class TestRandomEntryPoints:
     @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("carry", [False, True], ids=["no-carry", "carry"])
     @pytest.mark.parametrize("max_support,max_classes", SHAPES)
-    def test_sections_equal_sequential_calls(self, max_support, max_classes, carry, count):
+    def test_sections_equal_sequential_calls(self, max_support, max_classes, carry, count, monkeypatch):
+        patch_block(monkeypatch, max_support, max_classes)
         fast, slow = twin_generators(100 * max_support + max_classes + 1, carry)
         checks = random_invariance_checks(fast, count, max_support, max_classes)
         assert iter(checks) is checks  # lazy
@@ -519,8 +546,8 @@ class TestRandomEntryPoints:
 
     def test_stress_counts_flip(self):
         # The one-hot comparison above is not vacuous at the benchmark's shape.
-        counts = [c for c, _ in random_toxicity_counts(np.random.default_rng(3), BLOCK, 20, 10, 100.0)]
-        assert sum(c > 0 for c in counts) > BLOCK // 2 and max(counts) >= 8
+        counts = [c for c, _ in random_toxicity_counts(np.random.default_rng(3), 256, 20, 10, 100.0)]
+        assert sum(c > 0 for c in counts) > 128 and max(counts) >= 8
 
     def test_replay_when_a_draw_would_be_redrawn(self, monkeypatch):
         calls = []
@@ -536,7 +563,7 @@ class TestRandomEntryPoints:
         before = fast.bit_generator.state
         assert oracle._decoded(fast, 20, 10, [False, True]) is None
         assert fast.bit_generator.state == before
-        count = BLOCK + 3
+        count = oracle.BLOCK_WORDS // oracle._mean_words(12, 9) + 3  # into a second block
         checks = list(random_invariance_checks(fast, count, 12, 9))
         assert checks == list(bayes_invariance_checks(draw(slow, 12, 9, bool(i % 2)) for i in range(count)))
         counts = list(random_toxicity_counts(fast, count, 12, 9, 30.0))
@@ -544,3 +571,71 @@ class TestRandomEntryPoints:
         assert [(c, mass.hex()) for c, mass in counts] == [(c, mass.hex()) for c, mass in want]
         assert_same_stream(fast, slow)
         assert len(calls) == 2 * count and calls[:2] == [(fast, 12, 9, False), (fast, 12, 9, True)]
+
+
+# Budgets that give one case per block, a few blocks and one block per section.
+BUDGETS = ["one-case", "few", "one-block"]
+
+
+class TestBlockRule:
+    """Blocks hold BLOCK_WORDS raw words or entries, and no block size changes
+    a result, an error or the state the generator ends in."""
+
+    @pytest.mark.parametrize("replayed", [False, True], ids=["decoded", "replayed"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_random_sections_same_for_any_budget(self, budget, replayed, monkeypatch):
+        def sections():
+            rng = np.random.default_rng(41)
+            checks = list(random_invariance_checks(rng, 150, 12, 9))
+            after_checks = rng.bit_generator.state
+            counts = [(c, mass.hex()) for c, mass in random_toxicity_counts(rng, 90, 12, 9, 30.0)]
+            return checks, after_checks, counts, rng.bit_generator.state
+
+        want = sections()
+        few = 40 * oracle._mean_words(12, 9)
+        monkeypatch.setattr(oracle, "BLOCK_WORDS", {"one-case": 1, "few": few, "one-block": 2**40}[budget])
+        if replayed:
+            monkeypatch.setattr(oracle, "_redraws", lambda halves, spans: True)
+        assert sections() == want
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_bad_tuple_case_same_for_any_budget(self, budget, monkeypatch):
+        rng = np.random.default_rng(42)
+        good = [random_case(rng, 12, 9, bool(i % 2)) for i in range(160)]
+        source = DiscreteJoint(table=np.array([[0.2, 0.1, 0.0], [0.1, 0.3, 0.0], [0.2, 0.1, 0.0]]))
+        empty = (source, np.array([1.0, 0.0, 0.0]), 0.0, 1.0)
+        cases = good[:100] + [empty] + good[100:]
+        one_hot = [(s, OodMarginal(px=px, py=np.eye(s.num_classes)[0]), n, m) for s, px, n, m in cases]
+        words = [c[0].table.size + np.size(c[1]) for c in cases]
+        few = sum(words[:60])
+        monkeypatch.setattr(oracle, "BLOCK_WORDS", {"one-case": 1, "few": few, "one-block": 2**40}[budget])
+        if budget == "few":
+            # Blocks of cases 0-59 and 60 on; case 100 is inside the second.
+            assert tuple_block(cases) == 60 and tuple_block(cases[60:]) > 41
+        seen = []
+        with pytest.raises(ValueError, match="^instance 1 has zero mass: posterior undefined$"):
+            for result in bayes_invariance_checks(cases):
+                seen.append(result)
+        assert seen == [bayes_invariance_check(*case) for case in good[:100]]
+        seen = []
+        with pytest.raises(ValueError, match="^instance 1 has zero mass: posterior undefined$"):
+            for count, mass in toxicity_counts(one_hot):
+                seen.append((count, mass.hex()))
+        assert seen == [(c, mass.hex()) for c, mass in map(toxicity_count, *zip(*one_hot[:100]))]
+
+    def test_memory_bounded_per_block(self):
+        # At 2,000/50 a block holds four cases, so 64 cases peak about as high
+        # as 8 do; checked in one block, they peak 5-8x as high.
+        def peak(cases):
+            total = 0
+            for seed in range(4):
+                tracemalloc.start()
+                try:
+                    list(random_invariance_checks(np.random.default_rng(seed), cases, 2000, 50))
+                    total += tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return total
+
+        assert oracle.BLOCK_WORDS // oracle._mean_words(2000, 50) == 4
+        assert peak(64) < 3 * peak(8)
