@@ -2,21 +2,13 @@
 """Exact Bayes-mixture report: invariance under uniform auxiliary labels,
 single-class toxicity stress, and the rebalancing/toxicity trade-off grid."""
 
-import argparse
 import json
-import sys
-from pathlib import Path
 
-from open_rebalance.cli import main as cli
+from _drivers import options, run
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("results/bayes"))
-    parser.add_argument("--cases", type=int, default=1000)
-    args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
-
+    args = options(__doc__, "results/bayes", cases=1000)
     config = {
         "command": "bayes-check", "name": "oracle", "seed": 0,
         "cases": args.cases, "max_support": 20, "max_classes": 10,
@@ -28,10 +20,7 @@ def main():
             "support": 16,
         },
     }
-    path = args.out / "bayes.json"
-    path.write_text(json.dumps(config, indent=2))
-    if cli(["bayes-check", "--config", str(path), "--out", str(args.out)]) != 0:
-        sys.exit("bayes-check failed")
+    run(args.out, "bayes", config)
 
     report = json.loads((args.out / "oracle_bayes.json").read_text())
     uni = report["uniform"]

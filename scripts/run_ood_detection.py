@@ -3,45 +3,16 @@
 open-sampling, scored by maximum softmax probability over synthetic
 anomaly pools (FPR95 / AUROC / AUPR, averaged across pools)."""
 
-import argparse
 import csv
 import json
-import sys
-from pathlib import Path
 
-from open_rebalance.cli import main as cli
-
-
-def write(path, config):
-    path.write_text(json.dumps(config, indent=2))
-    return str(path)
-
-
-def run(argv):
-    if cli(argv) != 0:
-        sys.exit(f"command failed: {argv}")
+from _drivers import LT5, options, run, schedule
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("results/ood"))
-    parser.add_argument("--epochs", type=int, default=120)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
+    args = options(__doc__, "results/ood", epochs=120, seed=0)
+    run(args.out, "synth", LT5)
 
-    synth = {
-        "command": "synth", "name": "lt5", "seed": 7, "classes": 5, "dim": 16,
-        "mean_radius": 1.8, "sigma": 1.0,
-        "train": {"n_max": 500, "ratio": 100.0},
-        "test": {"per_class": 100},
-        "aux": {"kind": "shifted-mixture", "size": 5000, "margin": 2.0, "clusters": 256},
-    }
-    run(["synth", "--config", write(args.out / "synth.json", synth), "--out", str(args.out)])
-
-    schedule = {"warmup_epochs": 5,
-                "milestones": [int(0.8 * args.epochs), int(0.9 * args.epochs)],
-                "decay_factor": 0.1}
     methods = {
         "msp": {"method": "standard"},
         "oe": {"method": "oe", "eta": 0.5},
@@ -57,23 +28,19 @@ def main():
         data = {"train": "lt5_train.osds", "test": "lt5_test.osds"}
         if section["method"] != "standard":
             data["aux"] = "lt5_aux.osds"
-        train_cfg = {
+        run(args.out, name, {
             "command": "train", "name": name, "data": data,
             "model": {"hidden_dim": 8},
             "train": {**section, "epochs": args.epochs, "base_lr": 0.01,
-                      "schedule": schedule},
+                      "schedule": schedule(args.epochs)},
             "seeds": [args.seed],
-        }
-        run(["train", "--config", write(args.out / f"{name}.json", train_cfg),
-             "--out", str(args.out)])
-        eval_cfg = {
+        })
+        run(args.out, f"{name}_eval", {
             "command": "eval-ood", "name": f"{name}_eval",
             "checkpoint": f"{name}_seed{args.seed}.osnn",
             "test": "lt5_test.osds",
             "pools": pools,
-        }
-        run(["eval-ood", "--config", write(args.out / f"{name}_eval.json", eval_cfg),
-             "--out", str(args.out)])
+        })
         result = json.loads((args.out / f"{name}_seed{args.seed}_result.json").read_text())
         with open(args.out / f"{name}_eval_ood.csv", newline="") as f:
             avg = [row for row in csv.DictReader(f) if row["pool"] == "average"][0]

@@ -695,8 +695,9 @@ def _train_points(doc: dict, base_dir: Path, label) -> tuple:
     """Read the data and train every run of doc["runs"] in one batched call.
 
     A fixed-class class_index past the training set's classes is a
-    ConfigError as soon as that set is read. A run trains on the pool, or on
-    its first aux_size rows, so that every aux_size trains in one stack.
+    ConfigError as soon as that set is read, and an aux_size past the pool
+    one as soon as the pool is read. A run trains on the pool, or on its
+    first aux_size rows, so that every aux_size trains in one stack.
     Returns the training set, the results in run order and the failures: a
     run that fails adds (label(run), error) and gives None.
     """
@@ -709,28 +710,21 @@ def _train_points(doc: dict, base_dir: Path, label) -> tuple:
             raise _run_error(doc, i, f"label_dist: fixed-class index {index} out of range for K={k}")
     test_ds = data.read_dataset(base_dir / section["test"])
     aux = data.read_pool(base_dir / section["aux"]) if "aux" in section else None
-    outcomes = []
-    for *_, size in runs:
-        available = 0 if aux is None else len(aux)
-        if size is None:
-            outcomes.append(aux)
-        elif size > available:
-            outcomes.append(ValueError(f"aux_size {size} not available (pool of {available})"))
-        else:
-            outcomes.append(data.AuxiliaryPool(features=aux.features[:size], kind=aux.kind))
-    ready = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    trained = train.train_runs(
-        [runs[i][2] for i in ready], train_ds, test_ds, [outcomes[i] for i in ready]
-    )
-    for i, result in zip(ready, trained):
-        outcomes[i] = result
-    for run, outcome in zip(runs, outcomes):
-        if isinstance(outcome, Exception):
-            failures.append((label(run), str(outcome)))
+    available = 0 if aux is None else len(aux)
+    for i, *_, size in runs:
+        if size is not None and size > available:
+            raise ConfigError(f"sweep.grid.values[{i}]: aux_size {size} exceeds the "
+                              f"{available} rows of data.aux")
+    pools = [aux if size is None else data.AuxiliaryPool(features=aux.features[:size], kind=aux.kind)
+             for *_, size in runs]
+    results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools)
+    for run, result in zip(runs, results):
+        if isinstance(result, Exception):
+            failures.append((label(run), str(result)))
         else:
             # Runs batched together start and finish together.
-            print(f"{label(run)}: done in {outcome.wall_time:.2f}s", file=sys.stderr)
-    return train_ds, [None if isinstance(r, Exception) else r for r in outcomes], failures
+            print(f"{label(run)}: done in {result.wall_time:.2f}s", file=sys.stderr)
+    return train_ds, [None if isinstance(r, Exception) else r for r in results], failures
 
 
 # Per command: the kind its config is parsed as, its handler and its help.

@@ -68,7 +68,6 @@ class ComplementaryDistribution:
 
     gammas: np.ndarray
     alpha: float
-    source: ClassPrior
     degenerate: bool = False
 
     @property
@@ -120,7 +119,7 @@ def complementary(prior: ClassPrior, alpha: float) -> ComplementaryDistribution:
             f"alpha={alpha} degenerate: K*alpha - 1 must be positive (K={k})"
         )
     gammas = (alpha - prior.betas) / denom
-    return ComplementaryDistribution(gammas=gammas, alpha=alpha, source=prior)
+    return ComplementaryDistribution(gammas=gammas, alpha=alpha)
 
 
 def mcd(prior: ClassPrior) -> ComplementaryDistribution:
@@ -133,9 +132,7 @@ def mcd(prior: ClassPrior) -> ComplementaryDistribution:
     k = prior.num_classes
     if prior.is_uniform():
         gammas = np.full(k, 1.0 / k)
-        return ComplementaryDistribution(
-            gammas=gammas, alpha=prior.max_beta, source=prior, degenerate=True
-        )
+        return ComplementaryDistribution(gammas=gammas, alpha=prior.max_beta, degenerate=True)
     return complementary(prior, prior.max_beta)
 
 

@@ -378,21 +378,23 @@ class TestSweep:
         assert "non-empty" in capsys.readouterr().err
 
     def test_partial_failure_enumerated(self, workspace, capsys):
+        # eta = 1e100 overflows the logits within the first epoch on its own.
         config = {
             "command": "sweep",
             "name": "partial",
             "data": {"train": "task_train.osds", "test": "task_test.osds", "aux": "task_aux.osds"},
             "model": {"hidden_dim": 4},
             "train": {"method": "open-sampling", "epochs": 1},
-            "grid": {"param": "aux_size", "values": [10, 999999]},
+            "grid": {"param": "eta", "values": [1.5, 1e100]},
             "seeds": [0],
         }
         cfg = write_config(workspace / "sweep.json", config)
-        assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 1
         err = capsys.readouterr().err
-        assert "failed" in err and "999999" in err
+        assert "failed: partial[eta=1e+100,seed=0]" in err
         rows = read_rows(workspace / "partial_sweep.csv")
-        assert any(r[1] == "10" for r in rows[1:])
+        assert [r[1] for r in rows[1:]] == ["1.5", "1.5"]
 
 
     def test_divergence_names_run_epoch_and_step(self, workspace, capsys):
@@ -1142,6 +1144,18 @@ class TestConfigRegressions:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert reads == ["task_train.osds"] and list(out.iterdir()) == []
+
+    def test_aux_size_past_the_pool(self, workspace, capsys, monkeypatch):
+        # Used to fail as one run, after the sweep's other values trained.
+        config = train_config(seeds=(0, 1))
+        config.update(command="sweep", grid={"param": "aux_size", "values": [10, 400, 401]})
+        monkeypatch.setattr(cli.train, "train_runs", lambda *args: pytest.fail("a run trained"))
+        cfg = write_config(workspace / "bad.json", config)
+        out = workspace / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep.grid.values[2]: aux_size 401 exceeds the 400 rows of data.aux\n")
+        assert list(out.iterdir()) == []
 
     def test_bad_config_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
         refused(tmp_path, capsys, monkeypatch, "bayes-check", _bayes_config(cases=-1),
