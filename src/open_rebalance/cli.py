@@ -415,7 +415,7 @@ def _runs(config: dict, path: str) -> dict:
     """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig, aux_size).
 
     A train config is one grid point that changes nothing. A value that the
-    constructors refuse, or an auxiliary method without data.aux, is a
+    constructors refuse, or an auxiliary method or aux_size without data.aux, is a
     ConfigError naming its dotted path (each of the constructors' messages
     starts with the key it refuses) and, in a sweep, its grid value.
     """
@@ -442,8 +442,9 @@ def _runs(config: dict, path: str) -> dict:
         except ValueError as exc:
             raise _run_error(doc, i, exc) from exc
         method = kwargs["method"]
-        if method in train._AUX_METHODS and "aux" not in doc["data"]:
-            raise _run_error(doc, i, f"method: {method!r} requires an auxiliary pool in data.aux")
+        if (size or method in train._AUX_METHODS) and "aux" not in doc["data"]:
+            raise (ConfigError(f"sweep.grid.values[{i}]: aux_size {size} needs a pool in data.aux") if size
+                   else _run_error(doc, i, f"method: {method!r} requires an auxiliary pool in data.aux"))
     return doc
 
 
@@ -710,11 +711,10 @@ def _train_points(doc: dict, base_dir: Path, label) -> tuple:
             raise _run_error(doc, i, f"label_dist: fixed-class index {index} out of range for K={k}")
     test_ds = data.read_dataset(base_dir / section["test"])
     aux = data.read_pool(base_dir / section["aux"]) if "aux" in section else None
-    available = 0 if aux is None else len(aux)
     for i, *_, size in runs:
-        if size is not None and size > available:
+        if size is not None and size > len(aux):
             raise ConfigError(f"sweep.grid.values[{i}]: aux_size {size} exceeds the "
-                              f"{available} rows of data.aux")
+                              f"{len(aux)} rows of data.aux")
     pools = [aux if size is None else data.AuxiliaryPool(features=aux.features[:size], kind=aux.kind)
              for *_, size in runs]
     results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools)

@@ -4,7 +4,7 @@ Verifies that mixing uniformly labeled open-set mass into a discrete joint
 distribution never moves the Bayes classifier's argmax on the source support,
 and quantifies how much a non-uniform auxiliary label distribution does.
 random_invariance_checks and random_toxicity_counts check random_case draws
-that are decoded from raw PCG64 words straight into the checking stacks.
+that are decoded from raw PCG64 words straight into the checked row arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class DiscreteJoint:
     table: np.ndarray
 
     def __post_init__(self):
-        # In C order every row sums as it does in the oracle's padded stacks.
+        # In C order every row sums as it does in the oracle's row arrays.
         object.__setattr__(self, "table", np.ascontiguousarray(self.table))
         if self.table.ndim != 2:
             raise ValueError("joint table must be 2-D (instances x classes)")
@@ -91,34 +91,34 @@ class OodMarginal:
                 raise ValueError(f"{name} sums to {v.sum()}, expected 1")
 
 
-def _predict(stack: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Bayes predictions of each row of a (B, S, k) stack, ties within TIE_BAND
-    to the lowest class; non-``live`` rows are divided by 1, never by 0."""
-    mass = stack.sum(axis=2, keepdims=True)
-    empty = live & (mass[..., 0] <= 0.0)
-    if empty.any():
-        raise ValueError(f"instance {np.argwhere(empty)[0, 1]} has zero mass: posterior undefined")
-    post = stack / np.where(live[..., None], mass, 1.0)
-    top = post.max(axis=2, keepdims=True)
-    return (post >= top - TIE_BAND * np.maximum(1.0, top)).argmax(axis=2)
+def _predict(rows: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Bayes predictions of (R, k) rows with row sums mass, ties within
+    TIE_BAND to the lowest class; a row of no mass is divided by 1, not 0.
+    The max runs over a class-major copy: along a short row it costs a call per row."""
+    post = rows / np.where(mass > 0.0, mass, 1.0)[:, None]
+    top = np.ascontiguousarray(post.T).max(axis=0)
+    return (post >= (top - TIE_BAND * np.maximum(1.0, top))[:, None]).argmax(axis=1)
 
 
-def _flips(tables: np.ndarray, mixed: np.ndarray) -> list:
+def _flips(tables: np.ndarray, sizes: np.ndarray, mixed: np.ndarray) -> list:
     """(source-support rows whose prediction ``mixed`` moves, their mass) per
-    case; the mass is a running total in support order, as np.sum is not."""
-    mass = tables.sum(axis=2)
-    live = mass > 0.0
-    flip = live & (_predict(mixed, live) != _predict(tables, live))
-    totals = np.add.accumulate(np.where(flip, mass, 0.0), axis=1)[:, -1].tolist()
-    counts = flip.sum(axis=1).tolist()
-    rows, ends = np.nonzero(flip)[1], np.cumsum(counts).tolist()
-    return [(rows[end - c : end], total) for c, end, total in zip(counts, ends, totals)]
-
-
-def _padded(arrays: list, rows: int) -> np.ndarray:
-    """(len(arrays), rows, ...) stack of the arrays, zero-padded along axis 0."""
-    out = np.zeros((len(arrays), rows) + arrays[0].shape[1:])
-    out[np.arange(rows) < np.array([len(a) for a in arrays])[:, None]] = np.concatenate(arrays)
+    case of (R, k) source rows, sizes[i] of them for case i, and the mixed
+    rows on them; the mass is a running total in support order, as np.sum is not."""
+    mass, mixed_mass = tables.sum(axis=1), mixed.sum(axis=1)
+    live, ends = mass > 0.0, np.cumsum(sizes)
+    empty = np.flatnonzero(live & (mixed_mass <= 0.0))
+    if empty.size:
+        x = empty[0] - (ends - sizes)[np.searchsorted(ends, empty[0], side="right")]
+        raise ValueError(f"instance {x} has zero mass: posterior undefined")
+    flip = np.flatnonzero(live & (_predict(mixed, mixed_mass) != _predict(tables, mass)))
+    case = np.searchsorted(ends, flip, side="right")
+    rows, masses, out, start = (flip - (ends - sizes)[case]).tolist(), mass[flip].tolist(), [], 0
+    for count in np.bincount(case, minlength=len(sizes)).tolist():
+        total = 0.0
+        for x in masses[start : start + count]:
+            total += x
+        out.append((rows[start : start + count], total))
+        start += count
     return out
 
 
@@ -128,13 +128,45 @@ def _unit_sums(sums: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} sums to {sums[bad.argmax()]}, expected 1")
 
 
-def _mixed(tables: np.ndarray, px: np.ndarray, py, n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """mix() of each case of a (B, rows, k) source stack with its (B, rows) px,
-    (B, k) py and (B,) weights, after OodMarginal's px and py checks and mix's
-    own. py is None when some case's py does not have k entries."""
+def _sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """a.sum() of each consecutive segment a of values, bit for bit. sum
+    pairwise-adds a whole segment to 0.0; reduceat starts from a segment's
+    first element, so each segment gets a 0.0 in front."""
+    if len(lengths) == 1:
+        return values.sum(keepdims=True)
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    padded = np.zeros(len(values) + len(lengths))
+    keep = np.ones(len(padded), dtype=bool)
+    keep[starts] = False
+    padded[keep] = values
+    return np.add.reduceat(padded, starts)
+
+
+def _at(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ... (lengths[i] of them) for each i, concatenated."""
+    at = np.arange(lengths.sum())
+    at += np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return at
+
+
+def _spread(values: np.ndarray, lengths: np.ndarray, rows: np.ndarray, first=0) -> np.ndarray:
+    """Each consecutive segment of values (lengths[i] rows) at row first[i]
+    of its own rows[i] zero rows; values itself where rows is lengths."""
+    if (lengths == rows).all():
+        return values
+    out = np.zeros((rows.sum(),) + values.shape[1:])
+    out[_at(lengths, np.cumsum(rows) - rows + first)] = values
+    return out
+
+
+def _mixed(tables, sizes, px, lengths, py, n, m):
+    """mix() of each case i, after OodMarginal's px and py checks and mix's own, from
+    (R, k) source rows and px back to back (sizes[i] and lengths[i] of them), (B, k) py
+    (None if some py has not k entries) and (B,) weights: the mixed tables back to back,
+    max(sizes[i], lengths[i]) rows each, and their rows on the source support."""
     if (px < 0).any():
         raise ValueError("px must be a non-negative vector")
-    _unit_sums(px.sum(axis=1), "px")
+    _unit_sums(_sums(px, lengths), "px")
     if ((n < 0) | (m < 0) | (n + m <= 0)).any():
         raise ValueError("need n >= 0, m >= 0, n + m > 0")
     if py is None:
@@ -142,47 +174,48 @@ def _mixed(tables: np.ndarray, px: np.ndarray, py, n: np.ndarray, m: np.ndarray)
     if (py < 0).any():
         raise ValueError("py must be a non-negative vector")
     _unit_sums(py.sum(axis=1), "py")
-    # mix's elementwise formula; a padded entry adds an exact 0.0.
-    mixed = (n / (n + m))[:, None, None] * tables
-    mixed += (m / (n + m))[:, None, None] * (px[..., None] * py[:, None])
+    rows = np.maximum(sizes, lengths)
+    # mix's elementwise formula; a row past a case's support or px adds an exact 0.0.
+    source = _spread(tables, sizes, rows)
+    mixed = np.repeat(n / (n + m), rows)[:, None] * source
+    products = _spread(px, lengths, rows)[:, None] * np.repeat(py, rows, axis=0)
+    mixed += np.repeat(m / (n + m), rows)[:, None] * products
     if (mixed < 0).any():
         raise ValueError("joint table entries must be non-negative")
-    _unit_sums(mixed.sum(axis=(1, 2)), "joint table")
-    return mixed
+    _unit_sums(_sums(mixed.ravel(), rows * mixed.shape[1]), "joint table")
+    if source is tables:
+        return mixed, mixed
+    return mixed, np.take(mixed, _at(sizes, np.cumsum(rows) - rows), axis=0)
 
 
 def _mixtures(cases: list, k: int):
-    """Source and mix() stacks of (source, px, py, n, m) cases with k classes.
-    Only the support axis is zero-padded: a padded class would change the
-    order of numpy's pairwise row sums."""
+    """(tables, sizes, *_mixed(...)) of (source, px, py, n, m) cases with k
+    classes; nothing is padded, so each row and case sums as it does alone."""
     pxs = [np.asarray(c[1], dtype=np.float64) for c in cases]
     if any(px.ndim != 1 for px in pxs):
         raise ValueError("px must be a non-negative vector")
-    rows = max(max(c[0].support_size for c in cases), max(len(px) for px in pxs))
     n, m = np.array([c[3:] for c in cases], dtype=np.float64).T
-    pys = [c[2] for c in cases]
-    py = np.array(pys) if all(p.shape == (k,) for p in pys) else None
-    tables = _padded([c[0].table for c in cases], rows)
-    return tables, _mixed(tables, _padded(pxs, rows), py, n, m)
+    py = np.array([c[2] for c in cases]) if all(c[2].shape == (k,) for c in cases) else None
+    tables = np.concatenate([c[0].table for c in cases], dtype=np.float64)
+    sizes, lengths = np.array([[len(c[0].table), len(px)] for c, px in zip(cases, pxs)]).T
+    return tables, sizes, *_mixed(tables, sizes, np.concatenate(pxs), lengths, py, n, m)
 
 
 def _check_block(block: list) -> list:
-    """_flips per (source, px, py, n, m) case of a block, one stack per class count."""
+    """_flips per (source, px, py, n, m) case of a block, one class count at a time."""
     groups = {}
     for i, case in enumerate(block):
         groups.setdefault(case[0].num_classes, []).append(i)
     out = [None] * len(block)
     for k, members in groups.items():
-        tables, mixed = _mixtures([block[i] for i in members], k)
-        support = max(block[i][0].support_size for i in members)
-        for i, result in zip(members, _flips(tables[:, :support], mixed[:, :support])):
+        tables, sizes, _, mixed = _mixtures([block[i] for i in members], k)
+        for i, result in zip(members, _flips(tables, sizes, mixed)):
             out[i] = result
     return out
 
 
 def _blocks(cases):
-    """The cases in order, in lists closed once their tables and px hold
-    BLOCK_WORDS entries, so each list but the last holds at least that many."""
+    """The cases in order, in lists closed once their tables and px hold BLOCK_WORDS entries."""
     block, words = [], 0
     for case in cases:
         block.append(case)
@@ -200,36 +233,37 @@ def _checked(cases):
         try:
             results = _check_block(block)
         except ValueError:
-            # Case by case, unpadded and so summed as in mix, the first bad
-            # case raises its own error.
+            # Case by case, so that the first bad case raises its own error.
             results = (_check_block([case])[0] for case in block)
         yield from results
 
 
 def bayes_predict(joint: DiscreteJoint, x: int) -> int:
     """argmax_y P(x, y), i.e. the Bayes prediction, ties to the lowest class."""
-    live = np.zeros((1, joint.support_size), dtype=bool)
-    live[0, x] = True
-    return int(_predict(joint.table[None], live)[0, x])
+    row = joint.table[[x]]
+    if row.sum() <= 0.0:
+        raise ValueError(f"instance {x} has zero mass: posterior undefined")
+    return int(_predict(row, row.sum(axis=1))[0])
 
 
 def mix(source: DiscreteJoint, ood: OodMarginal, n: float, m: float) -> DiscreteJoint:
     """Weight-(n, m) mixture of the source joint with the product OOD table."""
     case = (source, ood.px, ood.py, n, m)
-    return DiscreteJoint(table=_mixtures([case], source.num_classes)[1][0])
+    return DiscreteJoint(table=_mixtures([case], source.num_classes)[2])
 
 
 def flipped_instances(source: DiscreteJoint, mixed: DiscreteJoint):
     """Source-support instances, in order, whose Bayes prediction ``mixed`` moves."""
     if mixed.support_size < source.support_size or mixed.num_classes != source.num_classes:
         raise ValueError("mixed table must cover the source's instances and classes")
-    return _flips(source.table[None], mixed.table[None, : source.support_size])[0][0]
+    rows = source.support_size
+    return np.array(_flips(source.table, np.array([rows]), mixed.table[:rows])[0][0], dtype=np.intp)
 
 
 def bayes_invariance_checks(cases):
     """bayes_invariance_check per (source, px, n, m) case, lazily, in order."""
     uniform = ((s, px, np.full(s.num_classes, 1.0 / s.num_classes), n, m) for s, px, n, m in cases)
-    return ((rows.size == 0, rows.tolist()) for rows, _ in _checked(uniform))
+    return ((not rows, rows) for rows, _ in _checked(uniform))
 
 
 def bayes_invariance_check(source: DiscreteJoint, px, n: float, m: float):
@@ -243,8 +277,8 @@ def bayes_invariance_check(source: DiscreteJoint, px, n: float, m: float):
 
 def toxicity_counts(cases):
     """toxicity_count per (source, ood, n, m) case, lazily, in order."""
-    stacked = ((source, ood.px, ood.py, n, m) for source, ood, n, m in cases)
-    return ((rows.size, mass) for rows, mass in _checked(stacked))
+    tuples = ((source, ood.px, ood.py, n, m) for source, ood, n, m in cases)
+    return ((len(rows), mass) for rows, mass in _checked(tuples))
 
 
 def toxicity_count(source: DiscreteJoint, ood: OodMarginal, n: float, m: float):
@@ -338,24 +372,9 @@ def _redraws(halves: np.ndarray, spans: np.ndarray) -> bool:
     return bool((((halves * spans) & 0xFFFFFFFF) < 2**32 % spans).any())
 
 
-def _sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """a.sum() of each consecutive segment a of values, bit for bit. sum
-    pairwise-adds a whole segment to 0.0; reduceat starts from a segment's
-    first element, so each segment gets a 0.0 in front."""
-    starts = np.cumsum(lengths + 1) - lengths - 1
-    padded = np.zeros(len(values) + len(lengths))
-    keep = np.ones(len(padded), dtype=bool)
-    keep[starts] = False
-    padded[keep] = values
-    return np.add.reduceat(padded, starts)
-
-
 def _normalized(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """random(length) / its sum for each segment of words, concatenated."""
-    at = np.arange(lengths.sum())
-    at += np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    values = words[at]
-    del at  # the block's peak holds the words and at most two value arrays
+    values = words[_at(lengths, starts)]
     values >>= 11
     values = values * 2.0**-53
     values /= np.repeat(_sums(values, lengths), lengths)
@@ -364,13 +383,10 @@ def _normalized(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
 
 def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjoint: list):
     """random_case(rng, max_support, max_classes, d) for each d in disjoint,
-    decoded into per-class-count stacks: an iterable of (members, tables, px,
-    m, support), where members are the cases' indices, tables is (B, rows, k)
-    and px (B, rows), both zero-padded along the support, and support is the
-    largest source support. rng ends as the calls leave it. Gives None, with
-    rng untouched, where the calls would redraw a bounded integer or the
-    ranges are not 32-bit ones.
-    """
+    decoded one class count at a time: a list of (members, tables, sizes, px,
+    lengths, m), as _mixed takes them, where members are the cases' indices.
+    rng ends as the calls leave it. Gives None, with rng untouched, where the
+    calls would redraw a bounded integer or the ranges are not 32-bit ones."""
     if not (2 <= max_support < 2**32 and 2 <= max_classes < 2**32):
         return None
     bitgen = rng.bit_generator
@@ -381,17 +397,18 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
     # in the rare case that it runs short.
     mean = _mean_words(max_support, max_classes)
     words = bitgen.random_raw(len(disjoint) * mean * 11 // 10)
-    pos = 0
+    raw, pos = memoryview(words), 0
     halves, spans, cases = [], [], []
 
     def integer(span):
-        nonlocal words, pos, carry, high
+        nonlocal words, raw, pos, carry, high
         if span == 1:
             return 0
         if carry is None:
             if pos >= len(words):
                 words = np.concatenate((words, bitgen.random_raw(pos + 1 - len(words) + 8 * mean)))
-            word = int(words[pos])
+                raw = memoryview(words)
+            word = raw[pos]
             pos += 1
             half, carry = word & 0xFFFFFFFF, word >> 32
             high = carry
@@ -405,8 +422,8 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
         s = 2 + integer(max_support - 1)
         k = 2 + integer(max_classes - 1)
         table, pos = pos, pos + s * k
-        offset, length = (s, 1 + integer(max_support)) if d else (0, s)
-        cases.append((s, k, table, offset, pos, length, pos + length))
+        length = 1 + integer(max_support) if d else s
+        cases += (s, k, table, pos, length)
         pos += length + 1
     if pos > len(words):
         words = np.concatenate((words, bitgen.random_raw(pos - len(words))))
@@ -420,62 +437,47 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
     if not cases:
         return []
 
-    s, k, table, offset, px, length, at = (np.array(column) for column in zip(*cases))
-    u = (words[at] >> 11) * 2.0**-53
+    # In class-count order, each group's tables and px are one run of values.
+    cases = np.array(cases).reshape(-1, 5)
+    order = np.argsort(cases[:, 1], kind="stable")
+    s, k, table, px, length = cases[order].T
+    offset = np.where(np.array(disjoint)[order], s, 0)
+    u = (words[px + length] >> 11) * 2.0**-53
     m = np.array([10.0 ** x for x in (-3.0 + 6.0 * u).tolist()])
-    # In class-count order, each stack's tables and px are one run of values.
-    order = np.argsort(k, kind="stable")
-    s, k, offset, length, m = s[order], k[order], offset[order], length[order], m[order]
-    values = _normalized(words, table[order], s * k)
+    values = _normalized(words, table, s * k)
     # DiscreteJoint's checks, on each table as random_case normalizes it.
     if (values < 0).any():
         raise ValueError("joint table entries must be non-negative")
     _unit_sums(_sums(values, s * k), "joint table")
+    # A disjoint case's px is a zero per source row, then its draws.
+    width = offset + length
+    px = _spread(_normalized(words, px, length), length, width, offset)
     cuts = np.flatnonzero(np.diff(k)) + 1
-    return _stacks(
-        *(np.split(a, cuts) for a in (order, s, offset, length, m)),
-        np.split(values, np.cumsum(s * k)[cuts - 1]),
-        np.split(_normalized(words, px[order], length), np.cumsum(length)[cuts - 1]),
-    )
-
-
-def _stacks(*groups):
-    """_decoded's stacks, one class count at a time, from each group's
-    members, supports, px offsets and lengths, m and concatenated values."""
-    for members, size, first, count, m, values, weights in zip(*groups):
-        rows = int(max(size.max(), (first + count).max()))
-        k = len(values) // size.sum()
-        tables = np.zeros((len(members), rows, k))
-        tables[np.arange(rows) < size[:, None]] = values.reshape(-1, k)
-        px = np.zeros((len(members), rows))
-        at = np.arange(rows) - first[:, None]
-        px[(at >= 0) & (at < count[:, None])] = weights
-        yield members, tables, px, m, int(size.max())
+    groups = zip(*(np.split(a, cuts) for a in (order, s, k, width, m)),
+                 np.split(values, np.cumsum(s * k)[cuts - 1]),
+                 np.split(px, np.cumsum(width)[cuts - 1]))
+    return [(members, tables.reshape(-1, k[0]), s, px, width, m)
+            for members, s, k, width, m, tables, px in groups]
 
 
 def _random_flips(rng, cases: int, max_support: int, max_classes: int, alternate: bool, labels):
     """_flips of random_case(rng, max_support, max_classes, alternate and
     bool(i % 2)) for i in range(cases), lazily, in blocks of as many cases as
-    BLOCK_WORDS holds at their mean words, and at least one.
-    labels(tables, m) gives a stack's (py, m) from its sources and weights.
-    A block whose decode could differ from the calls replays them."""
+    BLOCK_WORDS holds at their mean words (at least one); labels(tables, sizes,
+    m) gives a group's (py, m). A block that could decode otherwise replays the calls."""
     size = max(1, BLOCK_WORDS // _mean_words(max_support, max_classes))
     for start in range(0, cases, size):
         disjoint = [alternate and i % 2 == 1 for i in range(start, min(cases, start + size))]
         groups = _decoded(rng, max_support, max_classes, disjoint)
-        if groups is None:
-            block = []
-            for d in disjoint:
-                source, px, n, m = random_case(rng, max_support, max_classes, d)
-                py, m = labels(source.table[None], np.array([m]))
-                block.append((source, px, py[0], n, m[0]))
-            yield from _checked(block)
-            continue
+        if groups is None:  # replay the calls, a case per group
+            draws = [random_case(rng, max_support, max_classes, d) for d in disjoint]
+            groups = [([i], source.table, np.array([len(source.table)]), px, np.array([len(px)]),
+                       np.array([m])) for i, (source, px, _, m) in enumerate(draws)]
         out = [None] * len(disjoint)
-        for members, tables, px, m, support in groups:
-            py, m = labels(tables, m)
-            mixed = _mixed(tables, px, py, np.ones(len(m)), m)
-            for i, result in zip(members.tolist(), _flips(tables[:, :support], mixed[:, :support])):
+        for members, tables, sizes, px, lengths, m in groups:
+            py, m = labels(tables, sizes, m)
+            mixed = _mixed(tables, sizes, px, lengths, py, np.ones(len(m)), m)[1]
+            for i, result in zip(members, _flips(tables, sizes, mixed)):
                 out[i] = result
         yield from out
 
@@ -487,16 +489,15 @@ def random_invariance_checks(
     disjoint=bool(i % 2)) for i in range(cases), lazily, in order.
 
     Each block of cases is decoded from about BLOCK_WORDS raw PCG64 words
-    straight into the checking stacks; the cases, and the state rng ends
+    straight into the checked row arrays; the cases, and the state rng ends
     in, are those of the random_case calls.
     """
 
-    def uniform(tables, m):
-        k = tables.shape[2]
-        return np.full((len(tables), k), 1.0 / k), m
+    def uniform(tables, sizes, m):
+        return np.full((len(sizes), tables.shape[1]), 1.0 / tables.shape[1]), m
 
     flips = _random_flips(rng, cases, max_support, max_classes, True, uniform)
-    return ((rows.size == 0, rows.tolist()) for rows, _ in flips)
+    return ((not rows, rows) for rows, _ in flips)
 
 
 def random_toxicity_counts(
@@ -509,10 +510,9 @@ def random_toxicity_counts(
     Decoded as in random_invariance_checks.
     """
 
-    def one_hot(tables, m):
-        py = np.zeros((len(tables), tables.shape[2]))
-        py[np.arange(len(tables)), tables.sum(axis=1).argmin(axis=1)] = 1.0
-        return py, m * m_scale
+    def one_hot(tables, sizes, m):
+        rarest = np.add.reduceat(tables, np.cumsum(sizes) - sizes).argmin(axis=1)
+        return np.eye(tables.shape[1])[rarest], m * m_scale
 
     flips = _random_flips(rng, cases, max_support, max_classes, False, one_hot)
-    return ((rows.size, mass) for rows, mass in flips)
+    return ((len(rows), mass) for rows, mass in flips)

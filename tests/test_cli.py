@@ -1125,6 +1125,15 @@ class TestConfigRegressions:
             message = "sweep.train.method: 'oe' requires an auxiliary pool in data.aux, at grid.values[1]"
         refused(tmp_path, capsys, monkeypatch, command, config, message + "\n")
 
+    def test_aux_size_without_aux_pool(self, tmp_path, capsys, monkeypatch):
+        # Used to fail only after the train and test sets were read, as
+        # "aux_size 10 exceeds the 0 rows of data.aux".
+        config = _missing_data_config("sweep", method="standard")
+        del config["data"]["aux"]
+        config["grid"] = {"param": "aux_size", "values": [10, 20]}
+        err = refused(tmp_path, capsys, monkeypatch, "sweep", config, "sweep.grid.values[0]")
+        assert err == "error: sweep.grid.values[0]: aux_size 10 needs a pool in data.aux\n"
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_class_index_past_the_classes(self, workspace, capsys, monkeypatch, command):
         # Used to fail once per run, and a sweep trained its good values first.

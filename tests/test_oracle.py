@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from open_rebalance import oracle
 from open_rebalance.oracle import (
@@ -312,6 +314,15 @@ class TestVectorizedOracle:
         with pytest.raises(ValueError, match="^instance 2 has zero mass: posterior undefined$"):
             bayes_predict(mixed, 2)
 
+    def test_flipped_instances_mixed_past_the_source(self):
+        # mix() extends the support to px's third instance; only the source's
+        # two rows are compared, and row 0 flips to the one-hot class.
+        source = DiscreteJoint(table=np.array([[0.45, 0.05], [0.05, 0.45]]))
+        ood = OodMarginal(px=np.array([0.25, 0.25, 0.5]), py=np.array([0.0, 1.0]))
+        mixed = mix(source, ood, 1.0, 10.0)
+        assert mixed.support_size == 3
+        assert flipped_instances(source, mixed).tolist() == ref_flips(source, mixed) == [0]
+
     def test_flipped_instances_shape_mismatch_rejected(self):
         source = DiscreteJoint(table=np.array([[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]]))
         for table in ([[0.5, 0.5]], [[0.2, 0.1, 0.0], [0.1, 0.3, 0.0], [0.2, 0.1, 0.0]]):
@@ -423,6 +434,37 @@ class TestBlockedOracle:
             list(toxicity_counts(one_hot[:100] + [(source, uniform, 0.0, 1.0)] + one_hot[100:]))
         assert str(got.value) == str(want.value)
 
+    def test_ragged_offsets(self):
+        # In one three-class group, case 1 comes right after case 0, which
+        # has more rows than it and a px longer than its support (10 mixed
+        # rows on 6 source rows): an offset counted in mixed rows instead of
+        # source rows names the wrong instance, or the wrong case.
+        rng = np.random.default_rng(17)
+        wide = random_joint(rng, 6, 3)
+        wide_px = np.concatenate([np.zeros(6), np.full(4, 0.25)])
+        uniform = np.full(3, 1.0 / 3)
+        source = DiscreteJoint(table=np.array([[0.2, 0.1, 0.0], [0.1, 0.3, 0.0], [0.2, 0.1, 0.0]]))
+        for x, px in ((0, [0.0, 1.0, 0.0]), (1, [1.0, 0.0, 0.0])):  # row 0 opens the case
+            block = [(wide, wide_px, uniform, 1.0, 1.0), (source, np.array(px), uniform, 0.0, 1.0)]
+            with pytest.raises(ValueError, match=f"^instance {x} has zero mass: posterior undefined$"):
+                oracle._check_block(block)
+        empty = (source, np.array([1.0, 0.0, 0.0]), 0.0, 1.0)
+        seen = []
+        with pytest.raises(ValueError, match="^instance 1 has zero mass: posterior undefined$"):
+            for result in bayes_invariance_checks([(wide, wide_px, 1.0, 1.0), empty]):
+                seen.append(result)
+        assert seen == [(True, [])]
+        # Case 1 flips its instances 0 and 2 and case 0 none.
+        one_hot = np.array([0.0, 0.0, 1.0])
+        flipping = DiscreteJoint(table=np.array([[0.3, 0.1, 0.05], [0.05, 0.1, 0.25], [0.05, 0.05, 0.05]]))
+        cases = [(wide, OodMarginal(px=wide_px, py=one_hot), 1.0, 1e-3),
+                 (flipping, OodMarginal(px=np.full(3, 1.0 / 3), py=one_hot), 1.0, 3.0)]
+        got = [(count, mass.hex()) for count, mass in toxicity_counts(cases)]
+        want = [(count, mass.hex()) for count, mass in map(ref_toxicity_case, cases)]
+        assert got == want and [count for count, _ in got] == [0, 2]
+        rows = [rows for rows, _ in oracle._check_block([(s, o.px, o.py, n, m) for s, o, n, m in cases])]
+        assert rows == [[], [0, 2]]
+
 
 def twin_generators(seed, carry):
     """Two generators in one state; with carry, a 32-bit half is carried in."""
@@ -443,6 +485,25 @@ def assert_same_stream(a, b):
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_decoded(groups, want):
+    """_decoded's groups hold the random_case draws ``want`` bit for bit:
+    each case's source rows, support, px and m, in one group per class count."""
+    seen = []
+    for members, tables, sizes, px, lengths, m in groups:
+        assert len(members) == len(sizes) == len(lengths) == len(m)
+        assert sizes.sum() == len(tables) and lengths.sum() == len(px)
+        sources = np.split(tables, np.cumsum(sizes)[:-1])
+        weights = np.split(px, np.cumsum(lengths)[:-1])
+        for i, table, weight, mi in zip(members.tolist(), sources, weights, m):
+            source, want_px, n, want_m = want[i]
+            assert table.shape == source.table.shape and n == 1.0, i
+            assert (bits(table) == bits(source.table)).all(), i
+            assert bits(weight).tolist() == bits(want_px).tolist(), i
+            assert bits(mi) == bits(want_m), i
+            seen.append(i)
+    assert sorted(seen) == list(range(len(want)))
 
 
 def rarest_class_cases(rng, count, max_support, max_classes, m_scale):
@@ -483,26 +544,31 @@ class TestDecodedCases:
         groups = oracle._decoded(fast, max_support, max_classes, disjoint)
         want = [random_case(slow, max_support, max_classes, d) for d in disjoint]
         assert_same_stream(fast, slow)
-        seen = []
-        for members, tables, px, m, support in groups:
-            k = tables.shape[2]
-            assert tables.shape[:2] == px.shape and len(m) == len(members)
-            assert support == max(want[i][0].support_size for i in members)
-            for j, i in enumerate(members.tolist()):
-                source, want_px, n, want_m = want[i]
-                assert source.num_classes == k and n == 1.0
-                table = np.zeros(tables.shape[1:])
-                table[: source.support_size] = source.table
-                padded = np.zeros(px.shape[1])
-                padded[: len(want_px)] = want_px
-                assert (bits(tables[j]) == bits(table)).all(), i
-                assert (bits(px[j]) == bits(padded)).all(), i
-                assert bits(m[j]) == bits(want_m), i
-                seen.append(i)
-        assert sorted(seen) == list(range(count))
+        assert_decoded(groups, want)
         if count >= PATCHED_BLOCK:  # not vacuous
             assert len({c[0].num_classes for c in want}) == max_classes - 1
             assert len({c[0].support_size for c in want}) == max_support - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (5000, 100)]) | st.tuples(st.integers(2, 60), st.integers(2, 100)),
+        disjoint=st.lists(st.booleans(), max_size=12),
+        carry=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decoded_equals_random_case(self, shape, disjoint, carry, seed):
+        max_support, max_classes = shape
+        if max_support * max_classes > 10**5:
+            disjoint = disjoint[:3]  # up to half a million words a case
+        fast, slow = twin_generators(seed, carry)
+        before = fast.bit_generator.state
+        groups = oracle._decoded(fast, max_support, max_classes, disjoint)
+        if groups is None:  # a draw would be redrawn: nothing is decoded or drawn
+            assert fast.bit_generator.state == before
+            return
+        want = [random_case(slow, max_support, max_classes, d) for d in disjoint]
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert_decoded(groups, want)
 
     @pytest.mark.parametrize("span", [7, 3 * 2**30, 2**31 + 1])
     def test_redraws_match_numpy_rejection(self, span):
