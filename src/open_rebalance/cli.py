@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -738,7 +739,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="open-rebalance",
         description="Config-driven experiments for open-set re-balancing of "
@@ -749,7 +752,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = _load_config(args.config, args.command)

@@ -166,7 +166,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
         for j in range(2, logits.shape[-1]):
             np.maximum(top, logits[..., j : j + 1], out=top)
     z = logits - top
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def _xent(logits, labels, weights=None):
@@ -174,15 +175,14 @@ def _xent(logits, labels, weights=None):
     # np.mean does. Unit weights round exactly as no weights.
     logp = _log_softmax(logits)
     batch, k = logits.shape[-2:]
-    hit = (np.arange(labels.size), labels.ravel())
-    picked = -logp.reshape(-1, k)[hit].reshape(labels.shape)
+    hit = labels + np.arange(0, labels.size * k, k).reshape(labels.shape)
     grad = np.exp(logp)
-    grad.reshape(-1, k)[hit] -= 1.0
+    grad.reshape(-1)[hit] -= 1.0
     if weights is None:
         grad *= 1.0 / batch
-        return picked.sum(axis=-1) / batch, grad
+        return (-logp.take(hit)).sum(axis=-1) / batch, grad
     grad *= (weights / batch)[..., None]
-    return (weights * picked).sum(axis=-1) / batch, grad
+    return (weights * -logp.take(hit)).sum(axis=-1) / batch, grad
 
 
 def softmax_xent(logits, labels, sample_weights=None):
@@ -248,7 +248,7 @@ def _backward(layers, acts, g, grads=None) -> tuple:
     for i in reversed(range(len(layers))):
         (w, b), (gw, gb) = layers[i], grads[i]
         np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
-        np.sum(g, axis=-2, keepdims=b.ndim == g.ndim, out=gb)
+        np.add.reduce(g, axis=-2, keepdims=b.ndim == g.ndim, out=gb)
         if i > 0:
             g = g @ w.swapaxes(-1, -2)
             g *= acts[i] > 0.0

@@ -15,8 +15,10 @@ per-layer views into them, so one momentum update covers the whole stack.
 A run's auxiliary stream is defined by two calls per step,
 ``integers(0, P, size=m)`` for the indices and then, for drawn labels,
 ``random(m)``. The engine decodes a whole epoch of them from one raw PCG64
-block per run and replays the calls wherever the decode could differ, so
-indices, labels and generator state are exactly the calls' (``_epoch_draws``).
+block per stream and replays the calls wherever the decode could differ, so
+indices, uniforms and generator state are exactly the calls' (``_epoch_draws``).
+Runs of one seed share their shuffle, and runs of one seed, pool length and
+label mode their auxiliary draws; each maps its own labels (``_aux_labels``).
 """
 
 from __future__ import annotations
@@ -217,20 +219,19 @@ def _replay_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int
     return idx, u
 
 
-def _epoch_draws(spec: _LossSpec, rng: np.random.Generator, pool_size: int, n_steps: int, m: int):
-    """One epoch of a run's auxiliary indices and labels, each (n_steps, m).
+def _epoch_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int, drawn: bool):
+    """One epoch of an auxiliary stream's indices and uniforms, each (n_steps, m).
 
-    Gives the indices, labels and final generator state of n_steps rounds of
-    ``rng.integers(0, pool_size, size=m)`` then, for drawn labels,
-    ``rng.random(m)``. For even m and 2 <= pool_size < 2**32, integers draws
+    Gives the indices, uniforms and final generator state of n_steps rounds of
+    ``rng.integers(0, pool_size, size=m)`` then, if drawn, ``rng.random(m)``
+    (uniforms None otherwise). For even m and 2 <= pool_size < 2**32, integers draws
     each index from one 32-bit half of a 64-bit word, low half first, as
     ``(half * pool_size) >> 32``, and redraws (Lemire's rejection) when the
     low 32 bits of that product fall below ``2**32 % pool_size``; random
     takes one word per double. So one raw block decodes exactly unless a
     half is carried in from earlier or the block holds a rejection; then the
-    state is restored and the calls replayed. Labels are None for OE.
+    state is restored and the calls replayed.
     """
-    drawn = spec.aux_cdf is not None
     bitgen = rng.bit_generator
     saved = bitgen.state
     idx = u = None
@@ -251,9 +252,14 @@ def _epoch_draws(spec: _LossSpec, rng: np.random.Generator, pool_size: int, n_st
             bitgen.state = saved
     if idx is None:
         idx, u = _replay_draws(rng, pool_size, n_steps, m, drawn)
+    return idx, u
+
+
+def _aux_labels(spec: _LossSpec, idx: np.ndarray, u) -> np.ndarray | None:
+    """A run's auxiliary labels for its stream's draws: pinned, drawn from u, or None (OE)."""
     if spec.aux_pinned is not None:
-        return idx, spec.aux_pinned[idx]
-    return idx, None if u is None else _lookup_labels(spec.aux_cdf, u)
+        return spec.aux_pinned[idx]
+    return None if u is None else _lookup_labels(spec.aux_cdf, u)
 
 
 class _Diverged(Exception):
@@ -389,8 +395,8 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
     base_loss, g = _xent(logits, by, weights)
     _backward(stack.layers, acts, g, stack.grads)
-    aux_loss = np.zeros_like(base_loss)
     a = stack.n_aux
+    aux_loss = np.zeros_like(base_loss) if a < stack.size else None
     if a:
         logits, acts = _forward(stack.aux_layers, ax)
         _check_runs_finite(logits, stack.size)
@@ -534,13 +540,22 @@ def _group_key(run: _Run):
     return shape, aux
 
 
+def _aux_stream(run: _Run):
+    """Runs with equal keys draw equal auxiliary indices and uniforms: the seed,
+    pool length and label mode (a pinned run's stream starts after its labels)."""
+    spec = run.spec
+    return run.config.seed, len(run.pool), spec.aux_cdf is not None, spec.aux_pinned is not None
+
+
 def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
-    """Train runs that share a training shape as one stack, each with its own draws.
+    """Train runs that share a training shape as one stack, sharing their streams' decodes.
 
     The runs are put in slice order first (see ``_Stack``), so runs[:A] are
     those with an auxiliary batch. A run whose logits go non-finite gets its
     error and leaves the stack; the others go on unchanged. Survivors get
-    their final parameters.
+    their final parameters. Each distinct stream keeps one generator for the
+    whole group and is decoded once an epoch for all its live runs: a shuffle
+    per seed, an auxiliary stream per ``_aux_stream`` key.
     """
     runs = sorted(runs, key=lambda r: _slice_rank(r.spec))
     config = runs[0].config
@@ -553,18 +568,21 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     batch = config.batch_train
     m_aux = config.batch_aux or batch  # runs[0] has an auxiliary batch if any run does
     n_steps = -(-n // batch)
+    shuffles = {r.config.seed: r.shuffle_rng for r in runs}
+    streams = {_aux_stream(r): r.aux_rng for r in runs if r.pool is not None}
     last_loss = np.full(len(runs), np.nan)
     for epoch in range(config.epochs):
         lr = lr_at(schedule, epoch, config.base_lr)
-        perms = np.array([r.shuffle_rng.permutation(n) for r in runs])
+        perm = {seed: shuffles[seed].permutation(n) for seed in {r.config.seed for r in runs}}
+        perms = np.array([perm[r.config.seed] for r in runs])
         if pool is not None:
+            keys = [_aux_stream(r) for r in runs[: stack.n_aux]]
+            raw = {key: _epoch_draws(streams[key], key[1], n_steps, m_aux, key[2]) for key in set(keys)}
             # Step-major (n_steps, A, m) and (n_steps, R, m), so each step's slice is contiguous.
-            draws = [_epoch_draws(r.spec, r.aux_rng, len(r.pool), n_steps, m_aux)
-                     for r in runs[: stack.n_aux]]
-            aidx = np.stack([a for a, _ in draws], axis=1)
-            labels = [y for _, y in draws[: stack.n_relabel]]
+            aidx = np.stack([raw[key][0] for key in keys], axis=1)
+            labels = [_aux_labels(r.spec, *raw[key]) for r, key in zip(runs[: stack.n_relabel], keys)]
             alabels = np.stack(labels, axis=1) if labels else None
-        total_sum = base_sum = aux_sum = np.zeros(len(runs))
+        total_sum, base_sum, aux_sum = np.zeros((3, len(runs)))
         for step, start in enumerate(range(0, n, batch)):
             idx = perms[:, start : start + batch]
             bx, by = features[idx], train.labels[idx]
@@ -598,10 +616,10 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
                     if ay is not None:
                         alabels, ay = alabels[:, label_keep], ay[label_keep]
             total = base_loss + stack.eta * aux_loss
-            last_loss = np.where(np.isfinite(total), total, last_loss)
-            total_sum = total_sum + total
-            base_sum = base_sum + base_loss
-            aux_sum = aux_sum + aux_loss
+            np.copyto(last_loss, total, where=np.isfinite(total))
+            total_sum += total
+            base_sum += base_loss
+            aux_sum += aux_loss
         n_batches = step + 1
         overall, per_class = metrics._accuracies(stack.layers, test_x, test.labels, test.num_classes)
         means = zip(*((x / n_batches).tolist() for x in (total_sum, base_sum, aux_sum)))

@@ -1000,6 +1000,28 @@ class TestDeterminism:
                 assert fa.read_bytes() == fb.read_bytes(), name
 
 
+class TestParser:
+    def test_reused_parser_speaks_as_a_fresh_one(self, workspace, capsys):
+        # main builds its parser once: after two commands through it, a usage
+        # error and --help must still read as a freshly built parser's.
+        bayes = write_config(workspace / "bayes.json", _bayes_config())
+        run = write_config(workspace / "train.json", train_config())
+        assert main(["bayes-check", "--config", str(bayes), "--out", str(workspace / "b")]) == 0
+        assert main(["train", "--config", str(run), "--out", str(workspace)]) == 0
+        capsys.readouterr()
+        fresh = cli._parser.__wrapped__()
+        assert fresh is not cli._parser() and cli._parser() is cli._parser()
+        outputs = []
+        for argv in (["sweep", "--out", str(workspace)], ["--help"], ["train", "--help"]):
+            for parse in (main, fresh.parse_args):
+                with pytest.raises(SystemExit) as exit_:
+                    parse(argv)
+                outputs.append((exit_.value.code, capsys.readouterr()))
+        assert outputs[::2] == outputs[1::2]
+        assert [code for code, _ in outputs[::2]] == [2, 0, 0]
+        assert "the following arguments are required: --config" in outputs[0][1].err
+
+
 def forbid_reads(monkeypatch):
     """Make reading any dataset, pool, CIFAR batch or checkpoint fail the test."""
 

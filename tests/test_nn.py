@@ -12,6 +12,7 @@ from open_rebalance.nn import (
     MlpParams,
     _forward,
     _log_softmax,
+    _xent,
     backward,
     balanced_softmax_xent,
     forward,
@@ -91,6 +92,23 @@ def _row_max_log_softmax(logits):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _xent_2d(logits, labels, weights):
+    """One model's weighted mean cross entropy, through the (rows, labels) index and np.mean."""
+    batch = logits.shape[0]
+    w = np.ones(batch) if weights is None else weights
+    logp = _row_max_log_softmax(logits)
+    rows = np.arange(batch)
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    grad *= (w / batch)[:, None]
+    return np.mean(w * -logp[rows, labels]), grad
+
+
+def _stacked_logits(rng, k):
+    """(S, B, K) logits for S = 3 models at batch sizes 1, 9 and 32."""
+    return [rng.standard_normal((3, batch, k)) * 8.0 for batch in (1, 9, 32)]
+
+
 def _logit_arrays(elements):
     """Arrays of one, two or three dimensions with K = 1..12 classes."""
     shapes = st.tuples(st.lists(st.integers(1, 5), max_size=2), st.integers(1, 12))
@@ -114,8 +132,29 @@ class TestLogSoftmax:
             got, want = _log_softmax(logits), _row_max_log_softmax(logits)
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_stacked_slices_match_2d(self, k):
+        for logits in _stacked_logits(np.random.default_rng(k), k):
+            got = _log_softmax(logits)
+            for s, slice_ in enumerate(logits):
+                assert got[s].tobytes() == _row_max_log_softmax(slice_).tobytes(), (k, s)
+
 
 class TestSoftmaxXent:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_stacked_slices_match_2d(self, k, weighted):
+        rng = np.random.default_rng([k, weighted])
+        for logits in _stacked_logits(rng, k):
+            labels = rng.integers(0, k, logits.shape[:2])
+            weights = rng.uniform(0.0, 3.0, logits.shape[:2]) if weighted else None
+            loss, grad = _xent(logits, labels, weights)
+            assert loss.shape == logits.shape[:1] and grad.shape == logits.shape
+            for s in range(logits.shape[0]):
+                want_loss, want_grad = _xent_2d(logits[s], labels[s], None if weights is None else weights[s])
+                assert loss[s].tobytes() == want_loss.tobytes(), (k, s)
+                assert grad[s].tobytes() == want_grad.tobytes(), (k, s)
+
     def test_uniform_logits(self):
         loss, _ = softmax_xent(np.zeros((3, 10)), [0, 4, 9])
         assert loss == pytest.approx(math.log(10), rel=1e-12)

@@ -556,7 +556,8 @@ class TestSingleStepEquivalence:
         gammas = complementary(prior, default_alpha(prior)).gammas
         fast, slow = np.random.default_rng(9), np.random.default_rng(9)
         for m in (1, 7, 32):
-            aidx, drawn = (a[0] for a in train._epoch_draws(spec, fast, 300, 1, m))
+            idx, u = train._epoch_draws(fast, 300, 1, m, True)
+            aidx, drawn = idx[0], train._aux_labels(spec, idx, u)[0]
             assert np.array_equal(slow.integers(0, 300, size=m), aidx)
             np.testing.assert_array_equal(drawn, sample_aux_labels(gammas, m, slow))
             assert fast.bit_generator.state == slow.bit_generator.state
@@ -687,6 +688,41 @@ class TestBatchedRuns:
         assert all(isinstance(r, ValueError) for r in results[:4]), results[:4]
         for cfg, result in zip(configs[4:], results[4:]):
             assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds)), cfg
+
+    def test_runs_of_one_seed_share_streams_past_a_divergence(self, stacks, monkeypatch):
+        # Seed 5's runs share one shuffle, and one auxiliary decode per pool
+        # length and label mode; the first of them leaves the stack at epoch 2,
+        # and the rest must go on drawing from the shared streams.
+        train_ds, test_ds, pool = small_task()
+        decodes = []
+        draws = train._epoch_draws
+        monkeypatch.setattr(train, "_epoch_draws", lambda *args: decodes.append(args[1:]) or draws(*args))
+        prefix = AuxiliaryPool(features=pool.features[:40], kind=pool.kind)
+        config = lambda **kw: TrainConfig(**{"seed": 5, "epochs": 4, "hidden_dim": 4, "base_lr": 0.5, **kw})
+        cases = [(config(method="open-sampling", eta=1e40), pool),
+                 (config(method="standard"), None),
+                 (config(method="open-sampling"), pool),
+                 (config(method="open-sampling", alpha=2.0), pool),
+                 (config(method="open-sampling", fixed_labels=True), pool),
+                 (config(method="balanced-softmax+open-sampling", fixed_labels=True), pool),
+                 (config(method="oe"), pool),
+                 (config(method="oe", eta=0.3), pool),
+                 (config(method="open-sampling"), prefix),
+                 (config(method="open-sampling", fixed_labels=True), prefix),
+                 (config(method="open-sampling", seed=6), pool)]
+        configs, pools = zip(*cases)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train.train_runs(configs, train_ds, test_ds, pools)
+            assert stacks == [len(cases)]
+            # Six streams: seed 5 drawn, pinned and OE on the pool, drawn and
+            # pinned on its prefix, and seed 6 drawn; each decoded once an epoch.
+            assert len(decodes) == 6 * 4
+            with pytest.raises(ValueError) as alone:
+                train_run(configs[0], train_ds, test_ds, pool)
+        assert re.match(r"non-finite logits at epoch [1-3], ", str(alone.value)), alone.value
+        assert str(results[0]) == str(alone.value)
+        for (cfg, aux), result in zip(cases[1:], results[1:]):
+            assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds, aux)), cfg
 
     def test_oe_runs_go_on_when_the_relabel_slice_empties(self, stacks):
         train_ds, test_ds, pool = small_task()
@@ -851,7 +887,8 @@ class TestEpochDraws:
                     fast = np.random.default_rng([pool_size, m, k])
                     slow = np.random.default_rng([pool_size, m, k])
                     for n_steps in (1, 3, 1, 2, 1, 1, 4, 1):
-                        idx, labels = train._epoch_draws(spec, fast, pool_size, n_steps, m)
+                        idx, u = train._epoch_draws(fast, pool_size, n_steps, m, kind == "drawn")
+                        labels = train._aux_labels(spec, idx, u)
                         want_idx, want_labels = _per_step_draws(spec, gammas, slow, pool_size, n_steps, m)
                         assert idx.dtype == np.int64 and idx.shape == (n_steps, m)
                         np.testing.assert_array_equal(idx, want_idx)
@@ -879,7 +916,8 @@ class TestEpochDraws:
         before = len(replays)
         twin = np.random.default_rng(0)
         twin.bit_generator.state = carried.bit_generator.state
-        idx, labels = train._epoch_draws(spec, carried, 300, 2, 32)
+        idx, u = train._epoch_draws(carried, 300, 2, 32, True)
+        labels = train._aux_labels(spec, idx, u)
         want_idx, want_labels = _per_step_draws(spec, gammas, twin, 300, 2, 32)
         assert len(replays) == before + 1
         np.testing.assert_array_equal(idx, want_idx)
