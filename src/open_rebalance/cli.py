@@ -207,16 +207,39 @@ def _pool_kwargs(spec: dict) -> dict:
     return {key: spec[key] for key in keys if key in spec}
 
 
-def _build_pool(spec: dict, dim: int, base_seed, class_means, base_dir: Path):
-    """Read or generate a pool whose spec _check_pool has passed."""
+def _build_pool(spec: dict, dim: int, base_seed, class_means, base_dir: Path, out=None):
+    """Read or generate a pool whose spec _check_pool has passed, into out if it has room."""
     kind = spec["kind"]
     if kind == "file":
-        return data.read_pool(base_dir / spec["path"])
+        return data.read_pool(base_dir / spec["path"], out=out)
     kwargs = _pool_kwargs(spec)
     if kind == "shifted-mixture":
         kwargs["class_means"] = class_means
     seed = spec.get("seed", base_seed)
-    return data.gen_ood_pool(kind, spec["size"], dim, seed, **kwargs)
+    return data.gen_ood_pool(kind, spec["size"], dim, seed, out=out, **kwargs)
+
+
+def _file_shape(where: str, path: Path) -> tuple:
+    """N and d from a native dataset file's checked header; an error names where."""
+    try:
+        n, d, _ = data.read_header(path)
+    except (data.FormatError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return n, d
+
+
+def _pool_shape(spec: dict, dim: int, where: str, base_dir: Path) -> tuple:
+    """Rows and dimension of a pool whose spec _check_pool has passed: a file
+    pool's from its checked header, a generated one's from spec and dim."""
+    if spec["kind"] == "file":
+        return _file_shape(where, base_dir / spec["path"])
+    return spec["size"], dim
+
+
+def _room(buf, count: int):
+    """buf if it holds count elements, else None: a set that does not fit is
+    then built in its own mapping with buf released, not beside it."""
+    return buf if buf is not None and buf.size >= count else None
 
 
 _SYNTH = {
@@ -260,17 +283,22 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, seed = doc["name"], doc["seed"]
     manifest: dict = {"name": name, "seed": seed, "config_hash": _config_hash(config), "files": {}}
 
-    class_means = None
+    class_means = buf = None
     if "cifar" in doc:
         spec = doc["cifar"]
         full = data.read_cifar10_binary([base_dir / p for p in spec["train_paths"]])
         n_max = int(spec.get("n_max", full.class_counts().min()))
         profile = data.longtail_counts(n_max, full.num_classes, spec["ratio"])
         train_ds = data.subsample_longtail(full, profile, seed)
+        # Subsampled, the source's memory takes the test set and then the pool.
+        buf = full.features.reshape(-1)
         del full
         test_ds = None
         if spec.get("test_paths"):
-            test_ds = data.read_cifar10_binary([base_dir / p for p in spec["test_paths"]])
+            paths = [base_dir / p for p in spec["test_paths"]]
+            rows = sum(p.stat().st_size for p in paths) // data.CIFAR_RECORD
+            buf = _room(buf, rows * data.CIFAR_DIM)
+            test_ds = data.read_cifar10_binary(paths, out=buf)
         manifest["profile"] = {"ratio": spec["ratio"], "base": n_max}
     else:
         k, dim, mean_radius, sigma = doc["classes"], doc["dim"], doc["mean_radius"], doc["sigma"]
@@ -300,7 +328,10 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     del train_ds, test_ds
 
     if "aux" in doc:
-        pool = _build_pool(doc["aux"], manifest["dim"], seed * 10 + 3, class_means, base_dir)
+        if buf is not None:
+            rows, d = _pool_shape(doc["aux"], manifest["dim"], "aux", base_dir)
+            buf = _room(buf, rows * d)
+        pool = _build_pool(doc["aux"], manifest["dim"], seed * 10 + 3, class_means, base_dir, buf)
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name
@@ -562,22 +593,29 @@ def cmd_eval_ood(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list
     name, positive = doc["name"], doc["aupr_positive"]
     chash = _config_hash(config)
     params = nn.load_params(base_dir / doc["checkpoint"])
-    test_ds = data.read_dataset(base_dir / doc["test"])
-    if test_ds.dim != params.input_dim:
+    # Every file's header is checked before any row is read or generated.
+    n, dim = _file_shape("test", base_dir / doc["test"])
+    if dim != params.input_dim:
         raise ConfigError(
-            f"test dimension {test_ds.dim} does not match checkpoint input {params.input_dim}"
+            f"test dimension {dim} does not match checkpoint input {params.input_dim}"
         )
+    sizes = [n]
+    for i, spec in enumerate(doc["pools"]):
+        size, d = _pool_shape(spec, dim, f"pools[{i}]", base_dir)
+        if d != dim:
+            raise ConfigError(f"pools[{i}]: dimension {d} != test {dim}")
+        sizes.append(size)
+    # The test set and then each pool fill one buffer, each once the one
+    # before is scored and released.
+    buf = data.feature_buffer(max(sizes) * dim)
+    test_ds = data.read_dataset(base_dir / doc["test"], out=buf)
     in_scores = metrics.msp_scores(params, test_ds.features)
-    # Scored, the test set and then each pool are released before the next pool is built.
-    dim = test_ds.dim
     del test_ds
 
     rows = []
     triples = []
     for i, spec in enumerate(doc["pools"]):
-        pool = _build_pool(spec, dim, None, None, base_dir)
-        if pool.dim != dim:
-            raise ConfigError(f"pools[{i}]: dimension {pool.dim} != test {dim}")
+        pool = _build_pool(spec, dim, None, None, base_dir, buf)
         out_scores = metrics.msp_scores(params, pool.features)
         triple = (
             metrics.fpr_at_95_tpr(in_scores, out_scores),

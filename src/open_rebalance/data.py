@@ -29,7 +29,9 @@ __all__ = [
     "gen_ood_pool",
     "shifted_mixture_centers",
     "read_cifar10_binary",
+    "feature_buffer",
     "write_dataset",
+    "read_header",
     "read_dataset",
     "write_pool",
     "read_pool",
@@ -130,6 +132,26 @@ def _anonymous(shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
+def feature_buffer(count: int) -> np.ndarray:
+    """A flat float64 array of count elements in its own anonymous mapping.
+
+    Pass it as the ``out`` of the readers and pool generators to build one
+    set after another in the same memory.
+    """
+    return _anonymous((count,))
+
+
+def _features(n: int, d: int, out, dtype=np.float64) -> np.ndarray:
+    """A fresh (n, d) view of out's first n * d elements, or a fresh mapping.
+
+    An out that is not a flat array of dtype with room for n * d elements
+    gets the fresh mapping, so no caller depends on sizing it right.
+    """
+    if out is None or out.dtype != dtype or out.ndim != 1 or out.size < n * d:
+        return _anonymous((n, d), dtype)
+    return out[: n * d].reshape(n, d)
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -201,8 +223,14 @@ def gen_gaussian_classes(
     )
     rng = np.random.default_rng([int(seed), 0x5A3B1E5])
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
-    noise = rng.standard_normal((int(counts.sum()), dim))
-    features = means[labels] + float(sigma) * noise
+    # noise * sigma + mean, one class's rows at a time: the same bits as
+    # means[labels] + sigma * noise, with no set-sized temporary.
+    features = _anonymous((len(labels), dim))
+    rng.standard_normal(out=features)
+    features *= float(sigma)
+    stops = np.cumsum(counts)
+    for mean, start, stop in zip(means, stops - counts, stops):
+        features[start:stop] += mean
     return LabeledDataset(features=features, labels=labels, num_classes=num_classes)
 
 
@@ -261,6 +289,7 @@ def gen_ood_pool(
     class_means=None,
     margin: float = 10.0,
     clusters: int = 8,
+    out=None,
 ) -> AuxiliaryPool:
     """Synthesize an open-set auxiliary pool of the requested kind.
 
@@ -268,14 +297,15 @@ def gen_ood_pool(
     +-1 equiprobably. blobs: uniform noise smoothed by a moving average of
     width ``window`` along the feature axis, binarized at each row's median
     to ``low``/``high``. shifted-mixture: Gaussian clusters whose centers sit
-    at least ``margin`` away from every row of ``class_means``.
+    at least ``margin`` away from every row of ``class_means``. The features
+    fill the start of ``out``, a flat float64 array, when it has room.
     """
     check_pool_params(
         size, sigma=sigma, window=window, low=low, high=high, margin=margin, clusters=clusters
     )
     rng = np.random.default_rng([int(seed), 0x00D])
     if kind == "gaussian":
-        features = _anonymous((size, dim))
+        features = _features(size, dim, out)
         rng.standard_normal(out=features)
         features *= float(sigma)
     elif kind == "rademacher":
@@ -284,7 +314,7 @@ def gen_ood_pool(
         # so it never redraws, and the fresh generator holds no buffered half.
         # Read as int32, a half's top bit is its sign, and ~half >= 0 exactly
         # when that bit is set, giving +1.0.
-        features = _anonymous((size, dim))
+        features = _features(size, dim, out)
         for start in range(0, size, _POOL_BLOCK_ROWS):
             block = features[start : start + _POOL_BLOCK_ROWS]
             words = rng.bit_generator.random_raw(-(-block.size // 2))
@@ -295,7 +325,7 @@ def gen_ood_pool(
         # Imported here: scipy.ndimage is most of the package's import time.
         from scipy.ndimage import uniform_filter1d
 
-        features = _anonymous((size, dim))
+        features = _features(size, dim, out)
         smooth = np.empty((min(size, _POOL_BLOCK_ROWS), dim))
         low_bits = np.array(float(low)).view(np.uint64)
         flip_bits = low_bits ^ np.array(float(high)).view(np.uint64)
@@ -331,7 +361,7 @@ def gen_ood_pool(
         assign = rng.integers(0, int(clusters), size=size)
         # noise * sigma + center, in blocks: the same bits as the products
         # and sums the other way round, with no full-size temporary.
-        features = _anonymous((size, dim))
+        features = _features(size, dim, out)
         rng.standard_normal(out=features)
         features *= float(sigma)
         for start in range(0, size, _POOL_BLOCK_ROWS):
@@ -364,10 +394,11 @@ CIFAR_RECORD = 3073
 CIFAR_DIM = 3072
 
 
-def read_cifar10_binary(paths) -> LabeledDataset:
+def read_cifar10_binary(paths, *, out=None) -> LabeledDataset:
     """Parse CIFAR-10 binary batches: 1 label byte then 3072 pixel bytes per record.
 
-    Pixels are scaled to [0, 1] as 64-bit floats.
+    Pixels are scaled to [0, 1] as 64-bit floats, into the start of ``out``,
+    a flat float64 array, when it has room.
     """
     paths = list(paths)
     if not paths:
@@ -381,7 +412,7 @@ def read_cifar10_binary(paths) -> LabeledDataset:
     # Sized once from the file lengths; each file's pixels are scaled
     # straight into their rows, with no per-file float copy or concatenate.
     n = sum(sizes) // CIFAR_RECORD
-    features = _anonymous((n, CIFAR_DIM))
+    features = _features(n, CIFAR_DIM, out)
     labels = np.empty(n, dtype=np.int64)
     start = 0
     for path, size in zip(paths, sizes):
@@ -411,30 +442,45 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
         f.write(np.ascontiguousarray(dataset.labels, dtype="<u4").data)
 
 
-def read_dataset(path) -> LabeledDataset:
+def _header(f, path) -> tuple[int, int, int]:
+    """N, d and K from an open dataset file, checked against its magic and length."""
+    head = len(DATASET_MAGIC) + 12
+    size = os.fstat(f.fileno()).st_size
+    header = f.read(head)
+    if len(header) < head:
+        raise FormatError(f"{path}: short read in header")
+    if header[: len(DATASET_MAGIC)] != DATASET_MAGIC:
+        raise FormatError(f"{path}: bad magic, not a dataset file")
+    n, d, k = struct.unpack_from("<III", header, len(DATASET_MAGIC))
+    if n == 0 or d == 0 or k == 0:
+        raise FormatError(f"{path}: invalid header N={n} d={d} K={k}")
+    expected = head + n * d * 8 + n * 4
+    if size < expected:
+        raise FormatError(f"{path}: short read, expected {expected} bytes, got {size}")
+    if size > expected:
+        raise FormatError(f"{path}: trailing bytes after {expected}")
+    return n, d, k
+
+
+def read_header(path) -> tuple[int, int, int]:
+    """N, d and K of a native dataset file, checked as read_dataset checks them."""
+    with open(path, "rb") as f:
+        return _header(f, path)
+
+
+def read_dataset(path, *, out=None) -> LabeledDataset:
     """Read the native dataset format; round-trips write_dataset bit-exactly.
 
     The file is sized up front and read straight into the returned arrays,
-    so memory peaks at the data size, not twice it.
+    so memory peaks at the data size, not twice it. The features fill the
+    start of ``out``, a flat float64 array, when it has room.
     """
-    head = len(DATASET_MAGIC) + 12
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(head)
-        if len(header) < head:
-            raise FormatError(f"{path}: short read in header")
-        if header[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-            raise FormatError(f"{path}: bad magic, not a dataset file")
-        n, d, k = struct.unpack_from("<III", header, len(DATASET_MAGIC))
-        if n == 0 or d == 0 or k == 0:
-            raise FormatError(f"{path}: invalid header N={n} d={d} K={k}")
-        expected = head + n * d * 8 + n * 4
-        if size < expected:
-            raise FormatError(f"{path}: short read, expected {expected} bytes, got {size}")
-        if size > expected:
-            raise FormatError(f"{path}: trailing bytes after {expected}")
-        features = _anonymous((n, d), "<f8")
+        n, d, k = _header(f, path)
+        features = _features(n, d, out, np.dtype("<f8"))
         labels = np.empty(n, dtype="<u4")
+        head = f.tell()
+        expected = head + features.nbytes + labels.nbytes
         got = head + f.readinto(features) + f.readinto(labels)
         if got != expected:
             raise FormatError(f"{path}: short read, expected {expected} bytes, got {got}")
@@ -454,6 +500,6 @@ def write_pool(pool: AuxiliaryPool, path) -> None:
     write_dataset(ds, path)
 
 
-def read_pool(path, kind: str = "file") -> AuxiliaryPool:
-    ds = read_dataset(path)
+def read_pool(path, kind: str = "file", *, out=None) -> AuxiliaryPool:
+    ds = read_dataset(path, out=out)
     return AuxiliaryPool(features=ds.features, kind=kind)

@@ -258,6 +258,54 @@ class TestSynth:
         assert alive == []
         assert (tmp_path / "c_aux.osds").exists()
 
+    @pytest.mark.parametrize(
+        "test_rows,pool_rows,reused",
+        [(40, 60, (True, True)), (80, 30, (False, False)), (40, 90, (True, False))],
+        ids=["both-fit", "test-larger", "pool-larger"],
+    )
+    def test_cifar_test_set_and_pool_reuse_the_source_memory(self, tmp_path, monkeypatch,
+                                                            test_rows, pool_rows, reused):
+        # The 60-record source's mapping takes the test set and then the pool
+        # when each fits; one that does not is built in a fresh mapping, with
+        # the source's memory released first. The files have the bytes of
+        # fresh builds either way.
+        rng = np.random.default_rng(8)
+        for name, n in (("train.bin", 60), ("test.bin", test_rows)):
+            records = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+            records[:, 0] = np.arange(n) % 10
+            records.tofile(tmp_path / name)
+        config = {"command": "synth", "name": "c", "seed": 2,
+                  "cifar": {"train_paths": ["train.bin"], "test_paths": ["test.bin"], "ratio": 3.0},
+                  "aux": {"kind": "blobs", "size": pool_rows, "seed": 4}}
+        source, alive = [], []
+
+        def read_cifar(paths, **kwargs):
+            if source:
+                alive.append(source[0]() is not None)
+            ds = read(paths, **kwargs)
+            if not source:
+                base = ds.features
+                while isinstance(base, np.ndarray):
+                    base = base.base
+                source.append(weakref.ref(base))
+            return ds
+
+        def build_pool(*args):
+            alive.append(source[0]() is not None)
+            return build(*args)
+
+        read, build = data.read_cifar10_binary, cli._build_pool
+        monkeypatch.setattr(data, "read_cifar10_binary", read_cifar)
+        monkeypatch.setattr(cli, "_build_pool", build_pool)
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert tuple(alive) == reused
+        data.write_dataset(read([tmp_path / "test.bin"]), tmp_path / "want_test.osds")
+        data.write_pool(data.gen_ood_pool("blobs", pool_rows, 3072, seed=4), tmp_path / "want_aux.osds")
+        for part in ("test", "aux"):
+            assert (tmp_path / f"c_{part}.osds").read_bytes() == (
+                tmp_path / f"want_{part}.osds").read_bytes()
+
 
 class TestTrain:
     def test_seed_suffixed_outputs(self, workspace):
@@ -702,8 +750,8 @@ class TestEvalOod:
         }
         refs, alive = [], []
 
-        def read_dataset(path):
-            ds = read(path)
+        def read_dataset(path, **kwargs):
+            ds = read(path, **kwargs)
             if not refs:  # the test set, read before any pool
                 refs.append(weakref.ref(ds.features))
             return ds
@@ -721,6 +769,112 @@ class TestEvalOod:
         assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 0
         assert alive == [0, 0, 0] and len(refs) == 4
         assert len(read_rows(trained / "oneatatime_ood.csv")) == 1 + 3 + 1
+
+    def test_mixed_pools_in_one_buffer_match_one_run_per_pool(self, trained, monkeypatch):
+        # Pools of every kind eval-ood allows, growing and then shrinking, the
+        # 400-row file pool the largest. In the run over all of them the
+        # shared memory is NaN-poisoned before each set is built into it, so
+        # an element left unwritten would change the metrics of its pool.
+        pools = [
+            {"name": "blobs", "kind": "blobs", "size": 30, "seed": 7, "window": 3},
+            {"name": "rademacher", "kind": "rademacher", "size": 90, "seed": 6},
+            {"name": "reuse", "kind": "file", "path": "task_aux.osds"},
+            {"name": "gaussian", "kind": "gaussian", "size": 60, "seed": 5, "sigma": 2.0},
+            {"name": "blobs-small", "kind": "blobs", "size": 10, "seed": 8},
+        ]
+
+        def eval_ood(name, pools):
+            config = {"command": "eval-ood", "name": name, "checkpoint": "run_seed0.osnn",
+                      "test": "task_test.osds", "pools": pools}
+            cfg = write_config(trained / f"{name}.json", config)
+            assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 0
+            return [row[:5] for row in read_rows(trained / f"{name}_ood.csv")]
+
+        alone = [eval_ood(f"alone{i}", [pool])[1] for i, pool in enumerate(pools)]
+        filled = []
+
+        def poisoned(fn):
+            def build(*args, out=None, **kwargs):
+                if out is not None:
+                    out[:] = np.nan
+                    filled.append(out.size)
+                return fn(*args, out=out, **kwargs)
+            return build
+
+        monkeypatch.setattr(data, "read_dataset", poisoned(data.read_dataset))
+        monkeypatch.setattr(data, "gen_ood_pool", poisoned(data.gen_ood_pool))
+        rows = eval_ood("mixed", pools)
+        # The test set (90 rows, dim 2) and five pools, all in one 400 x 2 buffer.
+        assert filled == [800] * 6
+        assert rows[1:-1] == alone and rows[-1][0] == "average"
+
+    def test_maps_one_full_size_buffer(self, trained, monkeypatch):
+        # The test set and every pool, read or generated, go into the one
+        # buffer sized for the largest: the 400-row file pool at dim 2.
+        config = {
+            "command": "eval-ood",
+            "name": "onebuffer",
+            "checkpoint": "run_seed0.osnn",
+            "test": "task_test.osds",
+            "pools": [
+                {"name": "gaussian", "kind": "gaussian", "size": 50, "seed": 5},
+                {"name": "reuse", "kind": "file", "path": "task_aux.osds"},
+                {"name": "rademacher", "kind": "rademacher", "size": 300, "seed": 6},
+                {"name": "blobs", "kind": "blobs", "size": 120, "seed": 7},
+            ],
+        }
+        mapped = []
+
+        def anonymous(shape, dtype=np.float64):
+            mapped.append((shape, np.dtype(dtype)))
+            return make(shape, dtype)
+
+        make = data._anonymous
+        monkeypatch.setattr(data, "_anonymous", anonymous)
+        cfg = write_config(trained / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 0
+        assert mapped == [((400 * 2,), np.dtype(np.float64))]
+        assert len(read_rows(trained / "onebuffer_ood.csv")) == 1 + 4 + 1
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [("missing-pool", r"error: pools\[1\]: \[Errno 2\] No such file or directory: '.*nope\.osds'"),
+         ("wrong-dim-pool", r"error: pools\[1\]: dimension 5 != test 2\n"),
+         ("truncated-pool", r"error: pools\[1\]: .*nope\.osds: short read, expected"),
+         ("missing-test", r"error: test: \[Errno 2\] No such file or directory: '.*nope\.osds'"),
+         ("bad-magic-test", r"error: test: .*nope\.osds: bad magic, not a dataset file"),
+         ("wrong-dim-test", r"error: test dimension 5 does not match checkpoint input 2\n")],
+        ids=["missing-pool", "wrong-dim-pool", "truncated-pool", "missing-test", "bad-magic-test",
+             "wrong-dim-test"],
+    )
+    def test_bad_file_fails_before_any_row_is_read(self, trained, capsys, monkeypatch, bad, message):
+        # gen_ood_pool and read_dataset fail if called, so a file's error can
+        # only come first if every header is checked before any set is built.
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a set was built")
+
+        if bad.startswith("wrong-dim"):
+            data.write_dataset(data.gen_gaussian_classes(2, 5, [3, 3], 1.0, 1.0, seed=0),
+                               trained / "nope.osds")
+        elif bad == "truncated-pool":
+            (trained / "nope.osds").write_bytes((trained / "task_aux.osds").read_bytes()[:-1])
+        elif bad == "bad-magic-test":
+            (trained / "nope.osds").write_bytes(b"OSDS2" + bytes(100))
+        pools = [{"name": "big", "kind": "blobs", "size": 3000, "seed": 1}]
+        test = "task_test.osds"
+        if bad.endswith("pool"):
+            pools.append({"name": "f", "kind": "file", "path": "nope.osds"})
+        else:
+            test = "nope.osds"
+        config = {"command": "eval-ood", "name": "bad", "checkpoint": "run_seed0.osnn",
+                  "test": test, "pools": pools}
+        monkeypatch.setattr(data, "gen_ood_pool", no_rows)
+        monkeypatch.setattr(data, "read_dataset", no_rows)
+        cfg = write_config(trained / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert not (trained / "bad_ood.csv").exists()
 
     @pytest.mark.parametrize(
         "change,message",

@@ -16,12 +16,14 @@ from open_rebalance.data import (
     AuxiliaryPool,
     FormatError,
     LabeledDataset,
+    feature_buffer,
     gaussian_class_means,
     gen_gaussian_classes,
     gen_ood_pool,
     longtail_counts,
     read_cifar10_binary,
     read_dataset,
+    read_header,
     read_pool,
     shifted_mixture_centers,
     subsample_longtail,
@@ -98,6 +100,24 @@ class TestGaussianClasses:
             for j in range(4):
                 centroid = ds.features[ds.labels == j].mean(axis=0)
                 assert np.linalg.norm(centroid - means[j]) < 0.2
+
+    @pytest.mark.parametrize(
+        "per_class,dim,mean_radius,sigma",
+        [([10, 5, 2], 4, 2.0, 1.0), ([3, 0, 4], 5, 2.0, 0.7), ([6, 6], 3, 1.5, 0.0),
+         ([4, 9, 1], 2, 0.0, 1.3), ([3, 1, 2], 3072, 3.0, 0.5)],
+        ids=["plain", "empty-class", "sigma-0", "radius-0", "cifar-dim"],
+    )
+    def test_bytes_match_direct_formula(self, per_class, dim, mean_radius, sigma):
+        # The class means gathered per row plus the scaled noise of one draw.
+        k = len(per_class)
+        ds = gen_gaussian_classes(k, dim, per_class, mean_radius, sigma, seed=6, means_seed=8)
+        rng = np.random.default_rng([6, 0x5A3B1E5])
+        labels = np.repeat(np.arange(k), per_class)
+        noise = rng.standard_normal((sum(per_class), dim))
+        want = gaussian_class_means(k, dim, mean_radius, 8)[labels] + sigma * noise
+        assert ds.features.dtype == want.dtype and ds.features.shape == want.shape
+        assert ds.features.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
 
     def test_mean_radius(self):
         means = gaussian_class_means(5, 8, 2.5, 7)
@@ -515,13 +535,16 @@ class TestNativeFormat:
                 expect = f"{path}: short read in header"
             else:
                 expect = f"{path}: short read, expected {len(blob)} bytes, got {cut}"
-            with pytest.raises(FormatError) as info:
-                read_dataset(path)
-            assert str(info.value) == expect
+            # read_header makes the same checks, before any row is read.
+            for read in (read_dataset, read_header):
+                with pytest.raises(FormatError) as info:
+                    read(path)
+                assert str(info.value) == expect
         path.write_bytes(blob + b"\x00" * 3)
-        with pytest.raises(FormatError) as info:
-            read_dataset(path)
-        assert str(info.value) == f"{path}: trailing bytes after {len(blob)}"
+        for read in (read_dataset, read_header):
+            with pytest.raises(FormatError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: trailing bytes after {len(blob)}"
         path.write_bytes(blob[:-4] + struct.pack("<I", 2))
         with pytest.raises(FormatError) as info:
             read_dataset(path)
@@ -531,6 +554,7 @@ class TestNativeFormat:
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels.tolist() == [1, 0, 1] and back.labels.dtype == np.int64
         assert back.features.flags.c_contiguous and back.features.flags.writeable
+        assert read_header(path) == (3, 2, 2)
 
     @pytest.mark.parametrize("layout", ["fortran", "big-endian", "strided"])
     def test_write_bytes_match_tobytes_formula(self, tmp_path, layout):
@@ -593,6 +617,72 @@ class TestAnonymousMappings:
         means = gaussian_class_means(3, 7, 2.0, 5)
         make = lambda: gen_ood_pool(kind, 2 * _POOL_BLOCK_ROWS + 1, 7, seed=3, class_means=means)
         assert self._dropped_with_owner(make)() is None
+
+    def test_gen_gaussian_classes(self):
+        make = lambda: gen_gaussian_classes(3, 4, [5, 0, 7], 2.0, 1.0, seed=1)
+        assert self._dropped_with_owner(make)() is None
+
+    def test_feature_buffer(self):
+        buf = feature_buffer(11)
+        assert buf.shape == (11,) and buf.dtype == np.float64 and buf.flags.writeable
+        ref = weakref.ref(_mapping(buf))
+        del buf
+        assert ref() is None
+
+
+def _poisoned(count):
+    buf = feature_buffer(count)
+    buf[:] = np.nan
+    return buf
+
+
+class TestOut:
+    """Readers and pool generators fill the start of a flat out that has room.
+
+    Every element of the features is written: out is NaN-poisoned first, and
+    the result must have the bits of a build into a fresh mapping.
+    """
+
+    @staticmethod
+    def _check(build, n, d):
+        want = build(None).features
+        assert _mapping(want) is not None
+        big = _poisoned(n * d + 7)
+        got = build(big).features
+        assert got.shape == (n, d) and got.flags.c_contiguous
+        assert np.shares_memory(got, big) and got.__array_interface__["data"][0] == big.ctypes.data
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(big[n * d:]).all()
+        for small in (_poisoned(n * d - 1), _poisoned(n * d + 7).astype(np.float32),
+                      _poisoned(2 * n * d).reshape(2 * n, d)):
+            got = build(small).features
+            assert not np.shares_memory(got, small) and _mapping(got) is not None
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_read_dataset_and_read_pool(self, tmp_path, dim):
+        path = tmp_path / "d.osds"
+        write_dataset(gen_gaussian_classes(3, dim, [4, 5, 6], 2.0, 1.0, seed=1), path)
+        self._check(lambda out: read_dataset(path, out=out), 15, dim)
+        self._check(lambda out: read_pool(path, out=out), 15, dim)
+
+    def test_read_cifar10_binary(self, tmp_path):
+        rng = np.random.default_rng(3)
+        paths = []
+        for i, n in enumerate((2, 3)):
+            records = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            paths.append(tmp_path / f"b{i}.bin")
+            records.tofile(paths[-1])
+        self._check(lambda out: read_cifar10_binary(paths, out=out), 5, 3072)
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
+    def test_gen_ood_pool(self, kind, dim):
+        rows = 2 * _POOL_BLOCK_ROWS + 3
+        means = gaussian_class_means(3, dim, 2.0, 5)
+        self._check(lambda out: gen_ood_pool(kind, rows, dim, seed=4, window=3, class_means=means,
+                                             out=out), rows, dim)
 
 
 class TestDatasetValidation:
