@@ -33,7 +33,6 @@ from .metrics import MetricsReport, accuracy, aupr, auroc, fpr_at_95_tpr, msp_sc
 from .train import (
     RunResult,
     TrainConfig,
-    open_sampling_step,
     sample_aux_labels,
     train_run,
     train_runs,

@@ -282,6 +282,15 @@ def _synth(config: dict, path: str) -> dict:
 def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, seed = doc["name"], doc["seed"]
     manifest: dict = {"name": name, "seed": seed, "config_hash": _config_hash(config), "files": {}}
+    aux = doc.get("aux")
+    if aux is not None and aux["kind"] == "file":
+        # Before any set is read or written: the pool is copied as it is.
+        rows, d = _file_shape("aux", base_dir / aux["path"])
+        dim = data.CIFAR_DIM if "cifar" in doc else doc["dim"]
+        if d != dim:
+            raise ConfigError(f"aux: dimension {d} != data {dim}")
+        if rows != aux["size"]:
+            raise ConfigError(f"aux: size {aux['size']} != {rows} rows in the file")
 
     class_means = buf = None
     if "cifar" in doc:
@@ -327,11 +336,10 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     # Written and counted, so the pool is built with no full-size set alive.
     del train_ds, test_ds
 
-    if "aux" in doc:
-        if buf is not None:
-            rows, d = _pool_shape(doc["aux"], manifest["dim"], "aux", base_dir)
-            buf = _room(buf, rows * d)
-        pool = _build_pool(doc["aux"], manifest["dim"], seed * 10 + 3, class_means, base_dir, buf)
+    if aux is not None:
+        # Every pool is size x dim, a file pool's header having been checked above.
+        buf = _room(buf, aux["size"] * manifest["dim"])
+        pool = _build_pool(aux, manifest["dim"], seed * 10 + 3, class_means, base_dir, buf)
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name

@@ -130,7 +130,7 @@ def _log_counts(prior: ClassPrior) -> np.ndarray:
 
 
 def _check_finite(logits: np.ndarray) -> None:
-    # Training can diverge, so the training step runs this on every batch.
+    # The public losses refuse non-finite logits; the training step masks its own.
     if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
 

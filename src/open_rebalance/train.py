@@ -35,9 +35,7 @@ from .data import AuxiliaryPool, LabeledDataset
 from .nn import (
     LrSchedule,
     MlpParams,
-    OptimState,
     _backward,
-    _check_batch,
     _forward,
     _log_counts,
     _prior_xent,
@@ -48,7 +46,6 @@ from .nn import (
 )
 from .priors import (
     ClassPrior,
-    ClassWeights,
     LabelDistributionKind,
     cb_effective_weights,
     label_distribution,
@@ -62,7 +59,6 @@ __all__ = [
     "RunResult",
     "default_schedule",
     "sample_aux_labels",
-    "open_sampling_step",
     "train_run",
     "train_runs",
 ]
@@ -182,13 +178,6 @@ def sample_aux_labels(dist, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StepLosses:
-    base: float
-    aux: float
-    total: float
-
-
-@dataclass(frozen=True)
 class _LossSpec:
     """A method resolved into CE(train + base_offset; base_weights) + eta * aux.
 
@@ -262,22 +251,6 @@ def _aux_labels(spec: _LossSpec, idx: np.ndarray, u) -> np.ndarray | None:
     return None if u is None else _lookup_labels(spec.aux_cdf, u)
 
 
-class _Diverged(Exception):
-    """Some runs' logits went non-finite; ``runs`` masks them. No run was updated."""
-
-    def __init__(self, runs: np.ndarray):
-        super().__init__("non-finite logits")
-        self.runs = runs
-
-
-def _check_runs_finite(logits: np.ndarray, runs: int) -> None:
-    # Training can diverge, so the step runs this on every batch. The logits
-    # may cover only the stack's leading runs; the mask covers all of them.
-    if not np.isfinite(logits).all():
-        lost = ~np.isfinite(logits).all(axis=(-2, -1))
-        raise _Diverged(np.pad(lost, (0, runs - lost.shape[0])))
-
-
 def _stack_rows(rows, fill: float):
     """Stack per-run vectors, filling in for runs without one; None if none has one."""
     present = next((r for r in rows if r is not None), None)
@@ -318,33 +291,29 @@ class _Stack:
     exactly as no weights) and the aux omegas. Specs come in slice order: the
     first R runs relabel their auxiliary batch, the next A - R take the OE
     prior CE (the training prior, shared by all), and the rest have no
-    auxiliary batch.
+    auxiliary batch. The run count and slices are fixed for the stack's life.
     """
 
-    def __init__(self, specs, layer_sets, velocity_sets, momentum: float, weight_decay: float):
+    def __init__(self, specs, layer_sets, momentum: float, weight_decay: float):
         self.shapes = [w.shape for w, _ in layer_sets[0]]
         self.params = _flat(layer_sets)
-        self.velocity = np.zeros_like(self.params) if velocity_sets is None else _flat(velocity_sets)
+        self.velocity = np.zeros_like(self.params)
         self.momentum, self.weight_decay = momentum, weight_decay
-        self.rank = np.array([_slice_rank(spec) for spec in specs])
+        rank = np.array([_slice_rank(spec) for spec in specs])
         self.eta = np.array([spec.eta for spec in specs], dtype=np.float64)
-        self.has_offset = np.array([spec.base_offset is not None for spec in specs])
         offset = _stack_rows([spec.base_offset for spec in specs], 0.0)
         self.base_offset = None if offset is None else offset[:, None, :]
         self.base_weights = _stack_rows([spec.base_weights for spec in specs], 1.0)
         self.aux_omegas = _stack_rows([spec.aux_omegas for spec in specs], 1.0)
         self.aux_prior = next((spec.aux_prior for spec in specs if spec.aux_prior is not None), None)
-        self._index()
-
-    def _index(self):
+        self.size = len(specs)
+        self.n_relabel = int((rank == 0).sum())
+        self.n_aux = a = int((rank < 2).sum())
+        self.rows = np.arange(self.size)[:, None]
         # Adding a zero offset could turn a -0.0 logit into +0.0, and a zero
         # eta times the aux gradient could do the same to a weight gradient,
         # so both adds are masked to the runs that have a nonzero term.
-        self.size = self.eta.shape[0]
-        self.n_relabel = int((self.rank == 0).sum())
-        self.n_aux = a = int((self.rank < 2).sum())
-        self.rows = np.arange(self.size)[:, None]
-        self.offset_where = self.has_offset[:, None, None]
+        self.offset_where = np.array([spec.base_offset is not None for spec in specs])[:, None, None]
         self.grad = np.empty_like(self.params)
         self.layers = _views(self.params, self.shapes)
         self.grads = _views(self.grad, self.shapes)
@@ -357,16 +326,6 @@ class _Stack:
         self.aux_eta = self.eta[:a, None]
         self.eta_where = self.aux_eta != 0.0
         self.any_eta = bool(self.eta_where.any())
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the runs outside mask from every stacked array; the slice order holds."""
-        self.params, self.velocity = self.params[mask], self.velocity[mask]
-        self.rank, self.eta, self.has_offset = self.rank[mask], self.eta[mask], self.has_offset[mask]
-        for name in ("base_offset", "base_weights", "aux_omegas"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[mask])
-        self._index()
 
 
 def _aux_loss(stack: _Stack, logits, ay):
@@ -386,12 +345,15 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
 
     Batches are (S, B, d) with (S, B) labels; the auxiliary batch ax is
     (A, m, d) for the stack's leading A runs, with (R, m) labels ay. Returns
-    the per-run (base, aux) loss vectors, or raises _Diverged before any update.
+    the per-run base and aux loss vectors and the mask of runs whose base or
+    auxiliary logits are not all finite, None when all are. Every run is
+    updated, finite or not; no operation mixes two runs' slices.
     """
     logits, acts = _forward(stack.layers, bx)
     if stack.base_offset is not None:
         np.add(logits, stack.base_offset, out=logits, where=stack.offset_where)
-    _check_runs_finite(logits, stack.size)
+    # Training can diverge, so every batch is checked; a healthy one allocates no mask.
+    lost = None if np.isfinite(logits).all() else ~np.isfinite(logits).all(axis=(-2, -1))
     weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
     base_loss, g = _xent(logits, by, weights)
     _backward(stack.layers, acts, g, stack.grads)
@@ -399,7 +361,9 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     aux_loss = np.zeros_like(base_loss) if a < stack.size else None
     if a:
         logits, acts = _forward(stack.aux_layers, ax)
-        _check_runs_finite(logits, stack.size)
+        if not np.isfinite(logits).all():
+            lost = np.zeros(stack.size, dtype=bool) if lost is None else lost
+            lost[:a] |= ~np.isfinite(logits).all(axis=(-2, -1))
         loss, g = _aux_loss(stack, logits, ay)
         aux_loss = loss if a == stack.size else np.concatenate((loss, aux_loss[a:]))
         if stack.any_eta:
@@ -408,58 +372,7 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
             np.multiply(stack.aux_eta, aux, out=aux)
             np.add(head, aux, out=head, where=stack.eta_where)
     _sgd_update(stack.params, stack.grad, stack.velocity, stack.momentum, stack.weight_decay, lr)
-    return base_loss, aux_loss
-
-
-def open_sampling_step(
-    params: MlpParams,
-    train_x,
-    train_y,
-    aux_x,
-    dist,
-    weights: ClassWeights,
-    eta: float,
-    state: OptimState,
-    lr: float,
-    rng: np.random.Generator | None = None,
-    aux_labels=None,
-):
-    """One update on the combined objective: CE(train) + eta * weighted CE(aux).
-
-    Auxiliary labels are drawn fresh from ``dist`` unless ``aux_labels`` pins
-    them (the fixed-label variant). Returns (params, state, StepLosses).
-    """
-    train_x = _check_batch(params, train_x)
-    aux_x = _check_batch(params, aux_x)
-    k = params.num_classes
-    if train_x.shape[0] == 0 or aux_x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if eta < 0 or lr < 0:
-        raise ValueError("eta and lr must be non-negative")
-    if aux_labels is None:
-        if rng is None:
-            raise ValueError("need an rng to draw auxiliary labels")
-        aux_labels = sample_aux_labels(dist, aux_x.shape[0], rng)
-    train_y = np.asarray(train_y, dtype=np.int64)
-    aux_labels = np.asarray(aux_labels, dtype=np.int64)
-    if min(train_y.min(), aux_labels.min()) < 0 or max(train_y.max(), aux_labels.max()) >= k:
-        raise ValueError("label out of range")
-    omegas = np.asarray(weights.omegas, dtype=np.float64)
-    if np.any(omegas[aux_labels] < 0):
-        raise ValueError("sample weights must be non-negative")
-    # The engine's step at S = 1, on copies the caller does not own.
-    spec = _LossSpec(eta=eta, aux_omegas=omegas)
-    stack = _Stack([spec], [params.layers], [state.velocity], state.momentum, state.weight_decay)
-    try:
-        base, aux = _step(stack, lr, train_x[None], train_y[None], aux_x[None], aux_labels[None])
-    except _Diverged as exc:
-        raise ValueError(str(exc)) from None
-    base_loss, aux_loss = float(base[0]), float(aux[0])
-    losses = StepLosses(base_loss, aux_loss, base_loss + eta * aux_loss)
-    params = replace(params, layers=tuple((w[0], b[0, 0]) for w, b in stack.layers))
-    velocity = _views(stack.velocity, stack.shapes)
-    state = replace(state, velocity=tuple((vw[0], vb[0, 0]) for vw, vb in velocity))
-    return params, state, losses
+    return base_loss, aux_loss, lost
 
 
 def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) -> _LossSpec:
@@ -552,16 +465,18 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
 
     The runs are put in slice order first (see ``_Stack``), so runs[:A] are
     those with an auxiliary batch. A run whose logits go non-finite gets its
-    error and leaves the stack; the others go on unchanged. Survivors get
-    their final parameters. Each distinct stream keeps one generator for the
-    whole group and is decoded once an epoch for all its live runs: a shuffle
-    per seed, an auxiliary stream per ``_aux_stream`` key.
+    error and is dead from then on: it keeps its slice and goes on computing
+    until the stack ends or no run is alive, but nothing it computes is kept,
+    and the others go on unchanged. Live runs get their final parameters.
+    Each distinct stream keeps one generator for the whole group and is
+    decoded once an epoch for all its runs: a shuffle per seed, an auxiliary
+    stream per ``_aux_stream`` key.
     """
     runs = sorted(runs, key=lambda r: _slice_rank(r.spec))
     config = runs[0].config
     schedule = config.schedule or default_schedule(config.epochs)
-    stack = _Stack([r.spec for r in runs], [r.params.layers for r in runs], None,
-                   config.momentum, config.weight_decay)
+    stack = _Stack([r.spec for r in runs], [r.params.layers for r in runs], config.momentum,
+                   config.weight_decay)
     features = np.asarray(train.features, dtype=np.float64)
     test_x = np.asarray(test.features, dtype=np.float64)
     n = len(train)
@@ -569,15 +484,16 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     m_aux = config.batch_aux or batch  # runs[0] has an auxiliary batch if any run does
     n_steps = -(-n // batch)
     shuffles = {r.config.seed: r.shuffle_rng for r in runs}
-    streams = {_aux_stream(r): r.aux_rng for r in runs if r.pool is not None}
+    keys = [_aux_stream(r) for r in runs[: stack.n_aux]]
+    streams = {key: r.aux_rng for key, r in zip(keys, runs)}
     last_loss = np.full(len(runs), np.nan)
+    alive = np.ones(len(runs), dtype=bool)
     for epoch in range(config.epochs):
         lr = lr_at(schedule, epoch, config.base_lr)
-        perm = {seed: shuffles[seed].permutation(n) for seed in {r.config.seed for r in runs}}
+        perm = {seed: rng.permutation(n) for seed, rng in shuffles.items()}
         perms = np.array([perm[r.config.seed] for r in runs])
         if pool is not None:
-            keys = [_aux_stream(r) for r in runs[: stack.n_aux]]
-            raw = {key: _epoch_draws(streams[key], key[1], n_steps, m_aux, key[2]) for key in set(keys)}
+            raw = {key: _epoch_draws(rng, key[1], n_steps, m_aux, key[2]) for key, rng in streams.items()}
             # Step-major (n_steps, A, m) and (n_steps, R, m), so each step's slice is contiguous.
             aidx = np.stack([raw[key][0] for key in keys], axis=1)
             labels = [_aux_labels(r.spec, *raw[key]) for r, key in zip(runs[: stack.n_relabel], keys)]
@@ -590,31 +506,17 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
             if pool is not None:
                 ax = pool[aidx[step]]
                 ay = None if alabels is None else alabels[step]
-            while True:
-                try:
-                    base_loss, aux_loss = _step(stack, lr, bx, by, ax, ay)
-                    break
-                except _Diverged as exc:
-                    for r, lost in zip(compress(runs, exc.runs), last_loss[exc.runs].tolist()):
-                        shown = None if math.isnan(lost) else lost
-                        r.error = ValueError(
-                            f"{exc} at epoch {epoch}, step {step} (last finite loss {shown})"
-                        )
-                    keep = ~exc.runs
-                    runs = list(compress(runs, keep))
-                    if not runs:
-                        return
-                    aux_keep, label_keep = keep[: stack.n_aux], keep[: stack.n_relabel]
-                    stack.keep(keep)
-                    perms, last_loss = perms[keep], last_loss[keep]
-                    total_sum, base_sum, aux_sum = total_sum[keep], base_sum[keep], aux_sum[keep]
-                    bx, by = bx[keep], by[keep]
-                    if not stack.n_aux:
-                        pool = ax = ay = None
-                    if ax is not None:
-                        aidx, ax = aidx[:, aux_keep], ax[aux_keep]
-                    if ay is not None:
-                        alabels, ay = alabels[:, label_keep], ay[label_keep]
+            base_loss, aux_loss, lost = _step(stack, lr, bx, by, ax, ay)
+            if lost is not None:
+                lost &= alive  # a dead run keeps its first error
+                for r, last in zip(compress(runs, lost), last_loss[lost].tolist()):
+                    shown = None if math.isnan(last) else last
+                    r.error = ValueError(
+                        f"non-finite logits at epoch {epoch}, step {step} (last finite loss {shown})"
+                    )
+                alive &= ~lost
+                if not alive.any():
+                    return
             total = base_loss + stack.eta * aux_loss
             np.copyto(last_loss, total, where=np.isfinite(total))
             total_sum += total
@@ -623,8 +525,8 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
         n_batches = step + 1
         overall, per_class = metrics._accuracies(stack.layers, test_x, test.labels, test.num_classes)
         means = zip(*((x / n_batches).tolist() for x in (total_sum, base_sum, aux_sum)))
-        for r, (total_mean, base_mean, aux_mean), acc, per in zip(
-            runs, means, overall.tolist(), per_class.tolist()
+        for r, (total_mean, base_mean, aux_mean), acc, per in compress(
+            zip(runs, means, overall.tolist(), per_class.tolist()), alive
         ):
             r.history.append(
                 EpochRecord(
@@ -637,7 +539,7 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
                     test_per_class_acc=tuple(per),
                 )
             )
-    for s, r in enumerate(runs):
+    for s, r in compress(enumerate(runs), alive):
         layers = tuple((w[s].copy(), b[s, 0].copy()) for w, b in stack.layers)
         r.params = replace(r.params, layers=layers)
 

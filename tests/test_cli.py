@@ -307,6 +307,43 @@ class TestSynth:
                 tmp_path / f"want_{part}.osds").read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "cifar,shape,size,message",
+        [(False, (50, 5), 50, "aux: dimension 5 != data 2"),
+         (True, (50, 5), 50, "aux: dimension 5 != data 3072"),
+         (False, (50, 2), 1, "aux: size 1 != 50 rows in the file")],
+        ids=["gaussian-dim", "cifar-dim", "size"],
+    )
+    def test_file_pool_checked_before_any_set_is_read(self, tmp_path, capsys, cifar, shape, size,
+                                                     message):
+        # The CIFAR source is missing: the pool's header is refused first.
+        data.write_pool(data.AuxiliaryPool(np.ones(shape), "file"), tmp_path / "pool.osds")
+        config = synth_config()
+        if cifar:
+            config = {"command": "synth", "name": "task", "seed": 1,
+                      "cifar": {"train_paths": ["missing.bin"]}}
+        config["aux"] = {"kind": "file", "size": size, "path": "pool.osds"}
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err, err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "pool.osds", cfg]
+
+    def test_cifar_file_pool_copied(self, tmp_path):
+        rng = np.random.default_rng(3)
+        records = rng.integers(0, 256, size=(60, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(60) % 10
+        records.tofile(tmp_path / "train.bin")
+        data.write_pool(data.AuxiliaryPool(rng.standard_normal((20, 3072)), "file"), tmp_path / "pool.osds")
+        config = {"command": "synth", "name": "c", "seed": 2,
+                  "cifar": {"train_paths": ["train.bin"], "ratio": 3.0},
+                  "aux": {"kind": "file", "size": 20, "path": "pool.osds"}}
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "c_aux.osds").read_bytes() == (tmp_path / "pool.osds").read_bytes()
+        assert json.loads((tmp_path / "c_manifest.json").read_text())["aux_size"] == 20
+
+
 class TestTrain:
     def test_seed_suffixed_outputs(self, workspace):
         cfg = write_config(workspace / "train.json", train_config(seeds=(0, 1, 2, 3, 4)))

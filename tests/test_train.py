@@ -16,7 +16,6 @@ from open_rebalance.data import (
 from open_rebalance import metrics, train
 from open_rebalance.nn import (
     LrSchedule,
-    MlpParams,
     backward,
     balanced_softmax_xent,
     forward,
@@ -28,7 +27,6 @@ from open_rebalance.nn import (
     softmax_xent,
 )
 from open_rebalance.priors import (
-    ClassWeights,
     LabelDistributionKind,
     cb_effective_weights,
     complementary,
@@ -40,7 +38,6 @@ from open_rebalance.priors import (
 from open_rebalance.train import (
     TrainConfig,
     default_schedule,
-    open_sampling_step,
     sample_aux_labels,
     train_run,
 )
@@ -91,100 +88,6 @@ class TestSampleAuxLabels:
         dist = mcd(prior_from_counts([3, 1]))
         labels = sample_aux_labels(dist, 10, np.random.default_rng(0))
         assert np.all(labels == 1)
-
-
-class TestOpenSamplingStep:
-    def _zero_linear(self, d=2, k=2):
-        return MlpParams(
-            layers=((np.zeros((d, k)), np.zeros(k)),), input_dim=d, hidden_dim=0, num_classes=k
-        )
-
-    def test_hand_forward_pass(self):
-        params = self._zero_linear()
-        state = init_optim_state(params)
-        dist = np.array([0.0, 1.0])
-        weights = ClassWeights(omegas=np.array([0.5, 1.5]))
-        _, _, losses = open_sampling_step(
-            params,
-            np.zeros((1, 2)),
-            np.array([0]),
-            np.zeros((1, 2)),
-            dist,
-            weights,
-            eta=1.0,
-            state=state,
-            lr=0.1,
-            rng=np.random.default_rng(0),
-        )
-        assert losses.base == pytest.approx(math.log(2), rel=1e-12)
-        assert losses.aux == pytest.approx(1.5 * math.log(2), rel=1e-12)
-        assert losses.total == pytest.approx(2.5 * math.log(2), rel=1e-12)
-
-    def test_eta_zero_matches_plain_ce_step(self):
-        rng = np.random.default_rng(7)
-        train_x = rng.standard_normal((4, 2))
-        train_y = rng.integers(0, 2, 4)
-        aux_x = rng.standard_normal((4, 2))
-        params = self._zero_linear()
-        state = init_optim_state(params)
-        stepped, _, losses = open_sampling_step(
-            params, train_x, train_y, aux_x,
-            np.array([0.5, 0.5]), ClassWeights(omegas=np.ones(2)),
-            eta=0.0, state=state, lr=0.1, rng=np.random.default_rng(1),
-        )
-        loss, gl = softmax_xent(forward(params, train_x), train_y)
-        expected, _ = sgd_step(params, backward(params, train_x, gl), init_optim_state(params), 0.1)
-        assert params_equal(stepped, expected)
-        assert losses.total == losses.base
-
-    def test_loss_decomposition(self):
-        rng = np.random.default_rng(8)
-        params = self._zero_linear(3, 2)
-        state = init_optim_state(params)
-        for eta in (0.0, 0.5, 1.5):
-            _, _, losses = open_sampling_step(
-                params, rng.standard_normal((5, 3)), rng.integers(0, 2, 5),
-                rng.standard_normal((3, 3)),
-                np.array([0.25, 0.75]), ClassWeights(omegas=np.array([0.5, 1.5])),
-                eta=eta, state=state, lr=0.05, rng=rng,
-            )
-            assert losses.total == pytest.approx(losses.base + eta * losses.aux, abs=1e-9)
-
-    def test_uniform_weights_total_is_plain_sum(self):
-        rng = np.random.default_rng(9)
-        params = self._zero_linear(3, 2)
-        train_x = rng.standard_normal((4, 3))
-        train_y = rng.integers(0, 2, 4)
-        aux_x = rng.standard_normal((4, 3))
-        aux_y = np.array([0, 1, 0, 1])
-        _, _, losses = open_sampling_step(
-            params, train_x, train_y, aux_x,
-            np.array([0.5, 0.5]), ClassWeights(omegas=np.ones(2)),
-            eta=1.0, state=init_optim_state(params), lr=0.1, aux_labels=aux_y,
-        )
-        ce_train, _ = softmax_xent(forward(params, train_x), train_y)
-        ce_aux, _ = softmax_xent(forward(params, aux_x), aux_y)
-        assert losses.total == pytest.approx(ce_train + ce_aux, abs=1e-15)
-
-    def test_empty_batch_rejected(self):
-        params = self._zero_linear()
-        with pytest.raises(ValueError):
-            open_sampling_step(
-                params, np.zeros((0, 2)), np.array([], dtype=int), np.zeros((1, 2)),
-                np.array([0.5, 0.5]), ClassWeights(omegas=np.ones(2)),
-                eta=1.0, state=init_optim_state(params), lr=0.1,
-                rng=np.random.default_rng(0),
-            )
-
-    def test_fixed_labels_skip_rng(self):
-        params = self._zero_linear()
-        stepped, _, _ = open_sampling_step(
-            params, np.ones((1, 2)), np.array([0]), np.ones((2, 2)),
-            np.array([0.5, 0.5]), ClassWeights(omegas=np.ones(2)),
-            eta=1.0, state=init_optim_state(params), lr=0.1,
-            aux_labels=np.array([1, 0]),
-        )
-        assert not params_equal(stepped, params)
 
 
 class TestTrainConfig:
@@ -686,12 +589,18 @@ class TestBatchedRuns:
             results = train.train_runs(configs, train_ds, test_ds, [pool] * len(configs))
         assert stacks == [7]
         assert all(isinstance(r, ValueError) for r in results[:4]), results[:4]
+        # Each dead run keeps the error of its first non-finite step, whatever
+        # its slice computes after that.
+        for cfg, result in zip(configs[:4], results[:4]):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as alone:
+                train_run(cfg, train_ds, test_ds, pool)
+            assert str(result) == str(alone.value), cfg
         for cfg, result in zip(configs[4:], results[4:]):
             assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds)), cfg
 
     def test_runs_of_one_seed_share_streams_past_a_divergence(self, stacks, monkeypatch):
         # Seed 5's runs share one shuffle, and one auxiliary decode per pool
-        # length and label mode; the first of them leaves the stack at epoch 2,
+        # length and label mode; the first of them diverges at epoch 2,
         # and the rest must go on drawing from the shared streams.
         train_ds, test_ds, pool = small_task()
         decodes = []
@@ -817,16 +726,11 @@ class TestFlatStack:
         specs = sorted((train._loss_spec(c, prior, 50, None) for c in configs), key=train._slice_rank)
         runs = [tuple((w, rng.standard_normal(b.shape)) for w, b in init_params(4, hidden, 3, rng).layers)
                 for _ in specs]
-        stack = train._Stack(specs, runs, None, 0.9, 2e-4)
+        stack = train._Stack(specs, runs, 0.9, 2e-4)
         layers = [(np.stack([r[i][0] for r in runs]), np.stack([r[i][1] for r in runs])[:, None])
                   for i in range(len(runs[0]))]
         velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
         for step in range(6):
-            if step == 3 and size > 1:
-                keep = np.arange(stack.size) != 1
-                stack.keep(keep)
-                layers = [(w[keep], b[keep]) for w, b in layers]
-                velocity = [(vw[keep], vb[keep]) for vw, vb in velocity]
             bx, by = rng.standard_normal((stack.size, 16, 4)), rng.integers(0, 3, (stack.size, 16))
             ax, ay = rng.standard_normal((stack.n_aux, 8, 4)), rng.integers(0, 3, (stack.n_relabel, 8))
             lr = 0.5 / (step + 1)
@@ -837,6 +741,43 @@ class TestFlatStack:
                 for got_pair, want_pair in zip(got, want):
                     for g, w in zip(got_pair, want_pair):
                         assert g.shape == w.shape and g.tobytes() == w.tobytes(), (step, size, hidden)
+
+
+class TestStep:
+    @staticmethod
+    def _stack(specs, layer_sets):
+        return train._Stack(specs, layer_sets, 0.9, 0.0)
+
+    def test_hand_forward_pass(self):
+        # A zero linear model gives uniform logits: CE = log 2 on every
+        # instance, and the auxiliary CE is weighted by omega of its label.
+        spec = train._LossSpec(eta=1.0, aux_cdf=np.array([0.0, 1.0]), aux_omegas=np.array([0.5, 1.5]))
+        stack = self._stack([spec], [((np.zeros((2, 2)), np.zeros(2)),)])
+        base, aux, lost = train._step(stack, 0.1, np.zeros((1, 1, 2)), np.array([[0]]),
+                                      np.zeros((1, 1, 2)), np.array([[1]]))
+        assert base[0] == pytest.approx(math.log(2), rel=1e-12)
+        assert aux[0] == pytest.approx(1.5 * math.log(2), rel=1e-12)
+        assert lost is None
+
+    def test_lost_runs_flagged_without_touching_live_ones(self):
+        # One relabelling run whose auxiliary logits overflow and one run
+        # without an auxiliary batch: only the first is lost, the stack keeps
+        # both, and the live run's update is bit-equal to its lone stack's.
+        rng = np.random.default_rng(4)
+        prior = prior_from_counts([30, 10, 4])
+        specs = [train._loss_spec(TrainConfig(method=m), prior, 50, None) for m in ("open-sampling", "standard")]
+        runs = [init_params(3, 4, 3, rng).layers for _ in specs]
+        bx, by = rng.standard_normal((2, 8, 3)), rng.integers(0, 3, (2, 8))
+        ax, ay = np.full((1, 4, 3), np.inf), rng.integers(0, 3, (1, 4))
+        stack, alone = self._stack(specs, runs), self._stack(specs[1:], runs[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            base, aux, lost = train._step(stack, 0.1, bx, by, ax, ay)
+        _, _, alone_lost = train._step(alone, 0.1, bx[1:], by[1:], None, None)
+        assert lost.tolist() == [True, False] and alone_lost is None
+        assert stack.size == 2 and stack.params.shape[0] == 2
+        assert np.isfinite(base).all() and not np.isfinite(aux[0]) and aux[1] == 0.0
+        assert stack.params[1].tobytes() == alone.params[0].tobytes()
+        assert stack.velocity[1].tobytes() == alone.velocity[0].tobytes()
 
 
 def _per_step_draws(spec, gammas, rng, pool_size, n_steps, m):
