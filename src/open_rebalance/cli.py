@@ -228,12 +228,19 @@ def _file_shape(where: str, path: Path) -> tuple:
     return n, d
 
 
-def _pool_shape(spec: dict, dim: int, where: str, base_dir: Path) -> tuple:
-    """Rows and dimension of a pool whose spec _check_pool has passed: a file
-    pool's from its checked header, a generated one's from spec and dim."""
-    if spec["kind"] == "file":
-        return _file_shape(where, base_dir / spec["path"])
-    return spec["size"], dim
+def _pool_rows(spec: dict, dim: int, where: str, base_dir: Path, against: str) -> int:
+    """Rows of a pool whose spec _check_pool has passed. A generated pool is
+    size x dim. A file pool's rows come from its checked header, whose width
+    must be dim, that of the set named against, and whose rows must equal
+    any size the spec gives."""
+    if spec["kind"] != "file":
+        return spec["size"]
+    rows, d = _file_shape(where, base_dir / spec["path"])
+    if d != dim:
+        raise ConfigError(f"{where}: dimension {d} != {against} {dim}")
+    if spec.get("size", rows) != rows:
+        raise ConfigError(f"{where}: size {spec['size']} != {rows} rows in the file")
+    return rows
 
 
 def _room(buf, count: int):
@@ -283,14 +290,9 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, seed = doc["name"], doc["seed"]
     manifest: dict = {"name": name, "seed": seed, "config_hash": _config_hash(config), "files": {}}
     aux = doc.get("aux")
-    if aux is not None and aux["kind"] == "file":
-        # Before any set is read or written: the pool is copied as it is.
-        rows, d = _file_shape("aux", base_dir / aux["path"])
-        dim = data.CIFAR_DIM if "cifar" in doc else doc["dim"]
-        if d != dim:
-            raise ConfigError(f"aux: dimension {d} != data {dim}")
-        if rows != aux["size"]:
-            raise ConfigError(f"aux: size {aux['size']} != {rows} rows in the file")
+    if aux is not None:
+        # Before any set is read or written: a file pool is copied as it is.
+        _pool_rows(aux, data.CIFAR_DIM if "cifar" in doc else doc["dim"], "aux", base_dir, "data")
 
     class_means = buf = None
     if "cifar" in doc:
@@ -437,7 +439,7 @@ def _apply_grid_value(section: dict, param, value) -> dict:
             updated["alpha"] = updated["label_dist"]["alpha"] = value
     elif param == "method":
         updated["method"] = value
-        if value not in ("open-sampling", "balanced-softmax+open-sampling"):
+        if value not in train._RELABEL_METHODS:
             for key in ("label_dist", "alpha", "fixed_labels"):
                 updated.pop(key, None)
     elif param in ("eta", "label_dist"):
@@ -452,7 +454,9 @@ def _run_error(doc: dict, i: int, message) -> ConfigError:
 
 
 def _runs(config: dict, path: str) -> dict:
-    """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig, aux_size).
+    """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig,
+    aux_size, label), labelled name_seedS, or name[param=value,seed=S] with
+    the value as written.
 
     A train config is one grid point that changes nothing. A value that the
     constructors refuse, or an auxiliary method or aux_size without data.aux, is a
@@ -464,6 +468,11 @@ def _runs(config: dict, path: str) -> dict:
     if "grid" in doc:
         kind, bound = _GRID_VALUES[grid["param"]]
         grid["values"] = _parse([kind], config["grid"]["values"], f"{path}.grid.values", bound)
+
+    def label(i, seed):
+        return (f"{doc['name']}[{grid['param']}={config['grid']['values'][i]},seed={seed}]"
+                if "grid" in doc else f"{doc['name']}_seed{seed}")
+
     doc["runs"] = []
     for i, value in enumerate(grid["values"]):
         kwargs = _apply_grid_value(doc["train"], grid["param"], value)
@@ -477,7 +486,7 @@ def _runs(config: dict, path: str) -> dict:
                                             total_epochs=epochs)
             kwargs["hidden_dim"] = doc["model"]["hidden_dim"]
             size = value if grid["param"] == "aux_size" else None
-            doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, **kwargs), size)
+            doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, **kwargs), size, label(i, seed))
                             for seed in doc["seeds"]]
         except ValueError as exc:
             raise _run_error(doc, i, exc) from exc
@@ -492,85 +501,57 @@ def _runs(config: dict, path: str) -> dict:
 _EPOCH_FIELDS = ["epoch", "lr", "total_loss", "base_loss", "aux_loss", "overall_acc"]
 
 
-def _result_payload(config, chash, name, seed, result, train_ds, thresholds):
-    final = result.history[-1] if result.history else None
-    per_class = list(final.test_per_class_acc) if final else None
-    group = (
-        metrics.group_accuracy(per_class, train_ds.class_counts(), thresholds)
-        if final
-        else None
-    )
-    return {
-        "name": name,
-        "seed": seed,
-        "config_hash": chash,
-        "config": config,
-        "final": {
-            "overall_acc": final.test_overall_acc if final else None,
-            "per_class_acc": per_class,
-            "group_acc": group,
-        },
-        "history": [dict(zip(_EPOCH_FIELDS, row)) for row in _epoch_rows(result, chash)],
-    }
-
-
-def _epoch_rows(result, chash):
-    rows = []
-    for rec in result.history:
-        rows.append(
-            [rec.epoch, rec.lr, rec.train_loss, rec.base_loss, rec.aux_loss,
-             rec.test_overall_acc]
-            + [("" if math.isnan(a) else a) for a in rec.test_per_class_acc]
-            + [chash]
-        )
-    return rows
+def _final(result, train_counts, thresholds) -> dict:
+    """A run's last-epoch accuracies, overall, per class and by count group; None with no epochs."""
+    if not result.history:
+        return dict.fromkeys(("overall_acc", "per_class_acc", "group_acc"))
+    last = result.history[-1]
+    per_class = list(last.test_per_class_acc)
+    return {"overall_acc": last.test_overall_acc, "per_class_acc": per_class,
+            "group_acc": metrics.group_accuracy(per_class, train_counts, thresholds)}
 
 
 def cmd_train(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
-    name = doc["name"]
     chash = _config_hash(config)
-    train_ds, results, failures = _train_points(doc, base_dir, lambda run: f"{name}_seed{run[1]}")
-    k = train_ds.num_classes
-    header = _EPOCH_FIELDS + [f"acc_class_{j}" for j in range(k)] + ["config_hash"]
-    for (_, seed, *_), result in zip(doc["runs"], results):
-        if result is None:
+    counts, results, failures = _train_points(doc, base_dir)
+    header = _EPOCH_FIELDS + [f"acc_class_{j}" for j in range(len(counts))] + ["config_hash"]
+    # A train run's label, name_seedS, names its files.
+    for (_, seed, *_, stem), result in zip(doc["runs"], results):
+        if isinstance(result, Exception):
             continue
-        payload = _result_payload(config, chash, name, seed, result, train_ds,
-                                  doc["group_thresholds"])
-        payload["checkpoint"] = f"{name}_seed{seed}.osnn"
-        _write_json(payload, out_dir / f"{name}_seed{seed}_result.json")
-        _write_csv(out_dir / f"{name}_seed{seed}_epochs.csv", header, _epoch_rows(result, chash))
-        nn.save_params(result.final_params, out_dir / f"{name}_seed{seed}.osnn")
+        rows = [[rec.epoch, rec.lr, rec.train_loss, rec.base_loss, rec.aux_loss, rec.test_overall_acc,
+                 *(None if math.isnan(a) else a for a in rec.test_per_class_acc), chash]
+                for rec in result.history]
+        _write_csv(out_dir / f"{stem}_epochs.csv", header, rows)
+        final = _final(result, counts, doc["group_thresholds"])
+        _write_json({"name": doc["name"], "seed": seed, "config_hash": chash, "config": config,
+                     "final": final, "history": [dict(zip(_EPOCH_FIELDS, row)) for row in rows],
+                     "checkpoint": f"{stem}.osnn"}, out_dir / f"{stem}_result.json")
+        nn.save_params(result.final_params, out_dir / f"{stem}.osnn")
     return failures
 
 
 def cmd_sweep(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, param = doc["name"], doc["grid"]["param"]
-    # Runs are labelled, and the CSV's value column filled, with the values as written.
-    values = config["grid"]["values"]
     chash = _config_hash(config)
-    train_ds, results, failures = _train_points(
-        doc, base_dir, lambda run: f"{name}[{param}={values[run[0]]},seed={run[1]}]"
-    )
-    train_counts = train_ds.class_counts()
+    counts, results, failures = _train_points(doc, base_dir)
     results = iter(results)
 
     header = ["param", "value", "seed", "overall_acc", "few_acc", "mean_acc", "std_acc", "config_hash"]
     rows = []
-    for value in values:
+    # The CSV's value column holds the values as written.
+    for value in config["grid"]["values"]:
         shown = value if isinstance(value, (int, float, str)) else json.dumps(value, sort_keys=True)
         accs = []
         for seed in doc["seeds"]:
             result = next(results)
-            if result is None:
+            if isinstance(result, Exception):
                 continue
-            final = result.history[-1]
-            group = metrics.group_accuracy(final.test_per_class_acc, train_counts,
-                                           doc["group_thresholds"])
-            accs.append(final.test_overall_acc)
-            rows.append(
-                [param, shown, seed, final.test_overall_acc, group["few"], None, None, chash]
-            )
+            final = _final(result, counts, doc["group_thresholds"])
+            few = final["group_acc"] and final["group_acc"]["few"]
+            rows.append([param, shown, seed, final["overall_acc"], few, None, None, chash])
+            if final["overall_acc"] is not None:
+                accs.append(final["overall_acc"])
         if accs:
             rows.append(
                 [param, shown, None, None, None,
@@ -607,12 +588,8 @@ def cmd_eval_ood(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list
         raise ConfigError(
             f"test dimension {dim} does not match checkpoint input {params.input_dim}"
         )
-    sizes = [n]
-    for i, spec in enumerate(doc["pools"]):
-        size, d = _pool_shape(spec, dim, f"pools[{i}]", base_dir)
-        if d != dim:
-            raise ConfigError(f"pools[{i}]: dimension {d} != test {dim}")
-        sizes.append(size)
+    sizes = [n] + [_pool_rows(spec, dim, f"pools[{i}]", base_dir, "test")
+                   for i, spec in enumerate(doc["pools"])]
     # The test set and then each pool fill one buffer, each once the one
     # before is scored and released.
     buf = data.feature_buffer(max(sizes) * dim)
@@ -621,19 +598,18 @@ def cmd_eval_ood(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list
     del test_ds
 
     rows = []
-    triples = []
-    for i, spec in enumerate(doc["pools"]):
+    for spec in doc["pools"]:
         pool = _build_pool(spec, dim, None, None, base_dir, buf)
         out_scores = metrics.msp_scores(params, pool.features)
-        triple = (
+        rows.append([
+            spec["name"],
             metrics.fpr_at_95_tpr(in_scores, out_scores),
             metrics.auroc(in_scores, out_scores),
             metrics.aupr(in_scores, out_scores, positive=positive),
-        )
+            positive, chash,
+        ])
         del pool, out_scores
-        triples.append(triple)
-        rows.append([spec["name"], *triple, positive, chash])
-    avg = np.mean(np.asarray(triples), axis=0)
+    avg = np.mean([row[1:4] for row in rows], axis=0)
     rows.append(["average", *[float(v) for v in avg], positive, chash])
     _write_csv(
         out_dir / f"{name}_ood.csv",
@@ -739,39 +715,38 @@ def cmd_bayes_check(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> l
 # driver
 
 
-def _train_points(doc: dict, base_dir: Path, label) -> tuple:
+def _train_points(doc: dict, base_dir: Path) -> tuple:
     """Read the data and train every run of doc["runs"] in one batched call.
 
     A fixed-class class_index past the training set's classes is a
     ConfigError as soon as that set is read, and an aux_size past the pool
     one as soon as the pool is read. A run trains on the pool, or on its
     first aux_size rows, so that every aux_size trains in one stack.
-    Returns the training set, the results in run order and the failures: a
-    run that fails adds (label(run), error) and gives None.
+    Returns the training set's class counts, the results in run order (a
+    failed run's exception in its place) and the (label, message) failures.
     """
-    section, runs, failures = doc["data"], doc["runs"], []
+    section, runs = doc["data"], doc["runs"]
     train_ds = data.read_dataset(base_dir / section["train"])
     k = train_ds.num_classes
-    for i, _, config, _ in runs:
+    for i, _, config, *_ in runs:
         index = config.label_dist and config.label_dist.class_index
         if index is not None and index >= k:
             raise _run_error(doc, i, f"label_dist: fixed-class index {index} out of range for K={k}")
     test_ds = data.read_dataset(base_dir / section["test"])
     aux = data.read_pool(base_dir / section["aux"]) if "aux" in section else None
-    for i, *_, size in runs:
+    for i, _, _, size, _ in runs:
         if size is not None and size > len(aux):
             raise ConfigError(f"sweep.grid.values[{i}]: aux_size {size} exceeds the "
                               f"{len(aux)} rows of data.aux")
     pools = [aux if size is None else data.AuxiliaryPool(features=aux.features[:size], kind=aux.kind)
-             for *_, size in runs]
+             for *_, size, _ in runs]
     results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools)
-    for run, result in zip(runs, results):
-        if isinstance(result, Exception):
-            failures.append((label(run), str(result)))
-        else:
+    for (*_, label), result in zip(runs, results):
+        if not isinstance(result, Exception):
             # Runs batched together start and finish together.
-            print(f"{label(run)}: done in {result.wall_time:.2f}s", file=sys.stderr)
-    return train_ds, [None if isinstance(r, Exception) else r for r in results], failures
+            print(f"{label}: done in {result.wall_time:.2f}s", file=sys.stderr)
+    failures = [(label, str(r)) for (*_, label), r in zip(runs, results) if isinstance(r, Exception)]
+    return train_ds.class_counts(), results, failures
 
 
 # Per command: the kind its config is parsed as, its handler and its help.

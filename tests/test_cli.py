@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import open_rebalance
-from open_rebalance import cli, data, oracle
+from open_rebalance import cli, data, metrics, nn, oracle, train
 from open_rebalance.cli import main
 from open_rebalance.data import read_dataset
+from open_rebalance.priors import LabelDistributionKind
 
 
 def write_config(path, config):
@@ -395,6 +396,41 @@ class TestTrain:
         rows = [read_rows(out / "run_seed4_epochs.csv") for out in (alone, batched)]
         assert [r[:-1] for r in rows[0]] == [r[:-1] for r in rows[1]]
 
+    @pytest.mark.parametrize("epochs", [3, 0])
+    def test_outputs_from_one_source(self, workspace, epochs):
+        # The JSON history and final, the epochs CSV and a one-value sweep's
+        # accuracy cells all read the same epoch records.
+        config = train_config(seeds=(0, 1), extra={"epochs": epochs})
+        cfg = write_config(workspace / "train.json", config)
+        assert main(["train", "--config", str(cfg), "--out", str(workspace)]) == 0
+        config.update(command="sweep", name="one", grid={"param": "eta", "values": [1.5]})
+        cfg = write_config(workspace / "sweep.json", config)
+        assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 0
+        swept = {int(row[2]): row[3] for row in read_rows(workspace / "one_sweep.csv")[1:] if row[2]}
+        counts = read_dataset(workspace / "task_train.osds").class_counts()
+        for seed in (0, 1):
+            result = json.loads((workspace / f"run_seed{seed}_result.json").read_text())
+            header, *body = read_rows(workspace / f"run_seed{seed}_epochs.csv")
+            assert header[6:] == ["acc_class_0", "acc_class_1", "acc_class_2", "config_hash"]
+            assert len(body) == len(result["history"]) == epochs
+            for entry, row in zip(result["history"], body):
+                assert sorted(entry) == sorted(header[:6])
+                assert [entry[field] for field in header[:6]] == [float(v) for v in row[:6]]
+            final = result["final"]
+            assert (float(swept[seed]) if swept[seed] else None) == final["overall_acc"]
+            if not epochs:
+                assert final == {"overall_acc": None, "per_class_acc": None, "group_acc": None}
+                init = nn.init_params(2, 4, 3, np.random.default_rng([seed, train._STREAM_INIT]))
+                saved = nn.load_params(workspace / f"run_seed{seed}.osnn")
+                for (w, b), (w0, b0) in zip(saved.layers, init.layers, strict=True):
+                    assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+                continue
+            per_class = [float(v) if v else None for v in body[-1][6:9]]
+            assert final["overall_acc"] == float(body[-1][5])
+            assert final["per_class_acc"] == per_class
+            assert final["group_acc"] == metrics.group_accuracy(
+                [math.nan if a is None else a for a in per_class], counts, metrics.GROUP_THRESHOLDS)
+
     def test_missing_aux_rejected(self, workspace, capsys):
         config = train_config()
         del config["data"]["aux"]
@@ -448,6 +484,26 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 0
         rows = read_rows(workspace / "alphas_sweep.csv")
         assert {r[1] for r in rows[1:]} == {"mcd", "M", "2.0", "10.0"}
+
+    def test_zero_epochs_write_empty_accuracy_cells(self, workspace, capsys):
+        config = {
+            "command": "sweep",
+            "name": "zero",
+            "data": {"train": "task_train.osds", "test": "task_test.osds", "aux": "task_aux.osds"},
+            "model": {"hidden_dim": 4},
+            "train": {"method": "open-sampling", "epochs": 0},
+            "grid": {"param": "eta", "values": [0.5, 1.5]},
+            "seeds": [0, 1],
+        }
+        cfg = write_config(workspace / "sweep.json", config)
+        assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 0
+        err = capsys.readouterr().err
+        assert re.findall(r"^(.*): done in ", err, re.M) == [
+            f"zero[eta={v},seed={s}]" for v in (0.5, 1.5) for s in (0, 1)]
+        chash = cli._config_hash(config)
+        # No run has an accuracy, so no value gets a summary row.
+        assert read_rows(workspace / "zero_sweep.csv")[1:] == [
+            ["eta", v, s, "", "", "", "", chash] for v in ("0.5", "1.5") for s in ("0", "1")]
 
     def test_empty_grid_rejected(self, workspace, capsys):
         config = {
@@ -720,6 +776,18 @@ class TestSweepGridValues:
         err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config, text)
         assert f"error: sweep.grid.{message}" in err, err
 
+    def test_method_grid_follows_train_method_sets(self):
+        config = _missing_data_config("sweep")
+        config["train"].update(label_dist="complementary", fixed_labels=True)
+        config["grid"] = {"param": "method", "values": list(train.METHODS)}
+        runs = cli._runs(config, "sweep")["runs"]
+        assert [run[2].method for run in runs] == list(train.METHODS)
+        assert sum(method in train._RELABEL_METHODS for method in train.METHODS) == 2
+        for _, _, run_config, *_ in runs:
+            relabels = run_config.method in train._RELABEL_METHODS
+            assert run_config.label_dist == (LabelDistributionKind("complementary") if relabels else None)
+            assert run_config.fixed_labels is relabels
+
     def test_grid_values_must_be_a_list(self, tmp_path, capsys):
         config = _missing_data_config("sweep")
         config["grid"] = {"param": "eta", "values": "0.5"}
@@ -912,6 +980,21 @@ class TestEvalOod:
         err = capsys.readouterr().err
         assert re.search(message, err), err
         assert not (trained / "bad_ood.csv").exists()
+
+    def test_file_pool_size_checked_against_its_rows(self, trained, capsys, monkeypatch):
+        # As in synth, a file pool that gives a size must hold that many rows.
+        def run(size):
+            config = {"command": "eval-ood", "name": f"s{size}", "checkpoint": "run_seed0.osnn",
+                      "test": "task_test.osds",
+                      "pools": [{"name": "f", "kind": "file", "size": size, "path": "task_aux.osds"}]}
+            cfg = write_config(trained / "ood.json", config)
+            return main(["eval-ood", "--config", str(cfg), "--out", str(trained)])
+
+        assert run(400) == 0
+        monkeypatch.setattr(data, "read_dataset", lambda *a, **k: pytest.fail("a set was read"))
+        assert run(10) == 1
+        assert "error: pools[0]: size 10 != 400 rows in the file\n" in capsys.readouterr().err
+        assert not (trained / "s10_ood.csv").exists()
 
     @pytest.mark.parametrize(
         "change,message",
