@@ -2,11 +2,8 @@
 
 from .priors import (
     ClassPrior,
-    ClassWeights,
-    ComplementaryDistribution,
     LabelDistributionKind,
     cb_effective_weights,
-    class_weights,
     complementary,
     default_alpha,
     label_distribution,
@@ -18,7 +15,6 @@ from .priors import (
 from .data import (
     AuxiliaryPool,
     LabeledDataset,
-    LongTailProfile,
     gen_gaussian_classes,
     gen_ood_pool,
     longtail_counts,

@@ -299,8 +299,8 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
         spec = doc["cifar"]
         full = data.read_cifar10_binary([base_dir / p for p in spec["train_paths"]])
         n_max = int(spec.get("n_max", full.class_counts().min()))
-        profile = data.longtail_counts(n_max, full.num_classes, spec["ratio"])
-        train_ds = data.subsample_longtail(full, profile, seed)
+        counts = data.longtail_counts(n_max, full.num_classes, spec["ratio"])
+        train_ds = data.subsample_longtail(full, counts, seed)
         # Subsampled, the source's memory takes the test set and then the pool.
         buf = full.features.reshape(-1)
         del full
@@ -313,16 +313,16 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
         manifest["profile"] = {"ratio": spec["ratio"], "base": n_max}
     else:
         k, dim, mean_radius, sigma = doc["classes"], doc["dim"], doc["mean_radius"], doc["sigma"]
-        profile = data.longtail_counts(doc["train"]["n_max"], k, doc["train"]["ratio"])
+        counts = data.longtail_counts(doc["train"]["n_max"], k, doc["train"]["ratio"])
         class_means = data.gaussian_class_means(k, dim, mean_radius, seed)
         train_ds = data.gen_gaussian_classes(
-            k, dim, profile.counts, mean_radius, sigma, seed=seed * 10 + 1, means_seed=seed
+            k, dim, counts, mean_radius, sigma, seed=seed * 10 + 1, means_seed=seed
         )
         test_ds = data.gen_gaussian_classes(
             k, dim, [doc["test"]["per_class"]] * k, mean_radius, sigma, seed=seed * 10 + 2,
             means_seed=seed,
         )
-        manifest["profile"] = {"ratio": profile.ratio, "base": profile.base}
+        manifest["profile"] = {"ratio": doc["train"]["ratio"], "base": doc["train"]["n_max"]}
 
     train_path = out_dir / f"{name}_train.osds"
     data.write_dataset(train_ds, train_path)
@@ -381,7 +381,6 @@ def _thresholds(value, path) -> tuple:
 _TRAIN = {
     "method": (str, None, REQUIRED),
     "eta": (float, None, OPTIONAL),
-    "alpha": (float, None, OPTIONAL),
     "label_dist": (_label_dist, None, OPTIONAL),
     "use_class_weights": (bool, None, OPTIONAL),
     "fixed_labels": (bool, None, OPTIONAL),
@@ -433,14 +432,13 @@ def _apply_grid_value(section: dict, param, value) -> dict:
     """The parsed train section with one parsed grid value applied."""
     updated = dict(section)
     if param == "alpha":
-        updated.pop("alpha", None)
         updated["label_dist"] = {"tag": "mcd" if value == "mcd" else "complementary"}
         if value not in ("M", "mcd"):
-            updated["alpha"] = updated["label_dist"]["alpha"] = value
+            updated["label_dist"]["alpha"] = value
     elif param == "method":
         updated["method"] = value
         if value not in train._RELABEL_METHODS:
-            for key in ("label_dist", "alpha", "fixed_labels"):
+            for key in ("label_dist", "fixed_labels"):
                 updated.pop(key, None)
     elif param in ("eta", "label_dist"):
         updated[param] = value

@@ -20,7 +20,6 @@ __all__ = [
     "FormatError",
     "LabeledDataset",
     "AuxiliaryPool",
-    "LongTailProfile",
     "longtail_counts",
     "gaussian_class_means",
     "gen_gaussian_classes",
@@ -102,19 +101,6 @@ class AuxiliaryPool:
         return int(self.features.shape[0])
 
 
-@dataclass(frozen=True)
-class LongTailProfile:
-    """Target per-class counts decaying exponentially from base at the given ratio."""
-
-    counts: np.ndarray
-    ratio: float
-    base: int
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.counts.shape[0])
-
-
 def _anonymous(shape, dtype=np.float64) -> np.ndarray:
     """An uninitialised C-order array in its own private anonymous mapping.
 
@@ -156,7 +142,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def longtail_counts(n_max: int, num_classes: int, ratio: float) -> LongTailProfile:
+def longtail_counts(n_max: int, num_classes: int, ratio: float) -> np.ndarray:
     """Exponential long-tail profile: counts[j] = round(n_max * ratio^(-j/(K-1))).
 
     Counts are floored at one sample so no class is empty.
@@ -170,8 +156,7 @@ def longtail_counts(n_max: int, num_classes: int, ratio: float) -> LongTailProfi
         raise ValueError(f"invalid imbalance ratio {ratio}: must be >= 1")
     ks = np.arange(num_classes)
     raw = n_max * ratio ** (-ks / (num_classes - 1))
-    counts = np.array([max(1, _round_half_up(v)) for v in raw], dtype=np.int64)
-    return LongTailProfile(counts=counts, ratio=ratio, base=int(n_max))
+    return np.array([max(1, _round_half_up(v)) for v in raw], dtype=np.int64)
 
 
 def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -234,16 +219,14 @@ def gen_gaussian_classes(
     return LabeledDataset(features=features, labels=labels, num_classes=num_classes)
 
 
-def subsample_longtail(
-    dataset: LabeledDataset, profile: LongTailProfile, seed: int
-) -> LabeledDataset:
-    """Uniform per-class subsample without replacement, matching the profile exactly."""
-    if profile.num_classes != dataset.num_classes:
-        raise ValueError("profile class count must match the dataset")
+def subsample_longtail(dataset: LabeledDataset, counts, seed: int) -> LabeledDataset:
+    """Uniform per-class subsample without replacement of exactly counts[j] rows of class j."""
+    if len(counts) != dataset.num_classes:
+        raise ValueError("counts must give one count per class of the dataset")
     rng = np.random.default_rng([int(seed), 0x50B5])
     have = dataset.class_counts()
     picks = []
-    for j, need in enumerate(profile.counts):
+    for j, need in enumerate(counts):
         if have[j] < need:
             raise ValueError(
                 f"class {j} has {have[j]} samples but the profile needs {need}"

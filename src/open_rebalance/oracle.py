@@ -313,10 +313,10 @@ def rebalance_curve(
     px = np.asarray(px, dtype=np.float64)
     grid = []
     for alpha in alphas:
-        dist = complementary(prior, float(alpha))
-        ood = OodMarginal(px=px, py=dist.gammas)
+        gammas = complementary(prior, float(alpha))
+        ood = OodMarginal(px=px, py=gammas)
         for m in aux_sizes:
-            mixed = mixed_prior(prior, dist, m)
+            mixed = mixed_prior(prior, gammas, m)
             low = mixed.min()
             ratio = float(mixed.max() / low) if low > 0 else float("inf")
             grid.append((float(alpha), float(m), ratio, ood))

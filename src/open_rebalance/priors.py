@@ -3,7 +3,8 @@
 Class priors, the complementary sampling distribution used to relabel
 auxiliary out-of-distribution instances, the per-class loss weights derived
 from it, and the baseline re-weighting schemes it is compared against.
-All operations are pure functions over immutable values.
+All operations are pure functions; the distributions and weights they
+return are plain float64 vectors over the classes.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ import numpy as np
 
 __all__ = [
     "ClassPrior",
-    "ComplementaryDistribution",
-    "ClassWeights",
     "LabelDistributionKind",
     "prior_from_counts",
     "complementary",
     "mcd",
     "default_alpha",
-    "class_weights",
     "weights_from_probabilities",
     "cb_effective_weights",
     "required_aux_size",
@@ -57,31 +55,6 @@ class ClassPrior:
         return bool(np.all(self.counts == self.counts[0]))
 
 
-@dataclass(frozen=True)
-class ComplementaryDistribution:
-    """Sampling rates over classes for auxiliary labels, inverse to the prior.
-
-    ``degenerate`` marks the fallback for a perfectly balanced prior, where
-    the minimum-size construction would divide by zero and a uniform
-    distribution is returned instead.
-    """
-
-    gammas: np.ndarray
-    alpha: float
-    degenerate: bool = False
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.gammas.shape[0])
-
-
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class loss weights, normalized so they sum to the class count K."""
-
-    omegas: np.ndarray
-
-
 def prior_from_counts(counts) -> ClassPrior:
     """Build a ClassPrior from per-class sample counts."""
     raw = np.asarray(counts)
@@ -100,8 +73,8 @@ def prior_from_counts(counts) -> ClassPrior:
     return ClassPrior(counts=arr, total=total, betas=betas)
 
 
-def complementary(prior: ClassPrior, alpha: float) -> ComplementaryDistribution:
-    """Complementary sampling rate Gamma_j = (alpha - beta_j) / (K*alpha - 1).
+def complementary(prior: ClassPrior, alpha: float) -> np.ndarray:
+    """Complementary sampling rates Gamma_j = (alpha - beta_j) / (K*alpha - 1).
 
     Requires alpha >= max_j beta_j so every rate is non-negative, and
     K*alpha - 1 > 0 so the normalizer is positive.
@@ -118,21 +91,18 @@ def complementary(prior: ClassPrior, alpha: float) -> ComplementaryDistribution:
         raise ValueError(
             f"alpha={alpha} degenerate: K*alpha - 1 must be positive (K={k})"
         )
-    gammas = (alpha - prior.betas) / denom
-    return ComplementaryDistribution(gammas=gammas, alpha=alpha)
+    return (alpha - prior.betas) / denom
 
 
-def mcd(prior: ClassPrior) -> ComplementaryDistribution:
+def mcd(prior: ClassPrior) -> np.ndarray:
     """Minimum complementary distribution, i.e. complementary() at alpha = max beta.
 
     A perfectly balanced prior makes the construction degenerate
-    (K * max beta - 1 = 0); a uniform distribution is returned with the
-    degenerate flag set, since balanced data needs no rebalancing.
+    (K * max beta - 1 = 0); the uniform distribution is returned instead,
+    since balanced data needs no rebalancing.
     """
-    k = prior.num_classes
     if prior.is_uniform():
-        gammas = np.full(k, 1.0 / k)
-        return ComplementaryDistribution(gammas=gammas, alpha=prior.max_beta, degenerate=True)
+        return np.full(prior.num_classes, 1.0 / prior.num_classes)
     return complementary(prior, prior.max_beta)
 
 
@@ -141,18 +111,14 @@ def default_alpha(prior: ClassPrior) -> float:
     return prior.max_beta + prior.min_beta
 
 
-def weights_from_probabilities(probs) -> ClassWeights:
-    """Scale a probability vector by K so the weights sum to K."""
+def weights_from_probabilities(probs) -> np.ndarray:
+    """Scale a probability vector by K so the weights sum to K; for Gamma,
+    the auxiliary loss weights omega_j = K * Gamma_j."""
     p = np.asarray(probs, dtype=np.float64)
-    return ClassWeights(omegas=p * p.shape[0])
+    return p * p.shape[0]
 
 
-def class_weights(dist: ComplementaryDistribution) -> ClassWeights:
-    """Per-class weights omega_j = K * Gamma_j for the auxiliary loss term."""
-    return weights_from_probabilities(dist.gammas)
-
-
-def cb_effective_weights(prior: ClassPrior, beta_cb: float) -> ClassWeights:
+def cb_effective_weights(prior: ClassPrior, beta_cb: float) -> np.ndarray:
     """Inverse-effective-number weights (1 - beta_cb) / (1 - beta_cb^n_j).
 
     Rescaled so the weights sum to K. beta_cb = 0 gives uniform weights.
@@ -162,11 +128,11 @@ def cb_effective_weights(prior: ClassPrior, beta_cb: float) -> ClassWeights:
         raise ValueError(f"beta_cb={beta_cb} must lie in [0, 1)")
     k = prior.num_classes
     if beta_cb == 0.0:
-        return ClassWeights(omegas=np.ones(k))
+        return np.ones(k)
     if np.any(prior.counts == 0):
         raise ValueError("effective number undefined for a zero-count class")
     raw = (1.0 - beta_cb) / (1.0 - beta_cb ** prior.counts.astype(np.float64))
-    return ClassWeights(omegas=raw * (k / raw.sum()))
+    return raw * (k / raw.sum())
 
 
 def required_aux_size(prior: ClassPrior, alpha: float) -> int:
@@ -184,13 +150,13 @@ def required_aux_size(prior: ClassPrior, alpha: float) -> int:
     return int(math.ceil(prior.total * (prior.num_classes * alpha - 1.0)))
 
 
-def mixed_prior(prior: ClassPrior, dist: ComplementaryDistribution, aux_size) -> np.ndarray:
+def mixed_prior(prior: ClassPrior, gammas, aux_size) -> np.ndarray:
     """Label prior after mixing: (N * beta_y + M * Gamma_y) / (N + M)."""
     m = float(aux_size)
     if m < 0:
         raise ValueError("aux_size must be non-negative")
     n = float(prior.total)
-    return (n * prior.betas + m * dist.gammas) / (n + m)
+    return (n * prior.betas + m * np.asarray(gammas)) / (n + m)
 
 
 _KIND_TAGS = (
@@ -261,14 +227,14 @@ def label_distribution(kind: LabelDistributionKind, prior: ClassPrior) -> np.nda
     k = prior.num_classes
     if kind.tag == "complementary":
         alpha = kind.alpha if kind.alpha is not None else default_alpha(prior)
-        return complementary(prior, alpha).gammas
+        return complementary(prior, alpha)
     if kind.tag == "mcd":
-        return mcd(prior).gammas
+        return mcd(prior)
     if kind.tag == "uniform":
         return np.full(k, 1.0 / k)
     if kind.tag == "class-balanced":
         beta_cb = kind.beta_cb if kind.beta_cb is not None else DEFAULT_BETA_CB
-        return cb_effective_weights(prior, beta_cb).omegas / k
+        return cb_effective_weights(prior, beta_cb) / k
     if kind.tag == "original-prior":
         return prior.betas.copy()
     if kind.tag == "fixed-class":

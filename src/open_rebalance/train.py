@@ -85,7 +85,6 @@ class TrainConfig:
 
     method: str = "open-sampling"
     eta: float = 1.5
-    alpha: float | None = None
     label_dist: LabelDistributionKind | None = None
     use_class_weights: bool = True
     fixed_labels: bool = False
@@ -120,8 +119,6 @@ class TrainConfig:
             raise ValueError(f"fixed_labels has no effect for method {self.method!r}")
         if self.label_dist is not None and not relabels:
             raise ValueError(f"label_dist has no effect for method {self.method!r}")
-        if self.alpha is not None and not relabels:
-            raise ValueError(f"alpha has no effect for method {self.method!r}")
         if self.schedule is not None and self.schedule.total_epochs < self.epochs:
             raise ValueError(f"schedule covers {self.schedule.total_epochs} < {self.epochs} epochs")
 
@@ -169,12 +166,11 @@ def _lookup_labels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(cdf.searchsorted(u, side="right"), cdf.shape[0] - 1)
 
 
-def sample_aux_labels(dist, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m i.i.d. label draws from the distribution via inverse-CDF sampling."""
-    gammas = np.asarray(getattr(dist, "gammas", dist), dtype=np.float64)
+def sample_aux_labels(gammas, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m i.i.d. label draws from the distribution gammas via inverse-CDF sampling."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _lookup_labels(np.cumsum(gammas), rng.random(m)).astype(np.int64, copy=False)
+    return _lookup_labels(np.cumsum(gammas, dtype=np.float64), rng.random(m)).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -381,13 +377,13 @@ def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) 
     if config.method in ("balanced-softmax", "balanced-softmax+open-sampling"):
         spec["base_offset"] = _log_counts(prior)
     elif config.method == "cb-rw":
-        spec["base_weights"] = cb_effective_weights(prior, config.beta_cb).omegas
+        spec["base_weights"] = cb_effective_weights(prior, config.beta_cb)
     if config.method in _RELABEL_METHODS:
-        kind = config.label_dist or LabelDistributionKind.complementary(config.alpha)
+        kind = config.label_dist or LabelDistributionKind.complementary()
         gammas = label_distribution(kind, prior)
         omegas = np.ones(prior.num_classes)
         if config.use_class_weights:
-            omegas = weights_from_probabilities(gammas).omegas
+            omegas = weights_from_probabilities(gammas)
         spec["aux_omegas"] = omegas
         if config.fixed_labels:
             spec["aux_pinned"] = sample_aux_labels(gammas, pool_size, aux_rng)

@@ -48,12 +48,12 @@ def test_criterion_01_complementary_rate_suite():
         prior = random_prior(rng)
         k = prior.num_classes
         alpha = prior.max_beta + float(rng.uniform(0.0, 2.0))
-        gam = complementary(prior, alpha).gammas
+        gam = complementary(prior, alpha)
         assert abs(gam.sum() - 1.0) < 1e-12
         assert np.all(gam >= 0.0)
-        gam_mcd = complementary(prior, prior.max_beta).gammas
+        gam_mcd = complementary(prior, prior.max_beta)
         assert np.all(gam_mcd[prior.counts == prior.counts.max()] == 0.0)
-        gam_flat = complementary(prior, 1e8).gammas
+        gam_flat = complementary(prior, 1e8)
         assert np.abs(gam_flat - 1.0 / k).max() < 1e-6
     elapsed = time.perf_counter() - t0
     verdict(1, "complementary-rate suite on 1000 random priors", elapsed < 1.0,
@@ -211,9 +211,9 @@ def battery():
     k, d = TASK["num_classes"], TASK["dim"]
     geo = TASK["geometry_seed"]
     profile = data.longtail_counts(500, k, 100.0)
-    assert profile.counts.tolist() == list(TASK["counts"])
+    assert profile.tolist() == list(TASK["counts"])
     train_ds = data.gen_gaussian_classes(
-        k, d, profile.counts, TASK["mean_radius"], TASK["sigma"],
+        k, d, profile, TASK["mean_radius"], TASK["sigma"],
         seed=geo * 10 + 1, means_seed=geo,
     )
     test_ds = data.gen_gaussian_classes(

@@ -485,6 +485,30 @@ class TestSweep:
         rows = read_rows(workspace / "alphas_sweep.csv")
         assert {r[1] for r in rows[1:]} == {"mcd", "M", "2.0", "10.0"}
 
+    def test_alpha_grid_matches_label_dist_grid(self, workspace):
+        # An alpha value sets train.label_dist: a number x is the complementary
+        # distribution at x, "M" the complementary one at its default alpha.
+        grids = {"alpha": ["mcd", "M", 2.0],
+                 "label_dist": ["mcd", "complementary", {"tag": "complementary", "alpha": 2.0}]}
+        accs = {}
+        for param, values in grids.items():
+            config = {
+                "command": "sweep",
+                "name": param,
+                "data": {"train": "task_train.osds", "test": "task_test.osds", "aux": "task_aux.osds"},
+                "model": {"hidden_dim": 4},
+                "train": {"method": "open-sampling", "epochs": 3},
+                "grid": {"param": param, "values": values},
+                "seeds": [0, 1],
+            }
+            cfg = write_config(workspace / f"{param}.json", config)
+            assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 0
+            rows = read_rows(workspace / f"{param}_sweep.csv")
+            assert rows[0][2:5] == ["seed", "overall_acc", "few_acc"]
+            accs[param] = [row[2:5] for row in rows[1:] if row[2] != ""]
+        assert len({tuple(row[1:]) for row in accs["alpha"]}) == 3 * 2  # six different runs
+        assert accs["alpha"] == accs["label_dist"]
+
     def test_zero_epochs_write_empty_accuracy_cells(self, workspace, capsys):
         config = {
             "command": "sweep",
@@ -1338,22 +1362,29 @@ class TestConfigRegressions:
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize(
         "change,path,shown",
-        [({"alpha": True}, "train.alpha must be a finite number", "true"),
-         ({"use_class_weights": "no"}, "train.use_class_weights must be true or false", '"no"'),
+        [({"use_class_weights": "no"}, "train.use_class_weights must be true or false", '"no"'),
          ({"fixed_labels": "yes"}, "train.fixed_labels must be true or false", '"yes"'),
          ({"label_dist": {"tag": "complementary", "alpha": True}},
           "train.label_dist.alpha must be a finite number", "true"),
          ({"label_dist": {"tag": "fixed-class", "class_index": 1.0}},
-          "train.label_dist.class_index must be a non-negative integer", "1.0"),
-         ({"alpha": None}, "train.alpha must be a finite number", "null")],
-        ids=["alpha-bool", "class-weights-string", "fixed-labels-string", "label-dist-alpha-bool",
-             "class-index-float", "alpha-null"],
+          "train.label_dist.class_index must be a non-negative integer", "1.0")],
+        ids=["class-weights-string", "fixed-labels-string", "label-dist-alpha-bool",
+             "class-index-float"],
     )
     def test_train_value(self, tmp_path, capsys, monkeypatch, command, change, path, shown):
         config = _missing_data_config(command)
         config["train"].update(change)
         err = refused(tmp_path, capsys, monkeypatch, command, config, f"{command}.{path}")
         assert err.endswith(f", got {shown}\n"), err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_alpha_beside_label_dist(self, tmp_path, capsys, monkeypatch, command):
+        # The complementary distribution's alpha is set in label_dist alone.
+        config = _missing_data_config(command)
+        config["train"].update(alpha=0.9, label_dist="mcd")
+        err = refused(tmp_path, capsys, monkeypatch, command, config,
+                      f"{command}.train: unknown keys ['alpha']")
+        assert err == f"error: {command}.train: unknown keys ['alpha']\n", err
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_data_path_not_a_string(self, tmp_path, capsys, monkeypatch, command):
@@ -1486,7 +1517,7 @@ class TestConfigRegressions:
 # One valid config per variant that, between them, give every key of every
 # table; paths below each command are dotted, list items shown as [0].
 _TRAIN_SECTION = {
-    "method": "open-sampling", "eta": 1.5, "alpha": 2.0,
+    "method": "open-sampling", "eta": 1.5,
     "label_dist": {"tag": "complementary", "alpha": 2.0}, "use_class_weights": True,
     "fixed_labels": False, "beta_cb": 0.99, "epochs": 3, "batch_train": 8, "batch_aux": 4,
     "base_lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4,

@@ -44,20 +44,20 @@ def _mapping(array):
 class TestLongtailCounts:
     def test_known_profile_values(self):
         prof = longtail_counts(5000, 10, 100)
-        assert prof.counts[0] == 5000
-        assert prof.counts[9] == 50
-        assert prof.counts[4] == 646
+        assert prof[0] == 5000
+        assert prof[9] == 50
+        assert prof[4] == 646
 
     def test_exponent_oracle(self):
         # Recompute every entry with independent arithmetic.
         prof = longtail_counts(5000, 10, 100)
         for j in range(10):
             expected = max(1, math.floor(5000 * 100 ** (-j / 9) + 0.5))
-            assert prof.counts[j] == expected
+            assert prof[j] == expected
 
     def test_unit_ratio(self):
         prof = longtail_counts(123, 7, 1.0)
-        assert np.all(prof.counts == 123)
+        assert np.all(prof == 123)
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
@@ -65,14 +65,14 @@ class TestLongtailCounts:
 
     def test_floor_at_one(self):
         prof = longtail_counts(10, 5, 1000.0)
-        assert prof.counts.min() == 1
+        assert prof.min() == 1
 
     def test_monotone_and_geometric(self):
         prof = longtail_counts(2000, 8, 50)
-        assert np.all(np.diff(prof.counts) <= 0)
+        assert np.all(np.diff(prof) <= 0)
         step = 50 ** (-1 / 7)
         for j in range(7):
-            assert abs(prof.counts[j + 1] - prof.counts[j] * step) <= 1.0
+            assert abs(prof[j + 1] - prof[j] * step) <= 1.0
 
 
 class TestGaussianClasses:
@@ -84,9 +84,9 @@ class TestGaussianClasses:
 
     def test_counts_match_profile(self):
         prof = longtail_counts(500, 5, 100)
-        np.testing.assert_array_equal(prof.counts, [500, 158, 50, 16, 5])
-        ds = gen_gaussian_classes(5, 3, prof.counts, 2.0, 1.0, seed=1)
-        np.testing.assert_array_equal(ds.class_counts(), prof.counts)
+        np.testing.assert_array_equal(prof, [500, 158, 50, 16, 5])
+        ds = gen_gaussian_classes(5, 3, prof, 2.0, 1.0, seed=1)
+        np.testing.assert_array_equal(ds.class_counts(), prof)
 
     def test_single_nonempty_class(self):
         ds = gen_gaussian_classes(3, 2, [0, 7, 0], 2.0, 1.0, seed=1)
@@ -135,7 +135,7 @@ class TestSubsample:
     def test_identity_cardinality_is_permutation(self):
         ds = gen_gaussian_classes(3, 2, [10, 20, 30], 2.0, 1.0, seed=5)
         prof = longtail_counts(30, 3, 3.0)
-        np.testing.assert_array_equal(prof.counts, [30, 17, 10])
+        np.testing.assert_array_equal(prof, [30, 17, 10])
         sub = subsample_longtail(
             gen_gaussian_classes(3, 2, [30, 17, 10], 2.0, 1.0, seed=5),
             prof,
@@ -150,7 +150,7 @@ class TestSubsample:
         base = gen_gaussian_classes(10, 2, [100] * 10, 2.0, 1.0, seed=0)
         prof = longtail_counts(100, 10, 10)
         sub = subsample_longtail(base, prof, seed=1)
-        np.testing.assert_array_equal(sub.class_counts(), prof.counts)
+        np.testing.assert_array_equal(sub.class_counts(), prof)
 
     def test_determinism(self):
         base = gen_gaussian_classes(4, 2, [50] * 4, 2.0, 1.0, seed=0)
@@ -168,7 +168,7 @@ class TestSubsample:
         rng = np.random.default_rng([seed, 0x50B5])
         order = np.concatenate([
             rng.choice(np.nonzero(base.labels == j)[0], size=int(need), replace=False)
-            for j, need in enumerate(prof.counts)
+            for j, need in enumerate(prof)
         ])
         want = base.features[order]
         assert sub.features.dtype == want.dtype and sub.features.shape == want.shape

@@ -271,7 +271,7 @@ class TestVectorizedOracle:
         rows = rebalance_curve(source, prior, px, alphas, sizes)
         want = [
             (0, 0.0) if m == 0 else ref_toxicity(source, mix(source, ood, prior.total, m))
-            for ood in (OodMarginal(px=px, py=complementary(prior, a).gammas) for a in alphas)
+            for ood in (OodMarginal(px=px, py=complementary(prior, a)) for a in alphas)
             for m in sizes
         ]
         assert [(r.flipped_count, r.flipped_mass.hex()) for r in rows] == [

@@ -375,7 +375,7 @@ def reference_run(config, train_ds, test_ds, aux, nn):
     needs_aux = method in ("open-sampling", "oe", "balanced-softmax+open-sampling")
     relabels = method in ("open-sampling", "balanced-softmax+open-sampling")
     if relabels:
-        kind = config.label_dist or LabelDistributionKind.complementary(config.alpha)
+        kind = config.label_dist or LabelDistributionKind.complementary()
         gammas = label_distribution(kind, prior)
         omegas = gammas * prior.num_classes if config.use_class_weights else np.ones(prior.num_classes)
         pool_labels = sample_aux_labels(gammas, len(aux), aux_rng) if config.fixed_labels else None
@@ -392,7 +392,7 @@ def reference_run(config, train_ds, test_ds, aux, nn):
             if method.startswith("balanced-softmax"):
                 base_loss, gl = nn.balanced_xent(nn.forward(params, bx), by, prior)
             elif method == "cb-rw":
-                cb = cb_effective_weights(prior, config.beta_cb).omegas
+                cb = cb_effective_weights(prior, config.beta_cb)
                 base_loss, gl = nn.xent(nn.forward(params, bx), by, cb[by])
             else:
                 base_loss, gl = nn.xent(nn.forward(params, bx), by)
@@ -431,7 +431,8 @@ EQUIVALENCE_CASES = [{"method": m} for m in train.METHODS] + [
     {"method": "open-sampling", "eta": 0.0},
     {"method": "oe", "eta": 0.0},
     {"method": "balanced-softmax+open-sampling", "label_dist": LabelDistributionKind.mcd()},
-    {"method": "open-sampling", "use_class_weights": False, "batch_aux": 7, "alpha": 0.9},
+    {"method": "open-sampling", "use_class_weights": False, "batch_aux": 7,
+     "label_dist": LabelDistributionKind.complementary(0.9)},
     # Single-row batches take OpenBLAS's matrix-vector path.
     {"method": "oe", "batch_train": 43, "batch_aux": 1},
 ]
@@ -456,7 +457,7 @@ class TestSingleStepEquivalence:
         prior = prior_from_counts([30, 10, 4])
         cfg = TrainConfig(method="open-sampling", epochs=1)
         spec = train._loss_spec(cfg, prior, 300, np.random.default_rng(0))
-        gammas = complementary(prior, default_alpha(prior)).gammas
+        gammas = complementary(prior, default_alpha(prior))
         fast, slow = np.random.default_rng(9), np.random.default_rng(9)
         for m in (1, 7, 32):
             idx, u = train._epoch_draws(fast, 300, 1, m, True)
@@ -480,7 +481,7 @@ def _batch_cases(pool):
     for eta in (0.0, 0.7, 0.0, 3.0):
         cases.append((TrainConfig(method="open-sampling", eta=eta, epochs=3, seed=len(cases), hidden_dim=8), pool))
     # Per-run label distributions and omegas inside the same stack.
-    for variant in (dict(alpha=2.0), dict(use_class_weights=False),
+    for variant in (dict(label_dist=LabelDistributionKind.complementary(2.0)), dict(use_class_weights=False),
                     dict(label_dist=LabelDistributionKind.uniform())):
         cases.append((TrainConfig(method="open-sampling", epochs=3, seed=7, hidden_dim=8, **variant), pool))
     for fixed in (True, False):
@@ -611,7 +612,7 @@ class TestBatchedRuns:
         cases = [(config(method="open-sampling", eta=1e40), pool),
                  (config(method="standard"), None),
                  (config(method="open-sampling"), pool),
-                 (config(method="open-sampling", alpha=2.0), pool),
+                 (config(method="open-sampling", label_dist=LabelDistributionKind.complementary(2.0)), pool),
                  (config(method="open-sampling", fixed_labels=True), pool),
                  (config(method="balanced-softmax+open-sampling", fixed_labels=True), pool),
                  (config(method="oe"), pool),
@@ -811,7 +812,7 @@ class TestEpochDraws:
         return calls
 
     def test_epochs_match_per_step_calls(self, replays):
-        gammas = complementary(prior_from_counts([30, 10, 4]), 0.9).gammas
+        gammas = complementary(prior_from_counts([30, 10, 4]), 0.9)
         epochs = {}
         for pool_size in (1, 2, 300, 5000) + HUGE_POOLS:
             if pool_size in HUGE_POOLS:
