@@ -13,7 +13,6 @@ from .priors import (
     required_aux_size,
 )
 from .data import (
-    AuxiliaryPool,
     LabeledDataset,
     gen_gaussian_classes,
     gen_ood_pool,

@@ -98,6 +98,20 @@ def _parse(kind, value, path: str, bound=None):
     return float(value) if kind is float else value
 
 
+def _distinct(item, field=None, taken=()):
+    """A rule for a non-empty list of item in which no item, or no item's
+    field, is one of taken or equals an earlier one."""
+    def rule(value, path):
+        items = _parse([item], value, path)
+        keys = [x if field is None else x[field] for x in items]
+        for i, key in enumerate(keys):
+            if key in taken or key in keys[:i]:
+                raise ConfigError(f"{path}[{i}]{'' if field is None else '.' + field} must be none "
+                                  f"of {json.dumps([*taken, *keys[:i]])}, got {json.dumps(key)}")
+        return items
+    return rule
+
+
 def _built(path, build, *args, **kwargs):
     """build(*args, **kwargs), whose ValueError becomes a ConfigError naming path."""
     try:
@@ -169,54 +183,46 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # synth
 
-# gen_ood_pool owns the defaults of the generator parameters.
-_POOL = {
-    "kind": (str, None, REQUIRED),
-    "size": (int, None, OPTIONAL),
-    "seed": (int, None, OPTIONAL),
-    "sigma": (float, None, OPTIONAL),
-    "margin": (float, None, OPTIONAL),
-    "clusters": (int, None, OPTIONAL),
-    "window": (int, None, OPTIONAL),
-    "low": (float, None, OPTIONAL),
-    "high": (float, None, OPTIONAL),
-    "path": (str, None, OPTIONAL),
+# Each pool kind and the keys it takes, as (kind, bound, default); any other
+# key is refused. gen_ood_pool owns the generator keys' defaults. A generated
+# pool needs its size; synth also needs a file pool's, and eval-ood a
+# generated pool's seed (see _pool's need).
+_SIZE, _SEED, _SIGMA = (int, 1, REQUIRED), (int, None, OPTIONAL), (float, None, OPTIONAL)
+_POOLS = {
+    "gaussian": {"size": _SIZE, "seed": _SEED, "sigma": _SIGMA},
+    "rademacher": {"size": _SIZE, "seed": _SEED},
+    "blobs": {"size": _SIZE, "seed": _SEED, "window": (int, 1, OPTIONAL),
+              "low": (float, None, OPTIONAL), "high": (float, None, OPTIONAL)},
+    "shifted-mixture": {"size": _SIZE, "seed": _SEED, "sigma": _SIGMA,
+                        "margin": (float, None, OPTIONAL), "clusters": (int, 1, OPTIONAL)},
+    "file": {"size": (int, 1, OPTIONAL), "path": (str, None, REQUIRED)},
 }
+_KIND = {"kind": (str, None, REQUIRED)}  # a pool spec's head; eval-ood's adds a name
 
 
-def _check_pool(spec: dict, path: str, class_means: bool, seeded: bool) -> dict:
-    """Check a parsed pool spec against its kind; seeded generated pools need size and seed."""
-    kind = spec["kind"]
-    if kind not in data.OOD_KINDS:
-        raise ConfigError(f"{path}: unknown pool kind {kind!r}, expected one of {data.OOD_KINDS}")
-    if kind == "file":
-        if "path" not in spec:
-            raise ConfigError(f"{path}: file pools need a path")
-        return spec
+def _pool(value, path: str, need: tuple, class_means=False, head=_KIND) -> dict:
+    """A pool spec: head's keys (its kind, after any name), parsed first and
+    alone, then the keys _POOLS gives that kind, those in need required.
+    shifted-mixture needs class means."""
+    given = {key: value[key] for key in head if key in value} if isinstance(value, dict) else value
+    kind = _parse(head, given, path)["kind"]
+    if kind not in _POOLS:
+        raise ConfigError(f"{path}: unknown pool kind {kind!r}, expected one of {tuple(_POOLS)}")
     if kind == "shifted-mixture" and not class_means:
         raise ConfigError(f"{path}: shifted-mixture pools need synthetic class means")
-    if seeded and ("size" not in spec or "seed" not in spec):
-        raise ConfigError(f"{path}: generated pools need size and seed")
-    if "size" in spec:
-        _built(path, data.check_pool_params, spec["size"], **_pool_kwargs(spec))
-    return spec
-
-
-def _pool_kwargs(spec: dict) -> dict:
-    keys = ("sigma", "margin", "clusters", "window", "low", "high")
-    return {key: spec[key] for key in keys if key in spec}
+    keys = {key: (sub, bound, REQUIRED if key in need else default)
+            for key, (sub, bound, default) in _POOLS[kind].items()}
+    return _parse({**head, **keys}, value, path)
 
 
 def _build_pool(spec: dict, dim: int, base_seed, class_means, base_dir: Path, out=None):
-    """Read or generate a pool whose spec _check_pool has passed, into out if it has room."""
+    """Read or generate a parsed pool spec's pool, into out if it has room."""
     kind = spec["kind"]
     if kind == "file":
         return data.read_pool(base_dir / spec["path"], out=out)
-    kwargs = _pool_kwargs(spec)
-    if kind == "shifted-mixture":
-        kwargs["class_means"] = class_means
-    seed = spec.get("seed", base_seed)
-    return data.gen_ood_pool(kind, spec["size"], dim, seed, out=out, **kwargs)
+    # The kind's keys are gen_ood_pool's parameters of the same names.
+    kwargs = {"seed": base_seed, **{key: spec[key] for key in _POOLS[kind] if key in spec}}
+    return data.gen_ood_pool(kind, dim=dim, class_means=class_means, out=out, **kwargs)
 
 
 def _file_shape(where: str, path: Path) -> tuple:
@@ -229,7 +235,7 @@ def _file_shape(where: str, path: Path) -> tuple:
 
 
 def _pool_rows(spec: dict, dim: int, where: str, base_dir: Path, against: str) -> int:
-    """Rows of a pool whose spec _check_pool has passed. A generated pool is
+    """Rows of a parsed pool spec's pool. A generated pool is
     size x dim. A file pool's rows come from its checked header, whose width
     must be dim, that of the set named against, and whose rows must equal
     any size the spec gives."""
@@ -252,7 +258,7 @@ def _room(buf, count: int):
 _SYNTH = {
     **_DOC,
     "seed": (int, None, REQUIRED),
-    "aux": ({**_POOL, "size": (int, None, REQUIRED)}, None, OPTIONAL),
+    "aux": (functools.partial(_pool, need=("size",), class_means=True), None, OPTIONAL),
 }
 _SYNTH_GAUSSIAN = {
     **_SYNTH,
@@ -265,6 +271,7 @@ _SYNTH_GAUSSIAN = {
 }
 _SYNTH_CIFAR = {
     **_SYNTH,
+    "aux": (functools.partial(_pool, need=("size",)), None, OPTIONAL),  # no class means
     "cifar": ({
         "train_paths": ([str], None, REQUIRED),
         "test_paths": ([str, ...], None, OPTIONAL),
@@ -280,10 +287,7 @@ def _synth(config: dict, path: str) -> dict:
     clash = sorted(set(config) & (set(_SYNTH_GAUSSIAN) - set(_SYNTH_CIFAR)))
     if cifar and clash:
         raise ConfigError(f"{path}: cifar source conflicts with keys {clash}")
-    doc = _parse(_SYNTH_CIFAR if cifar else _SYNTH_GAUSSIAN, config, path)
-    if "aux" in doc:
-        _check_pool(doc["aux"], f"{path}.aux", class_means=not cifar, seeded=False)
-    return doc
+    return _parse(_SYNTH_CIFAR if cifar else _SYNTH_GAUSSIAN, config, path)
 
 
 def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
@@ -346,7 +350,7 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name
         manifest["aux_size"] = len(pool)
-        manifest["aux_kind"] = pool.kind
+        manifest["aux_kind"] = aux["kind"]
 
     _write_json(manifest, out_dir / f"{name}_manifest.json")
     return []
@@ -403,7 +407,7 @@ _RUNS = {
               "aux": (str, None, OPTIONAL)}, None, REQUIRED),
     "model": ({"hidden_dim": (int, None, 0)}, None, {}),
     "train": (_TRAIN, None, REQUIRED),
-    "seeds": ([int], None, REQUIRED),
+    "seeds": (_distinct(int), None, REQUIRED),
     "group_thresholds": (_thresholds, None, list(metrics.GROUP_THRESHOLDS)),
 }
 
@@ -562,16 +566,13 @@ def cmd_sweep(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
 # ---------------------------------------------------------------------------
 # eval-ood
 
-def _eval_pool(value, path) -> dict:
-    spec = _parse({"name": (str, None, REQUIRED), **_POOL}, value, path)
-    return _check_pool(spec, path, class_means=False, seeded=True)
-
-
+# Each pool is named apart from the others and from the average row.
+_EVAL_POOL = functools.partial(_pool, need=("seed",), head={"name": (str, None, REQUIRED), **_KIND})
 _EVAL_OOD = {
     **_DOC,
     "checkpoint": (str, None, REQUIRED),
     "test": (str, None, REQUIRED),
-    "pools": ([_eval_pool], None, REQUIRED),
+    "pools": (_distinct(_EVAL_POOL, "name", ("average",)), None, REQUIRED),
     "aupr_positive": (("in", "out"), None, "out"),
 }
 
@@ -598,7 +599,7 @@ def cmd_eval_ood(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list
     rows = []
     for spec in doc["pools"]:
         pool = _build_pool(spec, dim, None, None, base_dir, buf)
-        out_scores = metrics.msp_scores(params, pool.features)
+        out_scores = metrics.msp_scores(params, pool)
         rows.append([
             spec["name"],
             metrics.fpr_at_95_tpr(in_scores, out_scores),
@@ -736,8 +737,7 @@ def _train_points(doc: dict, base_dir: Path) -> tuple:
         if size is not None and size > len(aux):
             raise ConfigError(f"sweep.grid.values[{i}]: aux_size {size} exceeds the "
                               f"{len(aux)} rows of data.aux")
-    pools = [aux if size is None else data.AuxiliaryPool(features=aux.features[:size], kind=aux.kind)
-             for *_, size, _ in runs]
+    pools = [aux if size is None else aux[:size] for *_, size, _ in runs]
     results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools)
     for (*_, label), result in zip(runs, results):
         if not isinstance(result, Exception):

@@ -19,12 +19,10 @@ from .priors import ClassPrior, prior_from_counts
 __all__ = [
     "FormatError",
     "LabeledDataset",
-    "AuxiliaryPool",
     "longtail_counts",
     "gaussian_class_means",
     "gen_gaussian_classes",
     "subsample_longtail",
-    "check_pool_params",
     "gen_ood_pool",
     "shifted_mixture_centers",
     "read_cifar10_binary",
@@ -38,7 +36,6 @@ __all__ = [
 
 DATASET_MAGIC = b"OSDS1"
 
-OOD_KINDS = ("gaussian", "rademacher", "blobs", "shifted-mixture", "file")
 # Rows per block of a rademacher or blobs pool; even, so that a rademacher
 # block never ends on half a raw word.
 _POOL_BLOCK_ROWS = 32
@@ -80,25 +77,6 @@ class LabeledDataset:
 
     def prior(self) -> ClassPrior:
         return prior_from_counts(self.class_counts())
-
-
-@dataclass(frozen=True)
-class AuxiliaryPool:
-    """Unlabeled feature matrix of open-set instances with a provenance tag."""
-
-    features: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("pool must be a non-empty M x d matrix")
-
-    @property
-    def dim(self) -> int:
-        return int(self.features.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.features.shape[0])
 
 
 def _anonymous(shape, dtype=np.float64) -> np.ndarray:
@@ -243,22 +221,6 @@ def subsample_longtail(dataset: LabeledDataset, counts, seed: int) -> LabeledDat
     )
 
 
-def check_pool_params(size: int, **params) -> None:
-    """Raise ValueError for ``gen_ood_pool`` arguments that no pool kind accepts.
-
-    ``params`` are any of gen_ood_pool's ``sigma``, ``window``, ``low``,
-    ``high``, ``margin`` and ``clusters``; the ones not given are not checked.
-    """
-    if size < 1:
-        raise ValueError("pool size must be at least 1")
-    for name in ("window", "clusters"):
-        if name in params and int(params[name]) < 1:
-            raise ValueError(f"{name} must be at least 1, got {params[name]}")
-    for name in ("sigma", "low", "high", "margin"):
-        if name in params and not math.isfinite(float(params[name])):
-            raise ValueError(f"{name} must be finite, got {params[name]}")
-
-
 def gen_ood_pool(
     kind: str,
     size: int,
@@ -273,8 +235,8 @@ def gen_ood_pool(
     margin: float = 10.0,
     clusters: int = 8,
     out=None,
-) -> AuxiliaryPool:
-    """Synthesize an open-set auxiliary pool of the requested kind.
+) -> np.ndarray:
+    """Synthesize an open-set auxiliary pool, a (size, dim) float64 array.
 
     gaussian: i.i.d. normal entries scaled by sigma. rademacher: entries
     +-1 equiprobably. blobs: uniform noise smoothed by a moving average of
@@ -283,9 +245,14 @@ def gen_ood_pool(
     at least ``margin`` away from every row of ``class_means``. The features
     fill the start of ``out``, a flat float64 array, when it has room.
     """
-    check_pool_params(
-        size, sigma=sigma, window=window, low=low, high=high, margin=margin, clusters=clusters
-    )
+    if size < 1:
+        raise ValueError("pool size must be at least 1")
+    for name, value in (("window", window), ("clusters", clusters)):
+        if int(value) < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name, value in (("sigma", sigma), ("low", low), ("high", high), ("margin", margin)):
+        if not math.isfinite(float(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     rng = np.random.default_rng([int(seed), 0x00D])
     if kind == "gaussian":
         features = _features(size, dim, out)
@@ -352,7 +319,7 @@ def gen_ood_pool(
             block += centers[assign[start : start + _POOL_BLOCK_ROWS]]
     else:
         raise ValueError(f"unknown auxiliary pool kind {kind!r}")
-    return AuxiliaryPool(features=features, kind=kind)
+    return features
 
 
 def shifted_mixture_centers(
@@ -473,16 +440,16 @@ def read_dataset(path, *, out=None) -> LabeledDataset:
     return LabeledDataset(features=features, labels=labels, num_classes=int(k))
 
 
-def write_pool(pool: AuxiliaryPool, path) -> None:
-    """Store an auxiliary pool in the native dataset format with dummy labels."""
+def write_pool(pool: np.ndarray, path) -> None:
+    """Store an (M, d) pool in the native dataset format with dummy labels."""
     ds = LabeledDataset(
-        features=pool.features,
+        features=pool,
         labels=np.zeros(len(pool), dtype=np.int64),
         num_classes=1,
     )
     write_dataset(ds, path)
 
 
-def read_pool(path, kind: str = "file", *, out=None) -> AuxiliaryPool:
-    ds = read_dataset(path, out=out)
-    return AuxiliaryPool(features=ds.features, kind=kind)
+def read_pool(path, *, out=None) -> np.ndarray:
+    """A pool that write_pool stored (any dataset file's features), into out if it has room."""
+    return read_dataset(path, out=out).features

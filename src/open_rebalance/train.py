@@ -31,7 +31,7 @@ from itertools import compress
 import numpy as np
 
 from . import metrics
-from .data import AuxiliaryPool, LabeledDataset
+from .data import LabeledDataset
 from .nn import (
     LrSchedule,
     MlpParams,
@@ -416,9 +416,13 @@ def _start_run(index, config: TrainConfig, train: LabeledDataset, test: LabeledD
     needs_aux = config.method in _AUX_METHODS
     if needs_aux and aux is None:
         raise ValueError(f"method {config.method!r} requires an auxiliary pool")
-    if aux is not None and aux.dim != train.dim:
-        raise ValueError("auxiliary pool dimension does not match the training set")
-    pool = np.asarray(aux.features, dtype=np.float64) if needs_aux else None
+    if aux is not None:
+        aux = np.asarray(aux, dtype=np.float64)
+        if aux.ndim != 2 or aux.shape[0] < 1:
+            raise ValueError("pool must be a non-empty M x d matrix")
+        if aux.shape[1] != train.dim:
+            raise ValueError("auxiliary pool dimension does not match the training set")
+    pool = aux if needs_aux else None
     aux_rng = np.random.default_rng([config.seed, _STREAM_AUX])
     init_rng = np.random.default_rng([config.seed, _STREAM_INIT])
     return _Run(
@@ -543,7 +547,7 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
 def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None) -> list:
     """Train many runs at once; deterministic given each config's seed.
 
-    ``pools`` holds each config's auxiliary pool (or None), or is None when
+    ``pools`` holds each config's (M, d) pool array (or None), or is None when
     no run has one. Runs that share a training shape (hidden width, epochs,
     batch sizes, LR schedule, LR, momentum and weight decay) train as one
     stack, whatever their method; runs with an auxiliary batch also share
@@ -589,7 +593,7 @@ def train_run(
     config: TrainConfig,
     train: LabeledDataset,
     test: LabeledDataset,
-    aux: AuxiliaryPool | None = None,
+    aux: np.ndarray | None = None,
 ) -> RunResult:
     """Run the configured method; deterministic given the config seed."""
     result = train_runs([config], train, test, [aux])[0]

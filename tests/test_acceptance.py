@@ -266,7 +266,7 @@ def battery():
             overall.append(final.test_overall_acc)
             minority.append(per_class[-2:].mean())
             in_scores = metrics.msp_scores(result.final_params, test_ds.features)
-            out_scores = metrics.msp_scores(result.final_params, ood_pool.features)
+            out_scores = metrics.msp_scores(result.final_params, ood_pool)
             auroc_vals.append(metrics.auroc(in_scores, out_scores))
         stats[name] = {
             "overall": float(np.mean(overall)),

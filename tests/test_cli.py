@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -318,7 +319,7 @@ class TestSynth:
     def test_file_pool_checked_before_any_set_is_read(self, tmp_path, capsys, cifar, shape, size,
                                                      message):
         # The CIFAR source is missing: the pool's header is refused first.
-        data.write_pool(data.AuxiliaryPool(np.ones(shape), "file"), tmp_path / "pool.osds")
+        data.write_pool(np.ones(shape), tmp_path / "pool.osds")
         config = synth_config()
         if cifar:
             config = {"command": "synth", "name": "task", "seed": 1,
@@ -335,7 +336,7 @@ class TestSynth:
         records = rng.integers(0, 256, size=(60, 3073), dtype=np.uint8)
         records[:, 0] = np.arange(60) % 10
         records.tofile(tmp_path / "train.bin")
-        data.write_pool(data.AuxiliaryPool(rng.standard_normal((20, 3072)), "file"), tmp_path / "pool.osds")
+        data.write_pool(rng.standard_normal((20, 3072)), tmp_path / "pool.osds")
         config = {"command": "synth", "name": "c", "seed": 2,
                   "cifar": {"train_paths": ["train.bin"], "ratio": 3.0},
                   "aux": {"kind": "file", "size": 20, "path": "pool.osds"}}
@@ -631,10 +632,13 @@ class TestSeeds:
     # the seeds are checked before any loading.
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize(
-        "seeds,shown", [([1.5], "1.5"), ([True], "true"), ([0, -1], "-1")],
-        ids=["float", "bool", "negative"],
+        "seeds,must,shown",
+        [([1.5], "a non-negative integer", "1.5"), ([True], "a non-negative integer", "true"),
+         ([0, -1], "a non-negative integer", "-1"), ([0, 0], "none of [0]", "0")],
+        ids=["float", "bool", "negative", "repeated"],
     )
-    def test_bad_seed_fails_before_any_file_is_read(self, tmp_path, capsys, command, seeds, shown):
+    def test_bad_seed_fails_before_any_file_is_read(self, tmp_path, capsys, command, seeds, must,
+                                                    shown):
         config = train_config(seeds=seeds)
         config["data"] = {"train": "missing_train.osds", "test": "missing_test.osds"}
         if command == "sweep":
@@ -643,7 +647,7 @@ class TestSeeds:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         index = len(seeds) - 1
-        assert f"{command}.seeds[{index}] must be a non-negative integer, got {shown}" in err, err
+        assert f"{command}.seeds[{index}] must be {must}, got {shown}" in err, err
         assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -888,7 +892,7 @@ class TestEvalOod:
         def build_pool(*args):
             alive.append(sum(ref() is not None for ref in refs))
             pool = build(*args)
-            refs.append(weakref.ref(pool.features))
+            refs.append(weakref.ref(pool))
             return pool
 
         read, build = data.read_dataset, cli._build_pool
@@ -1024,15 +1028,15 @@ class TestEvalOod:
         "change,message",
         [
             ({"pools": [_GAUSS, {"name": "f", "kind": "file"}]},
-             r"pools\[1\]: file pools need a path"),
+             r"pools\[1\]: missing keys \['path'\]"),
             ({"pools": [_GAUSS, {**_GAUSS, "sigmaa": 2.0}]}, r"pools\[1\]: unknown keys"),
             ({"pools": [_GAUSS, {"name": "b", "kind": "blobs", "size": 10}]},
-             r"pools\[1\]: generated pools need size and seed"),
+             r"pools\[1\]: missing keys \['seed'\]"),
             ({"pools": [_GAUSS, {**_GAUSS, "kind": "shifted-mixture"}]},
              r"pools\[1\]: shifted-mixture pools need synthetic class means"),
             ({"pools": [_GAUSS, {**_GAUSS, "kind": "perlin"}]}, r"pools\[1\]: unknown pool kind"),
             ({"pools": [_GAUSS, {**_GAUSS, "kind": "blobs", "window": 0}]},
-             r"pools\[1\]: window must be at least 1, got 0"),
+             r"pools\[1\]\.window must be at least 1, got 0"),
             # The config loader rejects the NaN constant before any spec check.
             ({"pools": [_GAUSS, {**_GAUSS, "sigma": math.nan}]},
              r"ood\.json: non-finite number NaN is not allowed"),
@@ -1045,11 +1049,17 @@ class TestEvalOod:
             ({"pools": [_GAUSS, {**_GAUSS, "kind": "blobs", "window": 4.9}]},
              r"pools\[1\]\.window must be a non-negative integer, got 4\.9"),
             ({"pools": [_GAUSS, {**_GAUSS, "clusters": -2}]},
-             r"pools\[1\]\.clusters must be a non-negative integer, got -2"),
+             r"pools\[1\]: unknown keys \['clusters'\]"),
+            # Two rows named p could not be told apart, and one named average
+            # would read as the summary row.
+            ({"pools": [{**_GAUSS, "name": "p"}, _GAUSS, {**_GAUSS, "name": "p", "seed": 2}]},
+             r'pools\[2\]\.name must be none of \["average", "p", "g"\], got "p"\n'),
+            ({"pools": [{**_GAUSS, "name": "average"}]},
+             r'pools\[0\]\.name must be none of \["average"\], got "average"\n'),
         ],
         ids=["file-without-path", "key-typo", "no-seed", "shifted-mixture", "unknown-kind",
              "zero-window", "nan-sigma", "aupr-positive", "float-size", "bool-seed",
-             "float-window", "negative-clusters"],
+             "float-window", "negative-clusters", "repeated-name", "average-name"],
     )
     def test_bad_spec_fails_before_any_file_is_read(self, tmp_path, capsys, change, message):
         # Neither the checkpoint nor the test set exists, so the spec error
@@ -1413,6 +1423,13 @@ class TestConfigRegressions:
         refused(tmp_path, capsys, monkeypatch, "eval-ood", config,
                 "eval-ood.pools[1].sigma must be a finite number, got true")
 
+    def test_pool_clusters_negative(self, tmp_path, capsys, monkeypatch):
+        # Pool integers are JSON integers, never coerced.
+        config = synth_config()
+        config["aux"]["clusters"] = -2
+        refused(tmp_path, capsys, monkeypatch, "synth", config,
+                "synth.aux.clusters must be a non-negative integer, got -2")
+
     def test_file_pool_path_not_a_string(self, tmp_path, capsys, monkeypatch):
         # The train and test sets used to be written before this crashed.
         config = synth_config()
@@ -1530,15 +1547,27 @@ _RUNS = {
 }
 _LABEL_DISTS = ({"tag": "complementary", "alpha": 2.0}, {"tag": "class-balanced", "beta_cb": 0.9},
                 {"tag": "fixed-class", "class_index": 0})
-_POOL_SPEC = {"kind": "gaussian", "size": 10, "seed": 1, "sigma": 1.0, "margin": 2.0,
-              "clusters": 2, "window": 3, "low": 0.0, "high": 1.0, "path": "p.osds"}
+# One pool spec per kind, each giving every key that its kind takes.
+_POOL_SPECS = {
+    "gaussian": {"kind": "gaussian", "size": 10, "seed": 1, "sigma": 1.0},
+    "rademacher": {"kind": "rademacher", "size": 10, "seed": 1},
+    "blobs": {"kind": "blobs", "size": 10, "seed": 1, "window": 3, "low": 0.0, "high": 1.0},
+    "shifted-mixture": {"kind": "shifted-mixture", "size": 10, "seed": 1, "sigma": 1.0,
+                        "margin": 2.0, "clusters": 2},
+    "file": {"kind": "file", "size": 10, "path": "p.osds"},
+}
+# eval-ood has no class means to place a shifted-mixture pool by.
+_EVAL_KINDS = ["gaussian", "rademacher", "blobs", "file"]
+_SYNTH_BASE = {"command": "synth", "name": "s", "seed": 1, "classes": 3, "dim": 2,
+               "mean_radius": 2.0, "sigma": 1.0, "train": {"n_max": 20, "ratio": 10.0},
+               "test": {"per_class": 5}}
 _SCHEMA_BASES = {
     "synth": [
-        {"command": "synth", "name": "s", "seed": 1, "classes": 3, "dim": 2, "mean_radius": 2.0,
-         "sigma": 1.0, "train": {"n_max": 20, "ratio": 10.0}, "test": {"per_class": 5},
-         "aux": _POOL_SPEC},
-        {"command": "synth", "name": "s", "seed": 1, "aux": _POOL_SPEC,
+        {**_SYNTH_BASE, "aux": _POOL_SPECS["gaussian"]},
+        {"command": "synth", "name": "s", "seed": 1, "aux": _POOL_SPECS["gaussian"],
          "cifar": {"train_paths": ["a.bin"], "test_paths": ["b.bin"], "ratio": 10.0, "n_max": 5}},
+        *({**_SYNTH_BASE, "aux": _POOL_SPECS[kind]}
+          for kind in ("rademacher", "blobs", "shifted-mixture", "file")),
     ],
     "train": [
         {**_RUNS, "train": {**_TRAIN_SECTION, "label_dist": label_dist}}
@@ -1553,7 +1582,8 @@ _SCHEMA_BASES = {
     ],
     "eval-ood": [
         {"command": "eval-ood", "name": "e", "checkpoint": "m.osnn", "test": "t.osds",
-         "pools": [{"name": "g", **_POOL_SPEC}], "aupr_positive": "in"},
+         "pools": [{"name": "g", **_POOL_SPECS[kind]}], "aupr_positive": "in"}
+        for kind in _EVAL_KINDS
     ],
     "bayes-check": [
         _bayes_config(max_support=5, max_classes=3, one_hot_stress={"cases": 2, "m_scale": 10.0},
@@ -1573,12 +1603,23 @@ _SCHEMA_ROOTS = {
 _UNIONS = {
     cli._label_dist: cli._LABEL_DIST,
     cli._thresholds: [int],
-    cli._eval_pool: {"name": (str, None, cli.REQUIRED), **cli._POOL},
+    cli._RUNS["seeds"][0]: [int],
+    cli._EVAL_OOD["pools"][0]: [cli._EVAL_POOL],
     cli._rebalance: cli._REBALANCE,
 }
 
 
+def _pool_keys(rule):
+    """A pool rule's table: every key that some kind it takes has, as one table."""
+    kinds = [kind for kind in cli._POOLS
+             if kind != "shifted-mixture" or rule.keywords.get("class_means")]
+    return {**rule.keywords.get("head", cli._KIND),
+            **{key: sub for kind in kinds for key, sub in cli._POOLS[kind].items()}}
+
+
 def _union(kind):
+    if isinstance(kind, functools.partial) and kind.func is cli._pool:
+        return _pool_keys(kind)
     return _UNIONS[kind] if callable(kind) and kind in _UNIONS else kind
 
 
@@ -1677,3 +1718,40 @@ class TestConfigSchema:
                 section = section[slot]
             section[last] = wrong
             refused(tmp_path, capsys, monkeypatch, command, bad, path)
+
+
+# The keys each pool kind takes, after gen_ood_pool's parameters; a file pool
+# is read from its path and checked against any size it gives.
+_KIND_KEYS = {
+    "gaussian": {"size", "seed", "sigma"},
+    "rademacher": {"size", "seed"},
+    "blobs": {"size", "seed", "window", "low", "high"},
+    "shifted-mixture": {"size", "seed", "sigma", "margin", "clusters"},
+    "file": {"size", "path"},
+}
+_STRAY_VALUES = {"size": 10, "seed": 1, "sigma": 7.0, "window": 3, "low": 0.0, "high": 1.0,
+                 "margin": 1.0, "clusters": 2, "path": "nowhere.osds"}
+
+
+def _stray_key_cases(kinds):
+    """(kind, key) for every kind and every key that some other kind takes."""
+    return [pytest.param(kind, key, id=f"{kind}-{key}") for kind in kinds
+            for key in sorted(set(_STRAY_VALUES) - _KIND_KEYS[kind])]
+
+
+class TestPoolKeys:
+    """A pool key that its kind does not take is refused as the config is parsed."""
+
+    @pytest.mark.parametrize("kind,key", _stray_key_cases(_KIND_KEYS))
+    def test_synth_aux(self, tmp_path, capsys, monkeypatch, kind, key):
+        config = synth_config()
+        config["aux"] = {**_POOL_SPECS[kind], key: _STRAY_VALUES[key]}
+        err = refused(tmp_path, capsys, monkeypatch, "synth", config, "synth.aux")
+        assert err == f"error: synth.aux: unknown keys ['{key}']\n", err
+
+    @pytest.mark.parametrize("kind,key", _stray_key_cases(_EVAL_KINDS))
+    def test_eval_ood_pool(self, tmp_path, capsys, monkeypatch, kind, key):
+        config = {"command": "eval-ood", "name": "e", "checkpoint": "m.osnn", "test": "t.osds",
+                  "pools": [_GAUSS, {"name": "p", **_POOL_SPECS[kind], key: _STRAY_VALUES[key]}]}
+        err = refused(tmp_path, capsys, monkeypatch, "eval-ood", config, "eval-ood.pools[1]")
+        assert err == f"error: eval-ood.pools[1]: unknown keys ['{key}']\n", err

@@ -13,7 +13,6 @@ from scipy.ndimage import uniform_filter1d
 from open_rebalance.data import (
     _POOL_BLOCK_ROWS,
     DATASET_MAGIC,
-    AuxiliaryPool,
     FormatError,
     LabeledDataset,
     feature_buffer,
@@ -30,6 +29,11 @@ from open_rebalance.data import (
     write_dataset,
     write_pool,
 )
+
+
+def _features(owner):
+    """The features of a dataset, or a pool itself."""
+    return owner if isinstance(owner, np.ndarray) else owner.features
 
 
 def _mapping(array):
@@ -185,17 +189,17 @@ class TestSubsample:
 class TestOodPools:
     def test_rademacher_support(self):
         pool = gen_ood_pool("rademacher", 200, 7, seed=0)
-        assert set(np.unique(pool.features)) == {-1.0, 1.0}
+        assert set(np.unique(pool)) == {-1.0, 1.0}
 
     def test_gaussian_mean_concentration(self):
         pool = gen_ood_pool("gaussian", 10000, 4, seed=0)
-        assert abs(pool.features.mean()) < 3.0 / math.sqrt(10000 * 4)
+        assert abs(pool.mean()) < 3.0 / math.sqrt(10000 * 4)
 
     def test_blobs_binary_with_edges(self):
         pool = gen_ood_pool("blobs", 50, 32, seed=0)
-        assert set(np.unique(pool.features)) <= {0.0, 1.0}
+        assert set(np.unique(pool)) <= {0.0, 1.0}
         # smoothing produces contiguous runs, not salt-and-pepper noise
-        flips = np.abs(np.diff(pool.features, axis=1)).sum(axis=1)
+        flips = np.abs(np.diff(pool, axis=1)).sum(axis=1)
         assert flips.mean() < 32 / 2
 
     def test_shifted_mixture_margin(self):
@@ -215,7 +219,7 @@ class TestOodPools:
     def test_determinism(self):
         a = gen_ood_pool("gaussian", 64, 3, seed=11)
         b = gen_ood_pool("gaussian", 64, 3, seed=11)
-        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("dim", [33, 40])
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
@@ -237,8 +241,8 @@ class TestOodPools:
         else:
             centers = shifted_mixture_centers(means, 3.0, 0.7, 4, rng)
             want = centers[rng.integers(0, 4, size=30)] + 0.7 * rng.standard_normal((30, dim))
-        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
-        assert pool.features.tobytes() == want.tobytes()
+        assert pool.dtype == want.dtype and pool.shape == want.shape
+        assert pool.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
     def test_multi_block_bytes_match_direct_formula(self, kind):
@@ -259,8 +263,8 @@ class TestOodPools:
         else:
             centers = shifted_mixture_centers(means, 3.0, 1.3, 5, rng)
             want = centers[rng.integers(0, 5, size=rows)] + 1.3 * rng.standard_normal((rows, dim))
-        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
-        assert pool.features.tobytes() == want.tobytes()
+        assert pool.dtype == want.dtype and pool.shape == want.shape
+        assert pool.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim,window", [(1, 1), (1, 4), (2, 1), (2, 4), (3, 4), (4, 9), (33, 50)])
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs"])
@@ -276,8 +280,8 @@ class TestOodPools:
         else:
             smooth = uniform_filter1d(rng.random((30, dim)), size=window, axis=1, mode="nearest")
             want = np.where(smooth > np.median(smooth, axis=1, keepdims=True), 2.0, -0.5)
-        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
-        assert pool.features.tobytes() == want.tobytes()
+        assert pool.dtype == want.dtype and pool.shape == want.shape
+        assert pool.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 9, 101])
     @pytest.mark.parametrize("rows,dim", [(1, 1), (3, 5), (255, 3), (2 * _POOL_BLOCK_ROWS + 1, 7)])
@@ -287,8 +291,8 @@ class TestOodPools:
         pool = gen_ood_pool("rademacher", rows, dim, seed=seed)
         rng = np.random.default_rng([seed, 0x00D])
         want = 2.0 * rng.integers(0, 2, size=(rows, dim)) - 1.0
-        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
-        assert pool.features.tobytes() == want.tobytes()
+        assert pool.dtype == want.dtype and pool.shape == want.shape
+        assert pool.tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -310,8 +314,8 @@ class TestOodPools:
         else:
             smooth = uniform_filter1d(rng.random((rows, dim)), size=window, axis=1, mode="nearest")
             want = np.where(smooth > np.median(smooth, axis=1, keepdims=True), high, low)
-        assert pool.features.dtype == want.dtype and pool.features.shape == want.shape
-        assert pool.features.tobytes() == want.tobytes()
+        assert pool.dtype == want.dtype and pool.shape == want.shape
+        assert pool.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["rademacher", "blobs"])
     def test_generation_peak_is_pool_plus_block_buffers(self, kind):
@@ -327,7 +331,7 @@ class TestOodPools:
         finally:
             tracemalloc.stop()
         block_bytes = _POOL_BLOCK_ROWS * dim * 8
-        assert peak <= pool.features.nbytes + 2 * block_bytes + 16 * 1024, peak
+        assert peak <= pool.nbytes + 2 * block_bytes + 16 * 1024, peak
 
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "blobs", "shifted-mixture"])
     def test_generation_heap_peak_is_block_buffers(self, kind):
@@ -345,7 +349,7 @@ class TestOodPools:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _mapping(pool.features) is not None
+        assert _mapping(pool) is not None
         block_bytes = _POOL_BLOCK_ROWS * dim * 8
         assert peak <= 2 * block_bytes + 16 * 1024, peak
 
@@ -579,9 +583,9 @@ class TestNativeFormat:
         pool = gen_ood_pool("gaussian", 7, 3, seed=2)
         path = tmp_path / "pool.osds"
         write_pool(pool, path)
-        back = read_pool(path, kind="gaussian")
-        np.testing.assert_array_equal(back.features, pool.features)
-        assert back.kind == "gaussian"
+        back = read_pool(path)
+        assert back.dtype == pool.dtype and back.shape == pool.shape
+        np.testing.assert_array_equal(back, pool)
 
 
 class TestAnonymousMappings:
@@ -591,9 +595,9 @@ class TestAnonymousMappings:
     def _dropped_with_owner(make):
         # Returns the owner's features' mapping weakref, taken while alive.
         owner = make()
-        mapping = _mapping(owner.features)
-        assert mapping is not None, type(owner.features.base)
-        assert owner.features.flags.c_contiguous and owner.features.flags.writeable
+        mapping = _mapping(_features(owner))
+        assert mapping is not None, type(_features(owner).base)
+        assert _features(owner).flags.c_contiguous and _features(owner).flags.writeable
         ref = weakref.ref(mapping)
         del owner, mapping
         return ref
@@ -645,17 +649,17 @@ class TestOut:
 
     @staticmethod
     def _check(build, n, d):
-        want = build(None).features
+        want = _features(build(None))
         assert _mapping(want) is not None
         big = _poisoned(n * d + 7)
-        got = build(big).features
+        got = _features(build(big))
         assert got.shape == (n, d) and got.flags.c_contiguous
         assert np.shares_memory(got, big) and got.__array_interface__["data"][0] == big.ctypes.data
         assert got.tobytes() == want.tobytes()
         assert np.isnan(big[n * d:]).all()
         for small in (_poisoned(n * d - 1), _poisoned(n * d + 7).astype(np.float32),
                       _poisoned(2 * n * d).reshape(2 * n, d)):
-            got = build(small).features
+            got = _features(build(small))
             assert not np.shares_memory(got, small) and _mapping(got) is not None
             assert got.tobytes() == want.tobytes()
 
@@ -698,6 +702,7 @@ class TestDatasetValidation:
                 features=np.zeros((2, 2)), labels=np.array([0]), num_classes=2
             )
 
-    def test_pool_nonempty(self):
-        with pytest.raises(ValueError):
-            AuxiliaryPool(features=np.zeros((0, 3)), kind="gaussian")
+    def test_pool_nonempty(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one sample"):
+            write_pool(np.zeros((0, 3)), tmp_path / "pool.osds")
+        assert not (tmp_path / "pool.osds").exists()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from open_rebalance.data import (
-    AuxiliaryPool,
     LabeledDataset,
     gaussian_class_means,
     gen_gaussian_classes,
@@ -179,13 +178,23 @@ class TestTrainRun:
         for method in ("balanced-softmax", "balanced-softmax+open-sampling"):
             cfg = TrainConfig(method=method, epochs=0, hidden_dim=0)
             with pytest.raises(ValueError, match="zero-count"):
-                train_run(cfg, train_ds, train_ds, AuxiliaryPool(np.ones((2, 2)), "gaussian"))
+                train_run(cfg, train_ds, train_ds, np.ones((2, 2)))
 
     def test_aux_dim_mismatch(self):
         train_ds, test_ds, _ = small_task(d=2)
         pool = gen_ood_pool("gaussian", 10, 5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^auxiliary pool dimension does not match"):
             train_run(TrainConfig(method="open-sampling", epochs=1), train_ds, test_ds, pool)
+
+    @pytest.mark.parametrize("pool", [np.ones(2), np.ones((0, 2))], ids=["1-d", "empty"])
+    @pytest.mark.parametrize("method", ["open-sampling", "standard"])
+    def test_malformed_pool_refused(self, pool, method):
+        # Each run is refused alone; the well-formed pool's run beside it trains.
+        train_ds, test_ds, good = small_task(d=2)
+        cfg = TrainConfig(method=method, epochs=1)
+        bad, ok = train.train_runs([cfg, cfg], train_ds, test_ds, [pool, good])
+        assert isinstance(bad, ValueError) and str(bad) == "pool must be a non-empty M x d matrix"
+        assert len(ok.history) == 1
 
     def test_loss_decomposition_every_epoch(self):
         train_ds, test_ds, pool = small_task()
@@ -207,7 +216,7 @@ class TestTrainRun:
         # aux loss identical in every epoch; resampled labels change the
         # per-class weight applied and so the epoch means drift.
         train_ds, test_ds, _ = small_task()
-        pool = AuxiliaryPool(features=np.ones((1, 2)), kind="gaussian")
+        pool = np.ones((1, 2))
         common = dict(method="open-sampling", epochs=3, seed=4, hidden_dim=4, base_lr=0.0)
         fixed = train_run(TrainConfig(fixed_labels=True, **common), train_ds, test_ds, pool)
         fresh = train_run(TrainConfig(**common), train_ds, test_ds, pool)
@@ -400,7 +409,7 @@ def reference_run(config, train_ds, test_ds, aux, nn):
             aux_loss = 0.0
             if needs_aux:
                 aidx = aux_rng.integers(0, len(aux), size=m_aux)
-                ax = aux.features[aidx]
+                ax = aux[aidx]
                 if relabels:
                     if pool_labels is not None:
                         ay = pool_labels[aidx]
@@ -473,7 +482,7 @@ def _run_bytes(result):
 
 def _batch_cases(pool):
     """(config, pool) pairs that fall into several stacks of mixed runs."""
-    prefix = lambda size: AuxiliaryPool(features=pool.features[:size], kind=pool.kind)
+    prefix = lambda size: pool[:size]
     cases = []
     for hidden in (0, 8):
         for method in train.METHODS:
@@ -607,7 +616,7 @@ class TestBatchedRuns:
         decodes = []
         draws = train._epoch_draws
         monkeypatch.setattr(train, "_epoch_draws", lambda *args: decodes.append(args[1:]) or draws(*args))
-        prefix = AuxiliaryPool(features=pool.features[:40], kind=pool.kind)
+        prefix = pool[:40]
         config = lambda **kw: TrainConfig(**{"seed": 5, "epochs": 4, "hidden_dim": 4, "base_lr": 0.5, **kw})
         cases = [(config(method="open-sampling", eta=1e40), pool),
                  (config(method="standard"), None),
@@ -639,10 +648,9 @@ class TestBatchedRuns:
         # Rows past the first ten overflow every logit: runs drawing from the
         # whole pool diverge in the auxiliary pass, OE runs on a ten-row
         # prefix of the same array never see them.
-        features = pool.features.copy()
-        features[10:] = np.inf
-        whole = AuxiliaryPool(features=features, kind=pool.kind)
-        prefix = AuxiliaryPool(features=features[:10], kind=pool.kind)
+        whole = pool.copy()
+        whole[10:] = np.inf
+        prefix = whole[:10]
         common = dict(epochs=4, hidden_dim=4)
         cases = [(TrainConfig(method="oe", seed=1, **common), prefix),
                  (TrainConfig(method="open-sampling", seed=2, **common), whole),
@@ -869,7 +877,7 @@ class TestEpochDraws:
     def test_rejecting_pool_runs_match_reference(self, replays):
         train_ds, test_ds, _ = small_task()
         row = np.linspace(-1.0, 1.0, train_ds.dim)
-        pool = AuxiliaryPool(features=np.broadcast_to(row, (HUGE_POOLS[0], train_ds.dim)), kind="gaussian")
+        pool = np.broadcast_to(row, (HUGE_POOLS[0], train_ds.dim))
         configs = [TrainConfig(method="open-sampling", epochs=6, seed=s, hidden_dim=4, batch_aux=m)
                    for s, m in ((1, 2), (2, 2), (3, 32))]
         batched = train.train_runs(configs, train_ds, test_ds, [pool] * 3)
