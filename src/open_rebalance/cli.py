@@ -249,12 +249,6 @@ def _pool_rows(spec: dict, dim: int, where: str, base_dir: Path, against: str) -
     return rows
 
 
-def _room(buf, count: int):
-    """buf if it holds count elements, else None: a set that does not fit is
-    then built in its own mapping with buf released, not beside it."""
-    return buf if buf is not None and buf.size >= count else None
-
-
 _SYNTH = {
     **_DOC,
     "seed": (int, None, REQUIRED),
@@ -264,8 +258,8 @@ _SYNTH_GAUSSIAN = {
     **_SYNTH,
     "classes": (int, 2, REQUIRED),
     "dim": (int, 2, REQUIRED),
-    "mean_radius": (float, None, 3.0),
-    "sigma": (float, None, 1.0),
+    "mean_radius": (float, 0, 3.0),
+    "sigma": (float, 0, 1.0),
     "train": ({"n_max": (int, 1, REQUIRED), "ratio": (float, 1, REQUIRED)}, None, REQUIRED),
     "test": ({"per_class": (int, 1, REQUIRED)}, None, REQUIRED),
 }
@@ -294,39 +288,34 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, seed = doc["name"], doc["seed"]
     manifest: dict = {"name": name, "seed": seed, "config_hash": _config_hash(config), "files": {}}
     aux = doc.get("aux")
-    if aux is not None:
-        # Before any set is read or written: a file pool is copied as it is.
-        _pool_rows(aux, data.CIFAR_DIM if "cifar" in doc else doc["dim"], "aux", base_dir, "data")
+    dim = data.CIFAR_DIM if "cifar" in doc else doc["dim"]
+    # Before any set is read or written: a file pool is copied as it is.
+    pool_rows = 0 if aux is None else _pool_rows(aux, dim, "aux", base_dir, "data")
 
     class_means = buf = None
     if "cifar" in doc:
         spec = doc["cifar"]
-        full = data.read_cifar10_binary([base_dir / p for p in spec["train_paths"]])
-        n_max = int(spec.get("n_max", full.class_counts().min()))
-        counts = data.longtail_counts(n_max, full.num_classes, spec["ratio"])
+        train_paths = [base_dir / p for p in spec["train_paths"]]
+        test_paths = [base_dir / p for p in spec.get("test_paths", ())]
+        # The source, then the test set and then the pool fill one buffer.
+        rows = [sum(p.stat().st_size for p in paths) // data.CIFAR_RECORD
+                for paths in (train_paths, test_paths)]
+        buf = data.feature_buffer(max(*rows, pool_rows) * dim)
+        full = data.read_cifar10_binary(train_paths, out=buf)
+        ratio, base = spec["ratio"], int(spec.get("n_max", full.class_counts().min()))
+        counts = data.longtail_counts(base, full.num_classes, ratio)
         train_ds = data.subsample_longtail(full, counts, seed)
-        # Subsampled, the source's memory takes the test set and then the pool.
-        buf = full.features.reshape(-1)
         del full
-        test_ds = None
-        if spec.get("test_paths"):
-            paths = [base_dir / p for p in spec["test_paths"]]
-            rows = sum(p.stat().st_size for p in paths) // data.CIFAR_RECORD
-            buf = _room(buf, rows * data.CIFAR_DIM)
-            test_ds = data.read_cifar10_binary(paths, out=buf)
-        manifest["profile"] = {"ratio": spec["ratio"], "base": n_max}
+        test_ds = data.read_cifar10_binary(test_paths, out=buf) if test_paths else None
     else:
-        k, dim, mean_radius, sigma = doc["classes"], doc["dim"], doc["mean_radius"], doc["sigma"]
-        counts = data.longtail_counts(doc["train"]["n_max"], k, doc["train"]["ratio"])
-        class_means = data.gaussian_class_means(k, dim, mean_radius, seed)
+        k, sigma = doc["classes"], doc["sigma"]
+        ratio, base = doc["train"]["ratio"], doc["train"]["n_max"]
+        class_means = data.gaussian_class_means(k, dim, doc["mean_radius"], seed)
         train_ds = data.gen_gaussian_classes(
-            k, dim, counts, mean_radius, sigma, seed=seed * 10 + 1, means_seed=seed
-        )
+            class_means, data.longtail_counts(base, k, ratio), sigma, seed * 10 + 1)
         test_ds = data.gen_gaussian_classes(
-            k, dim, [doc["test"]["per_class"]] * k, mean_radius, sigma, seed=seed * 10 + 2,
-            means_seed=seed,
-        )
-        manifest["profile"] = {"ratio": doc["train"]["ratio"], "base": doc["train"]["n_max"]}
+            class_means, [doc["test"]["per_class"]] * k, sigma, seed * 10 + 2)
+    manifest["profile"] = {"ratio": ratio, "base": base}
 
     train_path = out_dir / f"{name}_train.osds"
     data.write_dataset(train_ds, train_path)
@@ -343,9 +332,7 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     del train_ds, test_ds
 
     if aux is not None:
-        # Every pool is size x dim, a file pool's header having been checked above.
-        buf = _room(buf, aux["size"] * manifest["dim"])
-        pool = _build_pool(aux, manifest["dim"], seed * 10 + 3, class_means, base_dir, buf)
+        pool = _build_pool(aux, dim, seed * 10 + 3, class_means, base_dir, buf)
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name

@@ -137,53 +137,41 @@ def longtail_counts(n_max: int, num_classes: int, ratio: float) -> np.ndarray:
     return np.array([max(1, _round_half_up(v)) for v in raw], dtype=np.int64)
 
 
-def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    # QR with sign correction makes the rotation unique given the Gaussian draw.
-    a = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
-
-
 def gaussian_class_means(
     num_classes: int, dim: int, mean_radius: float, seed: int
 ) -> np.ndarray:
     """Class means at K equally spaced directions, rotated at random by seed."""
     if dim < 2:
         raise ValueError("need dim >= 2 to place class means")
+    if not (math.isfinite(float(mean_radius)) and float(mean_radius) >= 0.0):
+        raise ValueError(f"mean_radius must be finite and non-negative, got {mean_radius}")
     rng = np.random.default_rng([int(seed), 0xC1A55])
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     circle = np.zeros((num_classes, dim))
     circle[:, 0] = np.cos(angles)
     circle[:, 1] = np.sin(angles)
-    rot = _random_rotation(dim, rng)
-    return mean_radius * (circle @ rot.T)
+    # A random rotation: QR's sign correction makes it unique given the draw.
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return mean_radius * (circle @ (q * np.sign(np.diag(r))).T)
 
 
-def gen_gaussian_classes(
-    num_classes: int,
-    dim: int,
-    per_class,
-    mean_radius: float,
-    sigma: float,
-    seed: int,
-    means_seed: int | None = None,
-) -> LabeledDataset:
-    """Isotropic Gaussian classes around deterministic means.
+def gen_gaussian_classes(means, per_class, sigma: float, seed: int) -> LabeledDataset:
+    """Isotropic Gaussian classes of scale sigma around the (K, d) class means.
 
-    ``means_seed`` pins the class geometry independently of the sample draw,
-    so train and test splits can share class-conditional distributions.
+    Splits drawn around one means array (see ``gaussian_class_means``) share
+    their class-conditional distributions; seed draws only the samples.
     """
-    for name, value in (("mean_radius", mean_radius), ("sigma", sigma)):
-        if not (math.isfinite(float(value)) and float(value) >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    if not (math.isfinite(float(sigma)) and float(sigma) >= 0.0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    means = np.asarray(means, dtype=np.float64)
+    if means.ndim != 2:
+        raise ValueError("means must be a K x d matrix")
+    num_classes, dim = means.shape
     counts = np.asarray(per_class, dtype=np.int64)
     if counts.shape[0] != num_classes:
-        raise ValueError("per_class length must equal num_classes")
+        raise ValueError("per_class length must equal the number of class means")
     if np.any(counts < 0) or counts.sum() < 1:
         raise ValueError("per_class must be non-negative with a positive total")
-    means = gaussian_class_means(
-        num_classes, dim, mean_radius, seed if means_seed is None else means_seed
-    )
     rng = np.random.default_rng([int(seed), 0x5A3B1E5])
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
     # noise * sigma + mean, one class's rows at a time: the same bits as

@@ -417,7 +417,6 @@ def _start_run(index, config: TrainConfig, train: LabeledDataset, test: LabeledD
     if needs_aux and aux is None:
         raise ValueError(f"method {config.method!r} requires an auxiliary pool")
     if aux is not None:
-        aux = np.asarray(aux, dtype=np.float64)
         if aux.ndim != 2 or aux.shape[0] < 1:
             raise ValueError("pool must be a non-empty M x d matrix")
         if aux.shape[1] != train.dim:
@@ -565,9 +564,12 @@ def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None)
     prior = train.prior()
     results = [None] * len(configs)
     groups: dict = {}
+    floats: dict = {}  # one float64 array per pool object, so the runs that share it stack
     for i, (config, aux) in enumerate(zip(configs, pools)):
         try:
-            run = _start_run(i, config, train, test, prior, aux)
+            if id(aux) not in floats:
+                floats[id(aux)] = None if aux is None else np.asarray(aux, dtype=np.float64)
+            run = _start_run(i, config, train, test, prior, floats[id(aux)])
         except ValueError as exc:
             results[i] = exc
             continue

@@ -118,9 +118,9 @@ def _params_equal(a, b):
 
 
 def test_criterion_05_reductions():
-    train_ds = data.gen_gaussian_classes(3, 2, [30, 10, 4], 2.0, 1.0, seed=3, means_seed=99)
-    test_ds = data.gen_gaussian_classes(3, 2, [20] * 3, 2.0, 1.0, seed=4, means_seed=99)
     means = data.gaussian_class_means(3, 2, 2.0, 99)
+    train_ds = data.gen_gaussian_classes(means, [30, 10, 4], 1.0, seed=3)
+    test_ds = data.gen_gaussian_classes(means, [20] * 3, 1.0, seed=4)
     pool = data.gen_ood_pool(
         "shifted-mixture", 300, 2, seed=5, class_means=means, margin=2.0, clusters=16
     )
@@ -212,15 +212,11 @@ def battery():
     geo = TASK["geometry_seed"]
     profile = data.longtail_counts(500, k, 100.0)
     assert profile.tolist() == list(TASK["counts"])
-    train_ds = data.gen_gaussian_classes(
-        k, d, profile, TASK["mean_radius"], TASK["sigma"],
-        seed=geo * 10 + 1, means_seed=geo,
-    )
-    test_ds = data.gen_gaussian_classes(
-        k, d, [TASK["test_per_class"]] * k, TASK["mean_radius"], TASK["sigma"],
-        seed=geo * 10 + 2, means_seed=geo,
-    )
     means = data.gaussian_class_means(k, d, TASK["mean_radius"], geo)
+    train_ds = data.gen_gaussian_classes(means, profile, TASK["sigma"], seed=geo * 10 + 1)
+    test_ds = data.gen_gaussian_classes(
+        means, [TASK["test_per_class"]] * k, TASK["sigma"], seed=geo * 10 + 2
+    )
     pool = data.gen_ood_pool(
         "shifted-mixture", TASK["pool_size"], d, seed=geo * 10 + 3,
         class_means=means, margin=TASK["pool_margin"], clusters=TASK["pool_clusters"],

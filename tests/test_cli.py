@@ -261,16 +261,14 @@ class TestSynth:
         assert (tmp_path / "c_aux.osds").exists()
 
     @pytest.mark.parametrize(
-        "test_rows,pool_rows,reused",
-        [(40, 60, (True, True)), (80, 30, (False, False)), (40, 90, (True, False))],
+        "test_rows,pool_rows", [(40, 60), (80, 30), (40, 90)],
         ids=["both-fit", "test-larger", "pool-larger"],
     )
     def test_cifar_test_set_and_pool_reuse_the_source_memory(self, tmp_path, monkeypatch,
-                                                            test_rows, pool_rows, reused):
-        # The 60-record source's mapping takes the test set and then the pool
-        # when each fits; one that does not is built in a fresh mapping, with
-        # the source's memory released first. The files have the bytes of
-        # fresh builds either way.
+                                                            test_rows, pool_rows):
+        # One buffer, sized for the largest of the 60-record source, the test
+        # set and the pool, takes each in turn. The files have the bytes of
+        # fresh builds.
         rng = np.random.default_rng(8)
         for name, n in (("train.bin", 60), ("test.bin", test_rows)):
             records = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
@@ -279,35 +277,46 @@ class TestSynth:
         config = {"command": "synth", "name": "c", "seed": 2,
                   "cifar": {"train_paths": ["train.bin"], "test_paths": ["test.bin"], "ratio": 3.0},
                   "aux": {"kind": "blobs", "size": pool_rows, "seed": 4}}
-        source, alive = [], []
+        mappings = []
+
+        def mapping(features):
+            while isinstance(features, np.ndarray):
+                features = features.base
+            mappings.append(features)
 
         def read_cifar(paths, **kwargs):
-            if source:
-                alive.append(source[0]() is not None)
             ds = read(paths, **kwargs)
-            if not source:
-                base = ds.features
-                while isinstance(base, np.ndarray):
-                    base = base.base
-                source.append(weakref.ref(base))
+            mapping(ds.features)
             return ds
 
         def build_pool(*args):
-            alive.append(source[0]() is not None)
-            return build(*args)
+            pool = build(*args)
+            mapping(pool)
+            return pool
 
         read, build = data.read_cifar10_binary, cli._build_pool
         monkeypatch.setattr(data, "read_cifar10_binary", read_cifar)
         monkeypatch.setattr(cli, "_build_pool", build_pool)
         cfg = write_config(tmp_path / "synth.json", config)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert tuple(alive) == reused
+        source, test, pool = mappings
+        assert (test is source, pool is source) == (True, True)
         data.write_dataset(read([tmp_path / "test.bin"]), tmp_path / "want_test.osds")
         data.write_pool(data.gen_ood_pool("blobs", pool_rows, 3072, seed=4), tmp_path / "want_aux.osds")
         for part in ("test", "aux"):
             assert (tmp_path / f"c_{part}.osds").read_bytes() == (
                 tmp_path / f"want_{part}.osds").read_bytes()
 
+
+    def test_gaussian_class_means_drawn_once(self, tmp_path, monkeypatch):
+        # The train set, the test set and the shifted-mixture pool share one
+        # means array.
+        calls = []
+        means = data.gaussian_class_means
+        monkeypatch.setattr(data, "gaussian_class_means", lambda *args: calls.append(args) or means(*args))
+        cfg = write_config(tmp_path / "synth.json", synth_config())
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls == [(3, 2, 2.0, 7)]
 
     @pytest.mark.parametrize(
         "cifar,shape,size,message",
@@ -987,7 +996,8 @@ class TestEvalOod:
             raise AssertionError("a set was built")
 
         if bad.startswith("wrong-dim"):
-            data.write_dataset(data.gen_gaussian_classes(2, 5, [3, 3], 1.0, 1.0, seed=0),
+            means = data.gaussian_class_means(2, 5, 1.0, 0)
+            data.write_dataset(data.gen_gaussian_classes(means, [3, 3], 1.0, seed=0),
                                trained / "nope.osds")
         elif bad == "truncated-pool":
             (trained / "nope.osds").write_bytes((trained / "task_aux.osds").read_bytes()[:-1])
@@ -1410,6 +1420,15 @@ class TestConfigRegressions:
         config = _missing_data_config(command)
         config["group_thresholds"] = thresholds
         refused(tmp_path, capsys, monkeypatch, command, config, f"{command}.group_thresholds")
+
+    @pytest.mark.parametrize("key", ["mean_radius", "sigma"])
+    def test_negative_gaussian_scale(self, tmp_path, capsys, monkeypatch, key):
+        # The data layer used to refuse it, after --out was made.
+        config = synth_config()
+        config[key] = -1.0
+        err = refused(tmp_path, capsys, monkeypatch, "synth", config,
+                      f"synth.{key} must be at least 0, got -1.0")
+        assert err == f"error: synth.{key} must be at least 0, got -1.0\n", err
 
     def test_pool_sigma_bool(self, tmp_path, capsys, monkeypatch):
         config = synth_config()

@@ -81,25 +81,27 @@ class TestLongtailCounts:
 
 class TestGaussianClasses:
     def test_determinism(self):
-        a = gen_gaussian_classes(3, 4, [10, 5, 2], 2.0, 1.0, seed=9)
-        b = gen_gaussian_classes(3, 4, [10, 5, 2], 2.0, 1.0, seed=9)
+        a = gen_gaussian_classes(gaussian_class_means(3, 4, 2.0, 9), [10, 5, 2], 1.0, seed=9)
+        b = gen_gaussian_classes(gaussian_class_means(3, 4, 2.0, 9), [10, 5, 2], 1.0, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_counts_match_profile(self):
         prof = longtail_counts(500, 5, 100)
         np.testing.assert_array_equal(prof, [500, 158, 50, 16, 5])
-        ds = gen_gaussian_classes(5, 3, prof, 2.0, 1.0, seed=1)
+        ds = gen_gaussian_classes(gaussian_class_means(5, 3, 2.0, 1), prof, 1.0, seed=1)
         np.testing.assert_array_equal(ds.class_counts(), prof)
 
     def test_single_nonempty_class(self):
-        ds = gen_gaussian_classes(3, 2, [0, 7, 0], 2.0, 1.0, seed=1)
+        ds = gen_gaussian_classes(gaussian_class_means(3, 2, 2.0, 1), [0, 7, 0], 1.0, seed=1)
         assert np.all(ds.labels == 1)
 
     def test_means_seed_shares_geometry(self):
-        a = gen_gaussian_classes(4, 6, [20] * 4, 3.0, 0.1, seed=1, means_seed=42)
-        b = gen_gaussian_classes(4, 6, [20] * 4, 3.0, 0.1, seed=2, means_seed=42)
+        # Two draws around one means array: different samples, one geometry.
         means = gaussian_class_means(4, 6, 3.0, 42)
+        a = gen_gaussian_classes(means, [20] * 4, 0.1, seed=1)
+        b = gen_gaussian_classes(means, [20] * 4, 0.1, seed=2)
+        assert not np.array_equal(a.features, b.features)
         for ds in (a, b):
             for j in range(4):
                 centroid = ds.features[ds.labels == j].mean(axis=0)
@@ -114,11 +116,12 @@ class TestGaussianClasses:
     def test_bytes_match_direct_formula(self, per_class, dim, mean_radius, sigma):
         # The class means gathered per row plus the scaled noise of one draw.
         k = len(per_class)
-        ds = gen_gaussian_classes(k, dim, per_class, mean_radius, sigma, seed=6, means_seed=8)
+        means = gaussian_class_means(k, dim, mean_radius, 8)
+        ds = gen_gaussian_classes(means, per_class, sigma, seed=6)
         rng = np.random.default_rng([6, 0x5A3B1E5])
         labels = np.repeat(np.arange(k), per_class)
         noise = rng.standard_normal((sum(per_class), dim))
-        want = gaussian_class_means(k, dim, mean_radius, 8)[labels] + sigma * noise
+        want = means[labels] + sigma * noise
         assert ds.features.dtype == want.dtype and ds.features.shape == want.shape
         assert ds.features.tobytes() == want.tobytes()
         np.testing.assert_array_equal(ds.labels, labels)
@@ -132,32 +135,43 @@ class TestGaussianClasses:
     def test_bad_scale_rejected(self, name, value):
         args = {"mean_radius": 2.0, "sigma": 1.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
-            gen_gaussian_classes(3, 4, [10, 5, 2], args["mean_radius"], args["sigma"], seed=9)
+            means = gaussian_class_means(3, 4, args["mean_radius"], 9)
+            gen_gaussian_classes(means, [10, 5, 2], args["sigma"], seed=9)
+
+    @pytest.mark.parametrize(
+        "means,per_class,message",
+        [(np.ones(4), [1], "means must be a K x d matrix"),
+         (np.ones((3, 4)), [1, 1], "per_class length must equal the number of class means")],
+        ids=["flat-means", "short-per-class"],
+    )
+    def test_bad_shape_rejected(self, means, per_class, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_gaussian_classes(means, per_class, 1.0, seed=9)
 
 
 class TestSubsample:
     def test_identity_cardinality_is_permutation(self):
-        ds = gen_gaussian_classes(3, 2, [10, 20, 30], 2.0, 1.0, seed=5)
+        ds = gen_gaussian_classes(gaussian_class_means(3, 2, 2.0, 5), [10, 20, 30], 1.0, seed=5)
         prof = longtail_counts(30, 3, 3.0)
         np.testing.assert_array_equal(prof, [30, 17, 10])
         sub = subsample_longtail(
-            gen_gaussian_classes(3, 2, [30, 17, 10], 2.0, 1.0, seed=5),
+            gen_gaussian_classes(gaussian_class_means(3, 2, 2.0, 5), [30, 17, 10], 1.0, seed=5),
             prof,
             seed=0,
         )
-        full = gen_gaussian_classes(3, 2, [30, 17, 10], 2.0, 1.0, seed=5)
+        full = gen_gaussian_classes(gaussian_class_means(3, 2, 2.0, 5), [30, 17, 10], 1.0, seed=5)
         np.testing.assert_array_equal(
             np.sort(sub.features, axis=0), np.sort(full.features, axis=0)
         )
 
     def test_profile_fidelity(self):
-        base = gen_gaussian_classes(10, 2, [100] * 10, 2.0, 1.0, seed=0)
+        base = gen_gaussian_classes(gaussian_class_means(10, 2, 2.0, 0), [100] * 10, 1.0, seed=0)
         prof = longtail_counts(100, 10, 10)
         sub = subsample_longtail(base, prof, seed=1)
         np.testing.assert_array_equal(sub.class_counts(), prof)
 
     def test_determinism(self):
-        base = gen_gaussian_classes(4, 2, [50] * 4, 2.0, 1.0, seed=0)
+        base = gen_gaussian_classes(gaussian_class_means(4, 2, 2.0, 0), [50] * 4, 1.0, seed=0)
         prof = longtail_counts(50, 4, 5)
         a = subsample_longtail(base, prof, seed=3)
         b = subsample_longtail(base, prof, seed=3)
@@ -166,7 +180,8 @@ class TestSubsample:
     @pytest.mark.parametrize("seed", [0, 3, 101])
     def test_bytes_match_direct_formula(self, seed):
         # The per-class picks written out, then one fancy-indexed copy.
-        base = gen_gaussian_classes(4, 5, [40, 25, 30, 12], 2.0, 1.0, seed=8)
+        means = gaussian_class_means(4, 5, 2.0, 8)
+        base = gen_gaussian_classes(means, [40, 25, 30, 12], 1.0, seed=8)
         prof = longtail_counts(12, 4, 4.0)
         sub = subsample_longtail(base, prof, seed=seed)
         rng = np.random.default_rng([seed, 0x50B5])
@@ -180,7 +195,7 @@ class TestSubsample:
         assert sub.labels.tobytes() == base.labels[order].tobytes()
 
     def test_capacity_error_names_class(self):
-        base = gen_gaussian_classes(2, 2, [100, 50], 2.0, 1.0, seed=0)
+        base = gen_gaussian_classes(gaussian_class_means(2, 2, 2.0, 0), [100, 50], 1.0, seed=0)
         prof = longtail_counts(100, 2, 1.5)
         with pytest.raises(ValueError, match="class 1"):
             subsample_longtail(base, prof, seed=0)
@@ -438,7 +453,7 @@ class TestCifarParser:
 
 class TestNativeFormat:
     def test_round_trip(self, tmp_path):
-        ds = gen_gaussian_classes(3, 5, [4, 3, 2], 2.0, 1.0, seed=0)
+        ds = gen_gaussian_classes(gaussian_class_means(3, 5, 2.0, 0), [4, 3, 2], 1.0, seed=0)
         path = tmp_path / "ds.osds"
         write_dataset(ds, path)
         back = read_dataset(path)
@@ -513,7 +528,7 @@ class TestNativeFormat:
             read_dataset(path)
 
     def test_trailing_bytes(self, tmp_path):
-        ds = gen_gaussian_classes(2, 2, [1, 1], 1.0, 1.0, seed=0)
+        ds = gen_gaussian_classes(gaussian_class_means(2, 2, 1.0, 0), [1, 1], 1.0, seed=0)
         path = tmp_path / "ds.osds"
         write_dataset(ds, path)
         path.write_bytes(path.read_bytes() + b"!")
@@ -603,7 +618,8 @@ class TestAnonymousMappings:
         return ref
 
     def test_read_dataset(self, tmp_path):
-        write_dataset(gen_gaussian_classes(3, 4, [5, 6, 7], 2.0, 1.0, seed=1), tmp_path / "d.osds")
+        means = gaussian_class_means(3, 4, 2.0, 1)
+        write_dataset(gen_gaussian_classes(means, [5, 6, 7], 1.0, seed=1), tmp_path / "d.osds")
         assert self._dropped_with_owner(lambda: read_dataset(tmp_path / "d.osds"))() is None
 
     def test_read_cifar10_binary(self, tmp_path):
@@ -612,7 +628,7 @@ class TestAnonymousMappings:
         assert self._dropped_with_owner(lambda: read_cifar10_binary([path, path]))() is None
 
     def test_subsample_longtail(self):
-        base = gen_gaussian_classes(3, 4, [20, 20, 20], 2.0, 1.0, seed=1)
+        base = gen_gaussian_classes(gaussian_class_means(3, 4, 2.0, 1), [20, 20, 20], 1.0, seed=1)
         prof = longtail_counts(20, 3, 4.0)
         assert self._dropped_with_owner(lambda: subsample_longtail(base, prof, seed=2))() is None
 
@@ -623,7 +639,8 @@ class TestAnonymousMappings:
         assert self._dropped_with_owner(make)() is None
 
     def test_gen_gaussian_classes(self):
-        make = lambda: gen_gaussian_classes(3, 4, [5, 0, 7], 2.0, 1.0, seed=1)
+        means = gaussian_class_means(3, 4, 2.0, 1)
+        make = lambda: gen_gaussian_classes(means, [5, 0, 7], 1.0, seed=1)
         assert self._dropped_with_owner(make)() is None
 
     def test_feature_buffer(self):
@@ -666,7 +683,8 @@ class TestOut:
     @pytest.mark.parametrize("dim", [5, 6])
     def test_read_dataset_and_read_pool(self, tmp_path, dim):
         path = tmp_path / "d.osds"
-        write_dataset(gen_gaussian_classes(3, dim, [4, 5, 6], 2.0, 1.0, seed=1), path)
+        means = gaussian_class_means(3, dim, 2.0, 1)
+        write_dataset(gen_gaussian_classes(means, [4, 5, 6], 1.0, seed=1), path)
         self._check(lambda out: read_dataset(path, out=out), 15, dim)
         self._check(lambda out: read_pool(path, out=out), 15, dim)
 

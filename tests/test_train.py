@@ -50,9 +50,9 @@ def params_equal(a, b):
 
 
 def small_task(seed=3, k=3, d=2):
-    train_ds = gen_gaussian_classes(k, d, [30, 10, 4], 2.0, 1.0, seed=seed, means_seed=99)
-    test_ds = gen_gaussian_classes(k, d, [20] * k, 2.0, 1.0, seed=seed + 1, means_seed=99)
     means = gaussian_class_means(k, d, 2.0, 99)
+    train_ds = gen_gaussian_classes(means, [30, 10, 4], 1.0, seed=seed)
+    test_ds = gen_gaussian_classes(means, [20] * k, 1.0, seed=seed + 1)
     pool = gen_ood_pool(
         "shifted-mixture", 300, d, seed=seed + 2, class_means=means, margin=2.0, clusters=16
     )
@@ -167,7 +167,7 @@ class TestTrainRun:
 
     def test_class_count_mismatch(self):
         train_ds, _, _ = small_task(k=3)
-        other = gen_gaussian_classes(4, 2, [5] * 4, 2.0, 1.0, seed=0)
+        other = gen_gaussian_classes(gaussian_class_means(4, 2, 2.0, 0), [5] * 4, 1.0, seed=0)
         with pytest.raises(ValueError):
             train_run(TrainConfig(method="standard", epochs=1), train_ds, other)
 
@@ -229,8 +229,9 @@ class TestTrainRun:
         # Uniform training prior and fresh zero-init logits: the aux term's
         # first-step value is ln K.
         k = 3
-        train_ds = gen_gaussian_classes(k, 2, [10] * k, 2.0, 1.0, seed=0, means_seed=9)
-        test_ds = gen_gaussian_classes(k, 2, [5] * k, 2.0, 1.0, seed=1, means_seed=9)
+        means = gaussian_class_means(k, 2, 2.0, 9)
+        train_ds = gen_gaussian_classes(means, [10] * k, 1.0, seed=0)
+        test_ds = gen_gaussian_classes(means, [5] * k, 1.0, seed=1)
         pool = gen_ood_pool("gaussian", 50, 2, seed=2)
         cfg = TrainConfig(method="oe", eta=1.0, epochs=1, seed=0, hidden_dim=0, base_lr=0.0)
         result = train_run(cfg, train_ds, test_ds, pool)
@@ -587,6 +588,18 @@ class TestBatchedRuns:
         for cfg, result in zip(configs, batched):
             assert result.config == cfg
             assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds, pool)), cfg
+
+    def test_runs_sharing_a_float32_pool_train_as_one_stack(self, stacks):
+        # The pool is made float64 once for all the runs that share it, so
+        # they stack as they would on a float64 pool.
+        train_ds, test_ds, pool = small_task()
+        narrow = pool.astype(np.float32)
+        configs = [TrainConfig(method="open-sampling", epochs=3, seed=s, hidden_dim=4) for s in range(3)]
+        results = train.train_runs(configs, train_ds, test_ds, [narrow] * 3)
+        assert stacks == [3]
+        wide = train.train_runs(configs, train_ds, test_ds, [narrow.astype(np.float64)] * 3)
+        for cfg, result, want in zip(configs, results, wide):
+            assert _run_bytes(result) == _run_bytes(want), cfg
 
     def test_runs_without_aux_survive_when_every_aux_run_diverges(self, stacks):
         train_ds, test_ds, pool = small_task()
