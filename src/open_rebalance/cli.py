@@ -138,7 +138,7 @@ def _load_config(path: Path, expected_command: str) -> dict:
         return obj
 
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             config = json.load(f, parse_constant=reject, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
@@ -173,7 +173,7 @@ def _write_json(obj: dict, path: Path) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:
@@ -419,6 +419,11 @@ _SWEEP = {
 }
 
 
+def _shown(value):
+    """A grid value as run labels and the sweep CSV show it: a scalar as written, else JSON."""
+    return value if isinstance(value, (int, float, str)) else json.dumps(value, sort_keys=True)
+
+
 def _apply_grid_value(section: dict, param, value) -> dict:
     """The parsed train section with one parsed grid value applied."""
     updated = dict(section)
@@ -445,7 +450,7 @@ def _run_error(doc: dict, i: int, message) -> ConfigError:
 def _runs(config: dict, path: str) -> dict:
     """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig,
     aux_size, label), labelled name_seedS, or name[param=value,seed=S] with
-    the value as written.
+    the value as _shown shows it. Grid values must differ once parsed.
 
     A train config is one grid point that changes nothing. A value that the
     constructors refuse, or an auxiliary method or aux_size without data.aux, is a
@@ -456,10 +461,11 @@ def _runs(config: dict, path: str) -> dict:
     grid = doc.get("grid", {"param": None, "values": [None]})
     if "grid" in doc:
         kind, bound = _GRID_VALUES[grid["param"]]
-        grid["values"] = _parse([kind], config["grid"]["values"], f"{path}.grid.values", bound)
+        grid["values"] = _parse(_distinct(functools.partial(_parse, kind, bound=bound)),
+                                config["grid"]["values"], f"{path}.grid.values")
 
     def label(i, seed):
-        return (f"{doc['name']}[{grid['param']}={config['grid']['values'][i]},seed={seed}]"
+        return (f"{doc['name']}[{grid['param']}={_shown(config['grid']['values'][i])},seed={seed}]"
                 if "grid" in doc else f"{doc['name']}_seed{seed}")
 
     doc["runs"] = []
@@ -470,9 +476,7 @@ def _runs(config: dict, path: str) -> dict:
                 kwargs["label_dist"] = _built("label_dist", LabelDistributionKind,
                                               **kwargs["label_dist"])
             if "schedule" in kwargs:
-                epochs = max(kwargs.get("epochs", train.TrainConfig.epochs), 1)
-                kwargs["schedule"] = _built("schedule", nn.LrSchedule, **kwargs["schedule"],
-                                            total_epochs=epochs)
+                kwargs["schedule"] = _built("schedule", nn.LrSchedule, **kwargs["schedule"])
             kwargs["hidden_dim"] = doc["model"]["hidden_dim"]
             size = value if grid["param"] == "aux_size" else None
             doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, **kwargs), size, label(i, seed))
@@ -528,9 +532,7 @@ def cmd_sweep(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
 
     header = ["param", "value", "seed", "overall_acc", "few_acc", "mean_acc", "std_acc", "config_hash"]
     rows = []
-    # The CSV's value column holds the values as written.
-    for value in config["grid"]["values"]:
-        shown = value if isinstance(value, (int, float, str)) else json.dumps(value, sort_keys=True)
+    for shown in map(_shown, config["grid"]["values"]):
         accs = []
         for seed in doc["seeds"]:
             result = next(results)

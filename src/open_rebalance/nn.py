@@ -10,6 +10,7 @@ and (S, B, d) batches, computed slice by slice exactly as one model would be.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -41,12 +42,10 @@ CHECKPOINT_MAGIC = b"OSNN1"
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Weights and biases for a linear or one-hidden-layer rectifier model."""
+    """Weights and biases for a linear or one-hidden-layer rectifier model;
+    its dimensions are read from the layer shapes."""
 
     layers: tuple
-    input_dim: int
-    hidden_dim: int
-    num_classes: int
 
     def __post_init__(self):
         if len(self.layers) not in (1, 2):
@@ -56,10 +55,19 @@ class MlpParams:
             if w.shape[0] != expect_in or b.shape != (w.shape[1],):
                 raise ValueError("layer shapes do not chain")
             expect_in = w.shape[1]
-        if expect_in != self.num_classes:
-            raise ValueError("last layer width must equal num_classes")
-        if self.hidden_dim != (0 if len(self.layers) == 1 else self.layers[0][0].shape[1]):
-            raise ValueError("hidden_dim inconsistent with layer shapes")
+
+    @property
+    def input_dim(self) -> int:
+        return int(self.layers[0][0].shape[0])
+
+    @property
+    def hidden_dim(self) -> int:
+        """The hidden layer's width, 0 for a linear model."""
+        return 0 if len(self.layers) == 1 else int(self.layers[0][0].shape[1])
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.layers[-1][0].shape[1])
 
 
 @dataclass(frozen=True)
@@ -73,16 +81,19 @@ class OptimState:
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Linear warmup then multiplicative decay at each milestone epoch."""
+    """Linear warmup then multiplicative decay at each milestone epoch, over
+    any number of epochs: a run's length is its own."""
 
     warmup_epochs: int
     milestones: tuple
     decay_factor: float
-    total_epochs: int
 
     def __post_init__(self):
-        if self.total_epochs < 1 or self.warmup_epochs < 0:
-            raise ValueError("need total_epochs >= 1 and warmup_epochs >= 0")
+        # Each message starts with the field it refuses.
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be non-negative")
+        if not math.isfinite(self.decay_factor):
+            raise ValueError(f"decay_factor must be finite, got {self.decay_factor}")
         ms = tuple(self.milestones)
         if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
             raise ValueError("milestones must be strictly increasing")
@@ -99,12 +110,7 @@ def init_params(input_dim: int, hidden_dim: int, num_classes: int, rng) -> MlpPa
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         layers.append((w, np.zeros(fan_out)))
-    return MlpParams(
-        layers=tuple(layers),
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        num_classes=num_classes,
-    )
+    return MlpParams(tuple(layers))
 
 
 def init_optim_state(
@@ -287,13 +293,13 @@ def sgd_step(params: MlpParams, grads, state: OptimState, lr: float):
     for pair, grad, vel in zip(layers, grads, velocity):
         for theta, g, v in zip(pair, grad, vel):
             _sgd_update(theta, g, v, state.momentum, state.weight_decay, lr)
-    return replace(params, layers=layers), replace(state, velocity=velocity)
+    return MlpParams(layers), replace(state, velocity=velocity)
 
 
 def lr_at(schedule: LrSchedule, epoch: int, base_lr: float = 0.1) -> float:
     """Learning rate at an epoch: linear ramp, then decay at each passed milestone."""
-    if not 0 <= epoch < schedule.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {schedule.total_epochs})")
+    if epoch < 0:
+        raise ValueError(f"epoch must be non-negative, got {epoch}")
     if epoch < schedule.warmup_epochs:
         return base_lr * (epoch + 1) / schedule.warmup_epochs
     passed = sum(1 for m in schedule.milestones if epoch >= m)
@@ -363,15 +369,7 @@ def load_params(path) -> MlpParams:
         layers.append((w.copy(), b.copy()))
     if len(blob) != offset:
         raise FormatError(f"{path}: trailing bytes in checkpoint")
-    if len(layers) not in (1, 2):
-        raise FormatError(f"{path}: unsupported layer count {len(layers)}")
-    hidden = 0 if len(layers) == 1 else layers[0][0].shape[1]
-    try:
-        return MlpParams(
-            layers=tuple(layers),
-            input_dim=layers[0][0].shape[0],
-            hidden_dim=int(hidden),
-            num_classes=int(layers[-1][0].shape[1]),
-        )
+    try:  # MlpParams checks the layer count and that the shapes chain
+        return MlpParams(tuple(layers))
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None

@@ -62,16 +62,6 @@ class DiscreteJoint:
     def num_classes(self) -> int:
         return int(self.table.shape[1])
 
-    def instance_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
-    def label_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=0)
-
-    def support(self) -> np.ndarray:
-        """Indices of instances with positive mass."""
-        return np.nonzero(self.instance_marginal() > 0.0)[0]
-
 
 @dataclass(frozen=True)
 class OodMarginal:

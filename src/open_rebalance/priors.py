@@ -73,24 +73,28 @@ def prior_from_counts(counts) -> ClassPrior:
     return ClassPrior(counts=arr, total=total, betas=betas)
 
 
+def _checked_alpha(prior: ClassPrior, alpha: float) -> float:
+    """alpha as a float, refused unless finite and at least max beta."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha={alpha} must be finite")
+    if alpha < prior.max_beta:
+        raise ValueError(f"alpha={alpha} out of range: minimum admissible alpha is "
+                         f"max beta = {prior.max_beta}")
+    return alpha
+
+
 def complementary(prior: ClassPrior, alpha: float) -> np.ndarray:
     """Complementary sampling rates Gamma_j = (alpha - beta_j) / (K*alpha - 1).
 
-    Requires alpha >= max_j beta_j so every rate is non-negative, and
-    K*alpha - 1 > 0 so the normalizer is positive.
+    Requires a finite alpha >= max_j beta_j so every rate is non-negative,
+    and K*alpha - 1 > 0 so the normalizer is positive.
     """
-    alpha = float(alpha)
+    alpha = _checked_alpha(prior, alpha)
     k = prior.num_classes
-    if alpha < prior.max_beta:
-        raise ValueError(
-            f"alpha={alpha} out of range: minimum admissible alpha is "
-            f"max beta = {prior.max_beta}"
-        )
     denom = k * alpha - 1.0
     if denom <= 0.0:
-        raise ValueError(
-            f"alpha={alpha} degenerate: K*alpha - 1 must be positive (K={k})"
-        )
+        raise ValueError(f"alpha={alpha} degenerate: K*alpha - 1 must be positive (K={k})")
     return (alpha - prior.betas) / denom
 
 
@@ -141,12 +145,7 @@ def required_aux_size(prior: ClassPrior, alpha: float) -> int:
     Allocating M * Gamma_j instances to class j then equalizes per-class
     totals up to a residual imbalance of at most K instances from rounding.
     """
-    alpha = float(alpha)
-    if alpha < prior.max_beta:
-        raise ValueError(
-            f"alpha={alpha} out of range: minimum admissible alpha is "
-            f"max beta = {prior.max_beta}"
-        )
+    alpha = _checked_alpha(prior, alpha)
     return int(math.ceil(prior.total * (prior.num_classes * alpha - 1.0)))
 
 
@@ -155,6 +154,8 @@ def mixed_prior(prior: ClassPrior, gammas, aux_size) -> np.ndarray:
     m = float(aux_size)
     if m < 0:
         raise ValueError("aux_size must be non-negative")
+    if not m < math.inf:  # NaN too
+        raise ValueError(f"aux_size must be finite, got {m}")
     n = float(prior.total)
     return (n * prior.betas + m * np.asarray(gammas)) / (n + m)
 
@@ -171,12 +172,13 @@ _KIND_TAGS = (
 
 @dataclass(frozen=True)
 class LabelDistributionKind:
-    """Which distribution auxiliary labels are drawn from.
+    """Which distribution auxiliary labels are drawn from, by tag.
 
     ``complementary`` carries an optional alpha (None means the default
-    max beta + min beta), ``class-balanced`` carries its own beta_cb
-    hyperparameter, and ``fixed-class`` puts all mass on one class
-    (None means the smallest class) for toxicity experiments.
+    max beta + min beta), ``class-balanced`` an optional beta_cb (None means
+    DEFAULT_BETA_CB), and ``fixed-class`` puts all mass on one class
+    (None means the smallest class) for toxicity experiments, as in
+    ``LabelDistributionKind("complementary", alpha=0.5)``.
     """
 
     tag: str
@@ -196,30 +198,6 @@ class LabelDistributionKind:
                 raise ValueError(f"beta_cb={self.beta_cb} must lie in [0, 1)")
         if self.class_index is not None and self.tag != "fixed-class":
             raise ValueError("class_index only applies to the fixed-class tag")
-
-    @classmethod
-    def complementary(cls, alpha: float | None = None) -> "LabelDistributionKind":
-        return cls(tag="complementary", alpha=alpha)
-
-    @classmethod
-    def mcd(cls) -> "LabelDistributionKind":
-        return cls(tag="mcd")
-
-    @classmethod
-    def uniform(cls) -> "LabelDistributionKind":
-        return cls(tag="uniform")
-
-    @classmethod
-    def class_balanced(cls, beta_cb: float = DEFAULT_BETA_CB) -> "LabelDistributionKind":
-        return cls(tag="class-balanced", beta_cb=beta_cb)
-
-    @classmethod
-    def original_prior(cls) -> "LabelDistributionKind":
-        return cls(tag="original-prior")
-
-    @classmethod
-    def fixed_class(cls, class_index: int | None = None) -> "LabelDistributionKind":
-        return cls(tag="fixed-class", class_index=class_index)
 
 
 def label_distribution(kind: LabelDistributionKind, prior: ClassPrior) -> np.ndarray:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -104,8 +104,11 @@ class TrainConfig:
         if self.method not in METHODS:
             raise ValueError(f"method {self.method!r} is not one of {METHODS}")
         for name in ("eta", "epochs", "hidden_dim", "base_lr", "weight_decay"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+            if not value < math.inf:  # NaN too
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.batch_train < 1:
             raise ValueError("batch_train must be at least 1")
         if self.batch_aux is not None and self.batch_aux < 1:
@@ -119,8 +122,6 @@ class TrainConfig:
             raise ValueError(f"fixed_labels has no effect for method {self.method!r}")
         if self.label_dist is not None and not relabels:
             raise ValueError(f"label_dist has no effect for method {self.method!r}")
-        if self.schedule is not None and self.schedule.total_epochs < self.epochs:
-            raise ValueError(f"schedule covers {self.schedule.total_epochs} < {self.epochs} epochs")
 
 
 @dataclass(frozen=True)
@@ -144,21 +145,13 @@ class RunResult:
     wall_time: float
 
 
-def default_schedule(total_epochs: int) -> LrSchedule:
-    """Warmup for 5 epochs then decay by 0.01 at 80% and 90% of the run."""
-    if total_epochs < 10:
-        return LrSchedule(
-            warmup_epochs=0,
-            milestones=(),
-            decay_factor=0.01,
-            total_epochs=max(total_epochs, 1),
-        )
-    return LrSchedule(
-        warmup_epochs=5,
-        milestones=(int(0.8 * total_epochs), int(0.9 * total_epochs)),
-        decay_factor=0.01,
-        total_epochs=total_epochs,
-    )
+def default_schedule(epochs: int) -> LrSchedule:
+    """Warmup for 5 epochs then decay by 0.01 at 80% and 90% of the run;
+    a run of under 10 epochs keeps its base rate."""
+    if epochs < 10:
+        return LrSchedule(warmup_epochs=0, milestones=(), decay_factor=0.01)
+    return LrSchedule(warmup_epochs=5, milestones=(int(0.8 * epochs), int(0.9 * epochs)),
+                      decay_factor=0.01)
 
 
 def _lookup_labels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -379,7 +372,7 @@ def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) 
     elif config.method == "cb-rw":
         spec["base_weights"] = cb_effective_weights(prior, config.beta_cb)
     if config.method in _RELABEL_METHODS:
-        kind = config.label_dist or LabelDistributionKind.complementary()
+        kind = config.label_dist or LabelDistributionKind("complementary")
         gammas = label_distribution(kind, prior)
         omegas = np.ones(prior.num_classes)
         if config.use_class_weights:
@@ -540,7 +533,7 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
             )
     for s, r in compress(enumerate(runs), alive):
         layers = tuple((w[s].copy(), b[s, 0].copy()) for w, b in stack.layers)
-        r.params = replace(r.params, layers=layers)
+        r.params = MlpParams(layers)
 
 
 def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None) -> list:

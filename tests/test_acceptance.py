@@ -223,16 +223,13 @@ def battery():
     )
     ood_pool = data.gen_ood_pool("gaussian", 1000, d, seed=907, sigma=3.0)
 
-    schedule = nn.LrSchedule(
-        warmup_epochs=5, milestones=(96, 108), decay_factor=0.1,
-        total_epochs=TASK["epochs"],
-    )
+    schedule = nn.LrSchedule(warmup_epochs=5, milestones=(96, 108), decay_factor=0.1)
     variants = {
         "standard": None,
-        "complementary": LabelDistributionKind.complementary(),
-        "uniform": LabelDistributionKind.uniform(),
-        "original-prior": LabelDistributionKind.original_prior(),
-        "fixed-smallest": LabelDistributionKind.fixed_class(),
+        "complementary": LabelDistributionKind("complementary"),
+        "uniform": LabelDistributionKind("uniform"),
+        "original-prior": LabelDistributionKind("original-prior"),
+        "fixed-smallest": LabelDistributionKind("fixed-class"),
     }
     # Two batched calls: the standard seeds, then the 20 open-sampling runs,
     # each with its own label distribution.

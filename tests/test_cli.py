@@ -813,6 +813,43 @@ class TestSweepGridValues:
         err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config, text)
         assert f"error: sweep.grid.{message}" in err, err
 
+    @pytest.mark.parametrize(
+        "param,values,message",
+        [("eta", [0.5, 0.5, 0.50], "values[1] must be none of [0.5], got 0.5"),
+         ("eta", [1, 1.0], "values[1] must be none of [1.0], got 1.0"),
+         ("alpha", ["M", 0.5, "M"], 'values[2] must be none of ["M", 0.5], got "M"'),
+         ("label_dist", ["mcd", {"tag": "mcd"}],
+          'values[1] must be none of [{"tag": "mcd"}], got {"tag": "mcd"}'),
+         ("method", ["standard", "oe", "standard"], 'values[2] must be none of ["standard", "oe"], '
+          'got "standard"'),
+         ("aux_size", [10, 10], "values[1] must be none of [10], got 10")],
+        ids=["eta", "eta-int", "alpha", "label_dist-spellings", "method", "aux_size"],
+    )
+    def test_repeated_value_fails_before_any_file_is_read(self, tmp_path, capsys, param, values,
+                                                          message):
+        # A value repeated once parsed would train the same runs twice.
+        config = _missing_data_config("sweep")
+        config["grid"] = {"param": param, "values": values}
+        err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config)
+        assert f"error: sweep.grid.{message}" in err, err
+
+    def test_labels_show_values_as_the_csv_does(self, workspace, capsys):
+        config = {
+            "command": "sweep",
+            "name": "shown",
+            "data": {"train": "task_train.osds", "test": "task_test.osds", "aux": "task_aux.osds"},
+            "model": {"hidden_dim": 4},
+            "train": {"method": "open-sampling", "epochs": 1},
+            "grid": {"param": "label_dist", "values": [{"tag": "mcd"}, "uniform"]},
+            "seeds": [0],
+        }
+        cfg = write_config(workspace / "sweep.json", config)
+        assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 0
+        shown = ['{"tag": "mcd"}', "uniform"]
+        err = capsys.readouterr().err
+        assert re.findall(r"^(.*): done in ", err, re.M) == [f"shown[label_dist={v},seed=0]" for v in shown]
+        assert [row[1] for row in read_rows(workspace / "shown_sweep.csv")[1::2]] == shown
+
     def test_method_grid_follows_train_method_sets(self):
         config = _missing_data_config("sweep")
         config["train"].update(label_dist="complementary", fixed_labels=True)
@@ -862,6 +899,25 @@ class TestEvalOod:
         for col in (1, 2, 3):
             vals = [float(r[col]) for r in rows[1:4]]
             assert float(rows[4][col]) == pytest.approx(np.mean(vals), abs=1e-12)
+
+    def test_utf8_whatever_the_locale(self, trained):
+        # The config is read and the CSV written as UTF-8, also under the C
+        # locale with locale coercion and UTF-8 mode off.
+        config = {"command": "eval-ood", "name": "utf8", "checkpoint": "run_seed0.osnn",
+                  "test": "task_test.osds",
+                  "pools": [{"name": "gauß", "kind": "gaussian", "size": 50, "seed": 5}]}
+        cfg = trained / "utf8.json"
+        cfg.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained / "default")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(open_rebalance.__file__).parents[1]),
+                   LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "open_rebalance.cli", "eval-ood", "--config", str(cfg),
+             "--out", str(trained / "c")], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written = (trained / "c" / "utf8_ood.csv").read_bytes()
+        assert written == (trained / "default" / "utf8_ood.csv").read_bytes()
+        assert "gauß".encode() in written
 
     def test_file_pool(self, trained):
         config = {
@@ -1180,7 +1236,7 @@ class TestBayesCheck:
         for _ in range(block + 3):
             source, px, n, m = oracle.random_case(rng, 12, 9)
             py = np.zeros(source.num_classes)
-            py[int(np.argmin(source.label_marginal()))] = 1.0
+            py[int(np.argmin(source.table.sum(axis=0)))] = 1.0
             counts.append(oracle.toxicity_count(source, oracle.OodMarginal(px=px, py=py), n, 30.0 * m)[0])
         stress = report["one_hot_stress"]
         assert stress["random_cases"] == len(counts)

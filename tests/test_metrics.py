@@ -21,12 +21,7 @@ from sweep_oracles import pairwise_auroc, random_score_sets, sweep_aupr, sweep_f
 def constant_model(logit_rows):
     # One fixed logit vector per input via zero weights and bias = logits.
     logits = np.asarray(logit_rows, dtype=np.float64)
-    return MlpParams(
-        layers=((np.zeros((1, logits.shape[0])), logits),),
-        input_dim=1,
-        hidden_dim=0,
-        num_classes=logits.shape[0],
-    )
+    return MlpParams(layers=((np.zeros((1, logits.shape[0])), logits),))
 
 
 class TestAccuracy:
@@ -34,7 +29,7 @@ class TestAccuracy:
         rng = np.random.default_rng(0)
         params = init_params(2, 0, 2, rng)
         w = np.array([[10.0, -10.0], [-10.0, 10.0]])
-        params = MlpParams(layers=((w, np.zeros(2)),), input_dim=2, hidden_dim=0, num_classes=2)
+        params = MlpParams(layers=((w, np.zeros(2)),))
         ds = LabeledDataset(
             features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
             labels=np.array([0, 1, 0]),

@@ -33,9 +33,7 @@ from open_rebalance.priors import prior_from_counts
 def linear_model(w, b):
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return MlpParams(
-        layers=((w, b),), input_dim=w.shape[0], hidden_dim=0, num_classes=w.shape[1]
-    )
+    return MlpParams(layers=((w, b),))
 
 
 logit_batches = arrays(
@@ -314,26 +312,31 @@ class TestSgdStep:
 
 class TestLrSchedule:
     def test_linear_warmup(self):
-        sched = LrSchedule(5, (160, 180), 0.01, 200)
+        sched = LrSchedule(5, (160, 180), 0.01)
         assert lr_at(sched, 0, 0.1) == pytest.approx(0.02)
         assert lr_at(sched, 4, 0.1) == pytest.approx(0.1)
 
     def test_milestone_decay(self):
-        sched = LrSchedule(5, (160, 180), 0.01, 200)
+        sched = LrSchedule(5, (160, 180), 0.01)
         assert lr_at(sched, 159, 0.1) == pytest.approx(0.1)
         assert lr_at(sched, 160, 0.1) == pytest.approx(0.001)
         assert lr_at(sched, 180, 0.1) == pytest.approx(1e-5)
 
     def test_epoch_out_of_range(self):
-        sched = LrSchedule(0, (), 0.1, 10)
-        with pytest.raises(ValueError):
-            lr_at(sched, 10, 0.1)
+        sched = LrSchedule(0, (), 0.1)
+        with pytest.raises(ValueError, match="^epoch must be non-negative"):
+            lr_at(sched, -1, 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_decay_refused(self, value):
+        with pytest.raises(ValueError, match="^decay_factor must be finite"):
+            LrSchedule(warmup_epochs=0, milestones=(), decay_factor=value)
 
     def test_milestones_validated(self):
         with pytest.raises(ValueError):
-            LrSchedule(5, (3, 10), 0.1, 20)
+            LrSchedule(5, (3, 10), 0.1)
         with pytest.raises(ValueError):
-            LrSchedule(0, (10, 10), 0.1, 20)
+            LrSchedule(0, (10, 10), 0.1)
 
 
 class TestCheckpoint:
@@ -346,6 +349,14 @@ class TestCheckpoint:
         for (w1, b1), (w2, b2) in zip(params.layers, back.layers):
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(b1, b2)
+
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_dimensions_derived_from_layers(self, tmp_path, hidden):
+        layers = init_params(5, hidden, 3, np.random.default_rng(4)).layers
+        path = tmp_path / "model.osnn"
+        save_params(MlpParams(layers), path)
+        back = load_params(path)
+        assert (back.input_dim, back.hidden_dim, back.num_classes) == (5, hidden, 3)
 
     def test_linear_round_trip(self, tmp_path):
         params = init_params(4, 0, 3, np.random.default_rng(10))

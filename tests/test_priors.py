@@ -262,17 +262,30 @@ class TestMixedPrior:
         assert np.abs(mixed - 1.0 / p.num_classes).max() <= p.num_classes / (p.total + m)
 
 
+@pytest.mark.parametrize(
+    "name,call",
+    [("alpha", complementary),
+     ("alpha", required_aux_size),
+     ("aux_size", lambda p, v: mixed_prior(p, mcd(p), v))],
+    ids=["complementary", "required_aux_size", "mixed_prior"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_refused(name, call, value):
+    with pytest.raises(ValueError, match=f"^{name}"):
+        call(prior_from_counts([3, 1]), value)
+
+
 class TestLabelDistributionKind:
     def test_tags_resolve(self):
         p = prior_from_counts([500, 158, 50, 16, 5])
         for kind in (
-            LabelDistributionKind.complementary(),
-            LabelDistributionKind.complementary(2.0),
-            LabelDistributionKind.mcd(),
-            LabelDistributionKind.uniform(),
-            LabelDistributionKind.class_balanced(),
-            LabelDistributionKind.original_prior(),
-            LabelDistributionKind.fixed_class(),
+            LabelDistributionKind("complementary"),
+            LabelDistributionKind("complementary", alpha=2.0),
+            LabelDistributionKind("mcd"),
+            LabelDistributionKind("uniform"),
+            LabelDistributionKind("class-balanced"),
+            LabelDistributionKind("original-prior"),
+            LabelDistributionKind("fixed-class"),
         ):
             dist = label_distribution(kind, p)
             assert dist.shape == (5,)
@@ -292,14 +305,14 @@ class TestLabelDistributionKind:
         # The effective number needs every class present unless beta_cb = 0.
         beta_cb = beta_cb if np.all(p.counts > 0) else 0.0
         kinds = (
-            LabelDistributionKind.complementary(),
-            LabelDistributionKind.complementary(p.max_beta + bump),
-            LabelDistributionKind.mcd(),
-            LabelDistributionKind.uniform(),
-            LabelDistributionKind.class_balanced(beta_cb),
-            LabelDistributionKind.original_prior(),
-            LabelDistributionKind.fixed_class(),
-            LabelDistributionKind.fixed_class(index % k),
+            LabelDistributionKind("complementary"),
+            LabelDistributionKind("complementary", alpha=p.max_beta + bump),
+            LabelDistributionKind("mcd"),
+            LabelDistributionKind("uniform"),
+            LabelDistributionKind("class-balanced", beta_cb=beta_cb),
+            LabelDistributionKind("original-prior"),
+            LabelDistributionKind("fixed-class"),
+            LabelDistributionKind("fixed-class", class_index=index % k),
         )
         assert {kind.tag for kind in kinds} == {
             "complementary", "mcd", "uniform", "class-balanced", "original-prior", "fixed-class"
@@ -313,26 +326,26 @@ class TestLabelDistributionKind:
     def test_original_prior_is_betas(self):
         p = prior_from_counts([3, 1])
         np.testing.assert_array_equal(
-            label_distribution(LabelDistributionKind.original_prior(), p), p.betas
+            label_distribution(LabelDistributionKind("original-prior"), p), p.betas
         )
 
     def test_fixed_class_defaults_to_smallest(self):
         p = prior_from_counts([500, 158, 50, 16, 5])
         np.testing.assert_array_equal(
-            label_distribution(LabelDistributionKind.fixed_class(), p), [0, 0, 0, 0, 1]
+            label_distribution(LabelDistributionKind("fixed-class"), p), [0, 0, 0, 0, 1]
         )
 
     def test_class_balanced_inverse_regime(self):
         # With beta_cb near 1 the distribution should be strongly inverse.
         p = prior_from_counts([500, 158, 50, 16, 5])
-        dist = label_distribution(LabelDistributionKind.class_balanced(DEFAULT_BETA_CB), p)
+        dist = label_distribution(LabelDistributionKind("class-balanced", beta_cb=DEFAULT_BETA_CB), p)
         assert np.all(np.diff(dist) > 0)
 
     def test_uniform_flatter_than_cb(self):
         # The complementary distribution sits closer to uniform than CB does.
         p = prior_from_counts([500, 158, 50, 16, 5])
-        comp = label_distribution(LabelDistributionKind.complementary(), p)
-        cb = label_distribution(LabelDistributionKind.class_balanced(), p)
+        comp = label_distribution(LabelDistributionKind("complementary"), p)
+        cb = label_distribution(LabelDistributionKind("class-balanced"), p)
         assert np.abs(comp - 0.2).max() < np.abs(cb - 0.2).max()
 
     @pytest.mark.parametrize(
