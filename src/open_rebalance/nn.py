@@ -6,6 +6,9 @@ schedule. Public functions validate and return fresh values; the training
 step calls their unvalidated private cores, updating its own arrays in place.
 The cores also take a stack of S models: (S, d, h) weights, (S, 1, h) biases
 and (S, B, d) batches, computed slice by slice exactly as one model would be.
+A stack sums each bias gradient's batch axis as one model's (B, h) reduce
+does: row by row when h > 1, which it runs over a batch-major copy, and
+pairwise when h == 1 (``_backward``).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,12 +180,22 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z
 
 
+@lru_cache(maxsize=64)
+def _row_starts(shape: tuple, k: int) -> np.ndarray:
+    """Read-only flat index of each row's first logit, for labels of this shape."""
+    starts = np.arange(0, math.prod(shape) * k, k).reshape(shape)
+    starts.flags.writeable = False
+    return starts
+
+
 def _xent(logits, labels, weights=None):
     # Mean over the batch axis, one loss per model; sum / B rounds exactly as
-    # np.mean does. Unit weights round exactly as no weights.
+    # np.mean does. Unit weights round exactly as no weights. Each term is
+    # negated before the sum, not the sum after it: numpy may start a sum at
+    # +0.0, so a zero loss would change sign.
     logp = _log_softmax(logits)
     batch, k = logits.shape[-2:]
-    hit = labels + np.arange(0, labels.size * k, k).reshape(labels.shape)
+    hit = labels + _row_starts(labels.shape, k)
     grad = np.exp(logp)
     grad.reshape(-1)[hit] -= 1.0
     if weights is None:
@@ -249,12 +263,21 @@ def oe_prior_xent(logits, prior):
 def _backward(layers, acts, g, grads=None) -> tuple:
     # Writes into grads, (gw, gb) pairs shaped like the layers (fresh ones if
     # None). A unit's activation is positive exactly where its pre-activation is.
+    # numpy sums a (B, h) bias gradient's batch axis row by row when h > 1, so
+    # a stack sums the same rows in the same order over a (B, S, h) copy, whose
+    # inner loop runs over S * h contiguous values instead of h. At h == 1 the
+    # per-model sum is pairwise over B, and the stack keeps its per-slice reduce.
+    # Where two NaNs meet, the contiguous loop may keep the other one's sign bit;
+    # only a run that has already diverged carries a NaN.
     if grads is None:
         grads = tuple((np.empty_like(w), np.empty_like(b)) for w, b in layers)
     for i in reversed(range(len(layers))):
         (w, b), (gw, gb) = layers[i], grads[i]
         np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
-        np.add.reduce(g, axis=-2, keepdims=b.ndim == g.ndim, out=gb)
+        if b.ndim == g.ndim and g.shape[-1] > 1:
+            np.add.reduce(np.ascontiguousarray(g.swapaxes(0, 1)), axis=0, out=gb[:, 0, :])
+        else:
+            np.add.reduce(g, axis=-2, keepdims=b.ndim == g.ndim, out=gb)
         if i > 0:
             g = g @ w.swapaxes(-1, -2)
             g *= acts[i] > 0.0

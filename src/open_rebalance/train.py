@@ -24,8 +24,9 @@ label mode their auxiliary draws; each maps its own labels (``_aux_labels``).
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 
 import numpy as np
@@ -74,6 +75,15 @@ METHODS = (
 _AUX_METHODS = frozenset({"open-sampling", "oe", "balanced-softmax+open-sampling"})
 _RELABEL_METHODS = frozenset({"open-sampling", "balanced-softmax+open-sampling"})
 
+# The values a config field's annotation admits, and how a refusal names them:
+# ints stand in for floats, and a bool is neither an int nor a float here.
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "int | None": ((numbers.Integral, type(None)), "an integer or None"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "a bool"),
+}
+
 _STREAM_SHUFFLE = 0
 _STREAM_AUX = 1
 _STREAM_INIT = 2
@@ -103,6 +113,12 @@ class TrainConfig:
         # Each message starts with the field it refuses.
         if self.method not in METHODS:
             raise ValueError(f"method {self.method!r} is not one of {METHODS}")
+        for f in fields(self):
+            if f.type in _FIELD_KINDS:
+                kind, noun = _FIELD_KINDS[f.type]
+                value = getattr(self, f.name)
+                if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                    raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         for name in ("eta", "epochs", "hidden_dim", "base_lr", "weight_decay"):
             value = getattr(self, name)
             if value < 0:

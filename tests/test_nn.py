@@ -10,8 +10,10 @@ from hypothesis.extra.numpy import arrays
 from open_rebalance.nn import (
     LrSchedule,
     MlpParams,
+    _backward,
     _forward,
     _log_softmax,
+    _prior_xent,
     _xent,
     backward,
     balanced_softmax_xent,
@@ -28,6 +30,7 @@ from open_rebalance.nn import (
 )
 from open_rebalance.data import FormatError
 from open_rebalance.priors import prior_from_counts
+from open_rebalance.train import _views
 
 
 def linear_model(w, b):
@@ -102,6 +105,20 @@ def _xent_2d(logits, labels, weights):
     return np.mean(w * -logp[rows, labels]), grad
 
 
+def _xent_fresh(logits, labels, weights):
+    """_xent with each row's flat offset built afresh and each loss term negated."""
+    logp = _row_max_log_softmax(logits)
+    batch, k = logits.shape[-2:]
+    hit = labels + np.arange(0, labels.size * k, k).reshape(labels.shape)
+    grad = np.exp(logp)
+    grad.reshape(-1)[hit] -= 1.0
+    if weights is None:
+        grad *= 1.0 / batch
+        return (-logp.take(hit)).sum(axis=-1) / batch, grad
+    grad *= (weights / batch)[..., None]
+    return (weights * -logp.take(hit)).sum(axis=-1) / batch, grad
+
+
 def _stacked_logits(rng, k):
     """(S, B, K) logits for S = 3 models at batch sizes 1, 9 and 32."""
     return [rng.standard_normal((3, batch, k)) * 8.0 for batch in (1, 9, 32)]
@@ -152,6 +169,42 @@ class TestSoftmaxXent:
                 want_loss, want_grad = _xent_2d(logits[s], labels[s], None if weights is None else weights[s])
                 assert loss[s].tobytes() == want_loss.tobytes(), (k, s)
                 assert grad[s].tobytes() == want_grad.tobytes(), (k, s)
+
+    def test_cached_row_starts_match_fresh_ones(self):
+        # Full, ragged and 2-D batches in one process, then the full one again:
+        # each call's offsets must be its own shape's, however the cache stands.
+        rng = np.random.default_rng(7)
+        for shape in ((3, 32, 5), (3, 25, 5), (32, 5), (3, 32, 5)):
+            logits = rng.standard_normal(shape) * 8.0
+            labels = rng.integers(0, 5, shape[:-1])
+            for weights in (None, rng.uniform(0.0, 3.0, shape[:-1])):
+                loss, grad = _xent(logits, labels, weights)
+                want_loss, want_grad = _xent_fresh(logits, labels, weights)
+                assert loss.tobytes() == want_loss.tobytes(), shape
+                assert grad.tobytes() == want_grad.tobytes(), shape
+
+    def test_losses_round_as_negated_sums(self):
+        # The first model picks only +0.0 log-probabilities (the label's logit
+        # dominates), so its loss is a zero whose sign rests on where the
+        # negation goes.
+        logits = np.array([[[0.0, -1000.0]] * 3, [[1.0, -2.0], [0.5, 0.0], [3.0, 3.0]]])
+        labels = np.array([[0, 0, 0], [1, 0, 1]])
+        logp = _log_softmax(logits)
+        picked = np.take_along_axis(logp, labels[..., None], -1)[..., 0]
+        assert not picked[0].any()
+        loss, _ = _xent(logits, labels)
+        assert loss.tobytes() == ((-picked).sum(-1) / 3).tobytes()
+        prior = np.array([1.0, 0.0])
+        loss, _ = _prior_xent(logits, prior)
+        assert loss.tobytes() == ((-(logp @ prior)).sum(-1) / 3).tobytes()
+
+    def test_weighted_loss_negates_each_term(self):
+        # A zero weight on a negative log-probability gives a +0.0 term beside
+        # a unit weight's -0.0 one. Their sum is +0.0, so negating the weighted
+        # sum instead of each term would give -0.0, where np.mean(w * -logp) is +0.0.
+        logits = np.array([[0.0, 0.0], [0.0, -1000.0]])
+        loss, _ = _xent(logits, np.array([0, 0]), np.array([0.0, 1.0]))
+        assert loss.tobytes() == np.float64(0.0).tobytes()
 
     def test_uniform_logits(self):
         loss, _ = softmax_xent(np.zeros((3, 10)), [0, 4, 9])
@@ -247,6 +300,16 @@ class TestOePriorXent:
             oe_prior_xent(np.zeros((1, 2)), [0.6, 0.6])
 
 
+def _bits(a):
+    """The float64 bit patterns of a, with every NaN as numpy's default one.
+
+    Where two NaNs meet in a sum, which one's sign bit survives depends on
+    numpy's inner loop; only a diverged run carries a NaN, so its sign is not
+    pinned. Signed zeros and infinities are.
+    """
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64).tobytes()
+
+
 class TestBackward:
     def test_zero_grad_logits(self):
         params = init_params(3, 4, 2, np.random.default_rng(0))
@@ -262,6 +325,32 @@ class TestBackward:
         (gw, gb), = backward(params, x, g)
         np.testing.assert_array_equal(gw, np.outer(x[0], g[0]))
         np.testing.assert_array_equal(gb, g[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.integers(1, 80), batch=st.integers(1, 256), hidden=st.integers(0, 16),
+           k=st.integers(2, 10), special=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_matches_2d_bytes(self, runs, batch, hidden, k, special, seed):
+        # Every batch size, so every ragged last batch, into a flat (S, P)
+        # gradient buffer as the training step uses. A bias gradient must sum its
+        # batch axis as one model's 2-D reduce does: row by row for h > 1,
+        # pairwise for h == 1 (a hidden width of 1).
+        rng = np.random.default_rng(seed)
+        dims = [3, k] if hidden == 0 else [3, hidden, k]
+        shapes = list(zip(dims, dims[1:]))
+        width = sum((rows + 1) * cols for rows, cols in shapes)
+        layers = _views(rng.standard_normal((runs, width)), shapes)
+        _, acts = _forward(layers, rng.standard_normal((runs, batch, 3)))
+        g = rng.standard_normal((runs, batch, k)) * 2.0 ** rng.integers(-20, 21, (runs, batch, k))
+        odd = rng.random(g.shape) < special
+        g[odd] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], odd.sum())
+        grads = _views(np.full((runs, width), 7.0), shapes)
+        with np.errstate(invalid="ignore", over="ignore"):
+            _backward(layers, acts, g, grads)
+            for s in range(runs):
+                want = _backward([(w[s], b[s, 0]) for w, b in layers], [a[s] for a in acts], g[s])
+                for (gw, gb), (ww, wb) in zip(grads, want):
+                    assert _bits(gw[s]) == _bits(ww), s
+                    assert _bits(gb[s, 0]) == _bits(wb), s
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -111,6 +111,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("epochs", True), ("batch_train", math.nan), ("batch_train", True),
+        ("batch_aux", 4.0), ("batch_aux", False), ("hidden_dim", 8.0), ("hidden_dim", True),
+        ("seed", 1.5), ("seed", True), ("use_class_weights", 1), ("fixed_labels", "yes"),
+        ("eta", True), ("beta_cb", False), ("base_lr", True), ("momentum", True),
+        ("weight_decay", False), ("eta", "1.5"),
+    ])
+    def test_wrong_type_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            TrainConfig(**{name: value})
+
+    def test_ints_stand_in_for_floats(self):
+        cfg = TrainConfig(eta=2, beta_cb=0, base_lr=1, momentum=0, weight_decay=0,
+                          epochs=np.int64(3), seed=np.int64(4), batch_aux=None)
+        assert (cfg.eta, cfg.epochs, cfg.batch_aux) == (2, 3, None)
+
     def test_defaults_valid(self):
         cfg = TrainConfig()
         assert cfg.eta == 1.5 and cfg.method == "open-sampling"
