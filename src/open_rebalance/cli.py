@@ -450,7 +450,8 @@ def _run_error(doc: dict, i: int, message) -> ConfigError:
 def _runs(config: dict, path: str) -> dict:
     """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig,
     aux_size, label), labelled name_seedS, or name[param=value,seed=S] with
-    the value as _shown shows it. Grid values must differ once parsed.
+    the value as _shown shows it. Grid values must differ once parsed, and
+    label_dist values once built.
 
     A train config is one grid point that changes nothing. A value that the
     constructors refuse, or an auxiliary method or aux_size without data.aux, is a
@@ -468,7 +469,7 @@ def _runs(config: dict, path: str) -> dict:
         return (f"{doc['name']}[{grid['param']}={_shown(config['grid']['values'][i])},seed={seed}]"
                 if "grid" in doc else f"{doc['name']}_seed{seed}")
 
-    doc["runs"] = []
+    doc["runs"], kinds = [], []
     for i, value in enumerate(grid["values"]):
         kwargs = _apply_grid_value(doc["train"], grid["param"], value)
         try:
@@ -483,6 +484,12 @@ def _runs(config: dict, path: str) -> dict:
                             for seed in doc["seeds"]]
         except ValueError as exc:
             raise _run_error(doc, i, exc) from exc
+        if grid["param"] == "label_dist":
+            # Two spellings of one distribution build one kind.
+            if kwargs["label_dist"] in kinds:
+                raise ConfigError(f"{path}.grid.values[{i}] must be none of "
+                                  f"{json.dumps(grid['values'][:i])}, got {json.dumps(value)}")
+            kinds.append(kwargs["label_dist"])
         method = kwargs["method"]
         if (size or method in train._AUX_METHODS) and "aux" not in doc["data"]:
             raise (ConfigError(f"sweep.grid.values[{i}]: aux_size {size} needs a pool in data.aux") if size

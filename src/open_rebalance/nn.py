@@ -188,21 +188,26 @@ def _row_starts(shape: tuple, k: int) -> np.ndarray:
     return starts
 
 
-def _xent(logits, labels, weights=None):
-    # Mean over the batch axis, one loss per model; sum / B rounds exactly as
-    # np.mean does. Unit weights round exactly as no weights. Each term is
-    # negated before the sum, not the sum after it: numpy may start a sum at
-    # +0.0, so a zero loss would change sign.
-    logp = _log_softmax(logits)
-    batch, k = logits.shape[-2:]
+def _xent_from(logp, grad, labels, weights=None):
+    # The loss from log-probabilities; grad, their exp, becomes the logit
+    # gradient in place. Mean over the batch axis, one loss per model; sum / B
+    # rounds exactly as np.mean does. Unit weights round exactly as no weights.
+    # Each term is negated before the sum, not the sum after it: numpy may
+    # start a sum at +0.0, so a zero loss would change sign.
+    batch, k = logp.shape[-2:]
     hit = labels + _row_starts(labels.shape, k)
-    grad = np.exp(logp)
     grad.reshape(-1)[hit] -= 1.0
     if weights is None:
         grad *= 1.0 / batch
-        return (-logp.take(hit)).sum(axis=-1) / batch, grad
+        return (-logp.take(hit)).sum(axis=-1) / batch
     grad *= (weights / batch)[..., None]
-    return (weights * -logp.take(hit)).sum(axis=-1) / batch, grad
+    return (weights * -logp.take(hit)).sum(axis=-1) / batch
+
+
+def _xent(logits, labels, weights=None):
+    logp = _log_softmax(logits)
+    grad = np.exp(logp)
+    return _xent_from(logp, grad, labels, weights), grad
 
 
 def softmax_xent(logits, labels, sample_weights=None):
@@ -237,10 +242,18 @@ def balanced_softmax_xent(logits, labels, prior: ClassPrior):
     return softmax_xent(np.asarray(logits, dtype=np.float64) + _log_counts(prior), labels)
 
 
+def _prior_xent_from(logp, grad, prior):
+    # As _xent_from, against a reference label distribution.
+    batch = logp.shape[-2]
+    grad -= prior
+    grad /= batch
+    return (-(logp @ prior)).sum(axis=-1) / batch
+
+
 def _prior_xent(logits, prior):
     logp = _log_softmax(logits)
-    batch = logits.shape[-2]
-    return (-(logp @ prior)).sum(axis=-1) / batch, (np.exp(logp) - prior) / batch
+    grad = np.exp(logp)
+    return _prior_xent_from(logp, grad, prior), grad
 
 
 def oe_prior_xent(logits, prior):

@@ -175,8 +175,9 @@ class LabelDistributionKind:
     """Which distribution auxiliary labels are drawn from, by tag.
 
     ``complementary`` carries an optional alpha (None means the default
-    max beta + min beta), ``class-balanced`` an optional beta_cb (None means
-    DEFAULT_BETA_CB), and ``fixed-class`` puts all mass on one class
+    max beta + min beta), ``class-balanced`` a beta_cb (None is resolved to
+    DEFAULT_BETA_CB as the kind is built, so kinds of one distribution compare
+    equal), and ``fixed-class`` puts all mass on one class
     (None means the smallest class) for toxicity experiments, as in
     ``LabelDistributionKind("complementary", alpha=0.5)``.
     """
@@ -189,6 +190,8 @@ class LabelDistributionKind:
     def __post_init__(self):
         if self.tag not in _KIND_TAGS:
             raise ValueError(f"unknown label distribution tag {self.tag!r}")
+        if self.tag == "class-balanced" and self.beta_cb is None:
+            object.__setattr__(self, "beta_cb", DEFAULT_BETA_CB)
         if self.alpha is not None and self.tag != "complementary":
             raise ValueError("alpha only applies to the complementary tag")
         if self.beta_cb is not None:
@@ -211,8 +214,7 @@ def label_distribution(kind: LabelDistributionKind, prior: ClassPrior) -> np.nda
     if kind.tag == "uniform":
         return np.full(k, 1.0 / k)
     if kind.tag == "class-balanced":
-        beta_cb = kind.beta_cb if kind.beta_cb is not None else DEFAULT_BETA_CB
-        return cb_effective_weights(prior, beta_cb) / k
+        return cb_effective_weights(prior, kind.beta_cb) / k
     if kind.tag == "original-prior":
         return prior.betas.copy()
     if kind.tag == "fixed-class":

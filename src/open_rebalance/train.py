@@ -39,9 +39,11 @@ from .nn import (
     _backward,
     _forward,
     _log_counts,
-    _prior_xent,
+    _log_softmax,
+    _prior_xent_from,
     _sgd_update,
     _xent,
+    _xent_from,
     init_params,
     lr_at,
 )
@@ -284,6 +286,12 @@ def _views(flat: np.ndarray, shapes) -> tuple:
     return tuple(views)
 
 
+def _unless_all(where: np.ndarray):
+    """The mask, or True (a ufunc's default) when it holds no False: an add
+    under an all-true mask rounds as the plain add and costs several times it."""
+    return True if where.all() else where
+
+
 class _Stack:
     """S runs' parameters, velocities and loss specs, stacked along axis 0.
 
@@ -296,7 +304,10 @@ class _Stack:
     exactly as no weights) and the aux omegas. Specs come in slice order: the
     first R runs relabel their auxiliary batch, the next A - R take the OE
     prior CE (the training prior, shared by all), and the rest have no
-    auxiliary batch. The run count and slices are fixed for the stack's life.
+    auxiliary batch. The run count and slices are fixed for the stack's life,
+    so the step's layout is resolved here once: each masked add's mask (True
+    when it would hold no False), and ``aux_loss``, the per-run auxiliary
+    losses, whose tail past A holds the zeros of the runs without a batch.
     """
 
     def __init__(self, specs, layer_sets, momentum: float, weight_decay: float):
@@ -317,8 +328,10 @@ class _Stack:
         self.rows = np.arange(self.size)[:, None]
         # Adding a zero offset could turn a -0.0 logit into +0.0, and a zero
         # eta times the aux gradient could do the same to a weight gradient,
-        # so both adds are masked to the runs that have a nonzero term.
-        self.offset_where = np.array([spec.base_offset is not None for spec in specs])[:, None, None]
+        # so both adds are masked to the runs that have a nonzero term where
+        # some run has none.
+        has_offset = np.array([spec.base_offset is not None for spec in specs])
+        self.offset_where = _unless_all(has_offset[:, None, None])
         self.grad = np.empty_like(self.params)
         self.layers = _views(self.params, self.shapes)
         self.grads = _views(self.grad, self.shapes)
@@ -329,20 +342,28 @@ class _Stack:
         self.aux_grads = _views(self.aux_grad, self.shapes)
         self.aux_rows = self.rows[: self.n_relabel]
         self.aux_eta = self.eta[:a, None]
-        self.eta_where = self.aux_eta != 0.0
-        self.any_eta = bool(self.eta_where.any())
+        self.eta_where = _unless_all(self.aux_eta != 0.0)
+        self.any_eta = bool(self.aux_eta.any())
+        self.aux_loss = np.zeros(self.size)
 
 
 def _aux_loss(stack: _Stack, logits, ay):
-    """The auxiliary loss and logit gradient of the stack's leading A runs."""
-    r = stack.n_relabel
-    if r == stack.n_aux:
-        return _xent(logits, ay, stack.aux_omegas[stack.aux_rows, ay])
-    if r == 0:
-        return _prior_xent(logits, stack.aux_prior)
-    loss, g = _xent(logits[:r], ay, stack.aux_omegas[stack.aux_rows, ay])
-    oe_loss, oe_g = _prior_xent(logits[r:], stack.aux_prior)
-    return np.concatenate((loss, oe_loss)), np.concatenate((g, oe_g))
+    """Every run's auxiliary loss, and the logit gradient of the stack's leading A runs.
+
+    The A rows share one log-softmax and its exp, which the relabelled rows
+    [:R] and the OE rows [R:] each turn into their gradient in place: the
+    log-softmax is row-wise, so each row rounds as in its own kind's call.
+    The losses are written into ``stack.aux_loss``, which the next step
+    overwrites.
+    """
+    r, a, loss = stack.n_relabel, stack.n_aux, stack.aux_loss
+    logp = _log_softmax(logits)
+    grad = np.exp(logp)
+    if r:
+        loss[:r] = _xent_from(logp[:r], grad[:r], ay, stack.aux_omegas[stack.aux_rows, ay])
+    if r < a:
+        loss[r:a] = _prior_xent_from(logp[r:], grad[r:], stack.aux_prior)
+    return loss, grad
 
 
 def _step(stack: _Stack, lr: float, bx, by, ax, ay):
@@ -350,9 +371,10 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
 
     Batches are (S, B, d) with (S, B) labels; the auxiliary batch ax is
     (A, m, d) for the stack's leading A runs, with (R, m) labels ay. Returns
-    the per-run base and aux loss vectors and the mask of runs whose base or
-    auxiliary logits are not all finite, None when all are. Every run is
-    updated, finite or not; no operation mixes two runs' slices.
+    the per-run base and aux loss vectors, the latter valid until the next
+    step, and the mask of runs whose base or auxiliary logits are not all
+    finite, None when all are. Every run is updated, finite or not; no
+    operation mixes two runs' slices.
     """
     logits, acts = _forward(stack.layers, bx)
     if stack.base_offset is not None:
@@ -363,21 +385,19 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     base_loss, g = _xent(logits, by, weights)
     _backward(stack.layers, acts, g, stack.grads)
     a = stack.n_aux
-    aux_loss = np.zeros_like(base_loss) if a < stack.size else None
     if a:
         logits, acts = _forward(stack.aux_layers, ax)
         if not np.isfinite(logits).all():
             lost = np.zeros(stack.size, dtype=bool) if lost is None else lost
             lost[:a] |= ~np.isfinite(logits).all(axis=(-2, -1))
-        loss, g = _aux_loss(stack, logits, ay)
-        aux_loss = loss if a == stack.size else np.concatenate((loss, aux_loss[a:]))
+        _, g = _aux_loss(stack, logits, ay)
         if stack.any_eta:
             _backward(stack.aux_layers, acts, g, stack.aux_grads)
             aux, head = stack.aux_grad, stack.grad[:a]
             np.multiply(stack.aux_eta, aux, out=aux)
             np.add(head, aux, out=head, where=stack.eta_where)
     _sgd_update(stack.params, stack.grad, stack.velocity, stack.momentum, stack.weight_decay, lr)
-    return base_loss, aux_loss, lost
+    return base_loss, stack.aux_loss, lost
 
 
 def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) -> _LossSpec:

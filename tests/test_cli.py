@@ -820,10 +820,14 @@ class TestSweepGridValues:
          ("alpha", ["M", 0.5, "M"], 'values[2] must be none of ["M", 0.5], got "M"'),
          ("label_dist", ["mcd", {"tag": "mcd"}],
           'values[1] must be none of [{"tag": "mcd"}], got {"tag": "mcd"}'),
+         ("label_dist", ["uniform", "class-balanced", {"tag": "class-balanced", "beta_cb": 0.9999}],
+          'values[2] must be none of [{"tag": "uniform"}, {"tag": "class-balanced"}], '
+          'got {"tag": "class-balanced", "beta_cb": 0.9999}'),
          ("method", ["standard", "oe", "standard"], 'values[2] must be none of ["standard", "oe"], '
           'got "standard"'),
          ("aux_size", [10, 10], "values[1] must be none of [10], got 10")],
-        ids=["eta", "eta-int", "alpha", "label_dist-spellings", "method", "aux_size"],
+        ids=["eta", "eta-int", "alpha", "label_dist-spellings", "label_dist-default-beta_cb", "method",
+             "aux_size"],
     )
     def test_repeated_value_fails_before_any_file_is_read(self, tmp_path, capsys, param, values,
                                                           message):

@@ -341,6 +341,15 @@ class TestLabelDistributionKind:
         dist = label_distribution(LabelDistributionKind("class-balanced", beta_cb=DEFAULT_BETA_CB), p)
         assert np.all(np.diff(dist) > 0)
 
+    def test_class_balanced_resolves_its_default_beta_cb(self):
+        # Two spellings of one distribution are one kind, so a sweep grid
+        # cannot hold both as different values.
+        kind = LabelDistributionKind("class-balanced")
+        assert kind.beta_cb == DEFAULT_BETA_CB
+        assert kind == LabelDistributionKind("class-balanced", beta_cb=DEFAULT_BETA_CB)
+        assert kind != LabelDistributionKind("class-balanced", beta_cb=0.9)
+        assert LabelDistributionKind("complementary").alpha is None
+
     def test_uniform_flatter_than_cb(self):
         # The complementary distribution sits closer to uniform than CB does.
         p = prior_from_counts([500, 158, 50, 16, 5])

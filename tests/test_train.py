@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from open_rebalance.data import (
     LabeledDataset,
@@ -14,6 +16,8 @@ from open_rebalance.data import (
 )
 from open_rebalance import metrics, train
 from open_rebalance.nn import (
+    _prior_xent,
+    _xent,
     backward,
     balanced_softmax_xent,
     forward,
@@ -717,23 +721,41 @@ def _per_array_backward(layers, acts, g):
     return grads
 
 
-def _per_array_step(stack, layers, velocity, lr, bx, by, ax, ay):
-    """The stacked step with one array per layer parameter, stack only giving the loss terms.
+def _per_kind_aux_loss(stack, logits, ay):
+    """The auxiliary losses and logit gradient as each kind defines them, one call per kind.
 
-    Fresh arrays in the forward and backward passes, the eta-weighted
-    auxiliary gradient added array by array, and one momentum update per array.
+    The relabelled rows take their omega-weighted CE and the OE rows the prior
+    CE, each on a fresh array; the runs without an auxiliary batch lose 0.
+    """
+    r, a = stack.n_relabel, stack.n_aux
+    parts = []
+    if r:
+        parts.append(_xent(logits[:r], ay, stack.aux_omegas[np.arange(r)[:, None], ay]))
+    if r < a:
+        parts.append(_prior_xent(logits[r:], stack.aux_prior))
+    losses, grads = zip(*parts)
+    return np.concatenate([*losses, np.zeros(stack.size - a)]), np.concatenate(grads)
+
+
+def _per_array_step(stack, offset_where, layers, velocity, lr, bx, by, ax, ay):
+    """The stacked step with one array per layer parameter, stack only giving the loss specs.
+
+    Fresh arrays in the forward and backward passes, the auxiliary loss one
+    call per kind, the base offset and the eta-weighted auxiliary gradient
+    added under masks of their own (offset_where marks the runs with an
+    offset), and one momentum update per array.
     """
     logits, acts = _per_array_forward(layers, bx)
     if stack.base_offset is not None:
-        np.add(logits, stack.base_offset, out=logits, where=stack.offset_where)
+        np.add(logits, stack.base_offset, out=logits, where=offset_where)
     weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
-    grads = _per_array_backward(layers, acts, train._xent(logits, by, weights)[1])
+    grads = _per_array_backward(layers, acts, _xent(logits, by, weights)[1])
     a = stack.n_aux
     if a:
         aux_layers = [(w[:a], b[:a]) for w, b in layers]
         logits, acts = _per_array_forward(aux_layers, ax)
         eta = stack.eta[:a, None, None]
-        aux_grads = _per_array_backward(aux_layers, acts, train._aux_loss(stack, logits, ay)[1])
+        aux_grads = _per_array_backward(aux_layers, acts, _per_kind_aux_loss(stack, logits, ay)[1])
         for (gw, gb), (aw, ab) in zip(grads, aux_grads):
             for grad, aux in ((gw[:a], aw), (gb[:a], ab)):
                 np.add(grad, eta * aux, out=grad, where=eta != 0.0)
@@ -746,10 +768,15 @@ def _per_array_step(stack, layers, velocity, lr, bx, by, ax, ay):
             theta -= lr * v
 
 
-# (method, eta) per run, in config order; eta None keeps the default.
+# (method, eta) per run, in config order; eta None keeps the default. Every
+# run of stack 2 has a base offset and a nonzero eta, and every auxiliary run
+# of stack 4 a nonzero eta, so their adds go unmasked; stacks 3 and 7 hold a
+# zero-eta run.
 FLAT_STACKS = {
     1: [("open-sampling", None)],
+    2: [("balanced-softmax+open-sampling", 0.5), ("balanced-softmax", None)],
     3: [("balanced-softmax", None), ("open-sampling", 0.0), ("oe", 0.7)],
+    4: [("oe", 0.7), ("open-sampling", 1.5), ("balanced-softmax+open-sampling", 2.0), ("standard", None)],
     7: [("standard", None), ("open-sampling", 1.5), ("oe", 0.0), ("cb-rw", None),
         ("balanced-softmax+open-sampling", 2.0), ("open-sampling", 0.0), ("balanced-softmax", None)],
 }
@@ -763,23 +790,76 @@ class TestFlatStack:
         prior = prior_from_counts([30, 10, 4])
         configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta})) for m, eta in FLAT_STACKS[size]]
         specs = sorted((train._loss_spec(c, prior, 50, None) for c in configs), key=train._slice_rank)
+        offset_where = np.array([spec.base_offset is not None for spec in specs])[:, None, None]
         runs = [tuple((w, rng.standard_normal(b.shape)) for w, b in init_params(4, hidden, 3, rng).layers)
                 for _ in specs]
         stack = train._Stack(specs, runs, 0.9, 2e-4)
         layers = [(np.stack([r[i][0] for r in runs]), np.stack([r[i][1] for r in runs])[:, None])
                   for i in range(len(runs[0]))]
         velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        # Batch sizes that are not powers of two, so that dividing by B rounds.
         for step in range(6):
-            bx, by = rng.standard_normal((stack.size, 16, 4)), rng.integers(0, 3, (stack.size, 16))
-            ax, ay = rng.standard_normal((stack.n_aux, 8, 4)), rng.integers(0, 3, (stack.n_relabel, 8))
+            bx, by = rng.standard_normal((stack.size, 13, 4)), rng.integers(0, 3, (stack.size, 13))
+            ax, ay = rng.standard_normal((stack.n_aux, 7, 4)), rng.integers(0, 3, (stack.n_relabel, 7))
             lr = 0.5 / (step + 1)
             train._step(stack, lr, bx, by, ax, ay)
-            _per_array_step(stack, layers, velocity, lr, bx, by, ax, ay)
+            _per_array_step(stack, offset_where, layers, velocity, lr, bx, by, ax, ay)
             flat_velocity = train._views(stack.velocity, stack.shapes)
             for got, want in ((stack.layers, layers), (flat_velocity, velocity)):
                 for got_pair, want_pair in zip(got, want):
                     for g, w in zip(got_pair, want_pair):
                         assert g.shape == w.shape and g.tobytes() == w.tobytes(), (step, size, hidden)
+
+
+def _bits(a):
+    """The float64 bit patterns of a, with every NaN as numpy's default one.
+
+    As in test_nn: which NaN's sign bit survives where two meet is not pinned.
+    """
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64).tobytes()
+
+
+class TestAuxLoss:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), aux=st.integers(1, 40), idle=st.integers(0, 3), batch=st.integers(1, 64),
+           k=st.integers(2, 12), special=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_mixed_slice_matches_per_kind_bytes(self, data, aux, idle, batch, k, special, seed):
+        # R relabelled runs with their own omegas, A - R OE runs against one
+        # prior and a few runs without an auxiliary batch. The stacked call
+        # shares one log-softmax over all A rows; each row must round as in
+        # its own kind's call, signed zeros, infinities and NaNs included.
+        relabel = data.draw(st.integers(0, aux), label="relabel")
+        rng = np.random.default_rng(seed)
+        prior = rng.dirichlet(np.ones(k))
+        specs = ([train._LossSpec(eta=1.0, aux_omegas=rng.uniform(0.0, 3.0, k)) for _ in range(relabel)]
+                 + [train._LossSpec(eta=1.0, aux_prior=prior)] * (aux - relabel)
+                 + [train._LossSpec()] * idle)
+        stack = train._Stack(specs, [((np.zeros((1, k)), np.zeros(k)),)] * len(specs), 0.9, 0.0)
+        logits = rng.standard_normal((aux, batch, k)) * 2.0 ** rng.integers(-10, 11, (aux, batch, k))
+        odd = rng.random(logits.shape) < special
+        logits[odd] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], odd.sum())
+        ay = rng.integers(0, k, (relabel, batch))
+        with np.errstate(invalid="ignore", over="ignore"):
+            loss, grad = train._aux_loss(stack, logits, ay)
+            want_loss, want_grad = _per_kind_aux_loss(stack, logits, ay)
+        assert _bits(loss) == _bits(want_loss)
+        assert _bits(grad) == _bits(want_grad)
+
+    def test_all_true_masks_are_dropped(self):
+        # A mask with no False is stored as True, np.add's default; one that
+        # holds a zero-eta run or a run without an offset stays.
+        prior = prior_from_counts([30, 10, 4])
+
+        def stack(size):
+            configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta}))
+                       for m, eta in FLAT_STACKS[size]]
+            specs = sorted((train._loss_spec(c, prior, 50, None) for c in configs), key=train._slice_rank)
+            return train._Stack(specs, [init_params(4, 0, 3, 0).layers] * len(specs), 0.9, 0.0)
+
+        assert stack(2).offset_where is True and stack(2).eta_where is True
+        assert stack(4).eta_where is True
+        assert stack(3).eta_where.tolist() == [[False], [True]]
+        assert stack(3).offset_where.ravel().tolist() == [False, False, True]
 
 
 class TestStep:
