@@ -346,12 +346,16 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
 # ---------------------------------------------------------------------------
 # train and sweep
 
-_LABEL_DIST = {
-    "tag": (str, None, REQUIRED),
-    "alpha": (float, None, OPTIONAL),
-    "beta_cb": (float, None, OPTIONAL),
-    "class_index": (int, None, OPTIONAL),
-}
+# The _SCALARS kind per scalar annotation, a string under `from __future__ import annotations`.
+_ANNOTATED = {f"{kind.__name__}{none}": kind for kind in (int, float, bool, str) for none in ("", " | None")}
+
+
+def _fields(cls, hand: dict, skip=()) -> dict:
+    """A table of a dataclass's fields in their order, less skip: hand's entry
+    where it has one, else the field's scalar kind, OPTIONAL so that the
+    class's default applies. Any other field is a KeyError as cli loads."""
+    return {f.name: hand[f.name] if f.name in hand else (_ANNOTATED[f.type], None, OPTIONAL)
+            for f in dataclasses.fields(cls) if f.name not in skip}
 
 
 def _label_dist(value, path) -> dict:
@@ -367,27 +371,16 @@ def _thresholds(value, path) -> tuple:
     return pair
 
 
-# TrainConfig, LabelDistributionKind and LrSchedule own the ranges, and
-# TrainConfig the defaults of absent keys.
-_TRAIN = {
+# Each table's keys are its dataclass's fields, which own their ranges and
+# the defaults of absent keys: _LABEL_DIST's LabelDistributionKind's, the
+# schedule table's LrSchedule's, and _TRAIN's TrainConfig's, less hidden_dim
+# and seed, which model and seeds give.
+_LABEL_DIST = _fields(LabelDistributionKind, {"tag": (str, None, REQUIRED)})
+_TRAIN = _fields(train.TrainConfig, {
     "method": (str, None, REQUIRED),
-    "eta": (float, None, OPTIONAL),
     "label_dist": (_label_dist, None, OPTIONAL),
-    "use_class_weights": (bool, None, OPTIONAL),
-    "fixed_labels": (bool, None, OPTIONAL),
-    "beta_cb": (float, None, OPTIONAL),
-    "epochs": (int, None, OPTIONAL),
-    "batch_train": (int, 1, OPTIONAL),
-    "batch_aux": (int, 1, OPTIONAL),
-    "base_lr": (float, None, OPTIONAL),
-    "momentum": (float, None, OPTIONAL),
-    "weight_decay": (float, None, OPTIONAL),
-    "schedule": ({
-        "warmup_epochs": (int, None, 0),
-        "milestones": ([int, ...], None, []),
-        "decay_factor": (float, None, 0.01),
-    }, None, OPTIONAL),
-}
+    "schedule": (_fields(nn.LrSchedule, {"milestones": ([int, ...], None, OPTIONAL)}), None, OPTIONAL),
+}, skip=("hidden_dim", "seed"))
 _RUNS = {
     **_DOC,
     "data": ({"train": (str, None, REQUIRED), "test": (str, None, REQUIRED),
@@ -473,11 +466,9 @@ def _runs(config: dict, path: str) -> dict:
     for i, value in enumerate(grid["values"]):
         kwargs = _apply_grid_value(doc["train"], grid["param"], value)
         try:
-            if "label_dist" in kwargs:
-                kwargs["label_dist"] = _built("label_dist", LabelDistributionKind,
-                                              **kwargs["label_dist"])
-            if "schedule" in kwargs:
-                kwargs["schedule"] = _built("schedule", nn.LrSchedule, **kwargs["schedule"])
+            for key, build in (("label_dist", LabelDistributionKind), ("schedule", nn.LrSchedule)):
+                if key in kwargs:
+                    kwargs[key] = _built(key, build, **kwargs[key])
             kwargs["hidden_dim"] = doc["model"]["hidden_dim"]
             size = value if grid["param"] == "aux_size" else None
             doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, **kwargs), size, label(i, seed))

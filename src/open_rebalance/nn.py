@@ -88,9 +88,9 @@ class LrSchedule:
     """Linear warmup then multiplicative decay at each milestone epoch, over
     any number of epochs: a run's length is its own."""
 
-    warmup_epochs: int
-    milestones: tuple
-    decay_factor: float
+    warmup_epochs: int = 0
+    milestones: tuple = ()
+    decay_factor: float = 0.01
 
     def __post_init__(self):
         # Each message starts with the field it refuses.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import compress
 
 import numpy as np
@@ -48,6 +48,7 @@ from .nn import (
     lr_at,
 )
 from .priors import (
+    DEFAULT_BETA_CB,
     ClassPrior,
     LabelDistributionKind,
     cb_effective_weights,
@@ -77,14 +78,18 @@ METHODS = (
 _AUX_METHODS = frozenset({"open-sampling", "oe", "balanced-softmax+open-sampling"})
 _RELABEL_METHODS = frozenset({"open-sampling", "balanced-softmax+open-sampling"})
 
-# The values a config field's annotation admits, and how a refusal names them:
-# ints stand in for floats, and a bool is neither an int nor a float here.
+# The values a config field's annotation admits, and how a refusal names them;
+# `T | None` admits None too. Ints stand in for floats, and a bool is neither.
 _FIELD_KINDS = {
     "int": (numbers.Integral, "an integer"),
-    "int | None": ((numbers.Integral, type(None)), "an integer or None"),
     "float": (numbers.Real, "a number"),
     "bool": (bool, "a bool"),
+    "tuple": (tuple, "a tuple"),
+    "LabelDistributionKind": (LabelDistributionKind, "a LabelDistributionKind"),
+    "LrSchedule": (LrSchedule, "an LrSchedule"),
 }
+_FIELD_KINDS.update({f"{name} | None": ((kind, type(None)), f"{noun} or None")
+                     for name, (kind, noun) in _FIELD_KINDS.items()})
 
 _STREAM_SHUFFLE = 0
 _STREAM_AUX = 1
@@ -100,7 +105,7 @@ class TrainConfig:
     label_dist: LabelDistributionKind | None = None
     use_class_weights: bool = True
     fixed_labels: bool = False
-    beta_cb: float = 0.9999
+    beta_cb: float = DEFAULT_BETA_CB
     epochs: int = 40
     batch_train: int = 32
     batch_aux: int | None = None
@@ -112,25 +117,29 @@ class TrainConfig:
     schedule: LrSchedule | None = None
 
     def __post_init__(self):
-        # Each message starts with the field it refuses.
+        # Each message starts with the field it refuses, dotted within a label_dist or schedule.
         if self.method not in METHODS:
             raise ValueError(f"method {self.method!r} is not one of {METHODS}")
-        for f in fields(self):
-            if f.type in _FIELD_KINDS:
-                kind, noun = _FIELD_KINDS[f.type]
-                value = getattr(self, f.name)
-                if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-                    raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        held = [(self, "")]
+        for obj, prefix in held:
+            for f in fields(obj):
+                if f.type in _FIELD_KINDS:
+                    kind, noun = _FIELD_KINDS[f.type]
+                    value = getattr(obj, f.name)
+                    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                        raise ValueError(f"{prefix}{f.name} must be {noun}, got {value!r}")
+                    if is_dataclass(value):  # a label_dist or schedule, whose fields come next
+                        held.append((value, f"{f.name}."))
         for name in ("eta", "epochs", "hidden_dim", "base_lr", "weight_decay"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative")
             if not value < math.inf:  # NaN too
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.batch_train < 1:
-            raise ValueError("batch_train must be at least 1")
-        if self.batch_aux is not None and self.batch_aux < 1:
-            raise ValueError("batch_aux must be at least 1")
+        for name in ("batch_train", "batch_aux"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if not 0.0 <= self.beta_cb < 1.0:
             raise ValueError("beta_cb must lie in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:
@@ -167,9 +176,8 @@ def default_schedule(epochs: int) -> LrSchedule:
     """Warmup for 5 epochs then decay by 0.01 at 80% and 90% of the run;
     a run of under 10 epochs keeps its base rate."""
     if epochs < 10:
-        return LrSchedule(warmup_epochs=0, milestones=(), decay_factor=0.01)
-    return LrSchedule(warmup_epochs=5, milestones=(int(0.8 * epochs), int(0.9 * epochs)),
-                      decay_factor=0.01)
+        return LrSchedule()
+    return LrSchedule(warmup_epochs=5, milestones=(int(0.8 * epochs), int(0.9 * epochs)))
 
 
 def _lookup_labels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

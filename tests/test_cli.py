@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -687,8 +688,9 @@ class TestTrainSectionIntegers:
         [(("train", "epochs"), 2.0, "train.epochs must be a non-negative integer, got 2.0"),
          (("train", "epochs"), True, "train.epochs must be a non-negative integer, got true"),
          (("train", "batch_train"), 32.0, "train.batch_train must be a non-negative integer, got 32.0"),
-         (("train", "batch_train"), 0, "train.batch_train must be at least 1, got 0"),
+         (("train", "batch_train"), 0, "train.batch_train must be at least 1, got 0{at}"),
          (("train", "batch_aux"), 16.0, "train.batch_aux must be a non-negative integer, got 16.0"),
+         (("train", "batch_aux"), 0, "train.batch_aux must be at least 1, got 0{at}"),
          (("model", "hidden_dim"), 8.7, "model.hidden_dim must be a non-negative integer, got 8.7"),
          (("model", "hidden_dim"), -1, "model.hidden_dim must be a non-negative integer, got -1"),
          (("train", "schedule", "warmup_epochs"), 1.0,
@@ -697,7 +699,8 @@ class TestTrainSectionIntegers:
           "train.schedule.milestones[1] must be a non-negative integer, got 2.5"),
          (("train", "schedule", "milestones"), 2, "train.schedule.milestones must be a list, got 2")],
         ids=["epochs-float", "epochs-bool", "batch_train-float", "batch_train-zero", "batch_aux-float",
-             "hidden_dim-float", "hidden_dim-negative", "warmup-float", "milestone-float", "milestones-scalar"],
+             "batch_aux-zero", "hidden_dim-float", "hidden_dim-negative", "warmup-float", "milestone-float",
+             "milestones-scalar"],
     )
     def test_bad_integer_fails_before_any_file_is_read(self, tmp_path, capsys, command, path, value, message):
         config = _missing_data_config(command)
@@ -707,7 +710,46 @@ class TestTrainSectionIntegers:
             section = section[parent]
         section[key] = value
         err = _fails_before_any_file_is_read(tmp_path, capsys, command, config)
+        # TrainConfig refuses a batch size of 0, so a sweep names the grid value it was built at.
+        message = message.format(at=", at grid.values[0]" if command == "sweep" else "")
         assert f"error: {command}.{message}\n" in err, err
+
+
+class TestDerivedTables:
+    """_TRAIN, _LABEL_DIST and the schedule table are read off their dataclasses."""
+
+    @pytest.mark.parametrize("table, cls, skip", [
+        (cli._TRAIN, train.TrainConfig, ("hidden_dim", "seed")),
+        (cli._LABEL_DIST, LabelDistributionKind, ()),
+        (cli._TRAIN["schedule"][0], nn.LrSchedule, ()),
+    ], ids=["train", "label_dist", "schedule"])
+    def test_keys_are_the_fields_in_order(self, table, cls, skip):
+        assert list(table) == [f.name for f in dataclasses.fields(cls) if f.name not in skip]
+
+    def test_scalar_fields_take_their_kind_and_stay_optional(self):
+        assert cli._TRAIN["eta"] == (float, None, cli.OPTIONAL)
+        assert cli._TRAIN["batch_aux"] == (int, None, cli.OPTIONAL)
+        assert cli._TRAIN["fixed_labels"] == (bool, None, cli.OPTIONAL)
+        assert cli._LABEL_DIST["class_index"] == (int, None, cli.OPTIONAL)
+
+    def test_unknown_annotation_without_hand_entry_fails(self):
+        @dataclasses.dataclass
+        class Config:
+            count: "int" = 0
+            items: "list" = None
+
+        with pytest.raises(KeyError, match="list"):
+            cli._fields(Config, {})
+        assert cli._fields(Config, {"items": ([int], None, cli.REQUIRED)}, skip=("count",)) == {
+            "items": ([int], None, cli.REQUIRED)}
+
+    @pytest.mark.parametrize("schedule, built", [
+        ({}, nn.LrSchedule(0, (), 0.01)),
+        ({"milestones": [2]}, nn.LrSchedule(0, (2,), 0.01)),
+    ], ids=["empty", "milestones-only"])
+    def test_absent_schedule_keys_take_lr_schedule_defaults(self, schedule, built):
+        config = train_config(extra={"schedule": schedule})
+        assert [run[2].schedule for run in cli._runs(config, "train")["runs"]] == [built]
 
 
 class TestTrainSectionFloats:

@@ -16,6 +16,7 @@ from open_rebalance.data import (
 )
 from open_rebalance import metrics, train
 from open_rebalance.nn import (
+    LrSchedule,
     _prior_xent,
     _xent,
     backward,
@@ -29,6 +30,7 @@ from open_rebalance.nn import (
     softmax_xent,
 )
 from open_rebalance.priors import (
+    DEFAULT_BETA_CB,
     LabelDistributionKind,
     cb_effective_weights,
     complementary,
@@ -126,6 +128,26 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an? "):
             TrainConfig(**{name: value})
 
+    # Each kind and schedule builds on its own; a config that holds one with a
+    # badly typed field is refused, named by its dotted path.
+    @pytest.mark.parametrize("name, value, message", [
+        ("schedule", LrSchedule(0, [1], 0.1), "schedule.milestones must be a tuple, got [1]"),
+        ("schedule", {"warmup_epochs": 0},
+         "schedule must be an LrSchedule or None, got {'warmup_epochs': 0}"),
+        ("schedule", LrSchedule(1.5, (), 0.1), "schedule.warmup_epochs must be an integer, got 1.5"),
+        ("label_dist", "uniform", "label_dist must be a LabelDistributionKind or None, got 'uniform'"),
+        ("label_dist", LabelDistributionKind("fixed-class", class_index=1.5),
+         "label_dist.class_index must be an integer or None, got 1.5"),
+        ("label_dist", LabelDistributionKind("fixed-class", class_index=True),
+         "label_dist.class_index must be an integer or None, got True"),
+        ("label_dist", LabelDistributionKind("complementary", alpha="2.0"),
+         "label_dist.alpha must be a number or None, got '2.0'"),
+    ], ids=["milestones-list", "schedule-dict", "warmup-float", "label_dist-string", "class_index-float",
+            "class_index-bool", "alpha-string"])
+    def test_wrong_type_in_structured_field_refused(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{name: value})
+
     def test_ints_stand_in_for_floats(self):
         cfg = TrainConfig(eta=2, beta_cb=0, base_lr=1, momentum=0, weight_decay=0,
                           epochs=np.int64(3), seed=np.int64(4), batch_aux=None)
@@ -134,6 +156,7 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
         assert cfg.eta == 1.5 and cfg.method == "open-sampling"
+        assert cfg.beta_cb == DEFAULT_BETA_CB == LabelDistributionKind("class-balanced").beta_cb
 
 
 class TestTrainRun:
@@ -557,6 +580,14 @@ class TestBatchedRuns:
         results = train.train_runs([needs_pool, good], train_ds, test_ds, [None, pool])
         assert isinstance(results[0], ValueError) and "auxiliary pool" in str(results[0])
         assert _run_bytes(results[1]) == _run_bytes(train_run(good, train_ds, test_ds))
+
+    def test_bad_label_dist_fails_only_its_run(self):
+        train_ds, test_ds, pool = small_task()
+        good = TrainConfig(epochs=2, seed=5, hidden_dim=4)
+        bad = replace(good, label_dist=LabelDistributionKind("fixed-class", class_index=3))
+        results = train.train_runs([bad, good], train_ds, test_ds, [pool, pool])
+        assert isinstance(results[0], ValueError) and "fixed-class index 3" in str(results[0])
+        assert _run_bytes(results[1]) == _run_bytes(train_run(good, train_ds, test_ds, pool))
 
     def test_divergent_run_leaves_the_stack(self):
         train_ds, test_ds, pool = small_task()
