@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, metrics, nn, oracle, train
-from .priors import LabelDistributionKind, complementary, prior_from_counts
+from .priors import LabelDistributionKind, complementary, label_distribution, prior_from_counts
 
 __all__ = ["main", "ConfigError"]
 
@@ -61,7 +61,7 @@ def _parse(kind, value, path: str, bound=None):
     kind is a key of _SCALARS, whose bound is the minimum; a tuple of string
     choices; [item], a non-empty list, or [item, ...], any list, whose items
     take bound, as a tuple; a table {key: (kind, bound, default)}, walked in
-    its order; or a callable rule(value, path) for the few union cases.
+    its order; or a callable rule(value, path) for union cases and built types.
     """
 
     def fail(must):
@@ -99,15 +99,15 @@ def _parse(kind, value, path: str, bound=None):
 
 
 def _distinct(item, field=None, taken=()):
-    """A rule for a non-empty list of item in which no item, or no item's
-    field, is one of taken or equals an earlier one."""
+    """A rule for a non-empty list of item in which no item, or no item's field, is
+    one of taken or equals an earlier one once parsed; a refusal shows them as given."""
     def rule(value, path):
         items = _parse([item], value, path)
-        keys = [x if field is None else x[field] for x in items]
+        keys, given = ([x if field is None else x[field] for x in xs] for xs in (items, value))
         for i, key in enumerate(keys):
             if key in taken or key in keys[:i]:
                 raise ConfigError(f"{path}[{i}]{'' if field is None else '.' + field} must be none "
-                                  f"of {json.dumps([*taken, *keys[:i]])}, got {json.dumps(key)}")
+                                  f"of {json.dumps([*taken, *given[:i]])}, got {json.dumps(given[i])}")
         return items
     return rule
 
@@ -346,8 +346,9 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
 # ---------------------------------------------------------------------------
 # train and sweep
 
-# The _SCALARS kind per scalar annotation, a string under `from __future__ import annotations`.
+# The _parse kind per field annotation, a string under `from __future__ import annotations`.
 _ANNOTATED = {f"{kind.__name__}{none}": kind for kind in (int, float, bool, str) for none in ("", " | None")}
+_ANNOTATED["tuple[int, ...]"] = [int, ...]
 
 
 def _fields(cls, hand: dict, skip=()) -> dict:
@@ -358,9 +359,15 @@ def _fields(cls, hand: dict, skip=()) -> dict:
             for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def _label_dist(value, path) -> dict:
+def _label_dist(value, path) -> LabelDistributionKind:
     """A label distribution: its tag alone, or an object with its parameters."""
-    return _parse(_LABEL_DIST, {"tag": value} if isinstance(value, str) else value, path)
+    kwargs = _parse(_LABEL_DIST, {"tag": value} if isinstance(value, str) else value, path)
+    return _built(path, LabelDistributionKind, **kwargs)
+
+
+def _schedule(value, path) -> nn.LrSchedule:
+    """An LR schedule: an object with any of its fields."""
+    return _built(path, nn.LrSchedule, **_parse(_SCHEDULE, value, path))
 
 
 def _thresholds(value, path) -> tuple:
@@ -372,14 +379,15 @@ def _thresholds(value, path) -> tuple:
 
 
 # Each table's keys are its dataclass's fields, which own their ranges and
-# the defaults of absent keys: _LABEL_DIST's LabelDistributionKind's, the
-# schedule table's LrSchedule's, and _TRAIN's TrainConfig's, less hidden_dim
-# and seed, which model and seeds give.
+# the defaults of absent keys: _LABEL_DIST's LabelDistributionKind's,
+# _SCHEDULE's LrSchedule's, and _TRAIN's TrainConfig's, less hidden_dim and
+# seed, which model and seeds give.
 _LABEL_DIST = _fields(LabelDistributionKind, {"tag": (str, None, REQUIRED)})
+_SCHEDULE = _fields(nn.LrSchedule, {})
 _TRAIN = _fields(train.TrainConfig, {
     "method": (str, None, REQUIRED),
     "label_dist": (_label_dist, None, OPTIONAL),
-    "schedule": (_fields(nn.LrSchedule, {"milestones": ([int, ...], None, OPTIONAL)}), None, OPTIONAL),
+    "schedule": (_schedule, None, OPTIONAL),
 }, skip=("hidden_dim", "seed"))
 _RUNS = {
     **_DOC,
@@ -392,9 +400,12 @@ _RUNS = {
 }
 
 
-def _alpha(value, path):
-    """A sweep's alpha: a train alpha, "M" for the default one, or "mcd"."""
-    return value if value in ("M", "mcd") else _parse(float, value, path)
+def _alpha(value, path) -> LabelDistributionKind:
+    """A sweep's alpha as the label distribution it stands for: "mcd", "M"
+    for the complementary one at the default alpha, or a complementary alpha."""
+    if value in ("M", "mcd"):
+        return LabelDistributionKind("mcd" if value == "mcd" else "complementary")
+    return LabelDistributionKind("complementary", alpha=_parse(float, value, path))
 
 
 # Each sweep grid value is parsed as the train key it overrides: (kind, bound).
@@ -418,19 +429,13 @@ def _shown(value):
 
 
 def _apply_grid_value(section: dict, param, value) -> dict:
-    """The parsed train section with one parsed grid value applied."""
+    """The parsed train section with one parsed grid value applied; an alpha sets label_dist."""
     updated = dict(section)
-    if param == "alpha":
-        updated["label_dist"] = {"tag": "mcd" if value == "mcd" else "complementary"}
-        if value not in ("M", "mcd"):
-            updated["label_dist"]["alpha"] = value
-    elif param == "method":
-        updated["method"] = value
-        if value not in train._RELABEL_METHODS:
-            for key in ("label_dist", "fixed_labels"):
-                updated.pop(key, None)
-    elif param in ("eta", "label_dist"):
-        updated[param] = value
+    if param == "method" and value not in train._RELABEL_METHODS:
+        for key in ("label_dist", "fixed_labels"):
+            updated.pop(key, None)
+    if param not in (None, "aux_size"):  # a train config's one point changes nothing
+        updated["label_dist" if param == "alpha" else param] = value
     return updated
 
 
@@ -443,8 +448,7 @@ def _run_error(doc: dict, i: int, message) -> ConfigError:
 def _runs(config: dict, path: str) -> dict:
     """A train or sweep config; doc["runs"] holds (value index, seed, TrainConfig,
     aux_size, label), labelled name_seedS, or name[param=value,seed=S] with
-    the value as _shown shows it. Grid values must differ once parsed, and
-    label_dist values once built.
+    the value as _shown shows it. Grid values must differ once parsed.
 
     A train config is one grid point that changes nothing. A value that the
     constructors refuse, or an auxiliary method or aux_size without data.aux, is a
@@ -462,25 +466,16 @@ def _runs(config: dict, path: str) -> dict:
         return (f"{doc['name']}[{grid['param']}={_shown(config['grid']['values'][i])},seed={seed}]"
                 if "grid" in doc else f"{doc['name']}_seed{seed}")
 
-    doc["runs"], kinds = [], []
+    doc["runs"] = []
     for i, value in enumerate(grid["values"]):
         kwargs = _apply_grid_value(doc["train"], grid["param"], value)
+        size = value if grid["param"] == "aux_size" else None
         try:
-            for key, build in (("label_dist", LabelDistributionKind), ("schedule", nn.LrSchedule)):
-                if key in kwargs:
-                    kwargs[key] = _built(key, build, **kwargs[key])
-            kwargs["hidden_dim"] = doc["model"]["hidden_dim"]
-            size = value if grid["param"] == "aux_size" else None
-            doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, **kwargs), size, label(i, seed))
+            doc["runs"] += [(i, seed, train.TrainConfig(seed=seed, hidden_dim=doc["model"]["hidden_dim"],
+                                                         **kwargs), size, label(i, seed))
                             for seed in doc["seeds"]]
         except ValueError as exc:
             raise _run_error(doc, i, exc) from exc
-        if grid["param"] == "label_dist":
-            # Two spellings of one distribution build one kind.
-            if kwargs["label_dist"] in kinds:
-                raise ConfigError(f"{path}.grid.values[{i}] must be none of "
-                                  f"{json.dumps(grid['values'][:i])}, got {json.dumps(value)}")
-            kinds.append(kwargs["label_dist"])
         method = kwargs["method"]
         if (size or method in train._AUX_METHODS) and "aux" not in doc["data"]:
             raise (ConfigError(f"sweep.grid.values[{i}]: aux_size {size} needs a pool in data.aux") if size
@@ -704,20 +699,22 @@ def cmd_bayes_check(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> l
 def _train_points(doc: dict, base_dir: Path) -> tuple:
     """Read the data and train every run of doc["runs"] in one batched call.
 
-    A fixed-class class_index past the training set's classes is a
-    ConfigError as soon as that set is read, and an aux_size past the pool
-    one as soon as the pool is read. A run trains on the pool, or on its
-    first aux_size rows, so that every aux_size trains in one stack.
+    A label_dist that the training set's prior refuses is a ConfigError as
+    soon as that set is read, and an aux_size past the pool one as soon as
+    the pool is read. A run trains on the pool, or on its first aux_size
+    rows, so that every aux_size trains in one stack.
     Returns the training set's class counts, the results in run order (a
     failed run's exception in its place) and the (label, message) failures.
     """
     section, runs = doc["data"], doc["runs"]
     train_ds = data.read_dataset(base_dir / section["train"])
-    k = train_ds.num_classes
+    prior = train_ds.prior()
     for i, _, config, *_ in runs:
-        index = config.label_dist and config.label_dist.class_index
-        if index is not None and index >= k:
-            raise _run_error(doc, i, f"label_dist: fixed-class index {index} out of range for K={k}")
+        if config.label_dist is not None:
+            try:
+                label_distribution(config.label_dist, prior)
+            except ValueError as exc:
+                raise _run_error(doc, i, f"label_dist: {exc}") from exc
     test_ds = data.read_dataset(base_dir / section["test"])
     aux = data.read_pool(base_dir / section["aux"]) if "aux" in section else None
     for i, _, _, size, _ in runs:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import FormatError
-from .priors import ClassPrior
+from .priors import ClassPrior, _check_fields
 
 __all__ = [
     "MlpParams",
@@ -89,16 +89,17 @@ class LrSchedule:
     any number of epochs: a run's length is its own."""
 
     warmup_epochs: int = 0
-    milestones: tuple = ()
+    milestones: tuple[int, ...] = ()
     decay_factor: float = 0.01
 
     def __post_init__(self):
         # Each message starts with the field it refuses.
+        _check_fields(self)
         if self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be non-negative")
         if not math.isfinite(self.decay_factor):
             raise ValueError(f"decay_factor must be finite, got {self.decay_factor}")
-        ms = tuple(self.milestones)
+        ms = self.milestones
         if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
             raise ValueError("milestones must be strictly increasing")
         if ms and ms[0] <= self.warmup_epochs:

@@ -74,7 +74,9 @@ class OodMarginal:
     py: np.ndarray
 
     def __post_init__(self):
-        for name, v in (("px", self.px), ("py", self.py)):
+        for name in ("px", "py"):
+            v = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, v)
             if v.ndim != 1 or np.any(v < 0):
                 raise ValueError(f"{name} must be a non-negative vector")
             if not abs(v.sum() - 1.0) <= 1e-12:
@@ -300,7 +302,6 @@ def rebalance_curve(
     aux_sizes = list(aux_sizes)
     if not alphas or not aux_sizes:
         raise ValueError("alpha and m grids must be non-empty")
-    px = np.asarray(px, dtype=np.float64)
     grid = []
     for alpha in alphas:
         gammas = complementary(prior, float(alpha))

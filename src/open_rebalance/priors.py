@@ -10,7 +10,8 @@ return are plain float64 vectors over the classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,14 +31,57 @@ __all__ = [
 
 DEFAULT_BETA_CB = 0.9999
 
+# The values a field's annotation admits, and how a refusal names them; `T | None` admits None
+# too, and (tuple, kind) a tuple of items of kind. Ints stand in for floats; a bool is neither.
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "a bool"),
+    "tuple[int, ...]": ((tuple, numbers.Integral), "a tuple of integers"),
+}
+
+
+def _admits(kind, value) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, kind[0]) and all(_admits(kind[1], item) for item in value)
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
+def _check_fields(obj, kinds=_FIELD_KINDS) -> None:
+    """Refuse the first field of a dataclass whose annotation, looked up in
+    kinds, does not admit its value; the ValueError starts with its name."""
+    for f in fields(obj):
+        name, optional = f.type.removesuffix(" | None"), f.type.endswith(" | None")
+        if name in kinds:
+            kind, noun = kinds[name]
+            value = getattr(obj, f.name)
+            if not (optional and value is None or _admits(kind, value)):
+                noun = f"{noun} or None" if optional else noun
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ClassPrior:
-    """Per-class sample counts n_j, their total N, and frequencies beta_j = n_j / N."""
+    """Per-class sample counts n_j, and their total N and frequencies beta_j = n_j / N."""
 
     counts: np.ndarray
-    total: int
-    betas: np.ndarray
+    total: int = field(init=False)
+    betas: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        raw = np.asarray(self.counts)
+        if raw.ndim != 1 or raw.shape[0] < 2:
+            raise ValueError("invalid prior: need counts for at least two classes")
+        if not np.issubdtype(raw.dtype, np.integer) and not np.all(raw == np.floor(raw)):
+            raise ValueError("invalid prior: counts must be integers")
+        counts = raw.astype(np.int64)
+        if np.any(counts < 0):
+            raise ValueError("invalid prior: negative class count")
+        total = int(counts.sum())
+        if total < 1:
+            raise ValueError("invalid prior: all class counts are zero")
+        for name, value in (("counts", counts), ("total", total), ("betas", counts / float(total))):
+            object.__setattr__(self, name, value)
 
     @property
     def num_classes(self) -> int:
@@ -57,20 +101,7 @@ class ClassPrior:
 
 def prior_from_counts(counts) -> ClassPrior:
     """Build a ClassPrior from per-class sample counts."""
-    raw = np.asarray(counts)
-    if raw.ndim != 1 or raw.shape[0] < 2:
-        raise ValueError("invalid prior: need counts for at least two classes")
-    if not np.issubdtype(raw.dtype, np.integer):
-        if not np.all(raw == np.floor(raw)):
-            raise ValueError("invalid prior: counts must be integers")
-    arr = raw.astype(np.int64)
-    if np.any(arr < 0):
-        raise ValueError("invalid prior: negative class count")
-    total = int(arr.sum())
-    if total < 1:
-        raise ValueError("invalid prior: all class counts are zero")
-    betas = arr / float(total)
-    return ClassPrior(counts=arr, total=total, betas=betas)
+    return ClassPrior(counts)
 
 
 def _checked_alpha(prior: ClassPrior, alpha: float) -> float:
@@ -188,6 +219,7 @@ class LabelDistributionKind:
     class_index: int | None = None
 
     def __post_init__(self):
+        _check_fields(self)
         if self.tag not in _KIND_TAGS:
             raise ValueError(f"unknown label distribution tag {self.tag!r}")
         if self.tag == "class-balanced" and self.beta_cb is None:
@@ -217,11 +249,10 @@ def label_distribution(kind: LabelDistributionKind, prior: ClassPrior) -> np.nda
         return cb_effective_weights(prior, kind.beta_cb) / k
     if kind.tag == "original-prior":
         return prior.betas.copy()
-    if kind.tag == "fixed-class":
-        j = kind.class_index if kind.class_index is not None else int(np.argmin(prior.counts))
-        if not 0 <= j < k:
-            raise ValueError(f"fixed-class index {j} out of range for K={k}")
-        out = np.zeros(k)
-        out[j] = 1.0
-        return out
-    raise ValueError(f"unknown label distribution tag {kind.tag!r}")
+    # fixed-class, the one tag left
+    j = kind.class_index if kind.class_index is not None else int(np.argmin(prior.counts))
+    if not 0 <= j < k:
+        raise ValueError(f"fixed-class index {j} out of range for K={k}")
+    out = np.zeros(k)
+    out[j] = 1.0
+    return out

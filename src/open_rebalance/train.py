@@ -24,9 +24,8 @@ label mode their auxiliary draws; each maps its own labels (``_aux_labels``).
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -48,9 +47,11 @@ from .nn import (
     lr_at,
 )
 from .priors import (
+    _FIELD_KINDS,
     DEFAULT_BETA_CB,
     ClassPrior,
     LabelDistributionKind,
+    _check_fields,
     cb_effective_weights,
     label_distribution,
     weights_from_probabilities,
@@ -78,18 +79,9 @@ METHODS = (
 _AUX_METHODS = frozenset({"open-sampling", "oe", "balanced-softmax+open-sampling"})
 _RELABEL_METHODS = frozenset({"open-sampling", "balanced-softmax+open-sampling"})
 
-# The values a config field's annotation admits, and how a refusal names them;
-# `T | None` admits None too. Ints stand in for floats, and a bool is neither.
-_FIELD_KINDS = {
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
-    "bool": (bool, "a bool"),
-    "tuple": (tuple, "a tuple"),
-    "LabelDistributionKind": (LabelDistributionKind, "a LabelDistributionKind"),
-    "LrSchedule": (LrSchedule, "an LrSchedule"),
-}
-_FIELD_KINDS.update({f"{name} | None": ((kind, type(None)), f"{noun} or None")
-                     for name, (kind, noun) in _FIELD_KINDS.items()})
+# A config's field kinds: the scalars, and the label_dist and schedule types that check their own.
+_CONFIG_KINDS = {**_FIELD_KINDS, "LabelDistributionKind": (LabelDistributionKind, "a LabelDistributionKind"),
+                 "LrSchedule": (LrSchedule, "an LrSchedule")}
 
 _STREAM_SHUFFLE = 0
 _STREAM_AUX = 1
@@ -117,19 +109,10 @@ class TrainConfig:
     schedule: LrSchedule | None = None
 
     def __post_init__(self):
-        # Each message starts with the field it refuses, dotted within a label_dist or schedule.
+        # Each message starts with the field it refuses.
         if self.method not in METHODS:
             raise ValueError(f"method {self.method!r} is not one of {METHODS}")
-        held = [(self, "")]
-        for obj, prefix in held:
-            for f in fields(obj):
-                if f.type in _FIELD_KINDS:
-                    kind, noun = _FIELD_KINDS[f.type]
-                    value = getattr(obj, f.name)
-                    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-                        raise ValueError(f"{prefix}{f.name} must be {noun}, got {value!r}")
-                    if is_dataclass(value):  # a label_dist or schedule, whose fields come next
-                        held.append((value, f"{f.name}."))
+        _check_fields(self, _CONFIG_KINDS)
         for name in ("eta", "epochs", "hidden_dim", "base_lr", "weight_decay"):
             value = getattr(self, name)
             if value < 0:

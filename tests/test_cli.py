@@ -721,7 +721,7 @@ class TestDerivedTables:
     @pytest.mark.parametrize("table, cls, skip", [
         (cli._TRAIN, train.TrainConfig, ("hidden_dim", "seed")),
         (cli._LABEL_DIST, LabelDistributionKind, ()),
-        (cli._TRAIN["schedule"][0], nn.LrSchedule, ()),
+        (cli._SCHEDULE, nn.LrSchedule, ()),
     ], ids=["train", "label_dist", "schedule"])
     def test_keys_are_the_fields_in_order(self, table, cls, skip):
         assert list(table) == [f.name for f in dataclasses.fields(cls) if f.name not in skip]
@@ -819,7 +819,7 @@ class TestTrainSectionRanges:
         [("eta", [0.5, -1.0], "sweep.train.eta must be non-negative, at grid.values[1]"),
          ("method", ["standard", "mixup"], "sweep.train.method 'mixup' is not one of"),
          ("label_dist", ["complementary", "zipf"],
-          "sweep.train.label_dist: unknown label distribution tag 'zipf', at grid.values[1]")],
+          "sweep.grid.values[1]: unknown label distribution tag 'zipf'")],
         ids=["eta", "method", "label_dist"],
     )
     def test_refused_grid_value_fails_before_any_file_is_read(self, tmp_path, capsys, param, values,
@@ -828,6 +828,15 @@ class TestTrainSectionRanges:
         config["grid"] = {"param": param, "values": values}
         err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config)
         assert f"error: {message}" in err, err
+
+    @pytest.mark.parametrize("param,values", [("label_dist", ["uniform"]), ("alpha", [2.0])])
+    def test_refused_train_label_dist_fails_though_every_value_overrides_it(self, tmp_path, capsys,
+                                                                            param, values):
+        config = _missing_data_config("sweep")
+        config["train"]["label_dist"] = {"tag": "zipf"}
+        config["grid"] = {"param": param, "values": values}
+        err = _fails_before_any_file_is_read(tmp_path, capsys, "sweep", config)
+        assert err == "error: sweep.train.label_dist: unknown label distribution tag 'zipf'\n", err
 
 
 class TestSweepGridValues:
@@ -858,12 +867,12 @@ class TestSweepGridValues:
     @pytest.mark.parametrize(
         "param,values,message",
         [("eta", [0.5, 0.5, 0.50], "values[1] must be none of [0.5], got 0.5"),
-         ("eta", [1, 1.0], "values[1] must be none of [1.0], got 1.0"),
+         ("eta", [1, 1.0], "values[1] must be none of [1], got 1.0"),
          ("alpha", ["M", 0.5, "M"], 'values[2] must be none of ["M", 0.5], got "M"'),
          ("label_dist", ["mcd", {"tag": "mcd"}],
-          'values[1] must be none of [{"tag": "mcd"}], got {"tag": "mcd"}'),
+          'values[1] must be none of ["mcd"], got {"tag": "mcd"}'),
          ("label_dist", ["uniform", "class-balanced", {"tag": "class-balanced", "beta_cb": 0.9999}],
-          'values[2] must be none of [{"tag": "uniform"}, {"tag": "class-balanced"}], '
+          'values[2] must be none of ["uniform", "class-balanced"], '
           'got {"tag": "class-balanced", "beta_cb": 0.9999}'),
          ("method", ["standard", "oe", "standard"], 'values[2] must be none of ["standard", "oe"], '
           'got "standard"'),
@@ -907,6 +916,21 @@ class TestSweepGridValues:
             relabels = run_config.method in train._RELABEL_METHODS
             assert run_config.label_dist == (LabelDistributionKind("complementary") if relabels else None)
             assert run_config.fixed_labels is relabels
+
+    def test_alpha_values_parse_to_the_kinds_they_stand_for(self):
+        # Each alpha value overrides label_dist as the label_dist value it stands for would.
+        alphas = ["mcd", "M", 2.0, 1]
+        kinds = [{"tag": "mcd"}, "complementary", {"tag": "complementary", "alpha": 2.0},
+                 {"tag": "complementary", "alpha": 1.0}]
+        assert [cli._alpha(value, "a") for value in alphas] == [
+            LabelDistributionKind("mcd"), LabelDistributionKind("complementary"),
+            LabelDistributionKind("complementary", alpha=2.0), LabelDistributionKind("complementary", alpha=1.0)]
+        configs = []
+        for param, values in (("alpha", alphas), ("label_dist", kinds)):
+            config = _missing_data_config("sweep")
+            config["grid"] = {"param": param, "values": values}
+            configs.append([run[2] for run in cli._runs(config, "sweep")["runs"]])
+        assert configs[0] == configs[1]
 
     def test_grid_values_must_be_a_list(self, tmp_path, capsys):
         config = _missing_data_config("sweep")
@@ -1619,6 +1643,23 @@ class TestConfigRegressions:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert reads == ["task_train.osds"] and list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_alpha_below_max_beta(self, workspace, capsys, monkeypatch, command):
+        # Used to fail once per run, and a sweep trained its good values and wrote its CSV first.
+        config = train_config(seeds=(0, 1), extra={"label_dist": {"tag": "complementary", "alpha": 0.1}})
+        refusal = "alpha=0.1 out of range: minimum admissible alpha is max beta = 0.7058823529411765"
+        message = f"train.train.label_dist: {refusal}"
+        if command == "sweep":
+            del config["train"]["label_dist"]
+            config.update(command="sweep", grid={"param": "alpha", "values": [2.0, 0.1]})
+            message = f"sweep.train.label_dist: {refusal}, at grid.values[1]"
+        monkeypatch.setattr(cli.train, "train_runs", lambda *args: pytest.fail("a run trained"))
+        cfg = write_config(workspace / "bad.json", config)
+        out = workspace / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_aux_size_past_the_pool(self, workspace, capsys, monkeypatch):
         # Used to fail as one run, after the sweep's other values trained.
         config = train_config(seeds=(0, 1))
@@ -1723,6 +1764,7 @@ _SCHEMA_ROOTS = {
 }
 _UNIONS = {
     cli._label_dist: cli._LABEL_DIST,
+    cli._schedule: cli._SCHEDULE,
     cli._thresholds: [int],
     cli._RUNS["seeds"][0]: [int],
     cli._EVAL_OOD["pools"][0]: [cli._EVAL_POOL],

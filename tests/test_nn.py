@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -426,6 +427,23 @@ class TestLrSchedule:
             LrSchedule(5, (3, 10), 0.1)
         with pytest.raises(ValueError):
             LrSchedule(0, (10, 10), 0.1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, [1], 0.1), "milestones must be a tuple of integers, got [1]"),
+        ((0, (1.5,), 0.1), "milestones must be a tuple of integers, got (1.5,)"),
+        ((0, (True,), 0.1), "milestones must be a tuple of integers, got (True,)"),
+        # Refused by kind before the order check compares the items.
+        ((0, (2, "a"), 0.1), "milestones must be a tuple of integers, got (2, 'a')"),
+        ((1.5, (), 0.1), "warmup_epochs must be an integer, got 1.5"),
+        ((0, (), "0.1"), "decay_factor must be a number, got '0.1'"),
+    ], ids=["milestones-list", "milestone-float", "milestone-bool", "milestone-string", "warmup-float",
+            "decay_factor-string"])
+    def test_wrong_type_refused(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LrSchedule(*args)
+
+    def test_integer_milestones_of_any_kind_accepted(self):
+        assert LrSchedule(0, (np.int64(2), 3), 0.1).milestones == (2, 3)
 
 
 class TestCheckpoint:

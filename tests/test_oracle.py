@@ -335,6 +335,15 @@ class TestVectorizedOracle:
         with pytest.raises(ValueError, match="px sums to nan"):
             OodMarginal(px=np.array([np.nan, 1.0]), py=np.array([1.0]))
 
+    def test_marginal_takes_lists(self):
+        ood = OodMarginal(px=[0.5, 0.5], py=[1.0])
+        assert ood.px.dtype == ood.py.dtype == np.float64
+        np.testing.assert_array_equal(ood.px, [0.5, 0.5])
+        with pytest.raises(ValueError, match="^py must be a non-negative vector$"):
+            OodMarginal(px=[0.5, 0.5], py=[[1.0]])
+        with pytest.raises(ValueError, match="^px sums to 0.9, expected 1$"):
+            OodMarginal(px=[0.5, 0.4], py=[1.0])
+
 
 def uniform_and_one_hot_cases(seed, count):
     """Random overlapping and disjoint cases, each with uniform and one-hot labels."""

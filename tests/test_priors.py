@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 
 from open_rebalance.priors import (
     DEFAULT_BETA_CB,
+    ClassPrior,
     LabelDistributionKind,
     cb_effective_weights,
     complementary,
@@ -58,6 +60,38 @@ class TestClassPrior:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(ValueError):
             prior_from_counts([1.5, 2.5])
+
+    @pytest.mark.parametrize("counts", [[3, 1], np.array([3.0, 1.0]), np.array([500, 158, 50, 16, 5]),
+                                        (0, 7)])
+    def test_total_and_betas_derived_from_counts(self, counts):
+        p = ClassPrior(counts)
+        assert p.counts.dtype == np.int64
+        np.testing.assert_array_equal(p.counts, np.asarray(counts))
+        assert p.total == int(np.sum(counts)) and type(p.total) is int
+        np.testing.assert_array_equal(p.betas, p.counts / float(p.total))
+        # prior_from_counts is the same constructor.
+        q = prior_from_counts(counts)
+        np.testing.assert_array_equal(q.counts, p.counts)
+        np.testing.assert_array_equal(q.betas, p.betas)
+        assert q.total == p.total
+
+    def test_total_and_betas_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            ClassPrior(counts=np.array([3, 1]), total=99, betas=np.array([0.1, 0.2]))
+        np.testing.assert_allclose(complementary(ClassPrior([3, 1]), 0.9), [0.1875, 0.8125])
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "invalid prior: need counts for at least two classes"),
+        ([3], "invalid prior: need counts for at least two classes"),
+        ([[1, 2], [3, 4]], "invalid prior: need counts for at least two classes"),
+        ([1.5, 2.5], "invalid prior: counts must be integers"),
+        ([-1, 2], "invalid prior: negative class count"),
+        ([0, 0], "invalid prior: all class counts are zero"),
+    ], ids=["empty", "one-class", "matrix", "fractional", "negative", "all-zero"])
+    def test_bad_counts_refused_with_one_text(self, bad, message):
+        for build in (ClassPrior, prior_from_counts):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(bad)
 
 
 class TestComplementary:
@@ -370,3 +404,21 @@ class TestLabelDistributionKind:
     def test_invalid_kinds(self, kwargs):
         with pytest.raises(ValueError):
             LabelDistributionKind(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tag": "fixed-class", "class_index": 1.5}, "class_index must be an integer or None, got 1.5"),
+        ({"tag": "fixed-class", "class_index": True}, "class_index must be an integer or None, got True"),
+        ({"tag": "complementary", "alpha": "2.0"}, "alpha must be a number or None, got '2.0'"),
+        ({"tag": "complementary", "alpha": False}, "alpha must be a number or None, got False"),
+        ({"tag": "class-balanced", "beta_cb": "0.9"}, "beta_cb must be a number or None, got '0.9'"),
+    ], ids=["class_index-float", "class_index-bool", "alpha-string", "alpha-bool", "beta_cb-string"])
+    def test_wrong_type_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabelDistributionKind(**kwargs)
+
+    def test_integers_stand_in_for_numbers(self):
+        p = prior_from_counts([3, 1])
+        kind = LabelDistributionKind("complementary", alpha=2)
+        np.testing.assert_array_equal(label_distribution(kind, p), complementary(p, 2.0))
+        index = LabelDistributionKind("fixed-class", class_index=np.int64(0))
+        np.testing.assert_array_equal(label_distribution(index, p), [1.0, 0.0])

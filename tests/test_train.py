@@ -128,22 +128,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an? "):
             TrainConfig(**{name: value})
 
-    # Each kind and schedule builds on its own; a config that holds one with a
-    # badly typed field is refused, named by its dotted path.
+    # A kind or schedule checks its own fields as it is built (see their
+    # tests); a config checks only that it holds one.
     @pytest.mark.parametrize("name, value, message", [
-        ("schedule", LrSchedule(0, [1], 0.1), "schedule.milestones must be a tuple, got [1]"),
         ("schedule", {"warmup_epochs": 0},
          "schedule must be an LrSchedule or None, got {'warmup_epochs': 0}"),
-        ("schedule", LrSchedule(1.5, (), 0.1), "schedule.warmup_epochs must be an integer, got 1.5"),
         ("label_dist", "uniform", "label_dist must be a LabelDistributionKind or None, got 'uniform'"),
-        ("label_dist", LabelDistributionKind("fixed-class", class_index=1.5),
-         "label_dist.class_index must be an integer or None, got 1.5"),
-        ("label_dist", LabelDistributionKind("fixed-class", class_index=True),
-         "label_dist.class_index must be an integer or None, got True"),
-        ("label_dist", LabelDistributionKind("complementary", alpha="2.0"),
-         "label_dist.alpha must be a number or None, got '2.0'"),
-    ], ids=["milestones-list", "schedule-dict", "warmup-float", "label_dist-string", "class_index-float",
-            "class_index-bool", "alpha-string"])
+    ], ids=["schedule-dict", "label_dist-string"])
     def test_wrong_type_in_structured_field_refused(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainConfig(**{name: value})
