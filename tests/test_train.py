@@ -543,7 +543,61 @@ def _batch_cases(pool):
     return cases
 
 
+_PARTITION_DISTS = (None, LabelDistributionKind("uniform"), LabelDistributionKind("mcd"),
+                    LabelDistributionKind("complementary", alpha=2.0), LabelDistributionKind("class-balanced"),
+                    LabelDistributionKind("original-prior"), LabelDistributionKind("fixed-class", class_index=1))
+
+
+@st.composite
+def _partitioned_runs(draw, pools):
+    """Configs, their pools, and the train_runs calls that split them, in call order.
+
+    Each example first draws a palette of one or two training shapes, seeds
+    and pools for its configs to pick from, so their runs often stack and
+    share streams; pools are prefixes of one array, of a second one, or None.
+    """
+    palette = lambda values: draw(st.lists(values, min_size=1, max_size=2, unique=True))
+    shapes = palette(st.tuples(st.sampled_from([0, 3]), st.integers(1, 3), st.sampled_from([None, 6])))
+    seeds, pool_ids = palette(st.integers(0, 2)), palette(st.integers(0, len(pools) - 1))
+    cases = []
+    for _ in range(draw(st.integers(1, 8))):
+        method = draw(st.sampled_from(train.METHODS))
+        relabels = method in ("open-sampling", "balanced-softmax+open-sampling")
+        hidden, epochs, batch_aux = draw(st.sampled_from(shapes))
+        config = TrainConfig(method=method, seed=draw(st.sampled_from(seeds)),
+                             eta=draw(st.sampled_from([0.0, 0.5, 1.5])),
+                             label_dist=draw(st.sampled_from(_PARTITION_DISTS)) if relabels else None,
+                             fixed_labels=relabels and draw(st.booleans()), hidden_dim=hidden, epochs=epochs,
+                             batch_aux=batch_aux)
+        cases.append((config, pools[draw(st.sampled_from(pool_ids))]))
+    order = draw(st.permutations(range(len(cases))))
+    call_of = draw(st.lists(st.integers(0, draw(st.integers(0, len(cases) - 1))),
+                            min_size=len(cases), max_size=len(cases)))
+    calls = [[i for i in order if call_of[i] == c] for c in draw(st.permutations(sorted(set(call_of))))]
+    return cases, calls
+
+
+def _outcome(result):
+    return str(result) if isinstance(result, ValueError) else _run_bytes(result)
+
+
 class TestBatchedRuns:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_partition_matches_runs_alone(self, data):
+        # Results must not depend on how runs are scheduled: split into any
+        # train_runs calls, in any order, each run gives its bytes alone.
+        train_ds, test_ds, pool = small_task()
+        other = pool[::-1].copy()
+        pools = (None, pool, pool[:40], pool[:7], other, other[:20])
+        cases, calls = data.draw(_partitioned_runs(pools))
+        for call in calls:
+            batch = [cases[i] for i in call]
+            configs, call_pools = zip(*batch)
+            for (cfg, aux), result in zip(batch, train.train_runs(configs, train_ds, test_ds, call_pools)):
+                alone = train.train_runs([cfg], train_ds, test_ds, [aux])[0]
+                assert _outcome(result) == _outcome(alone), cfg
+
     def test_batched_bit_identical_to_alone(self):
         train_ds, test_ds, pool = small_task()
         cases = _batch_cases(pool)
