@@ -1,5 +1,6 @@
-"""What the experiment drivers share: the lt5 task, its LR schedule and the
-CLI plumbing that writes each config next to its outputs and runs it.
+"""What the experiment drivers share: the lt5 task, its data files and
+training section, and the CLI plumbing that writes each config next to its
+outputs and runs it.
 
 The drivers import this module by name, which works from any working
 directory: Python puts a script's own directory first on its path.
@@ -24,11 +25,19 @@ LT5 = {
 }
 
 
-def schedule(epochs):
-    """5 warmup epochs, then x0.1 at 80% and again at 90% of the epochs."""
-    return {"warmup_epochs": 5,
-            "milestones": [int(0.8 * epochs), int(0.9 * epochs)],
-            "decay_factor": 0.1}
+def data(name="lt5", aux=True):
+    """The data section of the train and test files, and the auxiliary pool
+    if aux, that the `synth` named `name` writes."""
+    parts = ("train", "test", "aux") if aux else ("train", "test")
+    return {part: f"{name}_{part}.osds" for part in parts}
+
+
+def train(head, epochs, **tail):
+    """A train section: head's keys (the method and its knobs), then `epochs`
+    epochs from a base LR of 0.01 with 5 warmup epochs and x0.1 at 80% and
+    again at 90% of the epochs, then tail's keys."""
+    schedule = {"warmup_epochs": 5, "milestones": [int(0.8 * epochs), int(0.9 * epochs)], "decay_factor": 0.1}
+    return {**head, "epochs": epochs, "base_lr": 0.01, "schedule": schedule, **tail}
 
 
 def options(doc, out, **int_defaults):

@@ -6,7 +6,7 @@ default max-beta + min-beta rule) alongside numeric values approaching the
 uniform limit.
 """
 
-from _drivers import LT5, options, run, schedule, show
+from _drivers import LT5, data, options, run, show, train
 
 
 def main():
@@ -14,7 +14,7 @@ def main():
     run(args.out, "synth", LT5)
 
     common = {
-        "data": {"train": "lt5_train.osds", "test": "lt5_test.osds", "aux": "lt5_aux.osds"},
+        "data": data(),
         "model": {"hidden_dim": 8},
         "seeds": args.seeds,
     }
@@ -25,8 +25,7 @@ def main():
     for param, (fixed, values) in grids.items():
         sweep = {
             "command": "sweep", "name": param,
-            "train": {"method": "open-sampling", **fixed, "epochs": args.epochs,
-                      "base_lr": 0.01, "schedule": schedule(args.epochs)},
+            "train": train({"method": "open-sampling", **fixed}, args.epochs),
             "grid": {"param": param, "values": values},
             **common,
         }

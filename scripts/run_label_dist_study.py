@@ -6,7 +6,7 @@ class-balanced, original prior) against the plain cross-entropy baseline,
 reporting balanced-test accuracy and tail-class accuracy per variant.
 """
 
-from _drivers import LT5, mean_acc, options, run, schedule, show
+from _drivers import LT5, data, mean_acc, options, run, show, train
 
 
 def main():
@@ -15,10 +15,9 @@ def main():
 
     sweep = {
         "command": "sweep", "name": "labels",
-        "data": {"train": "lt5_train.osds", "test": "lt5_test.osds", "aux": "lt5_aux.osds"},
+        "data": data(),
         "model": {"hidden_dim": 8},
-        "train": {"method": "open-sampling", "eta": 1.5, "epochs": args.epochs,
-                  "base_lr": 0.01, "schedule": schedule(args.epochs)},
+        "train": train({"method": "open-sampling", "eta": 1.5}, args.epochs),
         "grid": {"param": "label_dist",
                  "values": ["complementary", "uniform", "class-balanced", "original-prior"]},
         "seeds": args.seeds,
@@ -28,10 +27,9 @@ def main():
 
     baseline = {
         "command": "train", "name": "standard",
-        "data": {"train": "lt5_train.osds", "test": "lt5_test.osds"},
+        "data": data(aux=False),
         "model": {"hidden_dim": 8},
-        "train": {"method": "standard", "epochs": args.epochs, "base_lr": 0.01,
-                  "schedule": schedule(args.epochs)},
+        "train": train({"method": "standard"}, args.epochs),
         "seeds": args.seeds,
     }
     run(args.out, "baseline", baseline)

@@ -6,7 +6,7 @@ anomaly pools (FPR95 / AUROC / AUPR, averaged across pools)."""
 import csv
 import json
 
-from _drivers import LT5, options, run, schedule
+from _drivers import LT5, data, options, run, train
 
 
 def main():
@@ -25,14 +25,10 @@ def main():
     ]
     print("\nmethod          test acc   fpr95   auroc   aupr (pool average)")
     for name, section in methods.items():
-        data = {"train": "lt5_train.osds", "test": "lt5_test.osds"}
-        if section["method"] != "standard":
-            data["aux"] = "lt5_aux.osds"
         run(args.out, name, {
-            "command": "train", "name": name, "data": data,
+            "command": "train", "name": name, "data": data(aux=section["method"] != "standard"),
             "model": {"hidden_dim": 8},
-            "train": {**section, "epochs": args.epochs, "base_lr": 0.01,
-                      "schedule": schedule(args.epochs)},
+            "train": train(section, args.epochs),
             "seeds": [args.seed],
         })
         run(args.out, f"{name}_eval", {

@@ -7,7 +7,7 @@ shifted-mixture pool truncated to each size, with labels either resampled
 every iteration or pinned once per instance.
 """
 
-from _drivers import LT5, mean_acc, options, run, schedule, show
+from _drivers import LT5, data, mean_acc, options, run, show, train
 
 
 def main():
@@ -17,25 +17,20 @@ def main():
         aux = LT5["aux"] if kind == "shifted-mixture" else {"kind": kind, "size": 5000}
         run(args.out, f"synth_{kind}", {**LT5, "name": f"lt5_{kind}", "aux": aux})
 
-    def data(kind):
-        return {part: f"lt5_{kind}_{part}.osds" for part in ("train", "test", "aux")}
-
-    def train(**extra):
-        return {"method": "open-sampling", "eta": 1.5, "epochs": args.epochs,
-                "base_lr": 0.01, "schedule": schedule(args.epochs), **extra}
-
+    method = {"method": "open-sampling", "eta": 1.5}
     print("\npool kind         mean acc")
     for kind in kinds:
         run(args.out, f"train_{kind}", {
-            "command": "train", "name": f"by_{kind}", "data": data(kind),
-            "model": {"hidden_dim": 8}, "train": train(), "seeds": args.seeds,
+            "command": "train", "name": f"by_{kind}", "data": data(f"lt5_{kind}"),
+            "model": {"hidden_dim": 8}, "train": train(method, args.epochs), "seeds": args.seeds,
         })
         print(f"{kind:<17s} {mean_acc(args.out, f'by_{kind}', args.seeds):.3f}")
 
     for tag in ("fresh", "fixed"):
         run(args.out, f"size_{tag}", {
-            "command": "sweep", "name": f"size_{tag}", "data": data("shifted-mixture"),
-            "model": {"hidden_dim": 8}, "train": train(fixed_labels=tag == "fixed"),
+            "command": "sweep", "name": f"size_{tag}", "data": data("lt5_shifted-mixture"),
+            "model": {"hidden_dim": 8},
+            "train": train(method, args.epochs, fixed_labels=tag == "fixed"),
             "grid": {"param": "aux_size", "values": [50, 500, 5000]},
             "seeds": args.seeds,
         })

@@ -60,9 +60,12 @@ def _check_fields(obj, kinds=_FIELD_KINDS) -> None:
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassPrior:
-    """Per-class sample counts n_j, and their total N and frequencies beta_j = n_j / N."""
+    """Per-class sample counts n_j, and their total N and frequencies beta_j = n_j / N.
+
+    Priors compare and hash by identity: their fields are arrays.
+    """
 
     counts: np.ndarray
     total: int = field(init=False)

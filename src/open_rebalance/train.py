@@ -3,22 +3,27 @@
 Each iteration pairs a training minibatch with an auxiliary minibatch drawn
 uniformly from the open-set pool; auxiliary labels are resampled from the
 configured label distribution every iteration unless fixed for the run.
-Three independent RNG streams (shuffling, auxiliary draws, initialization)
-keep ablations bit-comparable: changing one knob touches exactly one stream.
-``train_runs`` trains many runs as stacked arrays, one stack per training
-shape. Inside a stack each auxiliary kind is a leading slice (relabelled,
-then OE, then none), so the auxiliary pass runs on a prefix of the stacked
-weights; a run gives the same bits alone or in any batch. A stack's
-parameters, velocities and gradients are one flat (S, P) buffer each, with
-per-layer views into them, so one momentum update covers the whole stack.
+Three independent RNG streams per seed (shuffling, auxiliary draws,
+initialization) keep ablations bit-comparable: changing one knob touches
+exactly one stream. ``train_runs`` trains many runs as stacked arrays, one
+stack per training shape. Inside a stack each auxiliary kind is a leading
+slice (relabelled, then OE, then none), so the auxiliary pass runs on a
+prefix of the stacked weights; a run gives the same bits alone or in any
+batch. A stack's parameters, velocities and gradients are one flat (S, P)
+buffer each, with per-layer views into them, so one momentum update covers
+the whole stack.
 
-A run's auxiliary stream is defined by two calls per step,
-``integers(0, P, size=m)`` for the indices and then, for drawn labels,
-``random(m)``. The engine decodes a whole epoch of them from one raw PCG64
-block per stream and replays the calls wherever the decode could differ, so
-indices, uniforms and generator state are exactly the calls' (``_epoch_draws``).
-Runs of one seed share their shuffle, and runs of one seed, pool length and
-label mode their auxiliary draws; each maps its own labels (``_aux_labels``).
+A stack owns its runs' shuffle and auxiliary streams, one generator per
+distinct stream: a shuffle per seed, and an auxiliary stream per seed, pool
+length and label mode, drawn, pinned or none (``_aux_stream``). The
+auxiliary stream is defined by two calls per step, ``integers(0, P,
+size=m)`` for the indices and then, for drawn labels, ``random(m)``; a
+pinned stream first draws ``random(P)``, one uniform per pool instance, and
+its steps take the uniforms of the instances they draw. Each relabelled run
+maps its stream's uniforms to labels through its own CDF (``_lookup_labels``).
+The engine decodes a whole epoch of a stream from one raw PCG64 block and
+replays the calls wherever the decode could differ, so indices, uniforms and
+generator state are exactly the calls' (``_epoch_draws``).
 """
 
 from __future__ import annotations
@@ -180,16 +185,16 @@ class _LossSpec:
     """A method resolved into CE(train + base_offset; base_weights) + eta * aux.
 
     base_offset is log n_j for balanced softmax and base_weights the cb-rw
-    class weights. Auxiliary labels are pinned per pool instance, drawn fresh
-    from aux_cdf, or absent (OE); the aux loss is omega-weighted CE, or CE
-    against aux_prior (OE). Weights are non-negative and the OE prior sums to
-    one by construction, so no step re-checks them.
+    class weights. Relabelled runs look their auxiliary labels up in aux_cdf,
+    from uniforms drawn fresh every step or pinned per pool instance; OE runs
+    have none. The aux loss is omega-weighted CE, or CE against aux_prior
+    (OE). Weights are non-negative and the OE prior sums to one by
+    construction, so no step re-checks them.
     """
 
     eta: float = 0.0
     base_offset: np.ndarray | None = None
     base_weights: np.ndarray | None = None
-    aux_pinned: np.ndarray | None = None
     aux_cdf: np.ndarray | None = None
     aux_omegas: np.ndarray | None = None
     aux_prior: np.ndarray | None = None
@@ -240,13 +245,6 @@ def _epoch_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int,
     if idx is None:
         idx, u = _replay_draws(rng, pool_size, n_steps, m, drawn)
     return idx, u
-
-
-def _aux_labels(spec: _LossSpec, idx: np.ndarray, u) -> np.ndarray | None:
-    """A run's auxiliary labels for its stream's draws: pinned, drawn from u, or None (OE)."""
-    if spec.aux_pinned is not None:
-        return spec.aux_pinned[idx]
-    return None if u is None else _lookup_labels(spec.aux_cdf, u)
 
 
 def _stack_rows(rows, fill: float):
@@ -391,7 +389,7 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     return base_loss, stack.aux_loss, lost
 
 
-def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) -> _LossSpec:
+def _loss_spec(config: TrainConfig, prior: ClassPrior) -> _LossSpec:
     """Resolve the method once per run, with the checks the step then skips."""
     spec = {"eta": config.eta} if config.method in _AUX_METHODS else {}
     if config.method in ("balanced-softmax", "balanced-softmax+open-sampling"):
@@ -405,10 +403,7 @@ def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) 
         if config.use_class_weights:
             omegas = weights_from_probabilities(gammas)
         spec["aux_omegas"] = omegas
-        if config.fixed_labels:
-            spec["aux_pinned"] = sample_aux_labels(gammas, pool_size, aux_rng)
-        else:
-            spec["aux_cdf"] = np.cumsum(gammas)
+        spec["aux_cdf"] = np.cumsum(gammas)
     elif config.method == "oe":
         spec["aux_prior"] = prior.betas
     return _LossSpec(**spec)
@@ -416,14 +411,12 @@ def _loss_spec(config: TrainConfig, prior: ClassPrior, pool_size: int, aux_rng) 
 
 @dataclass
 class _Run:
-    """One run's own state in the engine: its RNG streams, spec and history."""
+    """One run's own state in the engine: its spec, parameters and history."""
 
     index: int
     config: TrainConfig
     spec: _LossSpec
     params: MlpParams
-    shuffle_rng: np.random.Generator
-    aux_rng: np.random.Generator
     pool: np.ndarray | None  # the auxiliary features this run draws from
     history: list = field(default_factory=list)
     error: ValueError | None = None
@@ -441,17 +434,13 @@ def _start_run(index, config: TrainConfig, train: LabeledDataset, test: LabeledD
             raise ValueError("pool must be a non-empty M x d matrix")
         if aux.shape[1] != train.dim:
             raise ValueError("auxiliary pool dimension does not match the training set")
-    pool = aux if needs_aux else None
-    aux_rng = np.random.default_rng([config.seed, _STREAM_AUX])
     init_rng = np.random.default_rng([config.seed, _STREAM_INIT])
     return _Run(
         index=index,
         config=config,
-        spec=_loss_spec(config, prior, 0 if pool is None else len(pool), aux_rng),
+        spec=_loss_spec(config, prior),
         params=init_params(train.dim, config.hidden_dim, train.num_classes, init_rng),
-        shuffle_rng=np.random.default_rng([config.seed, _STREAM_SHUFFLE]),
-        aux_rng=aux_rng,
-        pool=pool,
+        pool=aux if needs_aux else None,
     )
 
 
@@ -474,9 +463,9 @@ def _group_key(run: _Run):
 
 def _aux_stream(run: _Run):
     """Runs with equal keys draw equal auxiliary indices and uniforms: the seed,
-    pool length and label mode (a pinned run's stream starts after its labels)."""
-    spec = run.spec
-    return run.config.seed, len(run.pool), spec.aux_cdf is not None, spec.aux_pinned is not None
+    pool length and label mode ("drawn", "pinned", or None for OE)."""
+    mode = None if run.spec.aux_cdf is None else "pinned" if run.config.fixed_labels else "drawn"
+    return run.config.seed, len(run.pool), mode
 
 
 def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
@@ -487,9 +476,9 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     error and is dead from then on: it keeps its slice and goes on computing
     until the stack ends or no run is alive, but nothing it computes is kept,
     and the others go on unchanged. Live runs get their final parameters.
-    Each distinct stream keeps one generator for the whole group and is
-    decoded once an epoch for all its runs: a shuffle per seed, an auxiliary
-    stream per ``_aux_stream`` key.
+    The group makes one generator per distinct stream, a shuffle per seed
+    and an auxiliary stream per ``_aux_stream`` key, and decodes it once an
+    epoch for all its runs; a pinned stream first draws its pool's uniforms.
     """
     runs = sorted(runs, key=lambda r: _slice_rank(r.spec))
     config = runs[0].config
@@ -502,9 +491,11 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     batch = config.batch_train
     m_aux = config.batch_aux or batch  # runs[0] has an auxiliary batch if any run does
     n_steps = -(-n // batch)
-    shuffles = {r.config.seed: r.shuffle_rng for r in runs}
+    seeds = dict.fromkeys(r.config.seed for r in runs)
+    shuffles = {seed: np.random.default_rng([seed, _STREAM_SHUFFLE]) for seed in seeds}
     keys = [_aux_stream(r) for r in runs[: stack.n_aux]]
-    streams = {key: r.aux_rng for key, r in zip(keys, runs)}
+    streams = {key: np.random.default_rng([key[0], _STREAM_AUX]) for key in dict.fromkeys(keys)}
+    pinned = {key: rng.random(key[1]) for key, rng in streams.items() if key[2] == "pinned"}
     last_loss = np.full(len(runs), np.nan)
     alive = np.ones(len(runs), dtype=bool)
     for epoch in range(config.epochs):
@@ -512,10 +503,14 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
         perm = {seed: rng.permutation(n) for seed, rng in shuffles.items()}
         perms = np.array([perm[r.config.seed] for r in runs])
         if pool is not None:
-            raw = {key: _epoch_draws(rng, key[1], n_steps, m_aux, key[2]) for key, rng in streams.items()}
+            raw = {key: _epoch_draws(rng, key[1], n_steps, m_aux, key[2] == "drawn")
+                   for key, rng in streams.items()}
+            # A pinned stream's uniforms are those of the instances it draws.
+            uniforms = {key: pinned[key][idx] if key in pinned else u for key, (idx, u) in raw.items()}
             # Step-major (n_steps, A, m) and (n_steps, R, m), so each step's slice is contiguous.
             aidx = np.stack([raw[key][0] for key in keys], axis=1)
-            labels = [_aux_labels(r.spec, *raw[key]) for r, key in zip(runs[: stack.n_relabel], keys)]
+            labels = [_lookup_labels(r.spec.aux_cdf, uniforms[key])
+                      for r, key in zip(runs[: stack.n_relabel], keys)]
             alabels = np.stack(labels, axis=1) if labels else None
         total_sum, base_sum, aux_sum = np.zeros((3, len(runs)))
         for step, start in enumerate(range(0, n, batch)):

@@ -231,7 +231,7 @@ def battery():
         "original-prior": LabelDistributionKind("original-prior"),
         "fixed-smallest": LabelDistributionKind("fixed-class"),
     }
-    # Two batched calls: the standard seeds, then the 20 open-sampling runs,
+    # One batched call: the standard seeds and the 20 open-sampling runs,
     # each with its own label distribution.
     common = dict(
         epochs=TASK["epochs"], hidden_dim=TASK["hidden_dim"], base_lr=TASK["base_lr"],
@@ -247,9 +247,8 @@ def battery():
         for kind in list(variants.values())[1:]
         for seed in TASK["seeds"]
     ]
-    results = train.train_runs(standard, train_ds, test_ds) + train.train_runs(
-        relabeled, train_ds, test_ds, [pool] * len(relabeled)
-    )
+    pools = [None] * len(standard) + [pool] * len(relabeled)
+    results = train.train_runs(standard + relabeled, train_ds, test_ds, pools)
     stats = {}
     for i, name in enumerate(variants):
         overall, minority, auroc_vals = [], [], []

@@ -93,6 +93,12 @@ class TestClassPrior:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(bad)
 
+    def test_compares_and_hashes_by_identity(self):
+        # Its fields are arrays, so a value comparison would be ambiguous.
+        p, q = ClassPrior([3, 1]), ClassPrior([3, 1])
+        assert p == p and p != q
+        assert hash(p) == hash(p) and len({p, q}) == 2
+
 
 class TestComplementary:
     def test_hand_evaluated(self):

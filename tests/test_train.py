@@ -501,12 +501,12 @@ class TestSingleStepEquivalence:
     def test_precomputed_cdf_draws_match_sample_aux_labels(self):
         prior = prior_from_counts([30, 10, 4])
         cfg = TrainConfig(method="open-sampling", epochs=1)
-        spec = train._loss_spec(cfg, prior, 300, np.random.default_rng(0))
+        spec = train._loss_spec(cfg, prior)
         gammas = complementary(prior, default_alpha(prior))
         fast, slow = np.random.default_rng(9), np.random.default_rng(9)
         for m in (1, 7, 32):
             idx, u = train._epoch_draws(fast, 300, 1, m, True)
-            aidx, drawn = idx[0], train._aux_labels(spec, idx, u)[0]
+            aidx, drawn = idx[0], train._lookup_labels(spec.aux_cdf, u)[0]
             assert np.array_equal(slow.integers(0, 300, size=m), aidx)
             np.testing.assert_array_equal(drawn, sample_aux_labels(gammas, m, slow))
             assert fast.bit_generator.state == slow.bit_generator.state
@@ -865,7 +865,7 @@ class TestFlatStack:
         rng = np.random.default_rng([size, hidden])
         prior = prior_from_counts([30, 10, 4])
         configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta})) for m, eta in FLAT_STACKS[size]]
-        specs = sorted((train._loss_spec(c, prior, 50, None) for c in configs), key=train._slice_rank)
+        specs = sorted((train._loss_spec(c, prior) for c in configs), key=train._slice_rank)
         offset_where = np.array([spec.base_offset is not None for spec in specs])[:, None, None]
         runs = [tuple((w, rng.standard_normal(b.shape)) for w, b in init_params(4, hidden, 3, rng).layers)
                 for _ in specs]
@@ -929,7 +929,7 @@ class TestAuxLoss:
         def stack(size):
             configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta}))
                        for m, eta in FLAT_STACKS[size]]
-            specs = sorted((train._loss_spec(c, prior, 50, None) for c in configs), key=train._slice_rank)
+            specs = sorted((train._loss_spec(c, prior) for c in configs), key=train._slice_rank)
             return train._Stack(specs, [init_params(4, 0, 3, 0).layers] * len(specs), 0.9, 0.0)
 
         assert stack(2).offset_where is True and stack(2).eta_where is True
@@ -960,7 +960,7 @@ class TestStep:
         # both, and the live run's update is bit-equal to its lone stack's.
         rng = np.random.default_rng(4)
         prior = prior_from_counts([30, 10, 4])
-        specs = [train._loss_spec(TrainConfig(method=m), prior, 50, None) for m in ("open-sampling", "standard")]
+        specs = [train._loss_spec(TrainConfig(method=m), prior) for m in ("open-sampling", "standard")]
         runs = [init_params(3, 4, 3, rng).layers for _ in specs]
         bx, by = rng.standard_normal((2, 8, 3)), rng.integers(0, 3, (2, 8))
         ax, ay = np.full((1, 4, 3), np.inf), rng.integers(0, 3, (1, 4))
@@ -975,14 +975,15 @@ class TestStep:
         assert stack.velocity[1].tobytes() == alone.velocity[0].tobytes()
 
 
-def _per_step_draws(spec, gammas, rng, pool_size, n_steps, m):
-    """The auxiliary stream as defined: one integers and one random call per step."""
+def _per_step_draws(kind, gammas, pinned, rng, pool_size, n_steps, m):
+    """The auxiliary stream as defined: one integers call per step, then one
+    random call for drawn labels; pinned labels are those of the drawn instances."""
     idx, labels = [], []
     for _ in range(n_steps):
         idx.append(rng.integers(0, pool_size, size=m))
-        if spec.aux_pinned is not None:
-            labels.append(spec.aux_pinned[idx[-1]])
-        elif spec.aux_cdf is not None:
+        if kind == "pinned":
+            labels.append(pinned[idx[-1]])
+        elif kind == "drawn":
             labels.append(sample_aux_labels(gammas, m, rng))
     return np.array(idx), np.array(labels) if labels else None
 
@@ -1007,30 +1008,33 @@ class TestEpochDraws:
 
     def test_epochs_match_per_step_calls(self, replays):
         gammas = complementary(prior_from_counts([30, 10, 4]), 0.9)
+        cdf = np.cumsum(gammas)
         epochs = {}
         for pool_size in (1, 2, 300, 5000) + HUGE_POOLS:
+            # A pinned stream's labels are its pool's uniforms looked up in the
+            # CDF; gathering the uniforms first gives sample_aux_labels' labels.
             if pool_size in HUGE_POOLS:
-                pinned = np.broadcast_to(np.int64(1), (pool_size,))
+                pinned_u = np.broadcast_to(0.5, (pool_size,))
+                pinned = np.broadcast_to(train._lookup_labels(cdf, 0.5), (pool_size,))
             else:
+                pinned_u = np.random.default_rng(pool_size).random(pool_size)
                 pinned = sample_aux_labels(gammas, pool_size, np.random.default_rng(pool_size))
-            specs = {
-                "drawn": train._LossSpec(aux_cdf=np.cumsum(gammas)),
-                "pinned": train._LossSpec(aux_pinned=pinned),
-                "oe": train._LossSpec(aux_prior=np.full(3, 1 / 3)),
-            }
             for m in (1, 2, 7, 32):
-                for k, (kind, spec) in enumerate(specs.items()):
+                for k, kind in enumerate(("drawn", "pinned", "oe")):
                     fast = np.random.default_rng([pool_size, m, k])
                     slow = np.random.default_rng([pool_size, m, k])
                     for n_steps in (1, 3, 1, 2, 1, 1, 4, 1):
                         idx, u = train._epoch_draws(fast, pool_size, n_steps, m, kind == "drawn")
-                        labels = train._aux_labels(spec, idx, u)
-                        want_idx, want_labels = _per_step_draws(spec, gammas, slow, pool_size, n_steps, m)
+                        want_idx, want_labels = _per_step_draws(kind, gammas, pinned, slow, pool_size, n_steps, m)
                         assert idx.dtype == np.int64 and idx.shape == (n_steps, m)
                         np.testing.assert_array_equal(idx, want_idx)
-                        if kind == "oe":
-                            assert labels is None
+                        if kind == "drawn":
+                            np.testing.assert_array_equal(train._lookup_labels(cdf, u), want_labels)
                         else:
+                            assert u is None
+                        if kind == "pinned":
+                            labels = train._lookup_labels(cdf, pinned_u[idx])
+                            assert labels.dtype == want_labels.dtype == np.int64
                             np.testing.assert_array_equal(labels, want_labels)
                         assert fast.bit_generator.state == slow.bit_generator.state
                         epochs[pool_size, m] = epochs.get((pool_size, m), 0) + 1
@@ -1048,13 +1052,12 @@ class TestEpochDraws:
         carried = np.random.default_rng(0)
         while not carried.bit_generator.state["has_uint32"]:
             carried.integers(0, HUGE_POOLS[0], size=32)
-        spec = train._LossSpec(aux_cdf=np.cumsum(gammas))
         before = len(replays)
         twin = np.random.default_rng(0)
         twin.bit_generator.state = carried.bit_generator.state
         idx, u = train._epoch_draws(carried, 300, 2, 32, True)
-        labels = train._aux_labels(spec, idx, u)
-        want_idx, want_labels = _per_step_draws(spec, gammas, twin, 300, 2, 32)
+        labels = train._lookup_labels(cdf, u)
+        want_idx, want_labels = _per_step_draws("drawn", gammas, None, twin, 300, 2, 32)
         assert len(replays) == before + 1
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_array_equal(labels, want_labels)
