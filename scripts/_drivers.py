@@ -42,13 +42,17 @@ def train(head, epochs, **tail):
 
 def options(doc, out, **int_defaults):
     """Parse --out (default `out`) and one integer flag per default; a list
-    default makes a flag that takes one or more integers. Creates --out."""
+    default makes a flag that takes one or more integers. Refuses an --epochs
+    that `train` cannot schedule, then creates --out."""
     parser = argparse.ArgumentParser(description=doc)
     parser.add_argument("--out", type=Path, default=Path(out))
     for name, default in int_defaults.items():
         nargs = {"nargs": "+"} if isinstance(default, list) else {}
         parser.add_argument(f"--{name}", type=int, default=default, **nargs)
     args = parser.parse_args()
+    if "epochs" in int_defaults and args.epochs < 8:
+        parser.error(f"--epochs must be at least 8, got {args.epochs}: training warms up for 5 epochs, "
+                     "and its milestones, int(0.8 * epochs) and int(0.9 * epochs), must rise and come after it")
     args.out.mkdir(parents=True, exist_ok=True)
     return args
 

@@ -39,6 +39,7 @@ DRIVERS = {
                              ["method          test acc   fpr95   auroc   aupr (pool average)"]),
     "run_bayes_check.py": (["--cases", "10"], ["alpha     aux size   prior ratio   flipped mass"]),
 }
+TRAINING_DRIVERS = [script for script, (flags, _) in DRIVERS.items() if "--epochs" in flags]
 
 
 def build():
@@ -84,6 +85,19 @@ def test_driver_runs(tmp_path, script):
     if golden["build"] != build():
         pytest.skip(f"golden driver hashes were made on {golden['build']}, this build is {build()}")
     assert digests(proc, tmp_path / "out") == golden["drivers"][script]
+
+
+@pytest.mark.parametrize("script", TRAINING_DRIVERS)
+@pytest.mark.parametrize("epochs", ["1", "7"])
+def test_short_runs_refused_before_any_output(tmp_path, script, epochs):
+    # 5 warmup epochs, then milestones at int(0.8 e) and int(0.9 e) that must
+    # rise and come after the warmup: 8 epochs is the fewest that schedule.
+    flags = list(DRIVERS[script][0])
+    flags[flags.index("--epochs") + 1] = epochs
+    proc = run_driver(script, flags, tmp_path)
+    assert proc.returncode == 2
+    assert "--epochs must be at least 8" in proc.stderr, proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def write_golden():
