@@ -26,6 +26,7 @@ __all__ = [
     "cb_effective_weights",
     "required_aux_size",
     "mixed_prior",
+    "loss_prior",
     "label_distribution",
 ]
 
@@ -192,6 +193,24 @@ def mixed_prior(prior: ClassPrior, gammas, aux_size) -> np.ndarray:
         raise ValueError(f"aux_size must be finite, got {m}")
     n = float(prior.total)
     return (n * prior.betas + m * np.asarray(gammas)) / (n + m)
+
+
+def loss_prior(prior: ClassPrior, gammas, omegas, eta) -> np.ndarray:
+    """The class mix a training step's loss sees: beta + eta * Gamma * omega, normalised.
+
+    A step averages the loss over training rows, whose labels follow beta,
+    and adds eta times an omega-weighted average over auxiliary rows labelled
+    from Gamma, so class j carries an expected weight proportional to
+    beta_j + eta * Gamma_j * omega_j. With omega = 1 and eta = M / N this is
+    mixed_prior(prior, gammas, M).
+    """
+    eta = float(eta)
+    if eta < 0:
+        raise ValueError("eta must be non-negative")
+    if not eta < math.inf:  # NaN too
+        raise ValueError(f"eta must be finite, got {eta}")
+    mass = prior.betas + eta * (np.asarray(gammas, dtype=np.float64) * np.asarray(omegas, dtype=np.float64))
+    return mass / mass.sum()
 
 
 _KIND_TAGS = (

@@ -14,6 +14,7 @@ from open_rebalance.priors import (
     complementary,
     default_alpha,
     label_distribution,
+    loss_prior,
     mcd,
     mixed_prior,
     prior_from_counts,
@@ -302,12 +303,88 @@ class TestMixedPrior:
         assert np.abs(mixed - 1.0 / p.num_classes).max() <= p.num_classes / (p.total + m)
 
 
+# Counts with no empty class, alpha's distance above max beta, and a positive eta.
+loss_prior_cases = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=1000), min_size=2, max_size=12),
+    st.floats(min_value=1e-3, max_value=2.0),
+    st.floats(min_value=0.01, max_value=20.0),
+)
+
+
+def _complementary_case(counts, bump):
+    p = prior_from_counts(counts)
+    alpha = p.max_beta + bump
+    return p, alpha, complementary(p, alpha)
+
+
+class TestLossPrior:
+    @settings(max_examples=100, deadline=None)
+    @given(loss_prior_cases)
+    def test_unit_omegas_at_aux_ratio_give_mixed_prior(self, case):
+        counts, bump, _ = case
+        p, alpha, gam = _complementary_case(counts, bump)
+        m = required_aux_size(p, alpha)
+        got = loss_prior(p, gam, np.ones(p.num_classes), m / p.total)
+        np.testing.assert_allclose(got, mixed_prior(p, gam, m), rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(loss_prior_cases)
+    def test_unit_omegas_at_balancing_eta_are_uniform(self, case):
+        # beta + (K alpha - 1) Gamma = alpha in every class.
+        counts, bump, _ = case
+        p, alpha, gam = _complementary_case(counts, bump)
+        got = loss_prior(p, gam, np.ones(p.num_classes), p.num_classes * alpha - 1.0)
+        np.testing.assert_allclose(got, 1.0 / p.num_classes, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(loss_prior_cases)
+    def test_zero_eta_gives_the_prior(self, case):
+        counts, bump, _ = case
+        p, _, gam = _complementary_case(counts, bump)
+        np.testing.assert_allclose(loss_prior(p, gam, weights_from_probabilities(gam), 0.0), p.betas,
+                                   rtol=0, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=1000), loss_prior_cases)
+    def test_engine_omegas_keep_a_uniform_prior_uniform(self, k, count, case):
+        _, bump, eta = case
+        p, _, gam = _complementary_case([count] * k, bump)
+        np.testing.assert_allclose(loss_prior(p, gam, weights_from_probabilities(gam), eta), 1.0 / k,
+                                   rtol=0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(loss_prior_cases.filter(lambda case: len(set(case[0])) >= 3))
+    def test_engine_omegas_never_flatten_three_distinct_counts(self, case):
+        # With omega = K Gamma the mass beta_j + eta K Gamma_j^2 is a strictly
+        # convex quadratic in beta_j (Gamma_j is affine in it), so it takes no
+        # value at more than two distinct betas.
+        counts, bump, eta = case
+        p, _, gam = _complementary_case(counts, bump)
+        got = loss_prior(p, gam, weights_from_probabilities(gam), eta)
+        assert got.max() > got.min()
+
+    @pytest.mark.parametrize("counts,alpha", [([3, 1], 0.75), ([3, 1], 2.0), ([9, 2], 1.0)])
+    def test_engine_omegas_flatten_two_classes_at_one_eta(self, counts, alpha):
+        # Two values can lie on both sides of the quadratic's vertex: at K = 2
+        # the mass is the same in both classes at eta = (2 alpha - 1) / 2.
+        p = prior_from_counts(counts)
+        gam = complementary(p, alpha)
+        got = loss_prior(p, gam, weights_from_probabilities(gam), (2.0 * alpha - 1.0) / 2.0)
+        np.testing.assert_allclose(got, 0.5, rtol=0, atol=1e-15)
+
+    def test_negative_eta_refused(self):
+        p = prior_from_counts([3, 1])
+        with pytest.raises(ValueError, match="^eta must be non-negative"):
+            loss_prior(p, mcd(p), np.ones(2), -0.5)
+
+
 @pytest.mark.parametrize(
     "name,call",
     [("alpha", complementary),
      ("alpha", required_aux_size),
-     ("aux_size", lambda p, v: mixed_prior(p, mcd(p), v))],
-    ids=["complementary", "required_aux_size", "mixed_prior"],
+     ("aux_size", lambda p, v: mixed_prior(p, mcd(p), v)),
+     ("eta", lambda p, v: loss_prior(p, mcd(p), np.ones(2), v))],
+    ids=["complementary", "required_aux_size", "mixed_prior", "loss_prior"],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_refused(name, call, value):
