@@ -146,10 +146,11 @@ def _check_finite(logits: np.ndarray) -> None:
         raise ValueError("non-finite logits")
 
 
-def _forward(layers, x):
+def _forward(layers, x, out=None):
     """Logits plus each layer's input, which ``_backward`` reuses.
 
-    Each layer works in place on its own fresh product; x, w and b are only read.
+    Each layer works in place on its own fresh product, the last one on out
+    if given; x, w and b are only read.
     """
     acts = [x]
     for w, b in layers[:-1]:
@@ -158,7 +159,7 @@ def _forward(layers, x):
         np.maximum(x, 0.0, out=x)
         acts.append(x)
     w, b = layers[-1]
-    x = x @ w
+    x = np.matmul(x, w, out=out)
     x += b
     return x, acts
 

@@ -11,7 +11,8 @@ slice (relabelled, then OE, then none), so the auxiliary pass runs on a
 prefix of the stacked weights; a run gives the same bits alone or in any
 batch. A stack's parameters, velocities and gradients are one flat (S, P)
 buffer each, with per-layer views into them, so one momentum update covers
-the whole stack.
+the whole stack. A step writes both passes' logits into one array, so one
+log-softmax serves both, and an epoch sums its steps' losses once, at its end.
 
 A stack owns its runs' shuffle and auxiliary streams, one generator per
 distinct stream: a shuffle per seed, and an auxiliary stream per seed, pool
@@ -20,7 +21,8 @@ auxiliary stream is defined by two calls per step, ``integers(0, P,
 size=m)`` for the indices and then, for drawn labels, ``random(m)``; a
 pinned stream first draws ``random(P)``, one uniform per pool instance, and
 its steps take the uniforms of the instances they draw. Each relabelled run
-maps its stream's uniforms to labels through its own CDF (``_lookup_labels``).
+maps its stream's uniforms to labels through its own CDF (``_lookup_labels``),
+one lookup per epoch for all the runs that share a stream and a CDF.
 The engine decodes a whole epoch of a stream from one raw PCG64 block and
 replays the calls wherever the decode could differ, so indices, uniforms and
 generator state are exactly the calls' (``_epoch_draws``).
@@ -46,7 +48,6 @@ from .nn import (
     _log_softmax,
     _prior_xent_from,
     _sgd_update,
-    _xent,
     _xent_from,
     init_params,
     lr_at,
@@ -255,6 +256,13 @@ def _stack_rows(rows, fill: float):
     return np.stack([np.full_like(present, fill) if r is None else r for r in rows])
 
 
+def _last_finite(rows, carried):
+    """Each run's last finite value in rows (steps by runs), else its carried one."""
+    rows = np.vstack([carried, rows])
+    at = np.where(np.isfinite(rows), np.arange(len(rows))[:, None], 0).max(axis=0)
+    return rows[at, np.arange(rows.shape[1])]
+
+
 def _slice_rank(spec: _LossSpec) -> int:
     """A run's slice in its stack: 0 relabelled aux CE, 1 OE prior CE, 2 no aux batch."""
     return 0 if spec.aux_omegas is not None else 1 if spec.aux_prior is not None else 2
@@ -336,23 +344,20 @@ class _Stack:
         self.aux_loss = np.zeros(self.size)
 
 
-def _aux_loss(stack: _Stack, logits, ay):
-    """Every run's auxiliary loss, and the logit gradient of the stack's leading A runs.
+def _aux_loss(stack: _Stack, logp, grad, ay):
+    """Every run's auxiliary loss, from the leading A runs' log-probabilities and their exp.
 
-    The A rows share one log-softmax and its exp, which the relabelled rows
-    [:R] and the OE rows [R:] each turn into their gradient in place: the
-    log-softmax is row-wise, so each row rounds as in its own kind's call.
-    The losses are written into ``stack.aux_loss``, which the next step
-    overwrites.
+    The relabelled rows [:R] and the OE rows [R:] each turn their rows of
+    grad into their logit gradient in place; the log-softmax is row-wise, so
+    each row rounds as in its own kind's call. The losses are written into
+    ``stack.aux_loss``, which the next step overwrites.
     """
     r, a, loss = stack.n_relabel, stack.n_aux, stack.aux_loss
-    logp = _log_softmax(logits)
-    grad = np.exp(logp)
     if r:
         loss[:r] = _xent_from(logp[:r], grad[:r], ay, stack.aux_omegas[stack.aux_rows, ay])
     if r < a:
         loss[r:a] = _prior_xent_from(logp[r:], grad[r:], stack.aux_prior)
-    return loss, grad
+    return loss
 
 
 def _step(stack: _Stack, lr: float, bx, by, ax, ay):
@@ -364,27 +369,41 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     step, and the mask of runs whose base or auxiliary logits are not all
     finite, None when all are. Every run is updated, finite or not; no
     operation mixes two runs' slices.
+
+    The base and the auxiliary logits are written back to back into one
+    (S*B + A*m, K) array, so one finiteness check, one log-softmax and one exp
+    cover both passes; each pass reads its rows through views, and the
+    log-softmax is row-wise, so every row rounds as in a call of its own.
     """
-    logits, acts = _forward(stack.layers, bx)
-    if stack.base_offset is not None:
-        np.add(logits, stack.base_offset, out=logits, where=stack.offset_where)
-    # Training can diverge, so every batch is checked; a healthy one allocates no mask.
-    lost = None if np.isfinite(logits).all() else ~np.isfinite(logits).all(axis=(-2, -1))
-    weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
-    base_loss, g = _xent(logits, by, weights)
-    _backward(stack.layers, acts, g, stack.grads)
-    a = stack.n_aux
+    size, batch = by.shape
+    a, k = stack.n_aux, stack.shapes[-1][1]
+    m, split = ax.shape[1] if a else 0, size * batch
+    logits = np.empty((split + a * m, k))
+    base, aux = logits[:split].reshape(size, batch, k), logits[split:].reshape(a, m, k)
+    _, acts = _forward(stack.layers, bx, out=base)
     if a:
-        logits, acts = _forward(stack.aux_layers, ax)
-        if not np.isfinite(logits).all():
-            lost = np.zeros(stack.size, dtype=bool) if lost is None else lost
-            lost[:a] |= ~np.isfinite(logits).all(axis=(-2, -1))
-        _, g = _aux_loss(stack, logits, ay)
+        _, aux_acts = _forward(stack.aux_layers, ax, out=aux)
+    if stack.base_offset is not None:
+        np.add(base, stack.base_offset, out=base, where=stack.offset_where)
+    # Training can diverge, so every batch is checked; a healthy one allocates no mask.
+    lost = None
+    if not np.isfinite(logits).all():
+        lost = ~np.isfinite(base).all(axis=(-2, -1))
+        lost[:a] |= ~np.isfinite(aux).all(axis=(-2, -1))
+    logp = _log_softmax(logits)
+    grad = np.exp(logp)
+    weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
+    g = grad[:split].reshape(base.shape)
+    base_loss = _xent_from(logp[:split].reshape(base.shape), g, by, weights)
+    _backward(stack.layers, acts, g, stack.grads)
+    if a:
+        g = grad[split:].reshape(aux.shape)
+        _aux_loss(stack, logp[split:].reshape(aux.shape), g, ay)
         if stack.any_eta:
-            _backward(stack.aux_layers, acts, g, stack.aux_grads)
-            aux, head = stack.aux_grad, stack.grad[:a]
-            np.multiply(stack.aux_eta, aux, out=aux)
-            np.add(head, aux, out=head, where=stack.eta_where)
+            _backward(stack.aux_layers, aux_acts, g, stack.aux_grads)
+            aux_grad, head = stack.aux_grad, stack.grad[:a]
+            np.multiply(stack.aux_eta, aux_grad, out=aux_grad)
+            np.add(head, aux_grad, out=head, where=stack.eta_where)
     _sgd_update(stack.params, stack.grad, stack.velocity, stack.momentum, stack.weight_decay, lr)
     return base_loss, stack.aux_loss, lost
 
@@ -496,6 +515,9 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     keys = [_aux_stream(r) for r in runs[: stack.n_aux]]
     streams = {key: np.random.default_rng([key[0], _STREAM_AUX]) for key in dict.fromkeys(keys)}
     pinned = {key: rng.random(key[1]) for key, rng in streams.items() if key[2] == "pinned"}
+    # Relabelled runs that share a stream and a CDF share their labels too.
+    label_keys = [(key, r.spec.aux_cdf.tobytes()) for r, key in zip(runs[: stack.n_relabel], keys)]
+    cdfs = {label_key: r.spec.aux_cdf for r, label_key in zip(runs[: stack.n_relabel], label_keys)}
     last_loss = np.full(len(runs), np.nan)
     alive = np.ones(len(runs), dtype=bool)
     for epoch in range(config.epochs):
@@ -509,10 +531,12 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
             uniforms = {key: pinned[key][idx] if key in pinned else u for key, (idx, u) in raw.items()}
             # Step-major (n_steps, A, m) and (n_steps, R, m), so each step's slice is contiguous.
             aidx = np.stack([raw[key][0] for key in keys], axis=1)
-            labels = [_lookup_labels(r.spec.aux_cdf, uniforms[key])
-                      for r, key in zip(runs[: stack.n_relabel], keys)]
-            alabels = np.stack(labels, axis=1) if labels else None
-        total_sum, base_sum, aux_sum = np.zeros((3, len(runs)))
+            labels = {label_key: _lookup_labels(cdf, uniforms[label_key[0]]) for label_key, cdf in cdfs.items()}
+            alabels = np.stack([labels[label_key] for label_key in label_keys], axis=1) if labels else None
+        # Row 0 is zero and row step + 1 holds that step's losses, so adding
+        # the rows in order (accumulate, at any stack size) rounds as a running
+        # total started at zero.
+        base_rows, aux_rows = np.zeros((2, n_steps + 1, len(runs)))
         for step, start in enumerate(range(0, n, batch)):
             idx = perms[:, start : start + batch]
             bx, by = features[idx], train.labels[idx]
@@ -523,22 +547,21 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
             base_loss, aux_loss, lost = _step(stack, lr, bx, by, ax, ay)
             if lost is not None:
                 lost &= alive  # a dead run keeps its first error
-                for r, last in zip(compress(runs, lost), last_loss[lost].tolist()):
-                    shown = None if math.isnan(last) else last
+                shown = _last_finite(base_rows[1 : step + 1] + stack.eta * aux_rows[1 : step + 1], last_loss)
+                for r, last in zip(compress(runs, lost), shown[lost].tolist()):
                     r.error = ValueError(
-                        f"non-finite logits at epoch {epoch}, step {step} (last finite loss {shown})"
+                        f"non-finite logits at epoch {epoch}, step {step} "
+                        f"(last finite loss {None if math.isnan(last) else last})"
                     )
                 alive &= ~lost
                 if not alive.any():
                     return
-            total = base_loss + stack.eta * aux_loss
-            np.copyto(last_loss, total, where=np.isfinite(total))
-            total_sum += total
-            base_sum += base_loss
-            aux_sum += aux_loss
-        n_batches = step + 1
+            base_rows[step + 1] = base_loss
+            aux_rows[step + 1] = aux_loss
+        total_rows = base_rows + stack.eta * aux_rows
+        last_loss = _last_finite(total_rows[1:], last_loss)
         overall, per_class = metrics._accuracies(stack.layers, test_x, test.labels, test.num_classes)
-        means = zip(*((x / n_batches).tolist() for x in (total_sum, base_sum, aux_sum)))
+        means = zip(*((np.add.accumulate(x)[-1] / n_steps).tolist() for x in (total_rows, base_rows, aux_rows)))
         for r, (total_mean, base_mean, aux_mean), acc, per in compress(
             zip(runs, means, overall.tolist(), per_class.tolist()), alive
         ):

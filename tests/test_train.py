@@ -17,6 +17,7 @@ from open_rebalance.data import (
 from open_rebalance import metrics, train
 from open_rebalance.nn import (
     LrSchedule,
+    _log_softmax,
     _prior_xent,
     _xent,
     backward,
@@ -847,36 +848,50 @@ def _per_array_step(stack, offset_where, layers, velocity, lr, bx, by, ax, ay):
 # (method, eta) per run, in config order; eta None keeps the default. Every
 # run of stack 2 has a base offset and a nonzero eta, and every auxiliary run
 # of stack 4 a nonzero eta, so their adds go unmasked; stacks 3 and 7 hold a
-# zero-eta run.
+# zero-eta run. Stack 5 has no auxiliary batch (A = 0), and stack 6 only OE
+# runs (R = 0, A = S); stacks 1 and 2 only relabelled ones (R = A).
 FLAT_STACKS = {
     1: [("open-sampling", None)],
     2: [("balanced-softmax+open-sampling", 0.5), ("balanced-softmax", None)],
     3: [("balanced-softmax", None), ("open-sampling", 0.0), ("oe", 0.7)],
     4: [("oe", 0.7), ("open-sampling", 1.5), ("balanced-softmax+open-sampling", 2.0), ("standard", None)],
+    5: [("standard", None), ("cb-rw", None), ("balanced-softmax", None), ("standard", None), ("cb-rw", None)],
+    6: [("oe", 0.7), ("oe", 0.0), ("oe", 1.5), ("oe", 0.7), ("oe", 2.0), ("oe", 0.3)],
     7: [("standard", None), ("open-sampling", 1.5), ("oe", 0.0), ("cb-rw", None),
         ("balanced-softmax+open-sampling", 2.0), ("open-sampling", 0.0), ("balanced-softmax", None)],
 }
+# The training batch of each step: sizes that are not powers of two, so that
+# dividing by B rounds, ending on two ragged batches, the last of one row.
+FLAT_BATCHES = (13, 13, 13, 13, 5, 1)
 
 
 class TestFlatStack:
+    @pytest.mark.parametrize("m", [7, 1, 13])
+    @pytest.mark.parametrize("counts", [[30, 10, 4], [30, 4]], ids=["k3", "k2"])
     @pytest.mark.parametrize("hidden", [0, 8])
     @pytest.mark.parametrize("size", sorted(FLAT_STACKS))
-    def test_step_matches_per_array_step(self, size, hidden):
-        rng = np.random.default_rng([size, hidden])
-        prior = prior_from_counts([30, 10, 4])
-        configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta})) for m, eta in FLAT_STACKS[size]]
+    def test_step_matches_per_array_step(self, size, hidden, counts, m):
+        # One shared logit array for both passes against fresh arrays per
+        # pass: auxiliary batches of m rows, odd and one (OpenBLAS's
+        # matrix-vector path) unlike the training batch, or as large.
+        k = len(counts)
+        rng = np.random.default_rng([size, hidden, k, m])
+        prior = prior_from_counts(counts)
+        configs = [TrainConfig(method=method, **({} if eta is None else {"eta": eta}))
+                   for method, eta in FLAT_STACKS[size]]
         specs = sorted((train._loss_spec(c, prior) for c in configs), key=train._slice_rank)
         offset_where = np.array([spec.base_offset is not None for spec in specs])[:, None, None]
-        runs = [tuple((w, rng.standard_normal(b.shape)) for w, b in init_params(4, hidden, 3, rng).layers)
+        runs = [tuple((w, rng.standard_normal(b.shape)) for w, b in init_params(4, hidden, k, rng).layers)
                 for _ in specs]
         stack = train._Stack(specs, runs, 0.9, 2e-4)
         layers = [(np.stack([r[i][0] for r in runs]), np.stack([r[i][1] for r in runs])[:, None])
                   for i in range(len(runs[0]))]
         velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-        # Batch sizes that are not powers of two, so that dividing by B rounds.
-        for step in range(6):
-            bx, by = rng.standard_normal((stack.size, 13, 4)), rng.integers(0, 3, (stack.size, 13))
-            ax, ay = rng.standard_normal((stack.n_aux, 7, 4)), rng.integers(0, 3, (stack.n_relabel, 7))
+        for step, batch in enumerate(FLAT_BATCHES):
+            bx, by = rng.standard_normal((stack.size, batch, 4)), rng.integers(0, k, (stack.size, batch))
+            # As the engine passes them: no auxiliary batch without A, no labels without R.
+            ax = rng.standard_normal((stack.n_aux, m, 4)) if stack.n_aux else None
+            ay = rng.integers(0, k, (stack.n_relabel, m)) if stack.n_relabel else None
             lr = 0.5 / (step + 1)
             train._step(stack, lr, bx, by, ax, ay)
             _per_array_step(stack, offset_where, layers, velocity, lr, bx, by, ax, ay)
@@ -885,6 +900,88 @@ class TestFlatStack:
                 for got_pair, want_pair in zip(got, want):
                     for g, w in zip(got_pair, want_pair):
                         assert g.shape == w.shape and g.tobytes() == w.tobytes(), (step, size, hidden)
+
+
+def _running_totals(base, aux, etas, lost_at):
+    """Each run's (train, base, aux) loss means per epoch, or its error text,
+    from totals kept one step at a time as Python floats.
+
+    base and aux are (epochs, steps, runs) losses; lost_at maps a run to the
+    (epoch, step) whose logits go non-finite. A lost run's error names the
+    last finite total before that step; once every run is lost, none trains on.
+    """
+    epochs, n_steps, size = base.shape
+    last, errors, means = [None] * size, [None] * size, [[] for _ in range(size)]
+    for epoch in range(epochs):
+        sums = [[0.0, 0.0, 0.0] for _ in range(size)]
+        for step in range(n_steps):
+            for s in range(size):
+                if errors[s] is None and lost_at.get(s) == (epoch, step):
+                    errors[s] = f"non-finite logits at epoch {epoch}, step {step} (last finite loss {last[s]})"
+            if all(errors):
+                return errors
+            for s in range(size):
+                b, a = float(base[epoch, step, s]), float(aux[epoch, step, s])
+                total = b + etas[s] * a
+                if math.isfinite(total):
+                    last[s] = total
+                for i, x in enumerate((total, b, a)):
+                    sums[s][i] += x
+        for s in range(size):
+            if errors[s] is None:
+                means[s].append(tuple(x / n_steps for x in sums[s]))
+    return [error or mean for error, mean in zip(errors, means)]
+
+
+class TestEpochLossSums:
+    @pytest.mark.parametrize("diverge", [False, True])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_means_and_last_finite_loss_match_running_totals(self, size, diverge, monkeypatch):
+        # _step returns scripted losses, with magnitudes from 1e-12 to 1e3.
+        # Epoch 0's base losses are 1 and then half an ulp of 1, which a
+        # running total drops one by one and a pairwise sum over the 11 steps
+        # would not. Epoch 1 loses exactly zero: -0.0 base losses, which a
+        # running total started at zero turns into 0.0, and auxiliary losses
+        # of either sign. When runs
+        # diverge, the last run's totals go infinite late in epoch 2 and its
+        # logits at step 0 of epoch 3, so its last finite loss comes from an
+        # earlier epoch; at S = 3 run 0's logits go at step 0 of epoch 0 (no
+        # finite loss yet) and run 1's at step 6 of epoch 1, after a NaN total.
+        train_ds, test_ds, pool = small_task()
+        etas = [0.7, 1.5, 0.0][:size]
+        configs = [TrainConfig(method="open-sampling", eta=eta, epochs=4, seed=s, hidden_dim=4, batch_train=4)
+                   for s, eta in enumerate(etas)]
+        n_steps = -(-len(train_ds) // 4)
+        rng = np.random.default_rng([size, diverge])
+        base, aux = rng.random((2, 4, n_steps, size)) * 10.0 ** rng.integers(-12, 4, (2, 4, n_steps, size))
+        base[0] = 2.0**-53
+        base[0, 0] = 1.0
+        base[1], aux[1] = -0.0, rng.choice([0.0, -0.0], (n_steps, size))
+        lost_at = {}
+        if diverge:
+            aux[2, 5:, -1] = np.inf
+            lost_at[size - 1] = (3, 0)
+            if size == 3:
+                aux[1, 5, 1] = np.nan
+                lost_at.update({0: (0, 0), 1: (1, 6)})
+        steps = iter(np.ndindex(4, n_steps))
+
+        def scripted_step(stack, lr, bx, by, ax, ay):
+            epoch, step = next(steps)
+            lost = np.array([lost_at.get(s) == (epoch, step) for s in range(stack.size)])
+            return base[epoch, step].copy(), aux[epoch, step].copy(), lost if lost.any() else None
+
+        monkeypatch.setattr(train, "_step", scripted_step)
+        with np.errstate(invalid="ignore"):  # 0 * inf, as a real divergence may give
+            results = train.train_runs(configs, train_ds, test_ds, [pool] * size)
+        want = _running_totals(base, aux, etas, lost_at)
+        for result, expected in zip(results, want):
+            if isinstance(expected, str):
+                assert str(result) == expected
+            else:
+                got = [(r.train_loss, r.base_loss, r.aux_loss) for r in result.history]
+                assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in expected]
+        assert any(isinstance(w, str) for w in want) == diverge
 
 
 def _bits(a):
@@ -916,7 +1013,9 @@ class TestAuxLoss:
         logits[odd] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], odd.sum())
         ay = rng.integers(0, k, (relabel, batch))
         with np.errstate(invalid="ignore", over="ignore"):
-            loss, grad = train._aux_loss(stack, logits, ay)
+            logp = _log_softmax(logits)
+            grad = np.exp(logp)
+            loss = train._aux_loss(stack, logp, grad, ay)
             want_loss, want_grad = _per_kind_aux_loss(stack, logits, ay)
         assert _bits(loss) == _bits(want_loss)
         assert _bits(grad) == _bits(want_grad)
