@@ -187,14 +187,14 @@ def _write_csv(path: Path, header, rows) -> None:
 # key is refused. gen_ood_pool owns the generator keys' defaults. A generated
 # pool needs its size; synth also needs a file pool's, and eval-ood a
 # generated pool's seed (see _pool's need).
-_SIZE, _SEED, _SIGMA = (int, 1, REQUIRED), (int, None, OPTIONAL), (float, None, OPTIONAL)
+_SIZE, _SEED, _SIGMA = (int, 1, REQUIRED), (int, None, OPTIONAL), (float, 0, OPTIONAL)
 _POOLS = {
     "gaussian": {"size": _SIZE, "seed": _SEED, "sigma": _SIGMA},
     "rademacher": {"size": _SIZE, "seed": _SEED},
     "blobs": {"size": _SIZE, "seed": _SEED, "window": (int, 1, OPTIONAL),
               "low": (float, None, OPTIONAL), "high": (float, None, OPTIONAL)},
     "shifted-mixture": {"size": _SIZE, "seed": _SEED, "sigma": _SIGMA,
-                        "margin": (float, None, OPTIONAL), "clusters": (int, 1, OPTIONAL)},
+                        "margin": (float, 0, OPTIONAL), "clusters": (int, 1, OPTIONAL)},
     "file": {"size": (int, 1, OPTIONAL), "path": (str, None, REQUIRED)},
 }
 _KIND = {"kind": (str, None, REQUIRED)}  # a pool spec's head; eval-ood's adds a name

@@ -241,6 +241,7 @@ def gen_ood_pool(
     for name, value in (("sigma", sigma), ("low", low), ("high", high), ("margin", margin)):
         if not math.isfinite(float(value)):
             raise ValueError(f"{name} must be finite, got {value}")
+    _check_spread(margin, sigma)
     rng = np.random.default_rng([int(seed), 0x00D])
     if kind == "gaussian":
         features = _features(size, dim, out)
@@ -310,6 +311,14 @@ def gen_ood_pool(
     return features
 
 
+def _check_spread(margin, sigma) -> None:
+    """Refuse a negative margin or sigma: both are lengths, and a negative one
+    breaks shifted_mixture_centers' margin bound."""
+    for name, value in (("margin", margin), ("sigma", sigma)):
+        if float(value) < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def shifted_mixture_centers(
     class_means, margin: float, sigma: float, clusters: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -321,6 +330,7 @@ def shifted_mixture_centers(
     means = np.asarray(class_means, dtype=np.float64)
     if means.ndim != 2:
         raise ValueError("class_means must be a K x dim matrix")
+    _check_spread(margin, sigma)
     radius = float(np.linalg.norm(means, axis=1).max())
     dirs = rng.standard_normal((int(clusters), means.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -60,16 +60,25 @@ def msp_scores(params: MlpParams, features) -> np.ndarray:
     return np.exp(logp.max(axis=1))
 
 
+def _score_sets(in_scores, out_scores):
+    """Both score sets as float64 arrays, refused if either is empty or holds a
+    NaN, which has no rank; +-inf still orders."""
+    sets = np.asarray(in_scores, dtype=np.float64), np.asarray(out_scores, dtype=np.float64)
+    for name, scores in zip(("in_scores", "out_scores"), sets):
+        if scores.size == 0:
+            raise ValueError(f"{name} is empty")
+        if np.isnan(scores).any():
+            raise ValueError(f"{name} holds a NaN")
+    return sets
+
+
 def fpr_at_95_tpr(in_scores, out_scores, tpr: float = 0.95) -> float:
     """False-positive rate on OOD scores at the 95%-TPR threshold.
 
     The threshold is the largest in-distribution score tau such that
     fraction(in >= tau) >= tpr; the result is fraction(out >= tau).
     """
-    in_scores = np.asarray(in_scores, dtype=np.float64)
-    out_scores = np.asarray(out_scores, dtype=np.float64)
-    if in_scores.size == 0 or out_scores.size == 0:
-        raise ValueError("need non-empty score sets")
+    in_scores, out_scores = _score_sets(in_scores, out_scores)
     srt = np.sort(in_scores)
     taus = srt[::-1]
     counts = in_scores.size - np.searchsorted(srt, taus, side="left")
@@ -80,10 +89,7 @@ def fpr_at_95_tpr(in_scores, out_scores, tpr: float = 0.95) -> float:
 
 def auroc(in_scores, out_scores) -> float:
     """P(in > out) + 0.5 * P(in == out), with in-distribution as positive."""
-    in_scores = np.asarray(in_scores, dtype=np.float64)
-    out_scores = np.asarray(out_scores, dtype=np.float64)
-    if in_scores.size == 0 or out_scores.size == 0:
-        raise ValueError("need non-empty score sets")
+    in_scores, out_scores = _score_sets(in_scores, out_scores)
     srt_out = np.sort(out_scores)
     less = np.searchsorted(srt_out, in_scores, side="left").sum()
     less_eq = np.searchsorted(srt_out, in_scores, side="right").sum()
@@ -117,10 +123,7 @@ def aupr(in_scores, out_scores, positive: str = "out") -> float:
     by negated values so low scores rank as anomalous; positive="in" uses the
     scores as-is with in-distribution as positive.
     """
-    in_scores = np.asarray(in_scores, dtype=np.float64)
-    out_scores = np.asarray(out_scores, dtype=np.float64)
-    if in_scores.size == 0 or out_scores.size == 0:
-        raise ValueError("need non-empty score sets")
+    in_scores, out_scores = _score_sets(in_scores, out_scores)
     if positive == "out":
         return _average_precision(-out_scores, -in_scores)
     if positive == "in":
@@ -136,6 +139,8 @@ def group_accuracy(per_class_acc, counts, thresholds=GROUP_THRESHOLDS) -> dict:
     """
     acc = np.asarray(per_class_acc, dtype=np.float64)
     counts = np.asarray(counts)
+    if acc.shape != counts.shape:
+        raise ValueError(f"per_class_acc has length {acc.size} but counts has length {counts.size}")
     t_low, t_high = thresholds
     if not t_low < t_high:
         raise ValueError("thresholds must satisfy t_low < t_high")

@@ -99,6 +99,8 @@ class LrSchedule:
             raise ValueError("warmup_epochs must be non-negative")
         if not math.isfinite(self.decay_factor):
             raise ValueError(f"decay_factor must be finite, got {self.decay_factor}")
+        if self.decay_factor < 0:
+            raise ValueError(f"decay_factor must be non-negative, got {self.decay_factor}")
         ms = self.milestones
         if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
             raise ValueError("milestones must be strictly increasing")

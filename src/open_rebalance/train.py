@@ -23,9 +23,9 @@ pinned stream first draws ``random(P)``, one uniform per pool instance, and
 its steps take the uniforms of the instances they draw. Each relabelled run
 maps its stream's uniforms to labels through its own CDF (``_lookup_labels``),
 one lookup per epoch for all the runs that share a stream and a CDF.
-The engine decodes a whole epoch of a stream from one raw PCG64 block and
-replays the calls wherever the decode could differ, so indices, uniforms and
-generator state are exactly the calls' (``_epoch_draws``).
+An epoch of a pinned or OE stream is one ``integers`` call; only a drawn
+stream is decoded, from one raw PCG64 block, with the calls replayed wherever
+the decode could differ, so indices, uniforms and state are the calls'.
 """
 
 from __future__ import annotations
@@ -201,14 +201,13 @@ class _LossSpec:
     aux_prior: np.ndarray | None = None
 
 
-def _replay_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int, drawn: bool):
-    """The per-step calls that define a run's auxiliary stream, made one by one."""
+def _replay_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int):
+    """The per-step calls that define a drawn auxiliary stream, made one by one."""
     idx = np.empty((n_steps, m), dtype=np.int64)
-    u = np.empty((n_steps, m)) if drawn else None
+    u = np.empty((n_steps, m))
     for step in range(n_steps):
         idx[step] = rng.integers(0, pool_size, size=m)
-        if drawn:
-            u[step] = rng.random(m)
+        u[step] = rng.random(m)
     return idx, u
 
 
@@ -217,35 +216,33 @@ def _epoch_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int,
 
     Gives the indices, uniforms and final generator state of n_steps rounds of
     ``rng.integers(0, pool_size, size=m)`` then, if drawn, ``rng.random(m)``
-    (uniforms None otherwise). For even m and 2 <= pool_size < 2**32, integers draws
-    each index from one 32-bit half of a 64-bit word, low half first, as
+    (uniforms None otherwise). integers keeps its spare 32-bit half in the
+    generator, so without uniforms one call makes the rounds. For a drawn
+    stream, even m and 2 <= pool_size < 2**32, integers draws each index
+    from one 32-bit half of a 64-bit word, low half first, as
     ``(half * pool_size) >> 32``, and redraws (Lemire's rejection) when the
     low 32 bits of that product fall below ``2**32 % pool_size``; random
     takes one word per double. So one raw block decodes exactly unless a
     half is carried in from earlier or the block holds a rejection; then the
     state is restored and the calls replayed.
     """
+    if not drawn:
+        return rng.integers(0, pool_size, size=(n_steps, m)), None
     bitgen = rng.bit_generator
     saved = bitgen.state
-    idx = u = None
     if m % 2 == 0 and 2 <= pool_size < 2**32 and saved["has_uint32"] == 0:
         half = m // 2
-        words = bitgen.random_raw(n_steps * (half + (m if drawn else 0))).reshape(n_steps, -1)
+        words = bitgen.random_raw(n_steps * (half + m)).reshape(n_steps, -1)
         pairs = words[:, :half, None] >> np.array([0, 32], dtype=np.uint64)
         scaled = (pairs & 0xFFFFFFFF).reshape(n_steps, m) * pool_size
         if not ((scaled & 0xFFFFFFFF) < 2**32 % pool_size).any():
-            idx = (scaled >> 32).astype(np.int64)
-            if drawn:
-                u = (words[:, half:] >> 11) * 2.0**-53
             # integers leaves the last high half it used behind, spent.
             state = bitgen.state
             state["uinteger"] = int(words[-1, half - 1]) >> 32
             bitgen.state = state
-        else:
-            bitgen.state = saved
-    if idx is None:
-        idx, u = _replay_draws(rng, pool_size, n_steps, m, drawn)
-    return idx, u
+            return (scaled >> 32).astype(np.int64), (words[:, half:] >> 11) * 2.0**-53
+        bitgen.state = saved
+    return _replay_draws(rng, pool_size, n_steps, m)
 
 
 def _stack_rows(rows, fill: float):
@@ -496,8 +493,8 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     until the stack ends or no run is alive, but nothing it computes is kept,
     and the others go on unchanged. Live runs get their final parameters.
     The group makes one generator per distinct stream, a shuffle per seed
-    and an auxiliary stream per ``_aux_stream`` key, and decodes it once an
-    epoch for all its runs; a pinned stream first draws its pool's uniforms.
+    and an auxiliary stream per ``_aux_stream`` key, and draws each epoch of
+    it once for all its runs; a pinned stream first draws its pool's uniforms.
     """
     runs = sorted(runs, key=lambda r: _slice_rank(r.spec))
     config = runs[0].config

@@ -799,10 +799,12 @@ class TestTrainSectionRanges:
          ({"label_dist": {"tag": "mcd", "alpha": 2.0}},
           "train.label_dist: alpha only applies to the complementary tag"),
          ({"schedule": {"milestones": [3, 2]}}, "train.schedule: milestones must be strictly increasing"),
+         ({"schedule": {"milestones": [2], "decay_factor": -0.5}},
+          "train.schedule: decay_factor must be non-negative, got -0.5"),
          ({"method": "standard", "fixed_labels": True},
           "train.fixed_labels has no effect for method 'standard'")],
         ids=["momentum", "eta", "base_lr", "weight_decay", "beta_cb", "method", "label_dist-tag",
-             "label_dist-alpha", "milestones", "fixed_labels"],
+             "label_dist-alpha", "milestones", "decay_factor-negative", "fixed_labels"],
     )
     def test_refused_value_fails_before_any_file_is_read(self, tmp_path, capsys, command, change, message):
         config = _missing_data_config(command)
@@ -1001,6 +1003,19 @@ class TestEvalOod:
         assert main(["eval-ood", "--config", str(cfg), "--out", str(trained)]) == 0
         rows = read_rows(trained / "filepool_ood.csv")
         assert len(rows) == 3
+
+    def test_nan_weight_fails_with_no_csv(self, trained, capsys):
+        # One NaN weight makes every score NaN, which used to give fpr95 0.0,
+        # auroc 0.5 and aupr 1.0.
+        params = nn.load_params(trained / "run_seed0.osnn")
+        params.layers[0][0][0, 0] = math.nan
+        nn.save_params(params, trained / "nan.osnn")
+        config = {"command": "eval-ood", "name": "nanrep", "checkpoint": "nan.osnn",
+                  "test": "task_test.osds", "pools": [_GAUSS]}
+        cfg = write_config(trained / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained / "nan")]) == 1
+        assert capsys.readouterr().err == "error: in_scores holds a NaN\n"
+        assert not (trained / "nan" / "nanrep_ood.csv").exists()
 
     def test_one_pool_alive_at_a_time(self, trained, monkeypatch):
         # Each pool and the test set are released before the next pool is
@@ -1547,11 +1562,13 @@ class TestConfigRegressions:
         config["group_thresholds"] = thresholds
         refused(tmp_path, capsys, monkeypatch, command, config, f"{command}.group_thresholds")
 
-    @pytest.mark.parametrize("key", ["mean_radius", "sigma"])
+    @pytest.mark.parametrize("key", ["mean_radius", "sigma", "aux.sigma", "aux.margin"])
     def test_negative_gaussian_scale(self, tmp_path, capsys, monkeypatch, key):
-        # The data layer used to refuse it, after --out was made.
+        # The data layer used to refuse the first two, after --out was made. A
+        # negative pool sigma or margin used to pass and could put a cluster
+        # centre inside the margin.
         config = synth_config()
-        config[key] = -1.0
+        (config["aux"] if key.startswith("aux.") else config)[key.removeprefix("aux.")] = -1.0
         err = refused(tmp_path, capsys, monkeypatch, "synth", config,
                       f"synth.{key} must be at least 0, got -1.0")
         assert err == f"error: synth.{key} must be at least 0, got -1.0\n", err
@@ -1567,6 +1584,12 @@ class TestConfigRegressions:
                   "pools": [_GAUSS, {**_GAUSS, "sigma": True}]}
         refused(tmp_path, capsys, monkeypatch, "eval-ood", config,
                 "eval-ood.pools[1].sigma must be a finite number, got true")
+
+    def test_eval_pool_sigma_negative(self, tmp_path, capsys, monkeypatch):
+        config = {"command": "eval-ood", "name": "e", "checkpoint": "m.osnn", "test": "t.osds",
+                  "pools": [_GAUSS, {**_GAUSS, "name": "h", "sigma": -1.0}]}
+        refused(tmp_path, capsys, monkeypatch, "eval-ood", config,
+                "eval-ood.pools[1].sigma must be at least 0, got -1.0")
 
     def test_pool_clusters_negative(self, tmp_path, capsys, monkeypatch):
         # Pool integers are JSON integers, never coerced.

@@ -223,6 +223,13 @@ class TestOodPools:
         gaps = np.linalg.norm(centers[:, None, :] - means[None], axis=2)
         assert gaps.min() >= 10.0
 
+    @pytest.mark.parametrize("margin,sigma,name", [(2.0, -5.0, "sigma"), (-2.0, 1.0, "margin")])
+    def test_shifted_mixture_centers_refuse_negative_spread(self, margin, sigma, name):
+        # sigma -5 with margin 2 used to put a centre 0.79 from a class mean.
+        means = gaussian_class_means(3, 2, 2.0, 7)
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            shifted_mixture_centers(means, margin, sigma, 8, np.random.default_rng(0))
+
     def test_shifted_mixture_requires_means(self):
         with pytest.raises(ValueError):
             gen_ood_pool("shifted-mixture", 10, 4, seed=0)
@@ -371,9 +378,10 @@ class TestOodPools:
     @pytest.mark.parametrize(
         "bad",
         [{"window": 0}, {"window": -3}, {"sigma": math.nan}, {"sigma": math.inf},
-         {"low": math.nan}, {"high": -math.inf}, {"margin": math.nan}],
+         {"low": math.nan}, {"high": -math.inf}, {"margin": math.nan}, {"sigma": -5.0},
+         {"margin": -2.0}],
         ids=["window-0", "window-neg", "sigma-nan", "sigma-inf", "low-nan", "high-inf",
-             "margin-nan"],
+             "margin-nan", "sigma-neg", "margin-neg"],
     )
     @pytest.mark.parametrize("kind", ["gaussian", "blobs"])
     def test_bad_parameters_rejected_at_entry(self, kind, bad):

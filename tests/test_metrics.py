@@ -176,6 +176,34 @@ class TestAupr:
             aupr([1.0], [0.0], positive="sideways")
 
 
+DETECTION_METRICS = (fpr_at_95_tpr, auroc, aupr)
+
+
+class TestScoreSets:
+    # The three detection metrics share one check of their inputs.
+    @pytest.mark.parametrize("metric", DETECTION_METRICS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("side", ["in_scores", "out_scores"])
+    def test_nan_refused_naming_its_set(self, metric, side):
+        sets = {"in_scores": [0.9, 0.8, 0.7], "out_scores": [0.2, 0.1]}
+        sets[side] = sets[side][:1] + [math.nan] + sets[side][1:]
+        with pytest.raises(ValueError, match=f"^{side} holds a NaN$"):
+            metric(sets["in_scores"], sets["out_scores"])
+
+    @pytest.mark.parametrize("metric", DETECTION_METRICS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("side", ["in_scores", "out_scores"])
+    def test_empty_refused_naming_its_set(self, metric, side):
+        sets = {"in_scores": [0.9], "out_scores": [0.1], side: []}
+        with pytest.raises(ValueError, match=f"^{side} is empty$"):
+            metric(sets["in_scores"], sets["out_scores"])
+
+    def test_infinities_still_order(self):
+        ins, outs = [math.inf, 0.9, 0.8], [0.2, -math.inf]
+        assert fpr_at_95_tpr(ins, outs) == 0.0
+        assert auroc(ins, outs) == 1.0
+        assert aupr(ins, outs, positive="out") == aupr(ins, outs, positive="in") == 1.0
+        assert auroc([math.inf], [math.inf]) == 0.5
+
+
 class TestMonotoneInvariance:
     TRANSFORMS = (
         lambda x: 2.0 * x + 3.0,
@@ -219,6 +247,10 @@ class TestGroupAccuracy:
     def test_nan_entries_skipped(self):
         groups = group_accuracy([0.8, float("nan")], [5, 6], thresholds=(20, 100))
         assert groups["few"] == pytest.approx(0.8)
+
+    def test_mismatched_lengths_refused(self):
+        with pytest.raises(ValueError, match="^per_class_acc has length 3 but counts has length 2$"):
+            group_accuracy([0.5, 0.6, 0.7], [10, 200])
 
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):

@@ -422,6 +422,15 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="^decay_factor must be finite"):
             LrSchedule(warmup_epochs=0, milestones=(), decay_factor=value)
 
+    @pytest.mark.parametrize("value", [-0.5, -1e-300])
+    def test_negative_decay_refused(self, value):
+        with pytest.raises(ValueError, match=f"^decay_factor must be non-negative, got {value}$"):
+            LrSchedule(warmup_epochs=0, milestones=(2,), decay_factor=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 3.0])
+    def test_zero_and_growing_decay_accepted(self, value):
+        assert lr_at(LrSchedule(0, (2,), value), 2, 0.1) == 0.1 * value
+
     def test_milestones_validated(self):
         with pytest.raises(ValueError):
             LrSchedule(5, (3, 10), 0.1)

@@ -673,7 +673,7 @@ class TestBatchedRuns:
         replay = train._replay_draws
         monkeypatch.setattr(train, "_replay_draws", lambda *args: replays.append(args[3]) or replay(*args))
         configs = []
-        # batch_aux=7 is odd, so every auxiliary draw of the hidden-8 stack is replayed.
+        # batch_aux=7 is odd, so every drawn stream's epoch in the hidden-8 stack is replayed.
         for hidden, extra in ((0, {}), (8, dict(batch_aux=7))):
             for seed, method in enumerate(train.METHODS):
                 configs.append(TrainConfig(method=method, epochs=3, seed=seed, hidden_dim=hidden, **extra))
@@ -1098,9 +1098,9 @@ class TestEpochDraws:
         calls = []
         replay = train._replay_draws
 
-        def counted(rng, pool_size, n_steps, m, drawn):
+        def counted(rng, pool_size, n_steps, m):
             calls.append((pool_size, m))
-            return replay(rng, pool_size, n_steps, m, drawn)
+            return replay(rng, pool_size, n_steps, m)
 
         monkeypatch.setattr(train, "_replay_draws", counted)
         return calls
@@ -1108,7 +1108,7 @@ class TestEpochDraws:
     def test_epochs_match_per_step_calls(self, replays):
         gammas = complementary(prior_from_counts([30, 10, 4]), 0.9)
         cdf = np.cumsum(gammas)
-        epochs = {}
+        epochs, replayed = {}, {}
         for pool_size in (1, 2, 300, 5000) + HUGE_POOLS:
             # A pinned stream's labels are its pool's uniforms looked up in the
             # CDF; gathering the uniforms first gives sample_aux_labels' labels.
@@ -1122,8 +1122,12 @@ class TestEpochDraws:
                 for k, kind in enumerate(("drawn", "pinned", "oe")):
                     fast = np.random.default_rng([pool_size, m, k])
                     slow = np.random.default_rng([pool_size, m, k])
+                    key = pool_size, m, kind
                     for n_steps in (1, 3, 1, 2, 1, 1, 4, 1):
+                        before = len(replays)
                         idx, u = train._epoch_draws(fast, pool_size, n_steps, m, kind == "drawn")
+                        replayed[key] = replayed.get(key, 0) + len(replays) - before
+                        epochs[key] = epochs.get(key, 0) + 1
                         want_idx, want_labels = _per_step_draws(kind, gammas, pinned, slow, pool_size, n_steps, m)
                         assert idx.dtype == np.int64 and idx.shape == (n_steps, m)
                         np.testing.assert_array_equal(idx, want_idx)
@@ -1136,30 +1140,39 @@ class TestEpochDraws:
                             assert labels.dtype == want_labels.dtype == np.int64
                             np.testing.assert_array_equal(labels, want_labels)
                         assert fast.bit_generator.state == slow.bit_generator.state
-                        epochs[pool_size, m] = epochs.get((pool_size, m), 0) + 1
-        for (pool_size, m), count in epochs.items():
-            replayed = replays.count((pool_size, m))
-            if m % 2 or pool_size == 1:
-                assert replayed == count
+        for (pool_size, m, kind), count in epochs.items():
+            replays_of = replayed[pool_size, m, kind]
+            # Index-only streams are one integers call, never a replay.
+            if kind != "drawn":
+                assert replays_of == 0, (pool_size, m, kind)
+            elif m % 2 or pool_size == 1:
+                assert replays_of == count
             elif pool_size in HUGE_POOLS and m == 2:
-                assert 0 < replayed < count, (pool_size, replayed, count)
+                assert 0 < replays_of < count, (pool_size, replays_of, count)
             elif pool_size in HUGE_POOLS:
-                assert replayed > 0
+                assert replays_of > 0
             else:
-                assert replayed == 0
-        # A rejection inside an even-size call carries a half into the next epoch.
+                assert replays_of == 0
+
+    @pytest.mark.parametrize("kind", ["drawn", "pinned", "oe"])
+    def test_carried_half_matches_per_step_calls(self, replays, kind):
+        # A rejection inside an even-size call carries a half into the next
+        # epoch: a drawn stream replays it, an index-only one takes it in its call.
+        gammas = complementary(prior_from_counts([30, 10, 4]), 0.9)
+        pinned = sample_aux_labels(gammas, 300, np.random.default_rng(300))
         carried = np.random.default_rng(0)
         while not carried.bit_generator.state["has_uint32"]:
             carried.integers(0, HUGE_POOLS[0], size=32)
-        before = len(replays)
         twin = np.random.default_rng(0)
         twin.bit_generator.state = carried.bit_generator.state
-        idx, u = train._epoch_draws(carried, 300, 2, 32, True)
-        labels = train._lookup_labels(cdf, u)
-        want_idx, want_labels = _per_step_draws("drawn", gammas, None, twin, 300, 2, 32)
-        assert len(replays) == before + 1
+        idx, u = train._epoch_draws(carried, 300, 2, 32, kind == "drawn")
+        want_idx, want_labels = _per_step_draws(kind, gammas, pinned, twin, 300, 2, 32)
+        assert len(replays) == (kind == "drawn")
         np.testing.assert_array_equal(idx, want_idx)
-        np.testing.assert_array_equal(labels, want_labels)
+        if kind == "drawn":
+            np.testing.assert_array_equal(train._lookup_labels(np.cumsum(gammas), u), want_labels)
+        else:
+            assert u is None
         assert carried.bit_generator.state == twin.bit_generator.state
 
     def test_rejecting_pool_runs_match_reference(self, replays):
