@@ -215,14 +215,17 @@ def _pool(value, path: str, need: tuple, class_means=False, head=_KIND) -> dict:
     return _parse({**head, **keys}, value, path)
 
 
-def _build_pool(spec: dict, dim: int, base_seed, class_means, base_dir: Path, out=None):
-    """Read or generate a parsed pool spec's pool, into out if it has room."""
+def _build_pool(where: str, spec: dict, dim: int, base_seed, class_means, base_dir: Path, out=None):
+    """Read or generate a parsed pool spec's pool, into out if it has room; an error names where."""
     kind = spec["kind"]
-    if kind == "file":
-        return data.read_pool(base_dir / spec["path"], out=out)
-    # The kind's keys are gen_ood_pool's parameters of the same names.
-    kwargs = {"seed": base_seed, **{key: spec[key] for key in _POOLS[kind] if key in spec}}
-    return data.gen_ood_pool(kind, dim=dim, class_means=class_means, out=out, **kwargs)
+    try:
+        if kind == "file":
+            return data.read_pool(base_dir / spec["path"], out=out)
+        # The kind's keys are gen_ood_pool's parameters of the same names.
+        kwargs = {"seed": base_seed, **{key: spec[key] for key in _POOLS[kind] if key in spec}}
+        return data.gen_ood_pool(kind, dim=dim, class_means=class_means, out=out, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _file_shape(where: str, path: Path) -> tuple:
@@ -332,7 +335,7 @@ def cmd_synth(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     del train_ds, test_ds
 
     if aux is not None:
-        pool = _build_pool(aux, dim, seed * 10 + 3, class_means, base_dir, buf)
+        pool = _build_pool("aux", aux, dim, seed * 10 + 3, class_means, base_dir, buf)
         aux_path = out_dir / f"{name}_aux.osds"
         data.write_pool(pool, aux_path)
         manifest["files"]["aux"] = aux_path.name
@@ -520,7 +523,8 @@ def cmd_train(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
 def cmd_sweep(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, param = doc["name"], doc["grid"]["param"]
     chash = _config_hash(config)
-    counts, results, failures = _train_points(doc, base_dir)
+    # A sweep reads each run's last epoch only, so only that one is scored.
+    counts, results, failures = _train_points(doc, base_dir, every_epoch=False)
     results = iter(results)
 
     header = ["param", "value", "seed", "overall_acc", "few_acc", "mean_acc", "std_acc", "config_hash"]
@@ -575,13 +579,15 @@ def cmd_eval_ood(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list
     # before is scored and released.
     buf = data.feature_buffer(max(sizes) * dim)
     test_ds = data.read_dataset(base_dir / doc["test"], out=buf)
-    in_scores = metrics.msp_scores(params, test_ds.features)
+    # A NaN score has no rank: the test set's are refused before any pool is built.
+    in_scores = metrics._scores("in_scores", metrics.msp_scores(params, test_ds.features))
     del test_ds
 
     rows = []
-    for spec in doc["pools"]:
-        pool = _build_pool(spec, dim, None, None, base_dir, buf)
-        out_scores = metrics.msp_scores(params, pool)
+    for i, spec in enumerate(doc["pools"]):
+        where = f"pools[{i}]"
+        pool = _build_pool(where, spec, dim, None, None, base_dir, buf)
+        out_scores = _built(where, metrics._scores, "out_scores", metrics.msp_scores(params, pool))
         rows.append([
             spec["name"],
             metrics.fpr_at_95_tpr(in_scores, out_scores),
@@ -696,8 +702,9 @@ def cmd_bayes_check(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> l
 # driver
 
 
-def _train_points(doc: dict, base_dir: Path) -> tuple:
-    """Read the data and train every run of doc["runs"] in one batched call.
+def _train_points(doc: dict, base_dir: Path, *, every_epoch=True) -> tuple:
+    """Read the data and train every run of doc["runs"] in one batched call,
+    scoring the test set after every epoch or, with every_epoch false, the last.
 
     A label_dist that the training set's prior refuses is a ConfigError as
     soon as that set is read, and an aux_size past the pool one as soon as
@@ -722,7 +729,7 @@ def _train_points(doc: dict, base_dir: Path) -> tuple:
             raise ConfigError(f"sweep.grid.values[{i}]: aux_size {size} exceeds the "
                               f"{len(aux)} rows of data.aux")
     pools = [aux if size is None else aux[:size] for *_, size, _ in runs]
-    results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools)
+    results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools, every_epoch=every_epoch)
     for (*_, label), result in zip(runs, results):
         if not isinstance(result, Exception):
             # Runs batched together start and finish together.

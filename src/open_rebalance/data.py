@@ -6,6 +6,7 @@ are bit-identical. Datasets and pools are treated as immutable once built.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -246,7 +247,8 @@ def gen_ood_pool(
     if kind == "gaussian":
         features = _features(size, dim, out)
         rng.standard_normal(out=features)
-        features *= float(sigma)
+        with _finite_scale(f"sigma {sigma}"):
+            features *= float(sigma)
     elif kind == "rademacher":
         # rng.integers(0, 2) takes the top bit of each 32-bit half of a raw
         # PCG64 word, low half first; Lemire's threshold (2**32 - 2) % 2 is 0,
@@ -294,21 +296,33 @@ def gen_ood_pool(
     elif kind == "shifted-mixture":
         if class_means is None:
             raise ValueError("shifted-mixture needs the in-distribution class means")
-        centers = shifted_mixture_centers(class_means, margin, sigma, clusters, rng)
-        if centers.shape[1] != dim:
-            raise ValueError("class_means must be a K x dim matrix")
-        assign = rng.integers(0, int(clusters), size=size)
-        # noise * sigma + center, in blocks: the same bits as the products
-        # and sums the other way round, with no full-size temporary.
-        features = _features(size, dim, out)
-        rng.standard_normal(out=features)
-        features *= float(sigma)
-        for start in range(0, size, _POOL_BLOCK_ROWS):
-            block = features[start : start + _POOL_BLOCK_ROWS]
-            block += centers[assign[start : start + _POOL_BLOCK_ROWS]]
+        with _finite_scale(f"sigma {sigma} with margin {margin}"):
+            centers = shifted_mixture_centers(class_means, margin, sigma, clusters, rng)
+            if centers.shape[1] != dim:
+                raise ValueError("class_means must be a K x dim matrix")
+            assign = rng.integers(0, int(clusters), size=size)
+            # noise * sigma + center, in blocks: the same bits as the products
+            # and sums the other way round, with no full-size temporary.
+            features = _features(size, dim, out)
+            rng.standard_normal(out=features)
+            features *= float(sigma)
+            for start in range(0, size, _POOL_BLOCK_ROWS):
+                block = features[start : start + _POOL_BLOCK_ROWS]
+                block += centers[assign[start : start + _POOL_BLOCK_ROWS]]
     else:
         raise ValueError(f"unknown auxiliary pool kind {kind!r}")
     return features
+
+
+@contextlib.contextmanager
+def _finite_scale(what: str):
+    """Refuse, as a ValueError naming what, a pool scale whose arithmetic
+    overflows to +-inf or turns invalid, in place of a numpy warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} overflows the pool ({exc})") from exc
 
 
 def _check_spread(margin, sigma) -> None:

@@ -60,16 +60,20 @@ def msp_scores(params: MlpParams, features) -> np.ndarray:
     return np.exp(logp.max(axis=1))
 
 
-def _score_sets(in_scores, out_scores):
-    """Both score sets as float64 arrays, refused if either is empty or holds a
+def _scores(name: str, scores) -> np.ndarray:
+    """One score set as a float64 array, refused if it is empty or holds a
     NaN, which has no rank; +-inf still orders."""
-    sets = np.asarray(in_scores, dtype=np.float64), np.asarray(out_scores, dtype=np.float64)
-    for name, scores in zip(("in_scores", "out_scores"), sets):
-        if scores.size == 0:
-            raise ValueError(f"{name} is empty")
-        if np.isnan(scores).any():
-            raise ValueError(f"{name} holds a NaN")
-    return sets
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError(f"{name} is empty")
+    if np.isnan(scores).any():
+        raise ValueError(f"{name} holds a NaN")
+    return scores
+
+
+def _score_sets(in_scores, out_scores):
+    """Both score sets, each checked as ``_scores`` checks it."""
+    return _scores("in_scores", in_scores), _scores("out_scores", out_scores)
 
 
 def fpr_at_95_tpr(in_scores, out_scores, tpr: float = 0.95) -> float:

@@ -13,6 +13,9 @@ batch. A stack's parameters, velocities and gradients are one flat (S, P)
 buffer each, with per-layer views into them, so one momentum update covers
 the whole stack. A step writes both passes' logits into one array, so one
 log-softmax serves both, and an epoch sums its steps' losses once, at its end.
+A stack scores its test set after every epoch, or, with ``every_epoch=False``
+(a sweep, which reads only the last epoch), after its last epoch alone; the
+earlier epochs' records then hold None for their accuracies.
 
 A stack owns its runs' shuffle and auxiliary streams, one generator per
 distinct stream: a shuffle per seed, and an auxiliary stream per seed, pool
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -142,13 +145,18 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch of a run: its lr, its mean total, base and auxiliary losses,
+    and the test accuracies after it, overall and per class (NaN for a class
+    the test set lacks). Both accuracies are None on an epoch that
+    ``train_runs(..., every_epoch=False)`` did not score: any but the last."""
+
     epoch: int
     lr: float
     train_loss: float
     base_loss: float
     aux_loss: float
-    test_overall_acc: float
-    test_per_class_acc: tuple
+    test_overall_acc: float | None
+    test_per_class_acc: tuple | None
 
 
 @dataclass(frozen=True)
@@ -484,7 +492,7 @@ def _aux_stream(run: _Run):
     return run.config.seed, len(run.pool), mode
 
 
-def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
+def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool, every_epoch: bool):
     """Train runs that share a training shape as one stack, sharing their streams' decodes.
 
     The runs are put in slice order first (see ``_Stack``), so runs[:A] are
@@ -495,6 +503,8 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
     The group makes one generator per distinct stream, a shuffle per seed
     and an auxiliary stream per ``_aux_stream`` key, and draws each epoch of
     it once for all its runs; a pinned stream first draws its pool's uniforms.
+    The stack's test accuracies are taken after every epoch, or with
+    every_epoch false after the last one only, the others' records holding None.
     """
     runs = sorted(runs, key=lambda r: _slice_rank(r.spec))
     config = runs[0].config
@@ -557,11 +567,12 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
             aux_rows[step + 1] = aux_loss
         total_rows = base_rows + stack.eta * aux_rows
         last_loss = _last_finite(total_rows[1:], last_loss)
-        overall, per_class = metrics._accuracies(stack.layers, test_x, test.labels, test.num_classes)
+        accs = repeat((None, None))
+        if every_epoch or epoch == config.epochs - 1:
+            overall, per_class = metrics._accuracies(stack.layers, test_x, test.labels, test.num_classes)
+            accs = zip(overall.tolist(), map(tuple, per_class.tolist()))
         means = zip(*((np.add.accumulate(x)[-1] / n_steps).tolist() for x in (total_rows, base_rows, aux_rows)))
-        for r, (total_mean, base_mean, aux_mean), acc, per in compress(
-            zip(runs, means, overall.tolist(), per_class.tolist()), alive
-        ):
+        for r, (total_mean, base_mean, aux_mean), (acc, per) in compress(zip(runs, means, accs), alive):
             r.history.append(
                 EpochRecord(
                     epoch=epoch,
@@ -570,7 +581,7 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
                     base_loss=base_mean,
                     aux_loss=aux_mean,
                     test_overall_acc=acc,
-                    test_per_class_acc=tuple(per),
+                    test_per_class_acc=per,
                 )
             )
     for s, r in compress(enumerate(runs), alive):
@@ -578,7 +589,7 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool):
         r.params = MlpParams(layers)
 
 
-def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None) -> list:
+def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None, *, every_epoch=True) -> list:
     """Train many runs at once; deterministic given each config's seed.
 
     ``pools`` holds each config's (M, d) pool array (or None), or is None when
@@ -591,6 +602,12 @@ def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None)
     result is bit for bit what it would be alone. Returns, in config order,
     each run's RunResult, or the ValueError that stopped it: a bad setup or a
     divergence. A run's wall_time is that of the stack it trained in.
+
+    Every epoch's record holds the run's test accuracies, taken after that
+    epoch. With ``every_epoch=False`` each stack scores its test set once,
+    after its last epoch: only a run's last record holds accuracies, the same
+    as with the default, and the earlier ones hold None for both, with their
+    epoch, lr and losses as before. Parameters and losses do not change.
     """
     configs = list(configs)
     pools = [None] * len(configs) if pools is None else list(pools)
@@ -617,7 +634,7 @@ def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None)
         # Every pool in a group is a row prefix of the longest one.
         pool = max((r.pool for r in runs if r.pool is not None), key=len, default=None)
         t0 = time.perf_counter()
-        _train_group(list(runs), train, test, pool)
+        _train_group(list(runs), train, test, pool, every_epoch)
         wall = time.perf_counter() - t0
         for run in runs:
             results[run.index] = run.error or RunResult(

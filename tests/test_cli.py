@@ -181,6 +181,18 @@ class TestSynth:
         assert f"error: synth.{'.'.join(path)} must be a finite number, got {shown}\n" in err, err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_overflowing_pool_scale_refused(self, tmp_path, capsys):
+        # sigma 1e308 is finite but overflows 38 of the pool's 400 entries to
+        # +-inf. synth refuses it as the pool is built, after the train and
+        # test sets are written, with no numpy warning (one fails the run).
+        config = synth_config(aux_kind="gaussian")
+        config["aux"]["sigma"] = 1e308
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: aux: sigma 1e+308 overflows the pool (overflow encountered in multiply)\n", err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json", "task_test.osds", "task_train.osds"]
+
     def test_cifar_ratio_checked_before_any_file_is_read(self, tmp_path, capsys):
         config = {"command": "synth", "name": "c", "seed": 1,
                   "cifar": {"train_paths": ["missing.bin"], "ratio": True}}
@@ -539,6 +551,45 @@ class TestSweep:
         # No run has an accuracy, so no value gets a summary row.
         assert read_rows(workspace / "zero_sweep.csv")[1:] == [
             ["eta", v, s, "", "", "", "", chash] for v in ("0.5", "1.5") for s in ("0", "1")]
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """Per train_runs call: its stack count and its test-set scorings."""
+        calls = []
+        group, accuracies = train._train_group, metrics._accuracies
+
+        def counted_group(*args):
+            calls[-1][0] += 1
+            return group(*args)
+
+        def counted_accuracies(*args):
+            calls[-1][1] += 1
+            return accuracies(*args)
+
+        runs = train.train_runs
+        monkeypatch.setattr(train, "train_runs", lambda *args, **kwargs: calls.append([0, 0]) or runs(*args, **kwargs))
+        monkeypatch.setattr(train, "_train_group", counted_group)
+        monkeypatch.setattr(metrics, "_accuracies", counted_accuracies)
+        return calls
+
+    def test_sweep_scores_each_stack_once(self, workspace, scored):
+        # A sweep reads each run's last epoch only, so each stack scores its
+        # test set after that epoch alone; train scores it after every epoch.
+        config = {
+            "command": "sweep",
+            "name": "once",
+            "data": {"train": "task_train.osds", "test": "task_test.osds", "aux": "task_aux.osds"},
+            "model": {"hidden_dim": 4},
+            "train": {"method": "open-sampling", "epochs": 5},
+            "grid": {"param": "method", "values": list(train.METHODS)},
+            "seeds": [0, 1],
+        }
+        cfg = write_config(workspace / "sweep.json", config)
+        assert main(["sweep", "--config", str(cfg), "--out", str(workspace)]) == 0
+        assert scored == [[1, 1]]
+        cfg = write_config(workspace / "train.json", train_config(seeds=(0, 1)))
+        assert main(["train", "--config", str(cfg), "--out", str(workspace)]) == 0
+        assert scored[1:] == [[1, 3]]
 
     def test_empty_grid_rejected(self, workspace, capsys):
         config = {
@@ -1016,6 +1067,46 @@ class TestEvalOod:
         assert main(["eval-ood", "--config", str(cfg), "--out", str(trained / "nan")]) == 1
         assert capsys.readouterr().err == "error: in_scores holds a NaN\n"
         assert not (trained / "nan" / "nanrep_ood.csv").exists()
+
+    def test_nan_test_scores_refused_before_any_pool(self, trained, capsys, monkeypatch):
+        params = nn.load_params(trained / "run_seed0.osnn")
+        params.layers[-1][1][0] = math.nan
+        nn.save_params(params, trained / "nan.osnn")
+
+        def build_pool(*args):
+            pytest.fail("a pool was built after the test set scored NaN")
+
+        monkeypatch.setattr(cli, "_build_pool", build_pool)
+        config = {"command": "eval-ood", "name": "nanrep", "checkpoint": "nan.osnn",
+                  "test": "task_test.osds", "pools": [_GAUSS, {**_GAUSS, "name": "h", "seed": 2}]}
+        cfg = write_config(trained / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained / "nan")]) == 1
+        assert capsys.readouterr().err == "error: in_scores holds a NaN\n"
+        assert not (trained / "nan" / "nanrep_ood.csv").exists()
+
+    def test_nan_pool_scores_name_the_pool(self, trained, capsys):
+        # One NaN entry in a file pool beside a healthy generated pool.
+        pool = data.read_pool(trained / "task_aux.osds")
+        pool[3, 1] = math.nan
+        data.write_pool(pool, trained / "nan_aux.osds")
+        config = {"command": "eval-ood", "name": "nanpool", "checkpoint": "run_seed0.osnn",
+                  "test": "task_test.osds",
+                  "pools": [_GAUSS, {"name": "poisoned", "kind": "file", "path": "nan_aux.osds"}]}
+        cfg = write_config(trained / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained / "nan")]) == 1
+        assert capsys.readouterr().err == "error: pools[1]: out_scores holds a NaN\n"
+        assert not (trained / "nan" / "nanpool_ood.csv").exists()
+
+    def test_overflowing_generated_pool_names_the_pool(self, trained, capsys):
+        # It used to score NaN behind numpy warnings and fail unnamed.
+        huge = {"name": "huge", "kind": "gaussian", "size": 100, "seed": 4, "sigma": 1e308}
+        config = {"command": "eval-ood", "name": "huge", "checkpoint": "run_seed0.osnn",
+                  "test": "task_test.osds", "pools": [_GAUSS, huge]}
+        cfg = write_config(trained / "ood.json", config)
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(trained / "huge")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: pools[1]: sigma 1e+308 overflows the pool (overflow encountered in multiply)\n", err
+        assert not (trained / "huge" / "huge_ood.csv").exists()
 
     def test_one_pool_alive_at_a_time(self, trained, monkeypatch):
         # Each pool and the test set are released before the next pool is

@@ -1,5 +1,6 @@
 import math
 import mmap
+import re
 import struct
 import tracemalloc
 import weakref
@@ -229,6 +230,23 @@ class TestOodPools:
         means = gaussian_class_means(3, 2, 2.0, 7)
         with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
             shifted_mixture_centers(means, margin, sigma, 8, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "kind,spread,named",
+        [("gaussian", dict(sigma=1e308), "sigma 1e+308"),
+         ("shifted-mixture", dict(sigma=1e308), "sigma 1e+308 with margin 10.0"),
+         ("shifted-mixture", dict(sigma=1e307, margin=1.7e308), "sigma 1e+307 with margin 1.7e+308")],
+        ids=["gaussian-sigma", "mixture-sigma", "mixture-margin"],
+    )
+    def test_overflowing_scale_refused(self, kind, spread, named):
+        # A finite scale whose products or centres pass the largest double
+        # used to leave +-inf entries in the pool behind a numpy warning
+        # (38 of 400 for a gaussian pool at sigma 1e308).
+        means = gaussian_class_means(3, 4, 2.0, 7)
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} overflows the pool"):
+            gen_ood_pool(kind, 100, 4, seed=4, class_means=means, **spread)
+        huge = gen_ood_pool(kind, 100, 4, seed=4, class_means=means, sigma=1e300, margin=1e300)
+        assert np.isfinite(huge).all()
 
     def test_shifted_mixture_requires_means(self):
         with pytest.raises(ValueError):

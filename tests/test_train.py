@@ -687,6 +687,33 @@ class TestBatchedRuns:
             assert result.config == cfg
             assert _run_bytes(result) == _run_bytes(train_run(cfg, train_ds, test_ds, pool)), cfg
 
+    def test_last_epoch_only_scoring_changes_nothing_else(self, stacks):
+        # One stack of all six methods, a pinned run and a run that diverges,
+        # and a zero-epoch run in a stack of its own. Scored after the last
+        # epoch only, each run keeps its error text, or its parameters, lr and
+        # losses and its last record; its earlier records hold no accuracies.
+        train_ds, test_ds, pool = small_task()
+        common = dict(epochs=10, hidden_dim=4)
+        configs = [TrainConfig(method=method, seed=seed, **common) for seed, method in enumerate(train.METHODS)]
+        configs += [TrainConfig(fixed_labels=True, seed=7, **common), TrainConfig(eta=1e12, seed=8, **common),
+                    TrainConfig(epochs=0, seed=9, hidden_dim=4)]
+        pools = [pool] * len(configs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            every = train.train_runs(configs, train_ds, test_ds, pools)
+            last = train.train_runs(configs, train_ds, test_ds, pools, every_epoch=False)
+        assert stacks == [8, 1, 8, 1]
+        assert [isinstance(r, ValueError) for r in every] == [False] * 7 + [True, False]
+        losses = lambda result: [(r.epoch, r.lr, r.train_loss, r.base_loss, r.aux_loss) for r in result.history]
+        for cfg, want, got in zip(configs, every, last):
+            if isinstance(want, ValueError):
+                assert isinstance(got, ValueError) and str(got) == str(want), cfg
+                continue
+            assert _run_bytes(got)[1] == _run_bytes(want)[1], cfg
+            assert losses(got) == losses(want) and len(got.history) == cfg.epochs, cfg
+            assert got.history[-1:] == want.history[-1:], cfg
+            assert all(r.test_overall_acc is None and r.test_per_class_acc is None for r in got.history[:-1]), cfg
+            assert all(r.test_overall_acc is not None for r in want.history), cfg
+
     def test_runs_sharing_a_float32_pool_train_as_one_stack(self, stacks):
         # The pool is made float64 once for all the runs that share it, so
         # they stack as they would on a float64 pool.
