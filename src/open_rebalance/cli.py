@@ -523,8 +523,7 @@ def cmd_train(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
 def cmd_sweep(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, param = doc["name"], doc["grid"]["param"]
     chash = _config_hash(config)
-    # A sweep reads each run's last epoch only, so only that one is scored.
-    counts, results, failures = _train_points(doc, base_dir, every_epoch=False)
+    counts, results, failures = _train_points(doc, base_dir)
     results = iter(results)
 
     header = ["param", "value", "seed", "overall_acc", "few_acc", "mean_acc", "std_acc", "config_hash"]
@@ -702,9 +701,10 @@ def cmd_bayes_check(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> l
 # driver
 
 
-def _train_points(doc: dict, base_dir: Path, *, every_epoch=True) -> tuple:
+def _train_points(doc: dict, base_dir: Path) -> tuple:
     """Read the data and train every run of doc["runs"] in one batched call,
-    scoring the test set after every epoch or, with every_epoch false, the last.
+    scoring the test set after every epoch, or for a sweep (a doc with a
+    grid), which reads each run's last epoch only, after the last one.
 
     A label_dist that the training set's prior refuses is a ConfigError as
     soon as that set is read, and an aux_size past the pool one as soon as
@@ -729,7 +729,7 @@ def _train_points(doc: dict, base_dir: Path, *, every_epoch=True) -> tuple:
             raise ConfigError(f"sweep.grid.values[{i}]: aux_size {size} exceeds the "
                               f"{len(aux)} rows of data.aux")
     pools = [aux if size is None else aux[:size] for *_, size, _ in runs]
-    results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools, every_epoch=every_epoch)
+    results = train.train_runs([run[2] for run in runs], train_ds, test_ds, pools, every_epoch="grid" not in doc)
     for (*_, label), result in zip(runs, results):
         if not isinstance(result, Exception):
             # Runs batched together start and finish together.

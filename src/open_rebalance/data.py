@@ -179,10 +179,11 @@ def gen_gaussian_classes(means, per_class, sigma: float, seed: int) -> LabeledDa
     # means[labels] + sigma * noise, with no set-sized temporary.
     features = _anonymous((len(labels), dim))
     rng.standard_normal(out=features)
-    features *= float(sigma)
     stops = np.cumsum(counts)
-    for mean, start, stop in zip(means, stops - counts, stops):
-        features[start:stop] += mean
+    with _finite_scale(f"sigma {sigma} overflows the Gaussian classes"):
+        features *= float(sigma)
+        for mean, start, stop in zip(means, stops - counts, stops):
+            features[start:stop] += mean
     return LabeledDataset(features=features, labels=labels, num_classes=num_classes)
 
 
@@ -247,7 +248,7 @@ def gen_ood_pool(
     if kind == "gaussian":
         features = _features(size, dim, out)
         rng.standard_normal(out=features)
-        with _finite_scale(f"sigma {sigma}"):
+        with _finite_scale(f"sigma {sigma} overflows the pool"):
             features *= float(sigma)
     elif kind == "rademacher":
         # rng.integers(0, 2) takes the top bit of each 32-bit half of a raw
@@ -296,7 +297,7 @@ def gen_ood_pool(
     elif kind == "shifted-mixture":
         if class_means is None:
             raise ValueError("shifted-mixture needs the in-distribution class means")
-        with _finite_scale(f"sigma {sigma} with margin {margin}"):
+        with _finite_scale(f"sigma {sigma} with margin {margin} overflows the pool"):
             centers = shifted_mixture_centers(class_means, margin, sigma, clusters, rng)
             if centers.shape[1] != dim:
                 raise ValueError("class_means must be a K x dim matrix")
@@ -315,14 +316,14 @@ def gen_ood_pool(
 
 
 @contextlib.contextmanager
-def _finite_scale(what: str):
-    """Refuse, as a ValueError naming what, a pool scale whose arithmetic
+def _finite_scale(message: str):
+    """Refuse, as a ValueError with message, a scale whose arithmetic
     overflows to +-inf or turns invalid, in place of a numpy warning."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise ValueError(f"{what} overflows the pool ({exc})") from exc
+        raise ValueError(f"{message} ({exc})") from exc
 
 
 def _check_spread(margin, sigma) -> None:

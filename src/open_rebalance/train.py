@@ -8,10 +8,11 @@ initialization) keep ablations bit-comparable: changing one knob touches
 exactly one stream. ``train_runs`` trains many runs as stacked arrays, one
 stack per training shape. Inside a stack each auxiliary kind is a leading
 slice (relabelled, then OE, then none), so the auxiliary pass runs on a
-prefix of the stacked weights; a run gives the same bits alone or in any
-batch. A stack's parameters, velocities and gradients are one flat (S, P)
-buffer each, with per-layer views into them, so one momentum update covers
-the whole stack. A step writes both passes' logits into one array, so one
+prefix of the stacked weights, and its backward pass only on the nonzero-eta
+runs between the kinds; a run gives the same bits alone or in any batch.
+A stack's parameters, velocities and gradients are one flat (S, P) buffer
+each, with per-layer views into them, so one momentum update covers the
+whole stack. A step writes both passes' logits into one array, so one
 log-softmax serves both, and an epoch sums its steps' losses once, at its end.
 A stack scores its test set after every epoch, or, with ``every_epoch=False``
 (a sweep, which reads only the last epoch), after its last epoch alone; the
@@ -269,8 +270,12 @@ def _last_finite(rows, carried):
 
 
 def _slice_rank(spec: _LossSpec) -> int:
-    """A run's slice in its stack: 0 relabelled aux CE, 1 OE prior CE, 2 no aux batch."""
-    return 0 if spec.aux_omegas is not None else 1 if spec.aux_prior is not None else 2
+    """A run's place in its stack: relabelled at eta 0, then eta != 0; OE at eta
+    != 0, then eta 0; no auxiliary batch. So each auxiliary kind is a leading
+    slice, and the nonzero-eta runs of both kinds one slice between them."""
+    if spec.aux_omegas is not None:
+        return 1 if spec.eta else 0
+    return 4 if spec.aux_prior is None else 2 if spec.eta else 3
 
 
 def _flat(layer_sets) -> np.ndarray:
@@ -288,12 +293,6 @@ def _views(flat: np.ndarray, shapes) -> tuple:
     return tuple(views)
 
 
-def _unless_all(where: np.ndarray):
-    """The mask, or True (a ufunc's default) when it holds no False: an add
-    under an all-true mask rounds as the plain add and costs several times it."""
-    return True if where.all() else where
-
-
 class _Stack:
     """S runs' parameters, velocities and loss specs, stacked along axis 0.
 
@@ -301,15 +300,17 @@ class _Stack:
     run per row; ``layers`` and ``grads`` are (S, d, h) weight and (S, 1, h)
     bias views into them, so the backward pass writes its gradients in place
     and one momentum update covers the whole stack. The per-run spec fields
-    become vectors: eta, the base logit offset (zeros where a run has none),
-    the cb-rw base weights (ones where a run has none; unit weights round
-    exactly as no weights) and the aux omegas. Specs come in slice order: the
+    become vectors: eta, the base logit offset (-0.0 where a run has none;
+    x + -0.0 is x for every x, signed zeros and NaNs included), the cb-rw base
+    weights (ones where a run has none; unit weights round exactly as no
+    weights) and the aux omegas. Specs come in ``_slice_rank`` order: the
     first R runs relabel their auxiliary batch, the next A - R take the OE
     prior CE (the training prior, shared by all), and the rest have no
-    auxiliary batch. The run count and slices are fixed for the stack's life,
-    so the step's layout is resolved here once: each masked add's mask (True
-    when it would hold no False), and ``aux_loss``, the per-run auxiliary
-    losses, whose tail past A holds the zeros of the runs without a batch.
+    auxiliary batch. ``eta_slice`` is the runs between the zero-eta ones at
+    either end of [:A], those whose auxiliary gradient counts. The run count
+    and slices are fixed for the stack's life, so the step's layout is
+    resolved here once, with ``aux_loss``, the per-run auxiliary losses,
+    whose tail past A holds the zeros of the runs without a batch.
     """
 
     def __init__(self, specs, layer_sets, momentum: float, weight_decay: float):
@@ -319,33 +320,26 @@ class _Stack:
         self.momentum, self.weight_decay = momentum, weight_decay
         rank = np.array([_slice_rank(spec) for spec in specs])
         self.eta = np.array([spec.eta for spec in specs], dtype=np.float64)
-        offset = _stack_rows([spec.base_offset for spec in specs], 0.0)
+        offset = _stack_rows([spec.base_offset for spec in specs], -0.0)
         self.base_offset = None if offset is None else offset[:, None, :]
         self.base_weights = _stack_rows([spec.base_weights for spec in specs], 1.0)
         self.aux_omegas = _stack_rows([spec.aux_omegas for spec in specs], 1.0)
         self.aux_prior = next((spec.aux_prior for spec in specs if spec.aux_prior is not None), None)
         self.size = len(specs)
-        self.n_relabel = int((rank == 0).sum())
-        self.n_aux = a = int((rank < 2).sum())
+        self.n_relabel = int((rank < 2).sum())
+        self.n_aux = a = int((rank < 4).sum())
+        self.eta_slice = e = slice(int((rank < 1).sum()), int((rank < 3).sum()))
         self.rows = np.arange(self.size)[:, None]
-        # Adding a zero offset could turn a -0.0 logit into +0.0, and a zero
-        # eta times the aux gradient could do the same to a weight gradient,
-        # so both adds are masked to the runs that have a nonzero term where
-        # some run has none.
-        has_offset = np.array([spec.base_offset is not None for spec in specs])
-        self.offset_where = _unless_all(has_offset[:, None, None])
         self.grad = np.empty_like(self.params)
         self.layers = _views(self.params, self.shapes)
         self.grads = _views(self.grad, self.shapes)
-        # The auxiliary pass works on views of the leading A runs' parameters,
-        # with gradients of its own.
-        self.aux_grad = np.empty_like(self.params[:a])
+        # The auxiliary forward pass works on views of the leading A runs'
+        # parameters, its backward pass on the eta slice's, with gradients of its own.
         self.aux_layers = _views(self.params[:a], self.shapes)
-        self.aux_grads = _views(self.aux_grad, self.shapes)
+        self.eta_layers = _views(self.params[e], self.shapes)
+        self.eta_grad = np.empty_like(self.params[e])
+        self.eta_grads = _views(self.eta_grad, self.shapes)
         self.aux_rows = self.rows[: self.n_relabel]
-        self.aux_eta = self.eta[:a, None]
-        self.eta_where = _unless_all(self.aux_eta != 0.0)
-        self.any_eta = bool(self.aux_eta.any())
         self.aux_loss = np.zeros(self.size)
 
 
@@ -373,7 +367,9 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     the per-run base and aux loss vectors, the latter valid until the next
     step, and the mask of runs whose base or auxiliary logits are not all
     finite, None when all are. Every run is updated, finite or not; no
-    operation mixes two runs' slices.
+    operation mixes two runs' slices. Every auxiliary run takes the forward
+    pass and its loss; only the eta slice takes the backward pass, whose
+    eta-weighted gradient is added to the base one.
 
     The base and the auxiliary logits are written back to back into one
     (S*B + A*m, K) array, so one finiteness check, one log-softmax and one exp
@@ -389,7 +385,7 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     if a:
         _, aux_acts = _forward(stack.aux_layers, ax, out=aux)
     if stack.base_offset is not None:
-        np.add(base, stack.base_offset, out=base, where=stack.offset_where)
+        base += stack.base_offset
     # Training can diverge, so every batch is checked; a healthy one allocates no mask.
     lost = None
     if not np.isfinite(logits).all():
@@ -404,11 +400,11 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     if a:
         g = grad[split:].reshape(aux.shape)
         _aux_loss(stack, logp[split:].reshape(aux.shape), g, ay)
-        if stack.any_eta:
-            _backward(stack.aux_layers, aux_acts, g, stack.aux_grads)
-            aux_grad, head = stack.aux_grad, stack.grad[:a]
-            np.multiply(stack.aux_eta, aux_grad, out=aux_grad)
-            np.add(head, aux_grad, out=head, where=stack.eta_where)
+        e = stack.eta_slice
+        if e.start < e.stop:
+            _backward(stack.eta_layers, [x[e] for x in aux_acts], g[e], stack.eta_grads)
+            np.multiply(stack.eta[e, None], stack.eta_grad, out=stack.eta_grad)
+            stack.grad[e] += stack.eta_grad
     _sgd_update(stack.params, stack.grad, stack.velocity, stack.momentum, stack.weight_decay, lr)
     return base_loss, stack.aux_loss, lost
 
@@ -598,7 +594,7 @@ def train_runs(configs, train: LabeledDataset, test: LabeledDataset, pools=None,
     stack, whatever their method; runs with an auxiliary batch also share
     its size and pool array, and runs without one join the first stack of
     their shape that has one. Inside a stack the runs are ordered relabelled,
-    then OE, then without an auxiliary batch (see ``_Stack``). Each run's
+    then OE, then without an auxiliary batch (see ``_slice_rank``). Each run's
     result is bit for bit what it would be alone. Returns, in config order,
     each run's RunResult, or the ValueError that stopped it: a bad setup or a
     divergence. A run's wall_time is that of the stack it trained in.

@@ -65,6 +65,13 @@ def train_config(name="run", seeds=(0,), method="open-sampling", eta=1.5, extra=
     return config
 
 
+def ci_task_config():
+    """The CI smoke runs' task: K=3, d=4, 85 training rows and a 400-row Gaussian pool."""
+    return {"command": "synth", "name": "task", "seed": 3, "classes": 3, "dim": 4, "mean_radius": 2.0,
+            "sigma": 1.0, "train": {"n_max": 60, "ratio": 10.0}, "test": {"per_class": 30},
+            "aux": {"kind": "gaussian", "size": 400, "seed": 4}}
+
+
 @pytest.fixture
 def workspace(tmp_path):
     cfg = write_config(tmp_path / "synth.json", synth_config())
@@ -192,6 +199,30 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err == "error: aux: sigma 1e+308 overflows the pool (overflow encountered in multiply)\n", err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json", "task_test.osds", "task_train.osds"]
+
+    @pytest.mark.parametrize("sigma,mean_radius,op", [(1e308, 2.0, "multiply"), (5e307, 1e308, "add")],
+                             ids=["scale", "means-add"])
+    def test_overflowing_class_scale_refused(self, tmp_path, capsys, sigma, mean_radius, op):
+        # sigma 1e308 is finite but used to overflow 20 of the CI task's 340
+        # training entries to +-inf behind a numpy warning, and sigma 5e307
+        # beside means of radius 1e308 the mean add. Both sets are generated
+        # before either is written, so synth writes nothing.
+        config = ci_task_config()
+        config.update(sigma=sigma, mean_radius=mean_radius)
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: sigma {sigma} overflows the Gaussian classes (overflow encountered in {op})\n", err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_cifar_source_beside_gaussian_keys_refused(self, tmp_path, capsys):
+        config = {"command": "synth", "name": "c", "seed": 1, "sigma": 1.0, "classes": 3,
+                  "cifar": {"train_paths": ["missing.bin"]}}
+        cfg = write_config(tmp_path / "synth.json", config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: synth: cifar source conflicts with keys ['classes', 'sigma']\n", err
+        assert not (tmp_path / "out").exists()
 
     def test_cifar_ratio_checked_before_any_file_is_read(self, tmp_path, capsys):
         config = {"command": "synth", "name": "c", "seed": 1,
@@ -386,6 +417,21 @@ class TestTrain:
         assert result["config_hash"]
         assert 0.0 <= result["final"]["overall_acc"] <= 1.0
         assert len(result["final"]["per_class_acc"]) == 3
+
+    def test_failed_runs_write_nothing(self, tmp_path, capsys):
+        # eta = 1e12 at base_lr 0.5 diverges on the CI task within 10 epochs:
+        # each seed's run fails by name and leaves no file behind.
+        cfg = write_config(tmp_path / "synth.json", ci_task_config())
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        config = train_config(name="diverge", seeds=(0, 1), eta=1e12, extra={"epochs": 10, "base_lr": 0.5})
+        cfg = write_config(tmp_path / "train.json", config)
+        before = sorted(tmp_path.iterdir())
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        failed = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:2] for line in failed] == [["failed", "diverge_seed0"], ["failed", "diverge_seed1"]]
+        assert all(": non-finite logits at epoch " in line for line in failed), failed
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_eta_zero_matches_standard_csv(self, workspace):
         # Identical per-epoch CSVs under a shared seed, hash column aside.
@@ -1384,6 +1430,22 @@ class TestBayesCheck:
         assert [r["aux_size"] for r in rows] == [0, 10]
         assert rows[0]["prior_ratio"] is None
         assert rows[1]["prior_ratio"] > 1.0
+
+    def test_disjoint_rebalance_flips_nothing(self, tmp_path):
+        # Auxiliary mass only on new instances scales every source row alike,
+        # so no source instance changes its Bayes prediction; the same grid
+        # over the source support flips some.
+        def flips(disjoint):
+            config = {"command": "bayes-check", "name": "grid", "seed": 5, "cases": 0,
+                      "rebalance": {"counts": [60, 19, 6], "alphas": [0.8, 2.0, 5.0],
+                                    "aux_sizes": [0, 100, 1e4], "disjoint": disjoint}}
+            cfg = write_config(tmp_path / "bayes.json", config)
+            assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            rows = json.loads((tmp_path / "grid_bayes.json").read_text())["rebalance"]["rows"]
+            return [(r["flipped_count"], r["flipped_mass"]) for r in rows]
+
+        assert flips(True) == [(0, 0.0)] * 9
+        assert any(count for count, _ in flips(False))
 
     def test_report_equals_per_case_calls(self, tmp_path):
         # Cases cross two block boundaries, and stress cases one; the

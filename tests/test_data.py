@@ -140,6 +140,22 @@ class TestGaussianClasses:
             gen_gaussian_classes(means, [10, 5, 2], args["sigma"], seed=9)
 
     @pytest.mark.parametrize(
+        "sigma,mean_radius,op",
+        [(1e308, 3.0, "multiply"), (1e308, 1e308, "multiply"), (5e307, 1e308, "add")],
+        ids=["scale", "scale-and-means", "means-add"],
+    )
+    def test_overflowing_scale_refused(self, sigma, mean_radius, op):
+        # A finite sigma whose products, or their sums with the class means,
+        # pass the largest double used to leave +-inf entries behind a numpy
+        # warning (16 of these 228 training entries at sigma 1e308).
+        means = gaussian_class_means(3, 4, mean_radius, 3)
+        message = f"sigma {sigma} overflows the Gaussian classes (overflow encountered in {op})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_gaussian_classes(means, [40, 13, 4], sigma, seed=31)
+        big = gen_gaussian_classes(gaussian_class_means(3, 4, 1.7e308, 3), [40, 13, 4], 1e307, seed=31)
+        assert np.isfinite(big.features).all()
+
+    @pytest.mark.parametrize(
         "means,per_class,message",
         [(np.ones(4), [1], "means must be a K x d matrix"),
          (np.ones((3, 4)), [1, 1], "per_class length must equal the number of class means")],

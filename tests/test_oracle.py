@@ -134,6 +134,14 @@ class TestMix:
         with pytest.raises(ValueError):
             mix(joint, ood, 0.0, 0.0)
 
+    @pytest.mark.parametrize("call", [mix, toxicity_count], ids=["mix", "toxicity_count"])
+    @pytest.mark.parametrize("py", [[1.0], [0.2, 0.3, 0.5]], ids=["short", "long"])
+    def test_py_length_must_match_classes(self, call, py):
+        joint = DiscreteJoint(table=np.array([[0.3, 0.2], [0.1, 0.4]]))
+        ood = OodMarginal(px=np.array([0.5, 0.5]), py=np.array(py))
+        with pytest.raises(ValueError, match="^py length must match the source class count$"):
+            call(joint, ood, 1.0, 1.0)
+
 
 class TestBayesInvariance:
     def test_random_cases_never_flip(self):

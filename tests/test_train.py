@@ -873,10 +873,11 @@ def _per_array_step(stack, offset_where, layers, velocity, lr, bx, by, ax, ay):
 
 
 # (method, eta) per run, in config order; eta None keeps the default. Every
-# run of stack 2 has a base offset and a nonzero eta, and every auxiliary run
-# of stack 4 a nonzero eta, so their adds go unmasked; stacks 3 and 7 hold a
-# zero-eta run. Stack 5 has no auxiliary batch (A = 0), and stack 6 only OE
-# runs (R = 0, A = S); stacks 1 and 2 only relabelled ones (R = A).
+# run of stack 2 has a base offset, and every auxiliary run of stacks 1, 2
+# and 4 a nonzero eta, so their eta slice is all of [:A]; stacks 3, 6 and 7
+# hold zero-eta runs, which the slice leaves out at either end. Stack 5 has
+# no auxiliary batch (A = 0), and stack 6 only OE runs (R = 0, A = S);
+# stacks 1 and 2 only relabelled ones (R = A).
 FLAT_STACKS = {
     1: [("open-sampling", None)],
     2: [("balanced-softmax+open-sampling", 0.5), ("balanced-softmax", None)],
@@ -994,9 +995,11 @@ class TestEpochLossSums:
         steps = iter(np.ndindex(4, n_steps))
 
         def scripted_step(stack, lr, bx, by, ax, ay):
+            # The stack holds its runs in slice order; their distinct etas name them.
             epoch, step = next(steps)
-            lost = np.array([lost_at.get(s) == (epoch, step) for s in range(stack.size)])
-            return base[epoch, step].copy(), aux[epoch, step].copy(), lost if lost.any() else None
+            runs = [etas.index(eta) for eta in stack.eta.tolist()]
+            lost = np.array([lost_at.get(s) == (epoch, step) for s in runs])
+            return base[epoch, step, runs], aux[epoch, step, runs], lost if lost.any() else None
 
         monkeypatch.setattr(train, "_step", scripted_step)
         with np.errstate(invalid="ignore"):  # 0 * inf, as a real divergence may give
@@ -1047,21 +1050,32 @@ class TestAuxLoss:
         assert _bits(loss) == _bits(want_loss)
         assert _bits(grad) == _bits(want_grad)
 
-    def test_all_true_masks_are_dropped(self):
-        # A mask with no False is stored as True, np.add's default; one that
-        # holds a zero-eta run or a run without an offset stays.
+    @pytest.mark.parametrize("runs", [*FLAT_STACKS.values(), [("open-sampling", 0.0), ("oe", 0.0), ("cb-rw", None)]],
+                             ids=[*map(str, FLAT_STACKS), "all-zero-eta"])
+    def test_aux_backward_covers_the_nonzero_eta_runs(self, runs, monkeypatch):
+        # Each step's auxiliary backward call covers exactly the auxiliary
+        # runs with a nonzero eta, and a stack with none makes no such call.
         prior = prior_from_counts([30, 10, 4])
+        configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta})) for m, eta in runs]
+        specs = sorted((train._loss_spec(c, prior) for c in configs), key=train._slice_rank)
+        stack = train._Stack(specs, [init_params(4, 0, 3, 0).layers] * len(specs), 0.9, 0.0)
+        calls = []
+        backward = train._backward
 
-        def stack(size):
-            configs = [TrainConfig(method=m, **({} if eta is None else {"eta": eta}))
-                       for m, eta in FLAT_STACKS[size]]
-            specs = sorted((train._loss_spec(c, prior) for c in configs), key=train._slice_rank)
-            return train._Stack(specs, [init_params(4, 0, 3, 0).layers] * len(specs), 0.9, 0.0)
+        def counted(layers, acts, g, grads=None):
+            calls.append(g.shape[0])
+            return backward(layers, acts, g, grads)
 
-        assert stack(2).offset_where is True and stack(2).eta_where is True
-        assert stack(4).eta_where is True
-        assert stack(3).eta_where.tolist() == [[False], [True]]
-        assert stack(3).offset_where.ravel().tolist() == [False, False, True]
+        monkeypatch.setattr(train, "_backward", counted)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            ax = rng.standard_normal((stack.n_aux, 5, 4)) if stack.n_aux else None
+            ay = rng.integers(0, 3, (stack.n_relabel, 5)) if stack.n_relabel else None
+            train._step(stack, 0.1, rng.standard_normal((stack.size, 8, 4)), rng.integers(0, 3, (stack.size, 8)),
+                        ax, ay)
+        eta_runs = sum(m in train._AUX_METHODS and eta != 0.0 for m, eta in runs)
+        assert calls == [stack.size, eta_runs] * 2 if eta_runs else [stack.size] * 2
+        assert stack.eta[stack.eta_slice].all() and stack.eta_slice.stop - stack.eta_slice.start == eta_runs
 
 
 class TestStep:
@@ -1079,6 +1093,18 @@ class TestStep:
         assert base[0] == pytest.approx(math.log(2), rel=1e-12)
         assert aux[0] == pytest.approx(1.5 * math.log(2), rel=1e-12)
         assert lost is None
+
+    def test_runs_without_offset_keep_their_logit_bits(self):
+        # The stack adds its offset rows to every run; a run without an
+        # offset adds -0.0, which leaves each logit's bits as they are.
+        prior = prior_from_counts([30, 10, 4])
+        specs = [train._loss_spec(TrainConfig(method=m), prior) for m in ("balanced-softmax", "standard", "cb-rw")]
+        stack = self._stack(specs, [init_params(3, 0, 3, 0).layers] * 3)
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, -1.5]
+        logits = np.resize(np.array(special), (3, len(special), 3))
+        shifted = logits + stack.base_offset
+        assert shifted[1:].tobytes() == logits[1:].tobytes()
+        assert shifted[0].tobytes() != logits[0].tobytes()
 
     def test_lost_runs_flagged_without_touching_live_ones(self):
         # One relabelling run whose auxiliary logits overflow and one run
