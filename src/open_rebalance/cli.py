@@ -142,6 +142,10 @@ def _load_config(path: Path, expected_command: str) -> dict:
             config = json.load(f, parse_constant=reject, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     command = config.get("command")
@@ -777,6 +781,9 @@ def main(argv=None) -> int:
         failures = handler(doc, config, base_dir=args.config.parent, out_dir=args.out)
     except (ConfigError, data.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
     if failures:
         for label, message in failures:

@@ -76,17 +76,17 @@ def _score_sets(in_scores, out_scores):
     return _scores("in_scores", in_scores), _scores("out_scores", out_scores)
 
 
-def fpr_at_95_tpr(in_scores, out_scores, tpr: float = 0.95) -> float:
+def fpr_at_95_tpr(in_scores, out_scores) -> float:
     """False-positive rate on OOD scores at the 95%-TPR threshold.
 
     The threshold is the largest in-distribution score tau such that
-    fraction(in >= tau) >= tpr; the result is fraction(out >= tau).
+    fraction(in >= tau) >= 0.95; the result is fraction(out >= tau).
     """
     in_scores, out_scores = _score_sets(in_scores, out_scores)
     srt = np.sort(in_scores)
     taus = srt[::-1]
     counts = in_scores.size - np.searchsorted(srt, taus, side="left")
-    ok = counts / in_scores.size >= tpr
+    ok = counts / in_scores.size >= 0.95
     tau = taus[int(np.argmax(ok))]
     return float(np.mean(out_scores >= tau))
 

@@ -347,20 +347,16 @@ def random_case(
 
 # random_case's draws, decoded from raw PCG64 words. integers(low, high)
 # takes a 32-bit half of a 64-bit word, low half first, carrying the high
-# half to the next call, and maps it to low + (half * span) >> 32 unless
-# Lemire's rejection redraws it; a one-value range draws nothing. random()
-# and uniform(-3, 3) take a word each, as (word >> 11) * 2**-53 and
-# -3.0 + 6.0 * u, and leave a carried half alone.
+# half to the next call, and maps it to low + (half * span) >> 32, or, where
+# the product's low 32 bits fall below 2**32 % span, drops it for the next
+# half (Lemire's rejection); a one-value range draws nothing. random() and
+# uniform(-3, 3) take a word each, as (word >> 11) * 2**-53 and -3.0 + 6.0 * u,
+# and leave a carried half alone.
 
 
 def _mean_words(max_support: int, max_classes: int) -> int:
     """The mean raw words one random_case(rng, max_support, max_classes) takes."""
     return (max_support + 2) * (max_classes + 2) // 4 + max_support // 2 + 3
-
-
-def _redraws(halves: np.ndarray, spans: np.ndarray) -> bool:
-    """Whether integers() would redraw any of these halves (Lemire's rejection)."""
-    return bool((((halves * spans) & 0xFFFFFFFF) < 2**32 % spans).any())
 
 
 def _normalized(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -376,10 +372,11 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
     """random_case(rng, max_support, max_classes, d) for each d in disjoint,
     decoded one class count at a time: a list of (members, tables, sizes, px,
     lengths, m), as _mixed takes them, where members are the cases' indices.
-    rng ends as the calls leave it. Gives None, with rng untouched, where the
-    calls would redraw a bounded integer or the ranges are not 32-bit ones."""
-    if not (2 <= max_support < 2**32 and 2 <= max_classes < 2**32):
-        return None
+    rng ends as the calls leave it, bounded-integer redraws included. A
+    maximum outside [2, 2**32) is refused before anything is drawn."""
+    for name, value in (("max_support", max_support), ("max_classes", max_classes)):
+        if not 2 <= value < 2**32:
+            raise ValueError(f"{name} must be in [2, 2**32), got {value}")
     bitgen = rng.bit_generator
     saved = bitgen.state
     carry = saved["uinteger"] if saved["has_uint32"] else None
@@ -389,25 +386,26 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
     mean = _mean_words(max_support, max_classes)
     words = bitgen.random_raw(len(disjoint) * mean * 11 // 10)
     raw, pos = memoryview(words), 0
-    halves, spans, cases = [], [], []
+    cases = []
 
     def integer(span):
         nonlocal words, raw, pos, carry, high
         if span == 1:
             return 0
-        if carry is None:
-            if pos >= len(words):
-                words = np.concatenate((words, bitgen.random_raw(pos + 1 - len(words) + 8 * mean)))
-                raw = memoryview(words)
-            word = raw[pos]
-            pos += 1
-            half, carry = word & 0xFFFFFFFF, word >> 32
-            high = carry
-        else:
-            half, carry = carry, None
-        halves.append(half)
-        spans.append(span)
-        return (half * span) >> 32
+        while True:
+            if carry is None:
+                if pos >= len(words):
+                    words = np.concatenate((words, bitgen.random_raw(pos + 1 - len(words) + 8 * mean)))
+                    raw = memoryview(words)
+                word = raw[pos]
+                pos += 1
+                half, carry = word & 0xFFFFFFFF, word >> 32
+                high = carry
+            else:
+                half, carry = carry, None
+            product = half * span
+            if product & 0xFFFFFFFF >= 2**32 % span:
+                return product >> 32
 
     for d in disjoint:
         s = 2 + integer(max_support - 1)
@@ -419,8 +417,6 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
     if pos > len(words):
         words = np.concatenate((words, bitgen.random_raw(pos - len(words))))
     bitgen.state = saved
-    if halves and _redraws(np.array(halves, dtype=np.uint64), np.array(spans, dtype=np.uint64)):
-        return None
     bitgen.advance(pos)
     state = bitgen.state
     state["has_uint32"], state["uinteger"] = int(carry is not None), high
@@ -436,9 +432,8 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
     u = (words[px + length] >> 11) * 2.0**-53
     m = np.array([10.0 ** x for x in (-3.0 + 6.0 * u).tolist()])
     values = _normalized(words, table, s * k)
-    # DiscreteJoint's checks, on each table as random_case normalizes it.
-    if (values < 0).any():
-        raise ValueError("joint table entries must be non-negative")
+    # DiscreteJoint's sum check, on each table as random_case normalizes it;
+    # no entry is negative, and a zero sum gives NaN, which fails it.
     _unit_sums(_sums(values, s * k), "joint table")
     # A disjoint case's px is a zero per source row, then its draws.
     width = offset + length
@@ -454,18 +449,13 @@ def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjo
 def _random_flips(rng, cases: int, max_support: int, max_classes: int, alternate: bool, labels):
     """_flips of random_case(rng, max_support, max_classes, alternate and
     bool(i % 2)) for i in range(cases), lazily, in blocks of as many cases as
-    BLOCK_WORDS holds at their mean words (at least one); labels(tables, sizes,
-    m) gives a group's (py, m). A block that could decode otherwise replays the calls."""
+    BLOCK_WORDS holds at their mean words (at least one), each decoded by
+    _decoded; labels(tables, sizes, m) gives a group's (py, m)."""
     size = max(1, BLOCK_WORDS // _mean_words(max_support, max_classes))
     for start in range(0, cases, size):
         disjoint = [alternate and i % 2 == 1 for i in range(start, min(cases, start + size))]
-        groups = _decoded(rng, max_support, max_classes, disjoint)
-        if groups is None:  # replay the calls, a case per group
-            draws = [random_case(rng, max_support, max_classes, d) for d in disjoint]
-            groups = [([i], source.table, np.array([len(source.table)]), px, np.array([len(px)]),
-                       np.array([m])) for i, (source, px, _, m) in enumerate(draws)]
         out = [None] * len(disjoint)
-        for members, tables, sizes, px, lengths, m in groups:
+        for members, tables, sizes, px, lengths, m in _decoded(rng, max_support, max_classes, disjoint):
             py, m = labels(tables, sizes, m)
             mixed = _mixed(tables, sizes, px, lengths, py, np.ones(len(m)), m)[1]
             for i, result in zip(members, _flips(tables, sizes, mixed)):
@@ -481,7 +471,7 @@ def random_invariance_checks(
 
     Each block of cases is decoded from about BLOCK_WORDS raw PCG64 words
     straight into the checked row arrays; the cases, and the state rng ends
-    in, are those of the random_case calls.
+    in, are those of the random_case calls. Each maximum must lie in [2, 2**32).
     """
 
     def uniform(tables, sizes, m):

@@ -1487,9 +1487,8 @@ class TestBayesCheck:
         assert (stress["constructed_flips"], stress["constructed_mass"]) == (flips, mass)
         assert stress["constructed_instances"] == instances
 
-    @pytest.mark.parametrize("replayed", [False, True], ids=["decoded", "replayed"])
     @pytest.mark.parametrize("budget", ["one-case", "few", "one-block"])
-    def test_report_bytes_same_for_any_block_budget(self, tmp_path, monkeypatch, budget, replayed):
+    def test_report_bytes_same_for_any_block_budget(self, tmp_path, monkeypatch, budget):
         config = {
             "command": "bayes-check", "name": "oracle", "seed": 5, "cases": 150,
             "max_support": 12, "max_classes": 9,
@@ -1505,9 +1504,33 @@ class TestBayesCheck:
         want = report(tmp_path / "default")
         few = 40 * oracle._mean_words(12, 9)
         monkeypatch.setattr(oracle, "BLOCK_WORDS", {"one-case": 1, "few": few, "one-block": 2**40}[budget])
-        if replayed:
-            monkeypatch.setattr(oracle, "_redraws", lambda halves, spans: True)
         assert report(tmp_path / budget) == want
+
+    @pytest.mark.parametrize("key", ["max_support", "max_classes"])
+    def test_maximum_past_32_bits_refused(self, tmp_path, capsys, key):
+        # Refused before any draw, so nothing 2**32 entries wide is allocated.
+        config = {"command": "bayes-check", "name": "oracle", "seed": 1, "cases": 2, key: 2**32}
+        cfg = write_config(tmp_path / "bayes.json", config)
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be in [2, 2**32), got 4294967296\n"
+        assert not list(tmp_path.rglob("*_bayes.json"))
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 28.7 GiB for an array with shape (3850000000,) and data type uint64",
+         "error: out of memory: Unable to allocate 28.7 GiB for an array with shape (3850000000,) "
+         "and data type uint64"),
+        ("", "error: out of memory")], ids=["numpy", "bare"])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, message, line):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        kind, _, help_text = cli._COMMANDS["bayes-check"]
+        monkeypatch.setitem(cli._COMMANDS, "bayes-check", (kind, exhausted, help_text))
+        cfg = write_config(tmp_path / "bayes.json", {"command": "bayes-check", "name": "oracle",
+                                                     "seed": 1, "cases": 2})
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == line + "\n"
 
     @pytest.mark.parametrize(
         "change,key,shown",
@@ -1851,6 +1874,25 @@ class TestConfigRegressions:
     def test_bad_config_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
         refused(tmp_path, capsys, monkeypatch, "bayes-check", _bayes_config(cases=-1),
                 "bayes-check.cases must be a non-negative integer, got -1")
+
+    @pytest.mark.parametrize(
+        "blob,reason",
+        [(b'{"command": "train", "name": ', "invalid JSON: Expecting value: line 1 column 30"),
+         (b'["train"]', "config must be a JSON object"),
+         (b'{"command": "train", "name": "caf\xe9"}', "not UTF-8 text: 'utf-8' codec can't decode"),
+         (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply to parse")],
+        ids=["invalid-json", "not-an-object", "not-utf-8", "too-deep"],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, monkeypatch, blob, reason):
+        forbid_reads(monkeypatch)
+        forbid_draws(monkeypatch)
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(blob)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {reason}") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text,key",

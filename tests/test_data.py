@@ -766,3 +766,33 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="at least one sample"):
             write_pool(np.zeros((0, 3)), tmp_path / "pool.osds")
         assert not (tmp_path / "pool.osds").exists()
+
+
+def _dataset(d=2, k=2):
+    return LabeledDataset(features=np.zeros((4, d)), labels=np.zeros(4, dtype=np.int64), num_classes=k)
+
+
+# Public refusals, each called directly: (call, its error).
+DATA_REFUSALS = {
+    "no-features": (lambda: _dataset(d=0), "features must be an N x d matrix with d >= 1"),
+    "no-classes": (lambda: _dataset(k=0), "num_classes must be positive"),
+    "n-max-zero": (lambda: longtail_counts(0, 3, 10.0), "n_max must be at least 1"),
+    "one-class": (lambda: longtail_counts(10, 1, 10.0), "need at least two classes"),
+    "dim-one": (lambda: gaussian_class_means(3, 1, 2.0, 0), "need dim >= 2 to place class means"),
+    "zero-total": (lambda: gen_gaussian_classes(np.zeros((2, 3)), [0, 0], 1.0, 0),
+                   "per_class must be non-negative with a positive total"),
+    "counts-length": (lambda: subsample_longtail(_dataset(), [2], 0),
+                      "counts must give one count per class of the dataset"),
+    "empty-pool": (lambda: gen_ood_pool("gaussian", 0, 3, 0), "pool size must be at least 1"),
+    "means-width": (lambda: gen_ood_pool("shifted-mixture", 4, 3, 0, class_means=np.ones((2, 4))),
+                    "class_means must be a K x dim matrix"),
+    "1-d-means": (lambda: shifted_mixture_centers(np.ones(3), 1.0, 1.0, 2, np.random.default_rng(0)),
+                  "class_means must be a K x dim matrix"),
+}
+
+
+@pytest.mark.parametrize("name", list(DATA_REFUSALS))
+def test_public_refusals(name):
+    call, error = DATA_REFUSALS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call()

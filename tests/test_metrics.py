@@ -110,6 +110,15 @@ class TestFpr95:
         assert fpr_at_95_tpr([3.0, 2.0], [1.0, 0.0]) == 0.0
         assert fpr_at_95_tpr([0.0, 1.0], [2.0, 3.0]) == 1.0
 
+    @pytest.mark.parametrize("tpr", [0.95, 1.5, float("nan")])
+    def test_tpr_is_fixed(self, tpr):
+        # The rate is fixed at 0.95; no third argument is taken, 0.95 included.
+        assert fpr_at_95_tpr([1, 2, 3], [0, 1, 2, 3]) == 0.75
+        with pytest.raises(TypeError):
+            fpr_at_95_tpr([1, 2, 3], [0, 1, 2, 3], tpr)
+        with pytest.raises(TypeError):
+            fpr_at_95_tpr([1, 2, 3], [0, 1, 2, 3], tpr=tpr)
+
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -255,3 +264,10 @@ class TestGroupAccuracy:
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             group_accuracy([0.5], [10], thresholds=(100, 20))
+
+
+def test_accuracy_refuses_mismatched_class_counts():
+    params = init_params(2, 0, 3, np.random.default_rng(0))
+    dataset = LabeledDataset(features=np.zeros((2, 2)), labels=np.array([0, 1]), num_classes=2)
+    with pytest.raises(ValueError, match="^dataset and model disagree on the number of classes$"):
+        accuracy(params, dataset)

@@ -536,3 +536,45 @@ class TestInit:
         params = init_params(16, 0, 4, np.random.default_rng(0))
         assert np.abs(params.layers[0][0]).max() <= 1 / 4
         np.testing.assert_array_equal(params.layers[0][1], 0.0)
+
+
+def _trailing_bytes(tmp_path):
+    path = tmp_path / "model.osnn"
+    save_params(init_params(3, 0, 2, np.random.default_rng(0)), path)
+    with open(path, "ab") as f:
+        f.write(b"\0")
+    return load_params(path)
+
+
+def _sgd_with_lr(lr):
+    params = init_params(3, 0, 2, np.random.default_rng(0))
+    return sgd_step(params, params.layers, init_optim_state(params), lr)
+
+
+def _chain(*widths):
+    return MlpParams(tuple((np.zeros((a, b)), np.zeros(b)) for a, b in zip(widths, widths[1:])))
+
+
+# Public refusals, each called directly: (call on a tmp_path, its error).
+NN_REFUSALS = {
+    "three-layers": (lambda tmp: _chain(3, 4, 4, 2),
+                     "model must be linear or have exactly one hidden layer"),
+    "negative-warmup": (lambda tmp: LrSchedule(warmup_epochs=-1), "warmup_epochs must be non-negative"),
+    "label-out-of-range": (lambda tmp: softmax_xent(np.zeros((2, 3)), [0, 3]), "label out of range"),
+    "negative-weight": (lambda tmp: softmax_xent(np.zeros((2, 3)), [0, 1], [1.0, -1.0]),
+                        "sample weights must be non-negative"),
+    "empty-oe-batch": (lambda tmp: oe_prior_xent(np.zeros((0, 3)), np.full(3, 1 / 3)), "empty batch"),
+    "backward-shape": (lambda tmp: backward(_chain(3, 2), np.zeros((2, 3)), np.zeros((2, 3))),
+                       "grad_logits shape mismatch"),
+    "negative-lr": (lambda tmp: _sgd_with_lr(-0.1), "lr must be non-negative"),
+    "zero-eps": (lambda tmp: grad_check(_chain(3, 2), np.zeros((2, 3)), [0, 1], eps=0),
+                 "eps must be positive"),
+    "trailing-bytes": (_trailing_bytes, r".*model\.osnn: trailing bytes in checkpoint"),
+}
+
+
+@pytest.mark.parametrize("name", list(NN_REFUSALS))
+def test_public_refusals(tmp_path, name):
+    call, error = NN_REFUSALS[name]
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        call(tmp_path)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -493,6 +494,35 @@ def twin_generators(seed, carry):
     return pair
 
 
+# PCG64 steps its 128-bit state to state * PCG_MULT + inc and outputs the
+# stepped state's two 64-bit halves xored, rotated right by its top six bits.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def carry_half(rng, half):
+    """Make half the 32-bit half rng carries into its next bounded integer."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, half
+    rng.bit_generator.state = state
+
+
+def next_word(rng, low, high):
+    """Step rng's state back so that its next raw word has halves low and high."""
+    state = rng.bit_generator.state
+    word, top = high << 32 | low, 0xF123456789ABCDEF
+    rot = top >> 58
+    bottom = ((word << rot | word >> (64 - rot)) & (2**64 - 1)) ^ top
+    stepped = top << 64 | bottom
+    state["state"]["state"] = (stepped - state["state"]["inc"]) * pow(PCG_MULT, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+
+
+def half_at(span, leftover):
+    """The 32-bit half whose product with odd span has low 32 bits leftover;
+    integers() drops it (Lemire's rejection) iff leftover < 2**32 % span."""
+    return leftover * pow(span, -1, 2**32) % 2**32
+
+
 def assert_same_stream(a, b):
     """Equal generator states and equal next integers and random draws."""
     assert a.bit_generator.state == b.bit_generator.state
@@ -549,8 +579,25 @@ def patch_block(monkeypatch, max_support, max_classes):
     monkeypatch.setattr(oracle, "BLOCK_WORDS", PATCHED_BLOCK * oracle._mean_words(max_support, max_classes))
 
 
+# Halves in and at the edge of Lemire's rejection zone, per scenario, at s
+# span S and k span K: (carried half or None, next word's low and high halves,
+# the half that s takes, the half that k takes, or None where k takes the word
+# after). The edge half, leftover 2**32 % S, is the lowest one kept.
+A, B = 0x9E3779B9, 0x7F4A7C15
+REDRAWS = {
+    "s-carry": lambda S, K: (half_at(S, 0), B, A, B, A),
+    "s-carry-and-low": lambda S, K: (half_at(S, 0), half_at(S, 1), A, A, None),
+    "k-low": lambda S, K: (A, half_at(K, 0), B, A, B),
+    "k-high": lambda S, K: (None, A, half_at(K, 0), A, None),
+    "s-and-k": lambda S, K: (half_at(S, 0), B, half_at(K, 1), B, None),
+    "s-edge": lambda S, K: (half_at(S, 2**32 % S), half_at(K, 2**32 % K - 1), A,
+                            half_at(S, 2**32 % S), A),
+}
+
+
 class TestDecodedCases:
-    """random_case draws decoded from raw PCG64 words, bit for bit."""
+    """random_case draws decoded from raw PCG64 words, bit for bit, redraws
+    of halves in Lemire's rejection zone included."""
 
     @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("carry", [False, True], ids=["no-carry", "carry"])
@@ -578,33 +625,65 @@ class TestDecodedCases:
         if max_support * max_classes > 10**5:
             disjoint = disjoint[:3]  # up to half a million words a case
         fast, slow = twin_generators(seed, carry)
-        before = fast.bit_generator.state
         groups = oracle._decoded(fast, max_support, max_classes, disjoint)
-        if groups is None:  # a draw would be redrawn: nothing is decoded or drawn
-            assert fast.bit_generator.state == before
-            return
         want = [random_case(slow, max_support, max_classes, d) for d in disjoint]
         assert fast.bit_generator.state == slow.bit_generator.state
         assert_decoded(groups, want)
 
-    @pytest.mark.parametrize("span", [7, 3 * 2**30, 2**31 + 1])
-    def test_redraws_match_numpy_rejection(self, span):
-        # A span near 2**32 makes Lemire's rejection common: numpy redraws
-        # exactly when _redraws says so, and otherwise keeps the half.
-        rejected = 0
-        for seed in range(300):
-            words, calls = np.random.default_rng(seed), np.random.default_rng(seed)
-            word = int(words.bit_generator.random_raw())
-            value = int(calls.integers(0, span))
-            half = np.array([word & 0xFFFFFFFF], dtype=np.uint64)
-            redraw = oracle._redraws(half, np.array([span], dtype=np.uint64))
-            state = words.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, word >> 32
-            assert redraw == (calls.bit_generator.state != state), seed
-            if not redraw:
-                assert value == ((word & 0xFFFFFFFF) * span) >> 32
-            rejected += redraw
-        assert (rejected > 30) == (span > 2**30)
+    @pytest.mark.parametrize("max_support,max_classes", [(1, 10), (2**32, 10), (20, 1), (20, 2**32)])
+    def test_maxima_outside_32_bit_ranges_refused(self, max_support, max_classes):
+        field = "max_support" if max_support in (1, 2**32) else "max_classes"
+        rng = twin_generators(9, True)[0]
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{field} must be in \\[2, 2\\*\\*32\\), got "):
+            oracle._decoded(rng, max_support, max_classes, [False])
+        for section in (random_invariance_checks, random_toxicity_counts):
+            assert list(section(rng, 0, max_support, max_classes)) == []
+            with pytest.raises(ValueError, match=f"^{field} "):
+                next(section(rng, 3, max_support, max_classes))
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("scenario", list(REDRAWS))
+    @pytest.mark.parametrize("max_support,max_classes", [(20, 10), (12, 12), (1000, 300)])
+    def test_redrawn_halves_match_random_case(self, max_support, max_classes, scenario, monkeypatch):
+        S, K = max_support - 1, max_classes - 1
+        carry, low, high, s_half, k_half = REDRAWS[scenario](S, K)
+        assert all((h * span) & 0xFFFFFFFF >= 2**32 % span for h in (A, B) for span in (S, K))
+        assert 2**32 % S > 1 and 2**32 % K > 1
+
+        def crafted():
+            rng = np.random.default_rng(max_support + max_classes)
+            if carry is not None:
+                carry_half(rng, carry)
+            next_word(rng, low, high)
+            return rng
+
+        shape, disjoint, count = (max_support, max_classes), [True, False, True], 3
+        slow = crafted()
+        want = [random_case(slow, *shape, d) for d in disjoint]
+        assert want[0][0].support_size == 2 + (s_half * S >> 32)
+        if k_half is not None:
+            assert want[0][0].num_classes == 2 + (k_half * K >> 32)
+        checks_rng, counts_rng = crafted(), crafted()
+        draws = (random_case(checks_rng, *shape, bool(i % 2)) for i in range(count))
+        checks = list(bayes_invariance_checks(draws))
+        rarest = rarest_class_cases(counts_rng, count, *shape, 30.0)
+        counts = [(c, mass.hex()) for c, mass in toxicity_counts(rarest)]
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("random_case was called")
+
+        monkeypatch.setattr(oracle, "random_case", no_replay)
+        fast = crafted()
+        assert_decoded(oracle._decoded(fast, *shape, disjoint), want)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        fast = crafted()
+        assert list(random_invariance_checks(fast, count, *shape)) == checks
+        assert fast.bit_generator.state == checks_rng.bit_generator.state
+        fast = crafted()
+        got = random_toxicity_counts(fast, count, *shape, 30.0)
+        assert [(c, mass.hex()) for c, mass in got] == counts
+        assert fast.bit_generator.state == counts_rng.bit_generator.state
 
 
 class TestRandomEntryPoints:
@@ -632,29 +711,6 @@ class TestRandomEntryPoints:
         counts = [c for c, _ in random_toxicity_counts(np.random.default_rng(3), 256, 20, 10, 100.0)]
         assert sum(c > 0 for c in counts) > 128 and max(counts) >= 8
 
-    def test_replay_when_a_draw_would_be_redrawn(self, monkeypatch):
-        calls = []
-        draw = oracle.random_case
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return draw(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "_redraws", lambda halves, spans: True)
-        monkeypatch.setattr(oracle, "random_case", counted)
-        fast, slow = twin_generators(31, True)
-        before = fast.bit_generator.state
-        assert oracle._decoded(fast, 20, 10, [False, True]) is None
-        assert fast.bit_generator.state == before
-        count = oracle.BLOCK_WORDS // oracle._mean_words(12, 9) + 3  # into a second block
-        checks = list(random_invariance_checks(fast, count, 12, 9))
-        assert checks == list(bayes_invariance_checks(draw(slow, 12, 9, bool(i % 2)) for i in range(count)))
-        counts = list(random_toxicity_counts(fast, count, 12, 9, 30.0))
-        want = toxicity_counts(rarest_class_cases(slow, count, 12, 9, 30.0))
-        assert [(c, mass.hex()) for c, mass in counts] == [(c, mass.hex()) for c, mass in want]
-        assert_same_stream(fast, slow)
-        assert len(calls) == 2 * count and calls[:2] == [(fast, 12, 9, False), (fast, 12, 9, True)]
-
 
 # Budgets that give one case per block, a few blocks and one block per section.
 BUDGETS = ["one-case", "few", "one-block"]
@@ -664,21 +720,23 @@ class TestBlockRule:
     """Blocks hold BLOCK_WORDS raw words or entries, and no block size changes
     a result, an error or the state the generator ends in."""
 
-    @pytest.mark.parametrize("replayed", [False, True], ids=["decoded", "replayed"])
+    @pytest.mark.parametrize("redrawn", [False, True], ids=["decoded", "redrawn"])
     @pytest.mark.parametrize("budget", BUDGETS)
-    def test_random_sections_same_for_any_budget(self, budget, replayed, monkeypatch):
+    def test_random_sections_same_for_any_budget(self, budget, redrawn, monkeypatch):
         def sections():
             rng = np.random.default_rng(41)
+            if redrawn:  # each section's first s draw drops its carried half
+                carry_half(rng, half_at(11, 0))
             checks = list(random_invariance_checks(rng, 150, 12, 9))
             after_checks = rng.bit_generator.state
+            if redrawn:
+                carry_half(rng, half_at(11, 1))
             counts = [(c, mass.hex()) for c, mass in random_toxicity_counts(rng, 90, 12, 9, 30.0)]
             return checks, after_checks, counts, rng.bit_generator.state
 
         want = sections()
         few = 40 * oracle._mean_words(12, 9)
         monkeypatch.setattr(oracle, "BLOCK_WORDS", {"one-case": 1, "few": few, "one-block": 2**40}[budget])
-        if replayed:
-            monkeypatch.setattr(oracle, "_redraws", lambda halves, spans: True)
         assert sections() == want
 
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -722,3 +780,27 @@ class TestBlockRule:
 
         assert oracle.BLOCK_WORDS // oracle._mean_words(2000, 50) == 4
         assert peak(64) < 3 * peak(8)
+
+
+def _negative_px():
+    source = DiscreteJoint(table=np.full((2, 2), 0.25))
+    return list(bayes_invariance_checks([(source, np.array([1.5, -0.5]), 1.0, 1.0)]))
+
+
+# Public refusals, each called directly: (call, its error).
+ORACLE_REFUSALS = {
+    "1-d-table": (lambda: DiscreteJoint(table=np.full(4, 0.25)),
+                  "joint table must be 2-D (instances x classes)"),
+    "negative-entry": (lambda: DiscreteJoint(table=np.array([[0.75, -0.25], [0.25, 0.25]])),
+                       "joint table entries must be non-negative"),
+    "2-d-px": (lambda: OodMarginal(px=np.full((2, 2), 0.25), py=np.full(2, 0.5)),
+               "px must be a non-negative vector"),
+    "negative-px": (_negative_px, "px must be a non-negative vector"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_REFUSALS))
+def test_public_refusals(name):
+    call, error = ORACLE_REFUSALS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call()

@@ -505,3 +505,9 @@ class TestLabelDistributionKind:
         np.testing.assert_array_equal(label_distribution(kind, p), complementary(p, 2.0))
         index = LabelDistributionKind("fixed-class", class_index=np.int64(0))
         np.testing.assert_array_equal(label_distribution(index, p), [1.0, 0.0])
+
+
+def test_mixed_prior_refuses_negative_aux_size():
+    prior = prior_from_counts([5, 3, 1])
+    with pytest.raises(ValueError, match="^aux_size must be non-negative$"):
+        mixed_prior(prior, np.full(3, 1 / 3), -1.0)

@@ -1255,3 +1255,11 @@ class TestEpochDraws:
             assert result.history == ref_history
             for (w1, b1), (w2, b2) in zip(result.final_params.layers, ref_params.layers):
                 assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+
+
+def test_sample_aux_labels_refuses_no_draws():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^m must be at least 1$"):
+        train.sample_aux_labels(np.full(3, 1 / 3), 0, rng)
+    assert rng.bit_generator.state == before
