@@ -644,6 +644,13 @@ _BAYES_CHECK = {
 }
 
 
+def _bayes_check(value, path) -> dict:
+    """The bayes-check config, its maxima refused where the oracle would refuse them."""
+    doc = _parse(_BAYES_CHECK, value, path)
+    _built(path, oracle._check_maxima, doc["max_support"], doc["max_classes"])
+    return doc
+
+
 def cmd_bayes_check(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, cases = doc["name"], doc["cases"]
     max_support, max_classes = doc["max_support"], doc["max_classes"]
@@ -748,7 +755,7 @@ _COMMANDS = {
     "train": (_runs, cmd_train, "run configured training methods over seeds"),
     "sweep": (_runs, cmd_sweep, "grid sweeps with per-seed rows and mean/std summaries"),
     "eval-ood": (_EVAL_OOD, cmd_eval_ood, "MSP-based OOD detection metrics for a checkpoint"),
-    "bayes-check": (_BAYES_CHECK, cmd_bayes_check,
+    "bayes-check": (_bayes_check, cmd_bayes_check,
                     "exact Bayes-mixture invariance and toxicity report"),
 }
 

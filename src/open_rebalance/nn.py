@@ -8,7 +8,9 @@ The cores also take a stack of S models: (S, d, h) weights, (S, 1, h) biases
 and (S, B, d) batches, computed slice by slice exactly as one model would be.
 A stack sums each bias gradient's batch axis as one model's (B, h) reduce
 does: row by row when h > 1, which it runs over a batch-major copy, and
-pairwise when h == 1 (``_backward``).
+pairwise when h == 1 (``_backward``). The log-softmax takes its max and sum
+over K down a class-major (K, N) copy, the sum in numpy's pairwise row-sum
+order (``_class_sum``), so it rounds as numpy's row reductions do.
 """
 
 from __future__ import annotations
@@ -171,17 +173,40 @@ def forward(params: MlpParams, batch) -> np.ndarray:
     return _forward(params.layers, _check_batch(params, batch))[0]
 
 
+def _class_sum(cols: np.ndarray) -> np.ndarray:
+    # The sum over axis 0 of a (K, N) array, adding whole rows in the order
+    # numpy's pairwise sum adds a K-wide row's elements: one by one below 8,
+    # 8 running sums and their fixed tree up to 128, halving above. So for
+    # non-negative terms it reproduces x.sum(axis=-1) bit for bit, with
+    # contiguous adds. Accumulates into cols' leading rows.
+    k = len(cols)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _class_sum(cols[:half]) + _class_sum(cols[half:])
+    total, rest = cols[0], cols[1:]
+    if k >= 8:
+        acc, tail = cols[:8], k - k % 8
+        for i in range(8, tail, 8):
+            acc += cols[i : i + 8]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        rest = cols[tail:]
+    for row in rest:
+        total += row
+    return total
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # The row max as K - 1 maximum calls over column views: max is exact in
-    # any order, and the log-softmax rounds as with logits.max(axis=-1).
-    top = logits[..., :1]
-    if logits.shape[-1] > 1:
-        top = np.maximum(top, logits[..., 1:2])
-        for j in range(2, logits.shape[-1]):
-            np.maximum(top, logits[..., j : j + 1], out=top)
-    z = logits - top
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z
+    # Over one class-major (K, N) copy, so the max and the sum over K run down
+    # contiguous rows. max is exact in any order and _class_sum adds in
+    # numpy's row order, so every bit is as with logits.max(axis=-1) and
+    # np.exp(z).sum(axis=-1). The copy is taken with .copy(): the transpose of
+    # one row or one class is already contiguous, and would alias the input.
+    k = logits.shape[-1]
+    cols = logits.reshape(math.prod(logits.shape[:-1]), k).T.copy()
+    cols -= cols.max(axis=0)
+    cols -= np.log(_class_sum(np.exp(cols)))
+    return np.ascontiguousarray(cols.T).reshape(logits.shape)
 
 
 @lru_cache(maxsize=64)

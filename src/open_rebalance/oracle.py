@@ -368,15 +368,21 @@ def _normalized(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     return values
 
 
+def _check_maxima(max_support: int, max_classes: int) -> None:
+    """Refuse a maximum outside [2, 2**32): random_case draws at least 2 of
+    each, and its bounded draws take spans below 2**32."""
+    for name, value in (("max_support", max_support), ("max_classes", max_classes)):
+        if not 2 <= value < 2**32:
+            raise ValueError(f"{name} must be in [2, 2**32), got {value}")
+
+
 def _decoded(rng: np.random.Generator, max_support: int, max_classes: int, disjoint: list):
     """random_case(rng, max_support, max_classes, d) for each d in disjoint,
     decoded one class count at a time: a list of (members, tables, sizes, px,
     lengths, m), as _mixed takes them, where members are the cases' indices.
     rng ends as the calls leave it, bounded-integer redraws included. A
     maximum outside [2, 2**32) is refused before anything is drawn."""
-    for name, value in (("max_support", max_support), ("max_classes", max_classes)):
-        if not 2 <= value < 2**32:
-            raise ValueError(f"{name} must be in [2, 2**32), got {value}")
+    _check_maxima(max_support, max_classes)
     bitgen = rng.bit_generator
     saved = bitgen.state
     carry = saved["uinteger"] if saved["has_uint32"] else None

@@ -13,7 +13,9 @@ runs between the kinds; a run gives the same bits alone or in any batch.
 A stack's parameters, velocities and gradients are one flat (S, P) buffer
 each, with per-layer views into them, so one momentum update covers the
 whole stack. A step writes both passes' logits into one array, so one
-log-softmax serves both, and an epoch sums its steps' losses once, at its end.
+log-softmax serves both, each row rounding as alone (its max and sum over K
+run down a class-major copy, in numpy's row order), and an epoch sums its
+steps' losses once, at its end.
 A stack scores its test set after every epoch, or, with ``every_epoch=False``
 (a sweep, which reads only the last epoch), after its last epoch alone; the
 earlier epochs' records then hold None for their accuracies.

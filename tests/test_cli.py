@@ -1508,13 +1508,22 @@ class TestBayesCheck:
 
     @pytest.mark.parametrize("key", ["max_support", "max_classes"])
     def test_maximum_past_32_bits_refused(self, tmp_path, capsys, key):
-        # Refused before any draw, so nothing 2**32 entries wide is allocated.
+        # Refused as the config parses, the oracle's own range check under the
+        # config path, so nothing is drawn and --out is never made.
         config = {"command": "bayes-check", "name": "oracle", "seed": 1, "cases": 2, key: 2**32}
         cfg = write_config(tmp_path / "bayes.json", config)
         assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {key} must be in [2, 2**32), got 4294967296\n"
-        assert not list(tmp_path.rglob("*_bayes.json"))
+        assert err == f"error: bayes-check: {key} must be in [2, 2**32), got 4294967296\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_maxima_accepted(self, tmp_path):
+        config = {"command": "bayes-check", "name": "oracle", "seed": 1, "cases": 0,
+                  "max_support": 2**32 - 1, "max_classes": 2**32 - 1}
+        cfg = write_config(tmp_path / "bayes.json", config)
+        assert main(["bayes-check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "oracle_bayes.json").read_text())
+        assert report["uniform"] == {"cases": 0, "violations": 0, "violating_cases": []}
 
     @pytest.mark.parametrize("message,line", [
         ("Unable to allocate 28.7 GiB for an array with shape (3850000000,) and data type uint64",

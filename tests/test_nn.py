@@ -131,9 +131,21 @@ def _logit_arrays(elements):
     return arrays(np.float64, shapes.map(lambda t: (*t[0], t[1])), elements=elements)
 
 
+def _hard_logits(rng, rows, k):
+    """(rows, k) logits, each row finite, all signed-zero ties, or finite with
+    about two entries of +-0.0, +-inf or NaN."""
+    kind = rng.integers(0, 3, rows)
+    x = rng.standard_normal((rows, k)) * 30.0
+    x[kind == 1] = rng.choice([0.0, -0.0, -1.0], size=(rows, k))[kind == 1]
+    odd = (kind == 2)[:, None] & (rng.random((rows, k)) < 2.0 / k)
+    x[odd] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=odd.sum())
+    return x
+
+
 class TestLogSoftmax:
-    # The row max is taken column by column; these pin it bit for bit against
-    # logits.max(axis=-1), whose order of comparisons numpy may change.
+    # The max and the sum over K run down a class-major copy; these pin both
+    # bit for bit against numpy's row reductions, logits.max(axis=-1) and
+    # np.exp(z).sum(axis=-1), whose orders numpy may change.
     @settings(max_examples=300, deadline=None)
     @given(_logit_arrays(st.sampled_from([0.0, -0.0, -1.0, -800.0])))
     def test_signed_zero_ties_match_row_max(self, logits):
@@ -154,6 +166,30 @@ class TestLogSoftmax:
             got = _log_softmax(logits)
             for s, slice_ in enumerate(logits):
                 assert got[s].tobytes() == _row_max_log_softmax(slice_).tobytes(), (k, s)
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_class_major_kernel_matches_row_reductions(self, ndim):
+        # Every order _class_sum takes (one by one below 8 classes, 8 running
+        # sums to 128, halving past it), with its edges, as a fresh C-ordered array.
+        rng = np.random.default_rng(ndim)
+        for k in [*range(1, 131), 255, 256, 257, 513, 1000]:
+            for rows in (1,) if ndim == 1 else (1, 2, 64, 256):
+                shape = [(k,), (rows, k), (min(rows, 2), -1, k)][ndim - 1]
+                logits = _hard_logits(rng, rows, k).reshape(shape)
+                with np.errstate(invalid="ignore"):
+                    got, want = _log_softmax(logits), _row_max_log_softmax(logits)
+                assert got.flags.c_contiguous and got.shape == logits.shape
+                assert got.tobytes() == want.tobytes(), (k, rows)
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 5), (7, 1), (1, 1, 5)])
+    def test_input_left_unchanged(self, shape):
+        # The class-major transpose of one row or one class is already
+        # contiguous, so a copy that skipped it would write into the logits.
+        logits = np.random.default_rng(0).standard_normal(shape) * 8.0
+        before = logits.tobytes()
+        got = _log_softmax(logits)
+        assert logits.tobytes() == before
+        assert not np.shares_memory(got, logits)
 
 
 class TestSoftmaxXent:
