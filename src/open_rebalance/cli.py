@@ -635,9 +635,9 @@ _BAYES_CHECK = {
     **_DOC,
     "seed": (int, None, REQUIRED),
     "cases": (int, None, REQUIRED),
-    # random_case draws supports and class counts from [2, max].
-    "max_support": (int, 2, 20),
-    "max_classes": (int, 2, 10),
+    # random_case draws supports and class counts from [2, max]; _bayes_check bounds max.
+    "max_support": (int, None, 20),
+    "max_classes": (int, None, 10),
     "one_hot_stress": ({"cases": (int, None, REQUIRED), "m_scale": (float, 0, 100.0)},
                        None, OPTIONAL),
     "rebalance": (_rebalance, None, OPTIONAL),

@@ -50,7 +50,9 @@ def _admits(kind, value) -> bool:
 
 def _check_fields(obj, kinds=_FIELD_KINDS) -> None:
     """Refuse the first field of a dataclass whose annotation, looked up in
-    kinds, does not admit its value; the ValueError starts with its name."""
+    kinds, does not admit its value, or whose integer lies outside int64's
+    range (a run length or seed past it cannot be scheduled or named);
+    the ValueError starts with its name."""
     for f in fields(obj):
         name, optional = f.type.removesuffix(" | None"), f.type.endswith(" | None")
         if name in kinds:
@@ -59,6 +61,8 @@ def _check_fields(obj, kinds=_FIELD_KINDS) -> None:
             if not (optional and value is None or _admits(kind, value)):
                 noun = f"{noun} or None" if optional else noun
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            if kind is numbers.Integral and value is not None and not -2**63 <= value < 2**63:
+                raise ValueError(f"{f.name} must be in [-2**63, 2**63), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

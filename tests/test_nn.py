@@ -481,8 +481,10 @@ class TestLrSchedule:
         ((0, (2, "a"), 0.1), "milestones must be a tuple of integers, got (2, 'a')"),
         ((1.5, (), 0.1), "warmup_epochs must be an integer, got 1.5"),
         ((0, (), "0.1"), "decay_factor must be a number, got '0.1'"),
+        # lr_at used to raise OverflowError converting such a warmup to float.
+        ((10**400, (), 0.1), f"warmup_epochs must be in [-2**63, 2**63), got {10**400}"),
     ], ids=["milestones-list", "milestone-float", "milestone-bool", "milestone-string", "warmup-float",
-            "decay_factor-string"])
+            "decay_factor-string", "warmup-past-int64"])
     def test_wrong_type_refused(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LrSchedule(*args)

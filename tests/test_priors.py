@@ -494,7 +494,10 @@ class TestLabelDistributionKind:
         ({"tag": "complementary", "alpha": "2.0"}, "alpha must be a number or None, got '2.0'"),
         ({"tag": "complementary", "alpha": False}, "alpha must be a number or None, got False"),
         ({"tag": "class-balanced", "beta_cb": "0.9"}, "beta_cb must be a number or None, got '0.9'"),
-    ], ids=["class_index-float", "class_index-bool", "alpha-string", "alpha-bool", "beta_cb-string"])
+        ({"tag": "fixed-class", "class_index": 2**63},
+         "class_index must be in [-2**63, 2**63), got 9223372036854775808"),
+    ], ids=["class_index-float", "class_index-bool", "alpha-string", "alpha-bool", "beta_cb-string",
+            "class_index-past-int64"])
     def test_wrong_type_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LabelDistributionKind(**kwargs)

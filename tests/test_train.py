@@ -140,6 +140,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["epochs", "batch_train", "batch_aux", "hidden_dim", "seed"])
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1, 10**400], ids=["2**63", "-2**63-1", "10**400"])
+    def test_integers_past_int64_refused(self, name, value):
+        message = f"{name} must be in [-2**63, 2**63), got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{name: value})
+
+    def test_int64_extremes_accepted(self):
+        cfg = TrainConfig(epochs=2**63 - 1, batch_train=2**63 - 1, seed=2**63 - 1)
+        assert (cfg.epochs, cfg.seed) == (2**63 - 1, 2**63 - 1)
+
     def test_ints_stand_in_for_floats(self):
         cfg = TrainConfig(eta=2, beta_cb=0, base_lr=1, momentum=0, weight_decay=0,
                           epochs=np.int64(3), seed=np.int64(4), batch_aux=None)
