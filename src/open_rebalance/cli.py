@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, metrics, nn, oracle, train
-from .priors import LabelDistributionKind, complementary, label_distribution, prior_from_counts
+from .priors import LabelDistributionKind, _check_int64, complementary, label_distribution, prior_from_counts
 
 __all__ = ["main", "ConfigError"]
 
@@ -232,12 +232,17 @@ def _build_pool(where: str, spec: dict, dim: int, base_seed, class_means, base_d
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _file_shape(where: str, path: Path) -> tuple:
-    """N and d from a native dataset file's checked header; an error names where."""
+def _read(where: str, read, path: Path):
+    """read(path), whose format or OS error becomes a ConfigError naming where."""
     try:
-        n, d, _ = data.read_header(path)
+        return read(path)
     except (data.FormatError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _file_shape(where: str, path: Path) -> tuple:
+    """N and d from a native dataset file's checked header; an error names where."""
+    n, d, _ = _read(where, data.read_header, path)
     return n, d
 
 
@@ -366,6 +371,17 @@ def _fields(cls, hand: dict, skip=()) -> dict:
             for f in dataclasses.fields(cls) if f.name not in skip}
 
 
+def _int64(value, path) -> int:
+    """A non-negative integer inside the library's int64 range: a key that
+    TrainConfig takes from outside the train section is refused at its own path."""
+    value = _parse(int, value, path)
+    try:
+        _check_int64(path, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return value
+
+
 def _label_dist(value, path) -> LabelDistributionKind:
     """A label distribution: its tag alone, or an object with its parameters."""
     kwargs = _parse(_LABEL_DIST, {"tag": value} if isinstance(value, str) else value, path)
@@ -400,9 +416,9 @@ _RUNS = {
     **_DOC,
     "data": ({"train": (str, None, REQUIRED), "test": (str, None, REQUIRED),
               "aux": (str, None, OPTIONAL)}, None, REQUIRED),
-    "model": ({"hidden_dim": (int, None, 0)}, None, {}),
+    "model": ({"hidden_dim": (_int64, None, 0)}, None, {}),
     "train": (_TRAIN, None, REQUIRED),
-    "seeds": (_distinct(int), None, REQUIRED),
+    "seeds": (_distinct(_int64), None, REQUIRED),
     "group_thresholds": (_thresholds, None, list(metrics.GROUP_THRESHOLDS)),
 }
 
@@ -569,7 +585,7 @@ _EVAL_OOD = {
 def cmd_eval_ood(doc: dict, config: dict, base_dir: Path, out_dir: Path) -> list:
     name, positive = doc["name"], doc["aupr_positive"]
     chash = _config_hash(config)
-    params = nn.load_params(base_dir / doc["checkpoint"])
+    params = doc["params"]
     # Every file's header is checked before any row is read or generated.
     n, dim = _file_shape("test", base_dir / doc["test"])
     if dim != params.input_dim:
@@ -783,7 +799,10 @@ def main(argv=None) -> int:
         config = _load_config(args.config, args.command)
         kind, handler, _ = _COMMANDS[args.command]
         doc = _parse(kind, config, args.command)
-        # Only a config that parsed creates --out.
+        if "checkpoint" in doc:  # eval-ood's model, loaded before anything is written
+            path = args.config.parent / doc["checkpoint"]
+            doc["params"] = _read(f"{args.command}.checkpoint", nn.load_params, path)
+        # Only a config that parsed, with a checkpoint that loads, creates --out.
         args.out.mkdir(parents=True, exist_ok=True)
         failures = handler(doc, config, base_dir=args.config.parent, out_dir=args.out)
     except (ConfigError, data.FormatError, ValueError, OSError) as exc:

@@ -61,8 +61,14 @@ def _check_fields(obj, kinds=_FIELD_KINDS) -> None:
             if not (optional and value is None or _admits(kind, value)):
                 noun = f"{noun} or None" if optional else noun
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-            if kind is numbers.Integral and value is not None and not -2**63 <= value < 2**63:
-                raise ValueError(f"{f.name} must be in [-2**63, 2**63), got {value!r}")
+            if kind is numbers.Integral and value is not None:
+                _check_int64(f.name, value)
+
+
+def _check_int64(name: str, value: int) -> None:
+    """Refuse an integer outside int64's range; the ValueError starts with name."""
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{name} must be in [-2**63, 2**63), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,15 +7,19 @@ Three independent RNG streams per seed (shuffling, auxiliary draws,
 initialization) keep ablations bit-comparable: changing one knob touches
 exactly one stream. ``train_runs`` trains many runs as stacked arrays, one
 stack per training shape. Inside a stack each auxiliary kind is a leading
-slice (relabelled, then OE, then none), so the auxiliary pass runs on a
-prefix of the stacked weights, and its backward pass only on the nonzero-eta
-runs between the kinds; a run gives the same bits alone or in any batch.
-A stack's parameters, velocities and gradients are one flat (S, P) buffer
-each, with per-layer views into them, so one momentum update covers the
-whole stack. A step writes both passes' logits into one array, so one
-log-softmax serves both, each row rounding as alone (its max and sum over K
-run down a class-major copy, in numpy's row order), and an epoch sums its
-steps' losses once, at its end.
+slice (relabelled, then OE, then none). A stack's parameters and gradients
+are one flat (S + A, P) buffer each, whose last A rows mirror the A runs
+with an auxiliary batch, and its velocities one (S, P) buffer, with
+per-layer views into them: one momentum update covers the whole stack, and
+one contiguous copy then refreshes the mirrors. The auxiliary pass runs on
+the mirrors, and only the nonzero-eta runs between the kinds count its
+gradient; a run gives the same bits alone or in any batch. A step whose
+training and auxiliary batches have the same row count gathers both into
+one buffer and takes one forward and one backward pass over S + A slices;
+any other step takes two, base then auxiliary. A step writes both passes'
+logits into one array, so one log-softmax serves both, each row rounding as
+alone (its max and sum over K run down a class-major copy, in numpy's row
+order), and an epoch sums its steps' losses once, at its end.
 A stack scores its test set after every epoch, or, with ``every_epoch=False``
 (a sweep, which reads only the last epoch), after its last epoch alone; the
 earlier epochs' records then hold None for their accuracies.
@@ -256,6 +260,16 @@ def _epoch_draws(rng: np.random.Generator, pool_size: int, n_steps: int, m: int,
     return _replay_draws(rng, pool_size, n_steps, m)
 
 
+def _gather(source: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """source[idx] along axis 0, written into out. np.take first copies a
+    non-contiguous source whole (a broadcast pool, say), so such a source is
+    indexed instead; mode="clip" lets take write straight into out."""
+    if source.flags.c_contiguous:
+        return np.take(source, idx, axis=0, out=out, mode="clip")
+    out[...] = source[idx]
+    return out
+
+
 def _stack_rows(rows, fill: float):
     """Stack per-run vectors, filling in for runs without one; None if none has one."""
     present = next((r for r in rows if r is not None), None)
@@ -298,10 +312,14 @@ def _views(flat: np.ndarray, shapes) -> tuple:
 class _Stack:
     """S runs' parameters, velocities and loss specs, stacked along axis 0.
 
-    Parameters, velocities and gradients are one flat (S, P) buffer each, a
-    run per row; ``layers`` and ``grads`` are (S, d, h) weight and (S, 1, h)
-    bias views into them, so the backward pass writes its gradients in place
-    and one momentum update covers the whole stack. The per-run spec fields
+    Parameters and gradients are one flat (S + A, P) buffer each, a run per
+    row, whose rows [S:] mirror the leading A runs: the mirrors' parameters
+    are copied from rows [:A] after every update, and their gradients are the
+    auxiliary pass's. Velocities are (S, P), and ``params`` is the runs' (S,
+    P) rows. ``layers`` are (S, d, h) weight and (S, 1, h) bias views into
+    ``params``, and ``blocks`` holds the views of each step form (see
+    ``_step``), so the backward pass writes its gradients in place and one
+    momentum update covers the whole stack. The per-run spec fields
     become vectors: eta, the base logit offset (-0.0 where a run has none;
     x + -0.0 is x for every x, signed zeros and NaNs included), the cb-rw base
     weights (ones where a run has none; unit weights round exactly as no
@@ -317,8 +335,6 @@ class _Stack:
 
     def __init__(self, specs, layer_sets, momentum: float, weight_decay: float):
         self.shapes = [w.shape for w, _ in layer_sets[0]]
-        self.params = _flat(layer_sets)
-        self.velocity = np.zeros_like(self.params)
         self.momentum, self.weight_decay = momentum, weight_decay
         rank = np.array([_slice_rank(spec) for spec in specs])
         self.eta = np.array([spec.eta for spec in specs], dtype=np.float64)
@@ -327,22 +343,31 @@ class _Stack:
         self.base_weights = _stack_rows([spec.base_weights for spec in specs], 1.0)
         self.aux_omegas = _stack_rows([spec.aux_omegas for spec in specs], 1.0)
         self.aux_prior = next((spec.aux_prior for spec in specs if spec.aux_prior is not None), None)
-        self.size = len(specs)
+        self.size = s = len(specs)
         self.n_relabel = int((rank < 2).sum())
         self.n_aux = a = int((rank < 4).sum())
         self.eta_slice = e = slice(int((rank < 1).sum()), int((rank < 3).sum()))
-        self.rows = np.arange(self.size)[:, None]
-        self.grad = np.empty_like(self.params)
+        self.rows = np.arange(s)[:, None]
+        params = _flat(layer_sets)
+        self.flat = np.concatenate([params, params[:a]])
+        self.params = self.flat[:s]
+        self.velocity = np.zeros_like(self.params)
+        self.grad = np.empty_like(self.flat)
         self.layers = _views(self.params, self.shapes)
-        self.grads = _views(self.grad, self.shapes)
-        # The auxiliary forward pass works on views of the leading A runs'
-        # parameters, its backward pass on the eta slice's, with gradients of its own.
-        self.aux_layers = _views(self.params[:a], self.shapes)
-        self.eta_layers = _views(self.params[e], self.shapes)
-        self.eta_grad = np.empty_like(self.params[e])
-        self.eta_grads = _views(self.eta_grad, self.shapes)
+        # The eta slice's mirrors, whose gradients are scaled and added to their runs'.
+        self.eta_mirrors = slice(s + e.start, s + e.stop) if e.start < e.stop else slice(s, s)
+        self.blocks = (
+            (self._block(slice(0, s + a), slice(0, self.eta_mirrors.stop)),),
+            (self._block(slice(0, s), slice(0, s)), self._block(slice(s, s + a), self.eta_mirrors)),
+        )
         self.aux_rows = self.rows[: self.n_relabel]
-        self.aux_loss = np.zeros(self.size)
+        self.aux_loss = np.zeros(s)
+
+    def _block(self, rows: slice, back: slice):
+        """One block of a step: forward views on rows, and the rows its backward
+        pass covers (from rows.start on) with their parameter and gradient views."""
+        return (_views(self.flat[rows], self.shapes), slice(back.start - rows.start, back.stop - rows.start),
+                _views(self.flat[back], self.shapes), _views(self.grad[back], self.shapes))
 
 
 def _aux_loss(stack: _Stack, logp, grad, ay):
@@ -361,31 +386,43 @@ def _aux_loss(stack: _Stack, logp, grad, ay):
     return loss
 
 
-def _step(stack: _Stack, lr: float, bx, by, ax, ay):
+def _step(stack: _Stack, lr: float, xs, by, ay):
     """One in-place SGD update of every run in the stack on its spec's objective.
 
-    Batches are (S, B, d) with (S, B) labels; the auxiliary batch ax is
-    (A, m, d) for the stack's leading A runs, with (R, m) labels ay. Returns
-    the per-run base and aux loss vectors, the latter valid until the next
-    step, and the mask of runs whose base or auxiliary logits are not all
-    finite, None when all are. Every run is updated, finite or not; no
-    operation mixes two runs' slices. Every auxiliary run takes the forward
-    pass and its loss; only the eta slice takes the backward pass, whose
-    eta-weighted gradient is added to the base one.
+    The training batches are (S, B, d) with (S, B) labels, and the auxiliary
+    batches (A, m, d), one per leading run, with (R, m) labels ay. xs holds
+    them in one or two blocks: when m == B (or A == 0), one (S + A, B, d)
+    array, the training batches and then the auxiliary ones; otherwise the
+    two arrays, training then auxiliary. Returns the per-run base and aux
+    loss vectors, the latter valid until the next step, and the mask of runs
+    whose base or auxiliary logits are not all finite, None when all are.
+    Every run is updated, finite or not; no operation mixes two slices.
+    Every auxiliary run takes the forward pass and its loss, on its mirror
+    row's weights; the eta slice's mirrors take the backward pass, and their
+    eta-weighted gradient is added to their runs' base one.
 
-    The base and the auxiliary logits are written back to back into one
-    (S*B + A*m, K) array, so one finiteness check, one log-softmax and one exp
-    cover both passes; each pass reads its rows through views, and the
-    log-softmax is row-wise, so every row rounds as in a call of its own.
+    Each block takes one forward and one backward pass: the one-block form
+    runs them over all S + A slices and over the slices up to the eta
+    slice's last mirror; the two-block form runs the base pass on the S runs
+    and the auxiliary one on the A mirrors, whose backward pass covers the
+    eta slice's mirrors alone. Every slice is the same (B x d)·(d x h) product in
+    either form, so both round alike. The blocks' logits are written back to
+    back into one (S*B + A*m, K) array, so one finiteness check, one
+    log-softmax and one exp cover both passes; each pass reads its rows
+    through views, and the log-softmax is row-wise, so every row rounds as in
+    a call of its own.
     """
     size, batch = by.shape
     a, k = stack.n_aux, stack.shapes[-1][1]
-    m, split = ax.shape[1] if a else 0, size * batch
+    m, split = xs[-1].shape[1] if a else 0, size * batch
+    blocks = stack.blocks[len(xs) - 1]
     logits = np.empty((split + a * m, k))
+    passes, at = [], 0  # per block: its logit rows, their (slices, rows, K) shape, its activations
+    for x, (layers, *_) in zip(xs, blocks):
+        rows, shape = slice(at, at + x.shape[0] * x.shape[1]), (*x.shape[:2], k)
+        passes.append((rows, shape, _forward(layers, x, out=logits[rows].reshape(shape))[1]))
+        at = rows.stop
     base, aux = logits[:split].reshape(size, batch, k), logits[split:].reshape(a, m, k)
-    _, acts = _forward(stack.layers, bx, out=base)
-    if a:
-        _, aux_acts = _forward(stack.aux_layers, ax, out=aux)
     if stack.base_offset is not None:
         base += stack.base_offset
     # Training can diverge, so every batch is checked; a healthy one allocates no mask.
@@ -396,18 +433,19 @@ def _step(stack: _Stack, lr: float, bx, by, ax, ay):
     logp = _log_softmax(logits)
     grad = np.exp(logp)
     weights = None if stack.base_weights is None else stack.base_weights[stack.rows, by]
-    g = grad[:split].reshape(base.shape)
-    base_loss = _xent_from(logp[:split].reshape(base.shape), g, by, weights)
-    _backward(stack.layers, acts, g, stack.grads)
+    base_loss = _xent_from(logp[:split].reshape(base.shape), grad[:split].reshape(base.shape), by, weights)
     if a:
-        g = grad[split:].reshape(aux.shape)
-        _aux_loss(stack, logp[split:].reshape(aux.shape), g, ay)
-        e = stack.eta_slice
-        if e.start < e.stop:
-            _backward(stack.eta_layers, [x[e] for x in aux_acts], g[e], stack.eta_grads)
-            np.multiply(stack.eta[e, None], stack.eta_grad, out=stack.eta_grad)
-            stack.grad[e] += stack.eta_grad
-    _sgd_update(stack.params, stack.grad, stack.velocity, stack.momentum, stack.weight_decay, lr)
+        _aux_loss(stack, logp[split:].reshape(aux.shape), grad[split:].reshape(aux.shape), ay)
+    for (rows, shape, acts), (_, back, layers, grads) in zip(passes, blocks):
+        if back.start < back.stop:
+            _backward(layers, [x[back] for x in acts], grad[rows].reshape(shape)[back], grads)
+    mirrors = stack.eta_mirrors
+    if mirrors.start < mirrors.stop:
+        eta_grad = stack.grad[mirrors]
+        eta_grad *= stack.eta[stack.eta_slice, None]
+        stack.grad[stack.eta_slice] += eta_grad
+    _sgd_update(stack.params, stack.grad[:size], stack.velocity, stack.momentum, stack.weight_decay, lr)
+    stack.flat[size:] = stack.params[:a]
     return base_loss, stack.aux_loss, lost
 
 
@@ -515,6 +553,10 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool, 
     batch = config.batch_train
     m_aux = config.batch_aux or batch  # runs[0] has an auxiliary batch if any run does
     n_steps = -(-n // batch)
+    # Every step gathers its training and then its auxiliary batches into one buffer.
+    dim = features.shape[1]
+    aux_size = stack.n_aux * m_aux * dim
+    inputs = np.empty(len(runs) * batch * dim + aux_size)
     seeds = dict.fromkeys(r.config.seed for r in runs)
     shuffles = {seed: np.random.default_rng([seed, _STREAM_SHUFFLE]) for seed in seeds}
     keys = [_aux_stream(r) for r in runs[: stack.n_aux]]
@@ -544,12 +586,16 @@ def _train_group(runs: list, train: LabeledDataset, test: LabeledDataset, pool, 
         base_rows, aux_rows = np.zeros((2, n_steps + 1, len(runs)))
         for step, start in enumerate(range(0, n, batch)):
             idx = perms[:, start : start + batch]
-            bx, by = features[idx], train.labels[idx]
-            ax = ay = None
+            rows = idx.shape[1]
+            split = len(runs) * rows * dim
+            bx, by = _gather(features, idx, inputs[:split].reshape(len(runs), rows, dim)), train.labels[idx]
+            xs, ay = (bx,), None
             if pool is not None:
-                ax = pool[aidx[step]]
+                ax = _gather(pool, aidx[step], inputs[split : split + aux_size].reshape(stack.n_aux, m_aux, dim))
                 ay = None if alabels is None else alabels[step]
-            base_loss, aux_loss, lost = _step(stack, lr, bx, by, ax, ay)
+                # Both batches in one block when their row counts agree.
+                xs = (inputs[: split + aux_size].reshape(-1, rows, dim),) if rows == m_aux else (bx, ax)
+            base_loss, aux_loss, lost = _step(stack, lr, xs, by, ay)
             if lost is not None:
                 lost &= alive  # a dead run keeps its first error
                 shown = _last_finite(base_rows[1 : step + 1] + stack.eta * aux_rows[1 : step + 1], last_loss)

@@ -841,8 +841,10 @@ class TestSeeds:
     @pytest.mark.parametrize(
         "seeds,must,shown",
         [([1.5], "a non-negative integer", "1.5"), ([True], "a non-negative integer", "true"),
-         ([0, -1], "a non-negative integer", "-1"), ([0, 0], "none of [0]", "0")],
-        ids=["float", "bool", "negative", "repeated"],
+         ([0, -1], "a non-negative integer", "-1"), ([0, 0], "none of [0]", "0"),
+         # Named at its own key, not as TrainConfig's seed inside the train section.
+         ([0, 2**63], "in [-2**63, 2**63)", str(2**63))],
+        ids=["float", "bool", "negative", "repeated", "past-int64"],
     )
     def test_bad_seed_fails_before_any_file_is_read(self, tmp_path, capsys, command, seeds, must,
                                                     shown):
@@ -901,10 +903,13 @@ class TestTrainSectionIntegers:
          (("train", "epochs"), 10**400, f"train.epochs must be in [-2**63, 2**63), got {10**400}{{at}}"),
          (("train", "schedule", "warmup_epochs"), 10**400,
           f"train.schedule: warmup_epochs must be in [-2**63, 2**63), got {10**400}"),
-         (("seeds",), [10**400], f"train.seed must be in [-2**63, 2**63), got {10**400}{{at}}")],
+         # seeds and model.hidden_dim are refused at their own keys, as they parse.
+         (("seeds",), [10**400], f"seeds[0] must be in [-2**63, 2**63), got {10**400}"),
+         (("model", "hidden_dim"), 10**24, f"model.hidden_dim must be in [-2**63, 2**63), got {10**24}")],
         ids=["epochs-float", "epochs-bool", "batch_train-float", "batch_train-zero", "batch_aux-float",
              "batch_aux-zero", "hidden_dim-float", "hidden_dim-negative", "warmup-float", "milestone-float",
-             "milestones-scalar", "epochs-past-int64", "warmup-past-int64", "seed-past-int64"],
+             "milestones-scalar", "epochs-past-int64", "warmup-past-int64", "seed-past-int64",
+             "hidden_dim-past-int64"],
     )
     def test_bad_integer_fails_before_any_file_is_read(self, tmp_path, capsys, command, path, value, message):
         config = _missing_data_config(command)
@@ -1407,6 +1412,30 @@ class TestEvalOod:
         err = capsys.readouterr().err
         assert re.search(message, err), err
         assert not (trained / "bad_ood.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [("missing", r"\[Errno 2\] No such file or directory: '.*bad\.osnn'"),
+         ("truncated", r".*bad\.osnn: truncated checkpoint"),
+         ("wrong-magic", r".*bad\.osnn: not a checkpoint file")],
+        ids=["missing", "truncated", "wrong-magic"],
+    )
+    def test_bad_checkpoint_refused_before_out_exists(self, trained, capsys, monkeypatch, bad, reason):
+        # Used to exit with the bare OS error, naming no key, and leave an empty --out.
+        blob = (trained / "run_seed0.osnn").read_bytes()
+        if bad == "truncated":
+            (trained / "bad.osnn").write_bytes(blob[:-1])
+        elif bad == "wrong-magic":
+            (trained / "bad.osnn").write_bytes(b"OSNN2" + blob[len(nn.CHECKPOINT_MAGIC):])
+        monkeypatch.setattr(data, "read_header", lambda *a, **k: pytest.fail("a header was read"))
+        config = {"command": "eval-ood", "name": "bad", "checkpoint": "bad.osnn", "test": "task_test.osds",
+                  "pools": [_GAUSS]}
+        cfg = write_config(trained / "ood.json", config)
+        out = trained / "late_out"
+        assert main(["eval-ood", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: eval-ood\.checkpoint: {reason}\n", err), err
+        assert not out.exists()
 
     def test_file_pool_size_checked_against_its_rows(self, trained, capsys, monkeypatch):
         # As in synth, a file pool that gives a size must hold that many rows.
@@ -2123,6 +2152,7 @@ _UNIONS = {
     cli._schedule: cli._SCHEDULE,
     cli._thresholds: [int],
     cli._RUNS["seeds"][0]: [int],
+    cli._int64: int,
     cli._EVAL_OOD["pools"][0]: [cli._EVAL_POOL],
     cli._rebalance: cli._REBALANCE,
 }

@@ -912,7 +912,10 @@ class TestFlatStack:
     def test_step_matches_per_array_step(self, size, hidden, counts, m):
         # One shared logit array for both passes against fresh arrays per
         # pass: auxiliary batches of m rows, odd and one (OpenBLAS's
-        # matrix-vector path) unlike the training batch, or as large.
+        # matrix-vector path) unlike the training batch, or as large. Steps
+        # whose training and auxiliary rows agree (m = 13 on the batches of
+        # 13, m = 1 on the batch of 1) run as one block over all S + A
+        # slices, the rest as two.
         k = len(counts)
         rng = np.random.default_rng([size, hidden, k, m])
         prior = prior_from_counts(counts)
@@ -932,13 +935,16 @@ class TestFlatStack:
             ax = rng.standard_normal((stack.n_aux, m, 4)) if stack.n_aux else None
             ay = rng.integers(0, k, (stack.n_relabel, m)) if stack.n_relabel else None
             lr = 0.5 / (step + 1)
-            train._step(stack, lr, bx, by, ax, ay)
+            xs = (bx,) if ax is None else (np.concatenate([bx, ax]),) if batch == m else (bx, ax)
+            train._step(stack, lr, xs, by, ay)
             _per_array_step(stack, offset_where, layers, velocity, lr, bx, by, ax, ay)
             flat_velocity = train._views(stack.velocity, stack.shapes)
             for got, want in ((stack.layers, layers), (flat_velocity, velocity)):
                 for got_pair, want_pair in zip(got, want):
                     for g, w in zip(got_pair, want_pair):
                         assert g.shape == w.shape and g.tobytes() == w.tobytes(), (step, size, hidden)
+            # The mirror rows hold the auxiliary runs' updated parameters.
+            assert stack.flat[stack.size :].tobytes() == stack.params[: stack.n_aux].tobytes()
 
 
 def _running_totals(base, aux, etas, lost_at):
@@ -1005,7 +1011,7 @@ class TestEpochLossSums:
                 lost_at.update({0: (0, 0), 1: (1, 6)})
         steps = iter(np.ndindex(4, n_steps))
 
-        def scripted_step(stack, lr, bx, by, ax, ay):
+        def scripted_step(stack, lr, xs, by, ay):
             # The stack holds its runs in slice order; their distinct etas name them.
             epoch, step = next(steps)
             runs = [etas.index(eta) for eta in stack.eta.tolist()]
@@ -1082,10 +1088,15 @@ class TestAuxLoss:
         for _ in range(2):
             ax = rng.standard_normal((stack.n_aux, 5, 4)) if stack.n_aux else None
             ay = rng.integers(0, 3, (stack.n_relabel, 5)) if stack.n_relabel else None
-            train._step(stack, 0.1, rng.standard_normal((stack.size, 8, 4)), rng.integers(0, 3, (stack.size, 8)),
-                        ax, ay)
+            bx = rng.standard_normal((stack.size, 8, 4))
+            train._step(stack, 0.1, (bx,) if ax is None else (bx, ax), rng.integers(0, 3, (stack.size, 8)), ay)
         eta_runs = sum(m in train._AUX_METHODS and eta != 0.0 for m, eta in runs)
         assert calls == [stack.size, eta_runs] * 2 if eta_runs else [stack.size] * 2
+        # In one block, training and auxiliary rows alike, one call runs up to the eta slice's last mirror.
+        calls.clear()
+        x = rng.standard_normal((stack.size + stack.n_aux, 5, 4))
+        train._step(stack, 0.1, (x,), rng.integers(0, 3, (stack.size, 5)), ay)
+        assert calls == [stack.size + stack.eta_slice.stop if eta_runs else stack.size]
         assert stack.eta[stack.eta_slice].all() and stack.eta_slice.stop - stack.eta_slice.start == eta_runs
 
 
@@ -1099,8 +1110,7 @@ class TestStep:
         # instance, and the auxiliary CE is weighted by omega of its label.
         spec = train._LossSpec(eta=1.0, aux_cdf=np.array([0.0, 1.0]), aux_omegas=np.array([0.5, 1.5]))
         stack = self._stack([spec], [((np.zeros((2, 2)), np.zeros(2)),)])
-        base, aux, lost = train._step(stack, 0.1, np.zeros((1, 1, 2)), np.array([[0]]),
-                                      np.zeros((1, 1, 2)), np.array([[1]]))
+        base, aux, lost = train._step(stack, 0.1, (np.zeros((2, 1, 2)),), np.array([[0]]), np.array([[1]]))
         assert base[0] == pytest.approx(math.log(2), rel=1e-12)
         assert aux[0] == pytest.approx(1.5 * math.log(2), rel=1e-12)
         assert lost is None
@@ -1129,8 +1139,8 @@ class TestStep:
         ax, ay = np.full((1, 4, 3), np.inf), rng.integers(0, 3, (1, 4))
         stack, alone = self._stack(specs, runs), self._stack(specs[1:], runs[1:])
         with np.errstate(over="ignore", invalid="ignore"):
-            base, aux, lost = train._step(stack, 0.1, bx, by, ax, ay)
-        _, _, alone_lost = train._step(alone, 0.1, bx[1:], by[1:], None, None)
+            base, aux, lost = train._step(stack, 0.1, (bx, ax), by, ay)
+        _, _, alone_lost = train._step(alone, 0.1, (bx[1:],), by[1:], None)
         assert lost.tolist() == [True, False] and alone_lost is None
         assert stack.size == 2 and stack.params.shape[0] == 2
         assert np.isfinite(base).all() and not np.isfinite(aux[0]) and aux[1] == 0.0
